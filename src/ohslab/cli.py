@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import checks as checks_mod
@@ -93,14 +92,13 @@ def cmd_sweep(args):
     for row, (series, final_state) in zip(report.rows, artifacts):
         row_dir = out / ("R%g" % row.R)
         row_dir.mkdir(exist_ok=True)
-        row_cfg = replace(resolved, grid=replace(resolved.grid, R=row.R, N=row.N), sweep=None)
         extra = None
         if series is not None:
             runio.write_moments_csv(row_dir / "moments.csv", series)
             runio.write_final_state_json(row_dir / "final_state.json", final_state)
             extra = {"grid_edges": [float(e) for e in final_state.grid.edges]}
         runio.write_manifest(
-            row_dir / "manifest.json", row_cfg,
+            row_dir / "manifest.json", gelation.row_config(resolved, row.R, row.N),
             status="failed" if row.failed else "ok", error=row.error,
             extra=extra,
         )

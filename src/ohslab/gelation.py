@@ -111,21 +111,20 @@ class BoundEvaluation:
 
 @dataclass
 class GelationReport:
-    """Result of the cutoff sweep plus any blow-up bound evaluations."""
+    """Result of the cutoff sweep: the threshold and one row per cutoff."""
 
     epsilon: float
     rows: list = field(default_factory=list)
-    bound_evaluations: list = field(default_factory=list)
 
     def to_dict(self):
         return {
             "epsilon": self.epsilon,
             "rows": [row.to_dict() for row in self.rows],
-            "bound_evaluations": [b.to_dict() for b in self.bound_evaluations],
         }
 
 
-def _row_config(base_config, R, N):
+def row_config(base_config, R, N):
+    """The sweep row's config: the base config on an (R, N) grid, no sweep."""
     grid = replace(base_config.grid, R=float(R), N=int(N))
     return replace(base_config, grid=grid, sweep=None)
 
@@ -193,7 +192,7 @@ def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=No
     jobs = []
     for R in cutoffs:
         N = max(2, int(round(R / resolution)))
-        jobs.append((_row_config(base, R, N).to_dict(), float(epsilon)))
+        jobs.append((row_config(base, R, N).to_dict(), float(epsilon)))
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(jobs)))

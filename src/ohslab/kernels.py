@@ -25,6 +25,15 @@ on a lattice of positive size pairs and reports every violation.  The bound
 is a for-all statement; sampling on a configurable log-spaced lattice is the
 uniform machinery used here (closed-form verification would be
 kernel-specific).
+
+Every kernel is also a short sum of separable terms on ordered pairs:
+``separable_terms(mid)`` returns factors (a_k, b_k) with
+
+    Lambda(mid_i, mid_j) = sum_k a_k[i] * b_k[j]   for j <= i
+
+on increasing sizes ``mid``, so pair sums over a triangle reduce to prefix
+sums (see ``solver.KernelTables`` and ``moments.moment_rhs``).  Every factor
+is nonnegative.
 """
 from __future__ import annotations
 
@@ -73,6 +82,14 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def separable_terms(self, mid):
+        """Factors (a_k, b_k), arrays over ``mid`` or scalars, such that
+        Lambda(mid_i, mid_j) = sum_k a_k[i] * b_k[j] whenever mid_j <= mid_i.
+
+        ``mid`` must be increasing; no finiteness check is made here.
+        """
+        raise NotImplementedError
+
     def to_config(self):
         raise NotImplementedError
 
@@ -91,6 +108,9 @@ class ConstantKernel(Kernel):
             self.value, np.broadcast_shapes(np.shape(mu), np.shape(nu))
         ).copy()
         return _finalize(mu, nu, raw)
+
+    def separable_terms(self, mid):
+        return [(self.value, 1.0)]
 
     def to_config(self):
         return {"kind": "constant", "value": self.value}
@@ -115,6 +135,9 @@ class PowerSumKernel(Kernel):
             raw = self.theta1 * (mu**self.beta + nu**self.beta)
         return _finalize(mu, nu, raw)
 
+    def separable_terms(self, mid):
+        return _power_terms(self.theta1, self.beta, np.asarray(mid, dtype=float))
+
     def to_config(self):
         return {"kind": "power_sum", "theta1": self.theta1, "beta": self.beta}
 
@@ -133,6 +156,19 @@ def _psi_min(mu, nu, K):
 
 #: Named symmetric perturbations, each satisfying 0 <= Psi <= K*(mu + nu).
 PSI_BUILTINS = {"zero": _psi_zero, "half_sum": _psi_half_sum, "min": _psi_min}
+
+#: Separable factors of each Psi on ordered pairs nu <= mu (min(mu, nu) = nu).
+PSI_TERMS = {
+    "zero": lambda mid, K: [],
+    "half_sum": lambda mid, K: [(0.5 * K * mid, 1.0), (0.5 * K, mid)],
+    "min": lambda mid, K: [(K, mid)],
+}
+
+
+def _power_terms(theta1, beta, mid):
+    """Factors of theta1 * (mu**beta + nu**beta)."""
+    power = mid**beta
+    return [(theta1 * power, 1.0), (theta1, power)]
 
 
 @dataclass(frozen=True)
@@ -170,6 +206,10 @@ class MassConservingKernel(Kernel):
             raw = raw + PSI_BUILTINS[self.psi](mu, nu, self.K)
         return _finalize(mu, nu, raw)
 
+    def separable_terms(self, mid):
+        mid = np.asarray(mid, dtype=float)
+        return _power_terms(self.theta1, self.beta, mid) + PSI_TERMS[self.psi](mid, self.K)
+
     def to_config(self):
         return {
             "kind": "mass_conserving",
@@ -195,6 +235,10 @@ class ProductKernel(Kernel):
         with np.errstate(over="ignore"):
             raw = (mu * nu) ** self.exponent
         return _finalize(mu, nu, raw)
+
+    def separable_terms(self, mid):
+        power = np.asarray(mid, dtype=float) ** self.exponent
+        return [(power, power)]
 
     def to_config(self):
         return {"kind": "product", "exponent": self.exponent}

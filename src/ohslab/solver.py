@@ -28,6 +28,18 @@ the kernel values at midpoint pairs (including the self pair j = i in the
 drift and i = j in the loss), which is exactly the pairing that closes the
 identity; the consistency error of either quadrature is first order.
 
+Both sums run over one triangle of midpoint pairs (j <= i), where every
+kernel is separable, Lambda(xbar_i, xbar_j) = sum_k a_k[i] * b_k[j]
+(``Kernel.separable_terms``).  The drift is then a forward and the loss a
+reversed prefix sum,
+
+    v_{i+1/2} = sum_k a_k[i] * cumsum(b_k * xbar * dx * xi)[i]
+    L_j       = sum_k b_k[j] * revcumsum(a_k * gaps * xi)[j],
+
+so a right-hand side costs O(N) time and memory (a handful of terms per
+kernel) instead of two dense N x N matrix-vector products.  Since all factors
+are nonnegative the sums carry no cancellation.
+
 Explicit Euler under dt <= cfl / max_i(v_{i+1/2}/dx_i + L_i) with cfl <= 1
 keeps every cell nonnegative (the update is a convex combination of
 nonnegative terms).  Negative cells from roundoff are clamped to zero with
@@ -64,28 +76,41 @@ class RhsParts:
 
 
 class KernelTables:
-    """Quadrature matrices for one (grid, kernel) pair, built once per run.
+    """Separable kernel factors for one (grid, kernel) pair, built once per run.
 
-    The kernel is evaluated only at midpoint pairs, so the matrices are
-    state-independent and both rates become matrix-vector products.
+    Holds, per term k of ``kernel.separable_terms``, the state-independent
+    weights of the drift prefix sum (a_k, b_k * xbar * dx) and of the
+    reversed loss prefix sum (b_k, a_k * gaps).  Setup, memory and each
+    ``velocity``/``loss`` call are O(N).
+
+    Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
+    built-in kernel takes its largest midpoint-pair value on the diagonal, so
+    a grid on which the kernel overflows raises ``EvaluationOverflowError``
+    here, exactly where a dense pair table would have overflowed.
     """
 
     def __init__(self, grid, kernel):
         mid, dx = grid.midpoints, grid.widths
-        K = np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
-        if not np.all(np.isfinite(K)):
-            raise NumericalFailureError("kernel table is not finite on this grid")
+        kernel.eval(mid, mid)
+        with np.errstate(over="ignore"):
+            terms = kernel.separable_terms(mid)
         self.grid = grid
-        self._drift = np.tril(K) * (mid * dx)[None, :]
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
-        self._loss = np.triu(K * gaps[None, :])
+        self._drift = [(a, b * mid * dx) for a, b in terms]
+        self._loss = [(b, a * gaps) for a, b in terms]
 
     def velocity(self, xi):
-        return self._drift @ xi
+        v = np.zeros_like(xi)
+        for outer, inner in self._drift:
+            v += outer * np.cumsum(inner * xi)
+        return v
 
     def loss(self, xi):
-        return self._loss @ xi
+        L = np.zeros_like(xi)
+        for outer, inner in self._loss:
+            L += outer * np.cumsum((inner * xi)[::-1])[::-1]
+        return L
 
 
 def _rhs(tables, xi):
@@ -100,16 +125,6 @@ def _rhs(tables, xi):
         raise NumericalFailureError("non-finite right-hand side")
     out = float(grid.midpoints[-1] * F[-1])
     return RhsParts(velocity=v, loss=L, flux=F, boundary_outflow_rate=out), dxi
-
-
-def drift_velocity(state, kernel):
-    """Per-edge drift v_{i+1/2}; the left boundary carries no inflow."""
-    return KernelTables(state.grid, kernel).velocity(state.xi)
-
-
-def loss_rate(state, kernel):
-    """Per-cell absorption rate L_j by larger particles inside the domain."""
-    return KernelTables(state.grid, kernel).loss(state.xi)
 
 
 def rhs(state, kernel):

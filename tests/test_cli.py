@@ -116,6 +116,7 @@ def test_sweep_writes_table_and_row_directories(tmp_path):
         assert read_manifest(out / name / "manifest.json")["status"] == "ok"
     report = json.loads((out / "sweep.json").read_text())
     assert report["epsilon"] == 0.01
+    assert set(report) == {"epsilon", "rows"}
 
 
 def test_sweep_constant_kernel_leaves_t_loss_empty(tmp_path):

@@ -12,6 +12,7 @@ from ohslab.gelation import (
     comparison_ode_blowup,
     cutoff_sweep,
     gelation_time,
+    row_config,
     tail_decay_fit,
     tail_positivity,
 )
@@ -118,6 +119,13 @@ def test_sweep_parallel_matches_serial():
     parallel, _ = cutoff_sweep(base, (2.0, 3.0), epsilon=0.01, workers=2)
     for a, b in zip(serial.rows, parallel.rows):
         assert (a.R, a.N, a.t_loss, a.gel_fraction_final) == (b.R, b.N, b.t_loss, b.gel_fraction_final)
+
+
+def test_row_config_moves_the_grid_and_drops_the_sweep():
+    base = powersum_base()
+    cfg = row_config(base, 4, 64)
+    assert (cfg.grid.R, cfg.grid.N, cfg.sweep) == (4.0, 64, None)
+    assert (cfg.kernel, cfg.initial, cfg.t_end) == (base.kernel, base.initial, base.t_end)
 
 
 def test_sweep_scales_cell_count_with_cutoff():

@@ -69,6 +69,19 @@ def test_eval_overflow_raises():
         ProductKernel(200.0).eval(1e5, 1e5)
 
 
+@pytest.mark.parametrize("kernel, count", [
+    (ConstantKernel(1.0), 1),
+    (PowerSumKernel(1.0, 1.5), 2),
+    (MassConservingKernel(1.0, 2.0, "zero", 1.0), 2),
+    (MassConservingKernel(1.0, 2.0, "half_sum", 1.0), 4),
+    (MassConservingKernel(1.0, 2.0, "min", 1.0), 3),
+    (ProductKernel(0.75), 1),
+], ids=lambda v: getattr(v, "psi", getattr(v, "kind", v)))
+def test_separable_term_count(kernel, count):
+    # factor values are checked against eval in test_pair_sums
+    assert len(kernel.separable_terms(np.array([0.25, 0.75, 1.5]))) == count
+
+
 def test_psi_builtins_within_bound():
     rng = np.random.default_rng(11)
     mu = rng.uniform(1e-3, 1e2, 500)

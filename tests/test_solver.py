@@ -1,4 +1,7 @@
 """Right-hand-side quadratures, the mass identity, stepping, and full runs."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,10 @@ from ohslab import (
     SimConfig,
     UniformOn,
 )
-from ohslab.errors import InvalidInputError
+from ohslab.errors import EvaluationOverflowError, InvalidInputError
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.oracle import l1_error
-from ohslab.solver import RhsParts, rhs, run, stable_dt, step
+from ohslab.solver import KernelTables, RhsParts, rhs, run, stable_dt, step
 
 RNG = np.random.default_rng(123)
 
@@ -83,6 +86,29 @@ def test_mass_identity_closes_to_roundoff(kernel, gridspec):
         residual = abs(np.sum(terms) + parts.boundary_outflow_rate)
         gross = np.sum(np.abs(terms)) + abs(parts.boundary_outflow_rate)
         assert residual <= 1e-12 * max(gross, 1e-30)
+
+
+def test_kernel_tables_overflow_raises_without_warning():
+    # the diagonal probe fails where the dense pair table would have overflowed
+    grid = build("uniform", 1000.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationOverflowError):
+            KernelTables(grid, ProductKernel(200.0))
+
+
+def test_tables_and_rhs_memory_is_linear_in_cells():
+    # dense N x N tables at N = 8192 would take about 1.5 GB
+    grid = build("uniform", 8.0, 8192)
+    state = project_initial(grid, UniformOn(0.0, 1.0, 1.0))
+    kernel = MassConservingKernel(1.0, 2.0, "half_sum", 1.0)  # the most terms
+    tracemalloc.start()
+    try:
+        rhs(state, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_number_loss_trend_for_block_state():
