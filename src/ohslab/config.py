@@ -17,6 +17,24 @@ from .kernels import Kernel, kernel_from_config
 
 SCHEMES = ("euler", "heun")
 
+#: Keys a config may carry at the top level; any other key is a typo.
+TOP_LEVEL_KEYS = (
+    "kernel", "grid", "initial", "t_end", "cfl", "record_cadence", "scheme",
+    "moments", "epsilon", "dt_max", "sweep", "check",
+)
+
+
+def _reject_unknown_keys(cfg, allowed, section):
+    """Raise InvalidInputError naming any key of ``cfg`` not in ``allowed``."""
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("%s must be a JSON object" % section)
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise InvalidInputError(
+            "unknown config key %s in %s (allowed: %s)"
+            % (", ".join(map(repr, unknown)), section, ", ".join(allowed))
+        )
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -36,6 +54,7 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, cfg):
+        _reject_unknown_keys(cfg, ("kind", "R", "N", "q"), "section 'grid'")
         try:
             return cls(
                 kind=cfg.get("kind", "uniform"),
@@ -65,6 +84,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, cfg):
+        _reject_unknown_keys(cfg, ("cutoffs", "epsilon", "resolution"), "section 'sweep'")
         try:
             return cls(
                 cutoffs=tuple(float(c) for c in cfg.get("cutoffs", ())),
@@ -161,7 +181,15 @@ class SimConfig:
         for key in ("kernel", "grid", "initial", "t_end"):
             if key not in cfg:
                 raise InvalidInputError("config is missing required key %r" % key)
+        _reject_unknown_keys(cfg, TOP_LEVEL_KEYS, "the top level")
         moments_cfg = cfg.get("moments", {})
+        _reject_unknown_keys(
+            moments_cfg, ("orders", "truncation_thresholds"), "section 'moments'"
+        )
+        initial_cfg = cfg["initial"]
+        if isinstance(initial_cfg, dict) and initial_cfg.get("kind") in grid_mod.IC_FIELDS:
+            allowed = ("kind",) + grid_mod.IC_FIELDS[initial_cfg["kind"]]
+            _reject_unknown_keys(initial_cfg, allowed, "section 'initial'")
         try:
             config = cls(
                 kernel=kernel_from_config(cfg["kernel"]),

@@ -81,6 +81,7 @@ class SweepRow:
     gel_fraction_final: float = None
     failed: bool = False
     error: str = None
+    steps: int = None
 
     def to_dict(self):
         return {
@@ -90,6 +91,7 @@ class SweepRow:
             "gel_fraction_final": self.gel_fraction_final,
             "failed": self.failed,
             "error": self.error,
+            "steps": self.steps,
         }
 
 
@@ -129,24 +131,37 @@ def row_config(base_config, R, N):
     return replace(base_config, grid=grid, sweep=None)
 
 
+def _failed_row(cfg_dict, exc):
+    """A failed row carrying the error text, with no artifacts."""
+    grid = cfg_dict["grid"]
+    error = str(exc)
+    if not isinstance(exc, CoagulationError):
+        error = "%s: %s" % (type(exc).__name__, error)
+    return SweepRow(R=float(grid["R"]), N=int(grid["N"]), failed=True, error=error), None, None
+
+
 def _run_row(args):
     """Worker for one sweep row; module-level so process pools can pickle it.
 
-    Any row-level failure (invalid row configuration, numerical breakdown) is
-    contained in the returned row so the other rows still report.
+    Any row-level failure (invalid row configuration, numerical breakdown,
+    memory exhaustion or any other exception) is contained in the returned
+    row so the other rows still report.
     """
     cfg_dict, epsilon = args
-    R = float(cfg_dict["grid"]["R"])
-    N = int(cfg_dict["grid"]["N"])
     try:
-        cfg = SimConfig.from_dict(cfg_dict)
-        result = solver.run(cfg)
+        result = solver.run(SimConfig.from_dict(cfg_dict))
+        row = SweepRow(
+            R=float(cfg_dict["grid"]["R"]), N=int(cfg_dict["grid"]["N"]),
+            failed=result.failed, error=result.error, steps=result.steps,
+        )
+        if result.series.records:
+            row.t_loss = gelation_time(result.series, epsilon)
+            row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
     except CoagulationError as exc:
-        return SweepRow(R=R, N=N, failed=True, error=str(exc)), None, None
-    row = SweepRow(R=R, N=N, failed=result.failed, error=result.error)
-    if result.series.records:
-        row.t_loss = gelation_time(result.series, epsilon)
-        row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
+        return _failed_row(cfg_dict, exc)
+    except Exception as exc:
+        logger.error("sweep row R=%s raised", cfg_dict["grid"]["R"], exc_info=True)
+        return _failed_row(cfg_dict, exc)
     return row, result.series, result.final_state
 
 
@@ -200,7 +215,15 @@ def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=No
         results = [_run_row(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_row, jobs))
+            futures = [pool.submit(_run_row, job) for job in jobs]
+            results = []
+            for job, future in zip(jobs, futures):
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # a crashed worker: BrokenProcessPool
+                    logger.error("sweep row R=%s lost its worker", job[0]["grid"]["R"],
+                                 exc_info=True)
+                    results.append(_failed_row(job[0], exc))
     artifacts = []
     for row, series, final_state in results:
         if row.failed:

@@ -221,14 +221,19 @@ def project_initial(grid, ic):
     return State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
 
 
-_IC_KINDS = {"uniform_on", "cell_spike", "table"}
+#: Initial-condition kinds and the keys each takes besides "kind".
+IC_FIELDS = {
+    "uniform_on": ("a", "b", "mass"),
+    "cell_spike": ("index", "mass"),
+    "table": ("edges", "values"),
+}
 
 
 def ic_from_config(cfg):
     """Build an initial-condition spec from its config mapping."""
-    if not isinstance(cfg, dict) or cfg.get("kind") not in _IC_KINDS:
+    if not isinstance(cfg, dict) or cfg.get("kind") not in IC_FIELDS:
         raise InvalidInputError(
-            "initial condition config must set 'kind' to one of %s" % sorted(_IC_KINDS)
+            "initial condition config must set 'kind' to one of %s" % sorted(IC_FIELDS)
         )
     kind = cfg["kind"]
     try:

@@ -40,12 +40,24 @@ so a right-hand side costs O(N) time and memory (a handful of terms per
 kernel) instead of two dense N x N matrix-vector products.  Since all factors
 are nonnegative the sums carry no cancellation.
 
-Explicit Euler under dt <= cfl / max_i(v_{i+1/2}/dx_i + L_i) with cfl <= 1
-keeps every cell nonnegative (the update is a convex combination of
-nonnegative terms).  Negative cells from roundoff are clamped to zero with
-the created mass logged; a run fails once the cumulative clamped mass
-exceeds CLAMP_BUDGET times the initial mass, which separates roundoff from
-genuine instability.
+The Euler update of cell i is
+
+    xi_i * (1 - dt * (v_{i+1/2}/dx_i + L_i)) + dt * v_{i-1/2} * xi_{i-1} / dx_i,
+
+so dt <= cfl / max_i(v_{i+1/2}/dx_i + L_i) with cfl <= 1 keeps every cell
+nonnegative.  The maximum only needs the occupied cells: an empty cell's own
+rate multiplies zero.  ``stable_dt`` takes it over the cells with xi_i > 0,
+xi_{i-1} > 0 or xi_{i-2} > 0; the second cell of margin covers the cell a
+Heun predictor fills above the support.  Empty cells far above the support,
+where an unbounded kernel makes v/dx largest, then no longer shrink the
+step; since the upwind front moves one cell per step, fewer steps also leave
+less spurious mass ahead of it.  On a uniform grid with contiguous support
+and a constant kernel the maximum lies inside the support, so the bound
+equals the global one bit for bit.
+
+Negative cells from roundoff are clamped to zero with the created mass
+logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
+times the initial mass, which separates roundoff from genuine instability.
 """
 from __future__ import annotations
 
@@ -78,10 +90,12 @@ class RhsParts:
 class KernelTables:
     """Separable kernel factors for one (grid, kernel) pair, built once per run.
 
-    Holds, per term k of ``kernel.separable_terms``, the state-independent
-    weights of the drift prefix sum (a_k, b_k * xbar * dx) and of the
-    reversed loss prefix sum (b_k, a_k * gaps).  Setup, memory and each
-    ``velocity``/``loss`` call are O(N).
+    Holds the state-independent weights of the drift prefix sums
+    (a_k, b_k * xbar * dx) and of the reversed loss prefix sums
+    (b_k, a_k * gaps), one row per term k of ``kernel.separable_terms``,
+    stacked as (K, N) arrays.  Each ``velocity``/``loss`` call is one row-wise
+    cumsum and one sum over the rows, which adds the terms in order.  Setup,
+    memory and each call are O(N).
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -94,37 +108,37 @@ class KernelTables:
         kernel.eval(mid, mid)
         with np.errstate(over="ignore"):
             terms = kernel.separable_terms(mid)
+            a = np.array([np.broadcast_to(f, mid.shape) for f, _ in terms], dtype=float)
+            b = np.array([np.broadcast_to(f, mid.shape) for _, f in terms], dtype=float)
         self.grid = grid
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
-        self._drift = [(a, b * mid * dx) for a, b in terms]
-        self._loss = [(b, a * gaps) for a, b in terms]
+        self._drift = (a, b * mid * dx)
+        self._loss = (b, a * gaps)
 
     def velocity(self, xi):
-        v = np.zeros_like(xi)
-        for outer, inner in self._drift:
-            v += outer * np.cumsum(inner * xi)
-        return v
+        outer, inner = self._drift
+        return (outer * np.cumsum(inner * xi, axis=1)).sum(axis=0)
 
     def loss(self, xi):
-        L = np.zeros_like(xi)
-        for outer, inner in self._loss:
-            L += outer * np.cumsum((inner * xi)[::-1])[::-1]
-        return L
+        outer, inner = self._loss
+        return (outer * np.cumsum((inner * xi)[:, ::-1], axis=1)[:, ::-1]).sum(axis=0)
 
 
 def _rhs(tables, xi):
     grid = tables.grid
     v = tables.velocity(xi)
     L = tables.loss(xi)
-    F = v * xi
-    dxi = np.empty_like(xi)
-    dxi[0] = -F[0] / grid.widths[0] - xi[0] * L[0]
-    dxi[1:] = -(F[1:] - F[:-1]) / grid.widths[1:] - xi[1:] * L[1:]
-    if not (np.all(np.isfinite(dxi)) and np.isfinite(F[-1])):
+    # Edge fluxes with the zero inflow at size 0 in front: F[i + 1] = F_{i+1/2}.
+    F = np.empty(xi.size + 1)
+    F[0] = 0.0
+    np.multiply(v, xi, out=F[1:])
+    dxi = -(F[1:] - F[:-1]) / grid.widths - xi * L
+    # The outflow F[-1] enters dxi[-1] (L, xi >= 0), so this also catches it.
+    if not np.isfinite(dxi).all():
         raise NumericalFailureError("non-finite right-hand side")
     out = float(grid.midpoints[-1] * F[-1])
-    return RhsParts(velocity=v, loss=L, flux=F, boundary_outflow_rate=out), dxi
+    return RhsParts(velocity=v, loss=L, flux=F[1:], boundary_outflow_rate=out), dxi
 
 
 def rhs(state, kernel):
@@ -139,12 +153,21 @@ def rhs(state, kernel):
 def stable_dt(state, parts, cfl, dt_max=math.inf):
     """Positivity-preserving step bound cfl / max_i(v_{i+1/2}/dx_i + L_i).
 
-    An empty state has no rate; the configured dt_max is returned instead.
+    The maximum runs over the cells that hold mass or lie within two cells
+    above a cell that does (xi_i > 0, xi_{i-1} > 0 or xi_{i-2} > 0).  An
+    empty cell's own rate multiplies zero in the Euler update, so it cannot
+    drive the cell negative; the two-cell margin covers the cell a Heun
+    predictor fills.  An empty state has no rate; the configured dt_max is
+    returned instead.
     """
     if not (0 < cfl <= 1):
         raise InvalidInputError("cfl must lie in (0, 1]")
+    occupied = state.xi > 0
+    front = occupied.copy()
+    front[1:] |= occupied[:-1]
+    front[2:] |= occupied[:-2]
     rate = parts.velocity / state.grid.widths + parts.loss
-    peak = float(rate.max()) if rate.size else 0.0
+    peak = float(np.maximum.reduce(rate, where=front, initial=0.0))
     if peak <= 0.0:
         return dt_max
     return min(cfl / peak, dt_max)
@@ -182,14 +205,14 @@ def step(state, kernel, dt, scheme="euler", tables=None, first_stage=None):
         gel_inc = 0.5 * dt * (parts1.boundary_outflow_rate + parts2.boundary_outflow_rate)
     else:
         raise InvalidInputError("unknown scheme %r" % (scheme,))
-    if not np.all(np.isfinite(xi_new)):
+    if not np.isfinite(xi_new).all():
         raise NumericalFailureError("non-finite density after step")
     xi_new, created = _clamp(state, xi_new)
-    return replace(
-        state,
+    return State(
         t=state.t + dt,
         xi=xi_new,
         gel_mass=state.gel_mass + gel_inc,
+        grid=state.grid,
         clamped_mass=state.clamped_mass + created,
     )
 
@@ -200,7 +223,7 @@ class RunResult:
 
     ``states`` holds per-record snapshots when the run was asked to capture
     them; the diagnostics that replay the weak form and moment evolution
-    consume this handle.
+    consume this handle.  ``steps`` counts the time steps taken.
     """
 
     config: object
@@ -209,6 +232,7 @@ class RunResult:
     states: list = None
     failed: bool = False
     error: str = None
+    steps: int = 0
 
 
 def _record_times(t_end, cadence):
@@ -246,6 +270,7 @@ def run(config, capture_states=False):
     record(state)
     time_eps = 1e-12 * max(1.0, cfg.t_end)
     failed, error = False, None
+    steps = 0
     try:
         tables = KernelTables(grid, cfg.kernel)
         for t_next in _record_times(cfg.t_end, cfg.record_cadence):
@@ -257,6 +282,7 @@ def run(config, capture_states=False):
                     state, cfg.kernel, dt, scheme=cfg.scheme,
                     tables=tables, first_stage=(parts, k1),
                 )
+                steps += 1
                 if state.clamped_mass > budget:
                     raise NumericalFailureError(
                         "clamped mass %.3e exceeds budget %.3e (unstable run)"
@@ -269,5 +295,5 @@ def run(config, capture_states=False):
         failed, error = True, str(exc)
     return RunResult(
         config=cfg, series=series, final_state=state,
-        states=states, failed=failed, error=error,
+        states=states, failed=failed, error=error, steps=steps,
     )

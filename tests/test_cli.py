@@ -117,6 +117,9 @@ def test_sweep_writes_table_and_row_directories(tmp_path):
     report = json.loads((out / "sweep.json").read_text())
     assert report["epsilon"] == 0.01
     assert set(report) == {"epsilon", "rows"}
+    for row in report["rows"]:
+        assert set(row) == {"R", "N", "t_loss", "gel_fraction_final", "failed", "error", "steps"}
+        assert row["steps"] > 0
 
 
 def test_sweep_constant_kernel_leaves_t_loss_empty(tmp_path):
@@ -251,6 +254,7 @@ def test_sweep_contains_per_row_failures(tmp_path):
     report = json.loads((out / "sweep.json").read_text())
     assert [row["failed"] for row in report["rows"]] == [True, False]
     assert report["rows"][0]["error"]
+    assert report["rows"][0]["steps"] is None and report["rows"][1]["steps"] > 0
     assert read_manifest(out / "R2" / "manifest.json")["status"] == "failed"
     assert not (out / "R2" / "moments.csv").exists()
     assert (out / "R4" / "moments.csv").exists()

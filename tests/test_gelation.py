@@ -1,11 +1,15 @@
 """Gel-time detection, cutoff sweep machinery, blow-up and tail diagnostics."""
 import math
+import multiprocessing
+import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn
+from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, gelation
 from ohslab.errors import InvalidInputError, WindowEmptyError
 from ohslab.gelation import (
     blowup_bound,
@@ -21,8 +25,8 @@ from ohslab.moments import MomentRecord, MomentSeries
 from ohslab.solver import RunResult, run
 
 # regression baselines recorded from the deterministic reference run
-POWERSUM_T_LOSS = 0.5943603100879776
-POWERSUM_TAIL_RATE = -108.82324872935166
+POWERSUM_T_LOSS = 0.6019404632279971
+POWERSUM_TAIL_RATE = -67.70058359918485
 
 
 def synthetic_series(times, gel, m1=None, tails=None, thresholds=()):
@@ -111,6 +115,7 @@ def test_sweep_row_replicates_direct_run():
     direct = run(base)  # R = 2, N = 32 equals the first row's configuration
     assert report.rows[0].N == 32
     assert report.rows[0].t_loss == gelation_time(direct.series, 0.01)
+    assert report.rows[0].steps == direct.steps > 0
 
 
 def test_sweep_parallel_matches_serial():
@@ -119,6 +124,76 @@ def test_sweep_parallel_matches_serial():
     parallel, _ = cutoff_sweep(base, (2.0, 3.0), epsilon=0.01, workers=2)
     for a, b in zip(serial.rows, parallel.rows):
         assert (a.R, a.N, a.t_loss, a.gel_fraction_final) == (b.R, b.N, b.t_loss, b.gel_fraction_final)
+
+
+def failing_run(crash):
+    """solver.run with the rows at R = 3 and R = 4 ending in ``crash``."""
+    real_run = run
+
+    def flaky(cfg, *args, **kwargs):
+        if cfg.grid.R >= 3.0:
+            crash(cfg.grid.R)
+        return real_run(cfg, *args, **kwargs)
+
+    return flaky
+
+
+def raise_foreign_errors(R):
+    raise MemoryError() if R == 3.0 else RuntimeError("boom")
+
+
+def test_sweep_serial_contains_non_coagulation_errors(monkeypatch):
+    monkeypatch.setattr(gelation.solver, "run", failing_run(raise_foreign_errors))
+    report, artifacts = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=1)
+    assert [row.failed for row in report.rows] == [False, True, True]
+    assert report.rows[0].t_loss is not None and report.rows[0].steps > 0
+    assert report.rows[1].error == "MemoryError: "
+    assert report.rows[2].error == "RuntimeError: boom"
+    assert (report.rows[1].steps, artifacts[1]) == (None, (None, None))
+
+
+class CrashingPool:
+    """Stands in for ProcessPoolExecutor; the worker of the R = 3 row dies."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        future = Future()
+        if job[0]["grid"]["R"] == 3.0:
+            future.set_exception(BrokenProcessPool("worker terminated abruptly"))
+        else:
+            future.set_result(fn(job))
+        return future
+
+
+def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
+    monkeypatch.setattr(gelation, "ProcessPoolExecutor", CrashingPool)
+    report, artifacts = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=3)
+    assert [row.failed for row in report.rows] == [False, True, False]
+    assert report.rows[1].error == "BrokenProcessPool: worker terminated abruptly"
+    assert artifacts[1] == (None, None)
+    assert all(row.t_loss is not None for row in (report.rows[0], report.rows[2]))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the crashing solver.run reaches the workers only through fork",
+)
+def test_sweep_pool_survives_a_worker_that_exits(monkeypatch):
+    monkeypatch.setattr(gelation.solver, "run", failing_run(lambda R: os._exit(1)))
+    report, _ = cutoff_sweep(powersum_base(), (2.0, 3.0), epsilon=0.01, workers=2)
+    assert [row.R for row in report.rows] == [2.0, 3.0]
+    assert report.rows[1].failed
+    assert report.rows[1].error.startswith("BrokenProcessPool: ")
+    # the other row either finished before the pool broke or lost it too
+    assert report.rows[0].t_loss is not None or "BrokenProcessPool" in report.rows[0].error
 
 
 def test_row_config_moves_the_grid_and_drops_the_sweep():

@@ -14,6 +14,7 @@ from ohslab import (
     ProductKernel,
     SimConfig,
     UniformOn,
+    solver,
 )
 from ohslab.errors import EvaluationOverflowError, InvalidInputError
 from ohslab.grid import CellSpike, State, build, project_initial
@@ -146,6 +147,27 @@ def test_stable_dt_scales_inversely_with_density():
     assert stable_dt(half, parts_half, 0.5) == 2.0 * stable_dt(state, parts, 0.5)
 
 
+@pytest.mark.parametrize("N", [16, 64, 257])
+@pytest.mark.parametrize("block", [(0.0, 1.0), (0.5, 1.0), (1.25, 3.0), (0.0, 4.0)])
+def test_stable_dt_constant_kernel_contiguous_support_is_the_global_bound(N, block):
+    grid = build("uniform", 4.0, N)
+    state = project_initial(grid, UniformOn(block[0], block[1], 1.3))
+    state.xi[state.xi > 0] *= np.random.default_rng(N).uniform(0.5, 2.0, (state.xi > 0).sum())
+    parts, _ = rhs(state, ConstantKernel(0.7))
+    global_peak = np.max(parts.velocity / grid.widths + parts.loss)
+    assert stable_dt(state, parts, 0.8) == 0.8 / global_peak
+
+
+def test_stable_dt_ignores_empty_cells_beyond_the_front():
+    grid = build("uniform", 4.0, 8)
+    state = State(t=0.0, xi=np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), gel_mass=0.0, grid=grid)
+    rate = np.arange(1.0, 9.0)
+    parts = RhsParts(velocity=rate * grid.widths, loss=np.zeros(8),
+                     flux=np.zeros(8), boundary_outflow_rate=0.0)
+    # cells 0, 1 and 2 count; the larger rates of cells 3-7 multiply zero
+    assert stable_dt(state, parts, cfl=1.0) == 1.0 / 3.0
+
+
 def test_stable_dt_rejects_bad_cfl():
     grid = build("uniform", 1.0, 4)
     state = State(t=0.0, xi=np.zeros(4), gel_mass=0.0, grid=grid)
@@ -240,6 +262,19 @@ def base_config(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def test_run_counts_its_steps(monkeypatch):
+    calls = []
+    real_step = solver.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    result = run(base_config())
+    assert result.steps == len(calls) >= 4  # at least one step per record
 
 
 def test_run_zero_horizon_single_record():
