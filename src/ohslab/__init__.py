@@ -8,7 +8,7 @@ constant-kernel explicit solution.
 
 __version__ = "0.1.0"
 
-from .config import GridSpec, SimConfig, SweepSpec, load_config
+from .config import CheckSpec, GridSpec, MomentSpec, SimConfig, SweepSpec, load_config
 from .grid import CellSpike, SizeGrid, State, TableDensity, UniformOn, build, project_initial
 from .kernels import (
     CertificationParams,
@@ -18,7 +18,6 @@ from .kernels import (
     ProductKernel,
     certify_hypothesis_A,
     is_mass_conserving_family,
-    kernel_from_config,
     sample_lattice,
 )
 from .oracle import BaglandSolution
@@ -29,9 +28,11 @@ __all__ = [
     "BaglandSolution",
     "CellSpike",
     "CertificationParams",
+    "CheckSpec",
     "ConstantKernel",
     "GridSpec",
     "MassConservingKernel",
+    "MomentSpec",
     "PowerSumKernel",
     "ProductKernel",
     "RunResult",
@@ -44,7 +45,6 @@ __all__ = [
     "build",
     "certify_hypothesis_A",
     "is_mass_conserving_family",
-    "kernel_from_config",
     "load_config",
     "project_initial",
     "run",

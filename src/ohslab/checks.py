@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gelation, kernels, moments, oracle
+from .config import CheckSpec
 from .errors import InvalidInputError
 
 BOOKKEEPING_RTOL = 1e-10
@@ -23,7 +24,6 @@ SIGN_SLACK = 1e-14
 BLOWUP_ORDERS = (2, 3, 5)
 BLOWUP_CONSISTENCY_RTOL = 1e-12
 WEAK_AGREEMENT_RTOL = 1e-10
-DEFAULT_RESIDUAL_TOL = 0.05
 
 
 @dataclass
@@ -77,21 +77,8 @@ def _auto_certification(kernel):
     )
 
 
-def _check_certification(report, kernel, settings):
-    cert_cfg = settings.get("certification")
-    if cert_cfg:
-        try:
-            params = kernels.CertificationParams(
-                theta1=float(cert_cfg["theta1"]),
-                theta2=float(cert_cfg.get("theta2", 1.0)),
-                beta=float(cert_cfg["beta"]),
-                gamma=float(cert_cfg.get("gamma", cert_cfg["beta"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                "bad certification section %r: %s" % (cert_cfg, exc)
-            ) from exc
-    else:
+def _check_certification(report, kernel, params):
+    if params is None:
         params = _auto_certification(kernel)
         if params is None:
             report.add("certification", True, {
@@ -142,8 +129,8 @@ def _check_weak_form(report, result, tol):
     grid_R = result.config.grid.R
     test = moments.CappedIdentity(grid_R / 2.0)
     t_last = result.series.times()[-1]
-    residual = moments.weak_form_residual(result, test, t_last)
     internal, gross = moments.weak_rhs_quadrature(result, test, t_last)
+    residual = moments._weak_residual(result, test, t_last, internal, gross)
     brute = oracle.brute_force_weak_rhs(result.states, result.config.kernel, test)
     agree = abs(internal - brute) / max(
         abs(internal), abs(brute), moments.GROSS_GUARD * gross, moments.EPS_FLOOR
@@ -179,11 +166,9 @@ def _check_blowup_bounds(report, result):
         )
         mismatch = abs((bound - first.t) - tstar) / tstar
         ok = ok and mismatch <= BLOWUP_CONSISTENCY_RTOL
-        table.append(gelation.BoundEvaluation(
-            r=float(r), delta=first.t, moment_value=value, bound=bound
-        ))
+        table.append({"r": float(r), "delta": first.t, "moment_value": value, "bound": bound})
     report.add("blowup_bounds", ok, {
-        "table": [b.to_dict() for b in table],
+        "table": table,
         "consistency_tolerance": BLOWUP_CONSISTENCY_RTOL,
     })
 
@@ -198,11 +183,11 @@ def run_checks(result, stored=None, settings=None):
     stored : dict, optional
         Columns of a stored moments.csv; when given, bookkeeping is also
         verified against the stored numbers (detects edited artifacts).
-    settings : dict, optional
-        The config's "check" section: optional "certification" parameters and
-        residual tolerances ("moment_residual_tol", "weak_residual_tol").
+    settings : config.CheckSpec, optional
+        The config's "check" section: certification constants and residual
+        tolerances; defaults apply when omitted.
     """
-    settings = settings or {}
+    settings = settings or CheckSpec()
     report = CheckReport()
     series = result.series
     _check_bookkeeping(report, "bookkeeping", series.values(1.0), series.gel())
@@ -210,10 +195,10 @@ def run_checks(result, stored=None, settings=None):
         if "M1" not in stored or "gel_mass" not in stored:
             raise InvalidInputError("stored moments.csv lacks the M1/gel_mass columns")
         _check_bookkeeping(report, "bookkeeping_stored_csv", stored["M1"], stored["gel_mass"])
-    _check_certification(report, result.config.kernel, settings)
+    _check_certification(report, result.config.kernel, settings.certification)
     _check_holder(report, result.states)
     _check_moment_rhs_sign(report, result.states, result.config.kernel)
-    _check_moment_residual(report, result, float(settings.get("moment_residual_tol", DEFAULT_RESIDUAL_TOL)))
-    _check_weak_form(report, result, float(settings.get("weak_residual_tol", DEFAULT_RESIDUAL_TOL)))
+    _check_moment_residual(report, result, settings.moment_residual_tol)
+    _check_weak_form(report, result, settings.weak_residual_tol)
     _check_blowup_bounds(report, result)
     return report

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import checks as checks_mod
@@ -87,7 +88,7 @@ def cmd_sweep(args):
             t_loss = "" if row.t_loss is None else "%.17g" % row.t_loss
             gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
             fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
-    runio.write_json(out / "sweep.json", report.to_dict())
+    runio.write_json(out / "sweep.json", asdict(report))
     resolved = cfg.resolved()
     for row, (series, final_state) in zip(report.rows, artifacts):
         row_dir = out / ("R%g" % row.R)

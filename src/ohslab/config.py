@@ -3,115 +3,93 @@
 A run is fully determined by its config; there is no random state anywhere in
 the package, so identical configs reproduce identical outputs bit for bit.
 The resolved config (all defaults filled in) is what run manifests store.
+
+Every config section is a frozen dataclass whose fields are the section's
+JSON keys, with their defaults.  ``from_section`` reads any of them from a
+JSON mapping and ``to_section`` writes it back, so each key is declared once.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import grid as grid_mod
 from .errors import InvalidInputError
-from .kernels import Kernel, kernel_from_config
+from .grid import INITIAL_KINDS, InitialCondition
+from .kernels import KERNEL_KINDS, CertificationParams, Kernel
 
 SCHEMES = ("euler", "heun")
-
-#: Keys a config may carry at the top level; any other key is a typo.
-TOP_LEVEL_KEYS = (
-    "kernel", "grid", "initial", "t_end", "cfl", "record_cadence", "scheme",
-    "moments", "epsilon", "dt_max", "sweep", "check",
-)
-
-
-def _reject_unknown_keys(cfg, allowed, section):
-    """Raise InvalidInputError naming any key of ``cfg`` not in ``allowed``."""
-    if not isinstance(cfg, dict):
-        raise InvalidInputError("%s must be a JSON object" % section)
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise InvalidInputError(
-            "unknown config key %s in %s (allowed: %s)"
-            % (", ".join(map(repr, unknown)), section, ", ".join(allowed))
-        )
 
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Section "grid"; R and N are required."""
+
     kind: str = "uniform"
-    R: float = 1.0
-    N: int = 100
+    R: float = None
+    N: int = None
     q: float = None
+
+    def __post_init__(self):
+        if self.R is None or self.N is None:
+            raise InvalidInputError("grid needs both 'R' and 'N'")
 
     def build(self):
         return grid_mod.build(self.kind, self.R, self.N, self.q)
 
-    def to_dict(self):
-        out = {"kind": self.kind, "R": self.R, "N": self.N}
-        if self.q is not None:
-            out["q"] = self.q
-        return out
 
-    @classmethod
-    def from_dict(cls, cfg):
-        _reject_unknown_keys(cfg, ("kind", "R", "N", "q"), "section 'grid'")
-        try:
-            return cls(
-                kind=cfg.get("kind", "uniform"),
-                R=float(cfg["R"]),
-                N=int(cfg["N"]),
-                q=float(cfg["q"]) if "q" in cfg and cfg["q"] is not None else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError("bad grid config %r: %s" % (cfg, exc)) from exc
+@dataclass(frozen=True)
+class MomentSpec:
+    """Section "moments": recorded moment orders and tail thresholds."""
+
+    orders: tuple = (0.0, 1.0, 2.0)
+    truncation_thresholds: tuple = ()
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Cutoff-scaling experiment: rerun at each cutoff R with fixed resolution."""
 
-    cutoffs: tuple
+    cutoffs: tuple = ()
     epsilon: float = None
     resolution: float = None
 
-    def to_dict(self):
-        out = {"cutoffs": list(self.cutoffs)}
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        if self.resolution is not None:
-            out["resolution"] = self.resolution
-        return out
 
-    @classmethod
-    def from_dict(cls, cfg):
-        _reject_unknown_keys(cfg, ("cutoffs", "epsilon", "resolution"), "section 'sweep'")
-        try:
-            return cls(
-                cutoffs=tuple(float(c) for c in cfg.get("cutoffs", ())),
-                epsilon=float(cfg["epsilon"]) if "epsilon" in cfg else None,
-                resolution=float(cfg["resolution"]) if "resolution" in cfg else None,
-            )
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("bad sweep config %r: %s" % (cfg, exc)) from exc
+@dataclass(frozen=True)
+class CheckSpec:
+    """Section "check": certification constants and residual tolerances.
+
+    Without ``certification``, ``check`` certifies kernels that carry
+    (theta1, beta) against their own parameters.
+    """
+
+    certification: CertificationParams = None
+    moment_residual_tol: float = 0.05
+    weak_residual_tol: float = 0.05
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs; seed-free and fully deterministic."""
+    """Everything a run needs; seed-free and fully deterministic.
+
+    The fields are the top-level config keys, in the order manifests write
+    them.
+    """
 
     kernel: Kernel
     grid: GridSpec
-    initial: object
+    initial: InitialCondition
     t_end: float
     cfl: float = 0.5
-    record_cadence: float = None
     scheme: str = "euler"
-    moment_orders: tuple = (0.0, 1.0, 2.0)
-    truncation_thresholds: tuple = ()
+    moments: MomentSpec = MomentSpec()
     epsilon: float = 0.01
+    record_cadence: float = None
     dt_max: float = None
     sweep: SweepSpec = None
-    check: dict = field(default_factory=dict)
+    check: CheckSpec = None
 
     def validate(self):
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
@@ -126,7 +104,7 @@ class SimConfig:
             raise InvalidInputError("gelation threshold epsilon must lie in (0, 1)")
         if self.dt_max is not None and not self.dt_max > 0:
             raise InvalidInputError("dt_max must be positive")
-        for m in self.truncation_thresholds:
+        for m in self.moments.truncation_thresholds:
             if not (0 <= m <= self.grid.R):
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
         self.grid.build()  # surfaces grid errors early
@@ -141,80 +119,106 @@ class SimConfig:
         dt_max = self.dt_max
         if dt_max is None:
             dt_max = 1e-2 * self.t_end if self.t_end > 0 else 1.0
-        orders = tuple(sorted({0.0, 1.0} | {float(r) for r in self.moment_orders}))
-        return replace(
-            self,
-            record_cadence=cadence,
-            dt_max=dt_max,
-            moment_orders=orders,
-            truncation_thresholds=tuple(float(m) for m in self.truncation_thresholds),
+        moments = MomentSpec(
+            orders=tuple(sorted({0.0, 1.0} | {float(r) for r in self.moments.orders})),
+            truncation_thresholds=tuple(float(m) for m in self.moments.truncation_thresholds),
         )
+        return replace(self, record_cadence=cadence, dt_max=dt_max, moments=moments)
 
     def to_dict(self):
-        out = {
-            "kernel": self.kernel.to_config(),
-            "grid": self.grid.to_dict(),
-            "initial": grid_mod.ic_to_config(self.initial),
-            "t_end": self.t_end,
-            "cfl": self.cfl,
-            "scheme": self.scheme,
-            "moments": {
-                "orders": list(self.moment_orders),
-                "truncation_thresholds": list(self.truncation_thresholds),
-            },
-            "epsilon": self.epsilon,
-        }
-        if self.record_cadence is not None:
-            out["record_cadence"] = self.record_cadence
-        if self.dt_max is not None:
-            out["dt_max"] = self.dt_max
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_dict()
-        if self.check:
-            out["check"] = dict(self.check)
-        return out
+        """The config's JSON mapping, as manifests store it."""
+        return to_section(self)
 
     @classmethod
     def from_dict(cls, cfg):
-        if not isinstance(cfg, dict):
-            raise InvalidInputError("config must be a JSON object")
-        for key in ("kernel", "grid", "initial", "t_end"):
-            if key not in cfg:
-                raise InvalidInputError("config is missing required key %r" % key)
-        _reject_unknown_keys(cfg, TOP_LEVEL_KEYS, "the top level")
-        moments_cfg = cfg.get("moments", {})
-        _reject_unknown_keys(
-            moments_cfg, ("orders", "truncation_thresholds"), "section 'moments'"
-        )
-        initial_cfg = cfg["initial"]
-        if isinstance(initial_cfg, dict) and initial_cfg.get("kind") in grid_mod.IC_FIELDS:
-            allowed = ("kind",) + grid_mod.IC_FIELDS[initial_cfg["kind"]]
-            _reject_unknown_keys(initial_cfg, allowed, "section 'initial'")
-        try:
-            config = cls(
-                kernel=kernel_from_config(cfg["kernel"]),
-                grid=GridSpec.from_dict(cfg["grid"]),
-                initial=grid_mod.ic_from_config(cfg["initial"]),
-                t_end=float(cfg["t_end"]),
-                cfl=float(cfg.get("cfl", 0.5)),
-                record_cadence=(
-                    float(cfg["record_cadence"]) if "record_cadence" in cfg else None
-                ),
-                scheme=cfg.get("scheme", "euler"),
-                moment_orders=tuple(
-                    float(r) for r in moments_cfg.get("orders", (0, 1, 2))
-                ),
-                truncation_thresholds=tuple(
-                    float(m) for m in moments_cfg.get("truncation_thresholds", ())
-                ),
-                epsilon=float(cfg.get("epsilon", 0.01)),
-                dt_max=float(cfg["dt_max"]) if "dt_max" in cfg else None,
-                sweep=SweepSpec.from_dict(cfg["sweep"]) if "sweep" in cfg else None,
-                check=dict(cfg.get("check", {})),
+        """Read and validate a config from its JSON mapping."""
+        return from_section(cls, cfg, None).validate()
+
+
+#: How a JSON value fills a field, by the field's declared type (a string,
+#: since every config module uses postponed annotations): a scalar coercion, a
+#: section dataclass, or a registry whose "kind" picks the class.
+_READERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple": lambda value: tuple(float(v) for v in value),  # every tuple holds floats
+    "Kernel": KERNEL_KINDS,
+    "InitialCondition": INITIAL_KINDS,
+    "GridSpec": GridSpec,
+    "MomentSpec": MomentSpec,
+    "SweepSpec": SweepSpec,
+    "CheckSpec": CheckSpec,
+    "CertificationParams": CertificationParams,
+}
+
+
+def _read(f, value, section):
+    if value is None and f.default is None:
+        return None
+    reader = _READERS[f.type]
+    if isinstance(reader, dict) or is_dataclass(reader):
+        return from_section(reader, value, section)
+    return reader(value)
+
+
+def from_section(cls, cfg, section):
+    """Build the dataclass ``cls`` from the JSON mapping of ``section``.
+
+    ``cls`` may also be a registry {kind: dataclass}; the mapping's "kind"
+    then picks the class.  ``section`` is the dotted section name, None for
+    the top level.  Keys that are not fields, missing required keys and
+    values that do not coerce to their field's type raise InvalidInputError
+    naming the section; nested sections are read the same way.
+    """
+    where = "section %r" % section if section else "the top level"
+    if not isinstance(cfg, dict):
+        raise InvalidInputError("%s must be a JSON object" % where)
+    allowed = ()
+    if isinstance(cls, dict):
+        kind = cfg.get("kind")
+        if not isinstance(kind, str) or kind not in cls:
+            raise InvalidInputError(
+                "%s must set 'kind' to one of %s" % (where, sorted(cls))
             )
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError("bad config: %s" % exc) from exc
-        return config.validate()
+        cls, cfg, allowed = cls[kind], {k: v for k, v in cfg.items() if k != "kind"}, ("kind",)
+    specs = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(cfg) - set(specs))
+    if unknown:
+        raise InvalidInputError(
+            "unknown config key %s in %s (allowed: %s)"
+            % (", ".join(map(repr, unknown)), where, ", ".join(allowed + tuple(specs)))
+        )
+    for name, f in specs.items():
+        if name not in cfg and f.default is MISSING:
+            raise InvalidInputError("%s is missing required key %r" % (where, name))
+    try:
+        return cls(**{
+            name: _read(specs[name], value, name if section is None else section + "." + name)
+            for name, value in cfg.items()
+        })
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("bad value in %s: %s" % (where, exc)) from exc
+
+
+def to_section(obj):
+    """The JSON mapping of a config dataclass: fields in order, None omitted.
+
+    An object picked from a registry carries its ``kind`` as a class
+    attribute, which leads the mapping (GridSpec's ``kind`` field is its
+    first field anyway).
+    """
+    out = {"kind": obj.kind} if hasattr(obj, "kind") else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if is_dataclass(value):
+            value = to_section(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def load_config(path):

@@ -83,33 +83,6 @@ class SweepRow:
     error: str = None
     steps: int = None
 
-    def to_dict(self):
-        return {
-            "R": self.R,
-            "N": self.N,
-            "t_loss": self.t_loss,
-            "gel_fraction_final": self.gel_fraction_final,
-            "failed": self.failed,
-            "error": self.error,
-            "steps": self.steps,
-        }
-
-
-@dataclass
-class BoundEvaluation:
-    r: float
-    delta: float
-    moment_value: float
-    bound: float
-
-    def to_dict(self):
-        return {
-            "r": self.r,
-            "delta": self.delta,
-            "moment_value": self.moment_value,
-            "bound": self.bound,
-        }
-
 
 @dataclass
 class GelationReport:
@@ -117,12 +90,6 @@ class GelationReport:
 
     epsilon: float
     rows: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "rows": [row.to_dict() for row in self.rows],
-        }
 
 
 def row_config(base_config, R, N):

@@ -134,6 +134,7 @@ class State:
 class UniformOn:
     """Constant density on [a, b] carrying the given total (first-moment) mass."""
 
+    kind = "uniform_on"
     a: float
     b: float
     mass: float
@@ -143,6 +144,7 @@ class UniformOn:
 class CellSpike:
     """All mass placed in a single cell."""
 
+    kind = "cell_spike"
     index: int
     mass: float
 
@@ -151,8 +153,14 @@ class CellSpike:
 class TableDensity:
     """Piecewise-constant density given by its own edges and values."""
 
+    kind = "table"
     edges: tuple
     values: tuple
+
+
+#: Initial conditions by their config "kind", and the type of any of them.
+INITIAL_KINDS = {ic.kind: ic for ic in (UniformOn, CellSpike, TableDensity)}
+InitialCondition = UniformOn | CellSpike | TableDensity
 
 
 def _overlap_first_moment(lo_edges, hi_edges, a, b):
@@ -219,38 +227,3 @@ def project_initial(grid, ic):
     masses = _cell_masses_for(grid, ic)
     xi = masses / (grid.midpoints * grid.widths)
     return State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
-
-
-#: Initial-condition kinds and the keys each takes besides "kind".
-IC_FIELDS = {
-    "uniform_on": ("a", "b", "mass"),
-    "cell_spike": ("index", "mass"),
-    "table": ("edges", "values"),
-}
-
-
-def ic_from_config(cfg):
-    """Build an initial-condition spec from its config mapping."""
-    if not isinstance(cfg, dict) or cfg.get("kind") not in IC_FIELDS:
-        raise InvalidInputError(
-            "initial condition config must set 'kind' to one of %s" % sorted(IC_FIELDS)
-        )
-    kind = cfg["kind"]
-    try:
-        if kind == "uniform_on":
-            return UniformOn(a=float(cfg["a"]), b=float(cfg["b"]), mass=float(cfg["mass"]))
-        if kind == "cell_spike":
-            return CellSpike(index=int(cfg["index"]), mass=float(cfg["mass"]))
-        return TableDensity(edges=tuple(cfg["edges"]), values=tuple(cfg["values"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError("bad initial condition config %r: %s" % (cfg, exc)) from exc
-
-
-def ic_to_config(ic):
-    if isinstance(ic, UniformOn):
-        return {"kind": "uniform_on", "a": ic.a, "b": ic.b, "mass": ic.mass}
-    if isinstance(ic, CellSpike):
-        return {"kind": "cell_spike", "index": ic.index, "mass": ic.mass}
-    if isinstance(ic, TableDensity):
-        return {"kind": "table", "edges": list(ic.edges), "values": list(ic.values)}
-    raise InvalidInputError("unknown initial condition %r" % (ic,))

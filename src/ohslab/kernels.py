@@ -37,7 +37,7 @@ is nonnegative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class Kernel:
         """
         raise NotImplementedError
 
-    def to_config(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantKernel(Kernel):
@@ -111,9 +108,6 @@ class ConstantKernel(Kernel):
 
     def separable_terms(self, mid):
         return [(self.value, 1.0)]
-
-    def to_config(self):
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -137,9 +131,6 @@ class PowerSumKernel(Kernel):
 
     def separable_terms(self, mid):
         return _power_terms(self.theta1, self.beta, np.asarray(mid, dtype=float))
-
-    def to_config(self):
-        return {"kind": "power_sum", "theta1": self.theta1, "beta": self.beta}
 
 
 def _psi_zero(mu, nu, K):
@@ -210,15 +201,6 @@ class MassConservingKernel(Kernel):
         mid = np.asarray(mid, dtype=float)
         return _power_terms(self.theta1, self.beta, mid) + PSI_TERMS[self.psi](mid, self.K)
 
-    def to_config(self):
-        return {
-            "kind": "mass_conserving",
-            "theta1": self.theta1,
-            "beta": self.beta,
-            "psi": self.psi,
-            "K": self.K,
-        }
-
 
 @dataclass(frozen=True)
 class ProductKernel(Kernel):
@@ -240,8 +222,11 @@ class ProductKernel(Kernel):
         power = np.asarray(mid, dtype=float) ** self.exponent
         return [(power, power)]
 
-    def to_config(self):
-        return {"kind": "product", "exponent": self.exponent}
+
+#: Kernels by their config "kind".
+KERNEL_KINDS = {
+    k.kind: k for k in (ConstantKernel, PowerSumKernel, MassConservingKernel, ProductKernel)
+}
 
 
 def is_mass_conserving_family(kernel):
@@ -264,16 +249,21 @@ def growth_params(kernel):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CertificationParams:
-    """Constants of the growth sandwich: theta1, theta2 > 0 and 1 < beta <= gamma."""
+    """Constants of the growth sandwich: theta1, theta2 > 0 and 1 < beta <= gamma.
+
+    theta2 defaults to 1.0 and gamma to beta.
+    """
 
     theta1: float
-    theta2: float
+    theta2: float = 1.0
     beta: float
-    gamma: float
+    gamma: float = None
 
     def __post_init__(self):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", self.beta)
         if not (np.isfinite(self.theta1) and self.theta1 > 0):
             raise InvalidInputError("certification needs theta1 > 0")
         if not (np.isfinite(self.theta2) and self.theta2 > 0):
@@ -282,14 +272,6 @@ class CertificationParams:
             raise InvalidInputError("certification needs beta > 1")
         if not (np.isfinite(self.gamma) and self.gamma >= self.beta):
             raise InvalidInputError("certification needs gamma >= beta")
-
-    def to_dict(self):
-        return {
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "beta": self.beta,
-            "gamma": self.gamma,
-        }
 
 
 @dataclass(frozen=True)
@@ -313,7 +295,7 @@ class CertificationReport:
 
     def to_dict(self):
         return {
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "n_samples": self.n_samples,
             "passed": self.passed,
             "n_violations": len(self.violations),
@@ -375,27 +357,3 @@ def certify_hypothesis_A(kernel, params, samples=None):
             )
         )
     return report
-
-
-_KERNEL_KINDS = {
-    "constant": ConstantKernel,
-    "power_sum": PowerSumKernel,
-    "mass_conserving": MassConservingKernel,
-    "product": ProductKernel,
-}
-
-
-def kernel_from_config(cfg):
-    """Build a kernel from its config mapping, e.g. {"kind": "power_sum", ...}."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise InvalidInputError("kernel config must be a mapping with a 'kind' key")
-    kind = cfg["kind"]
-    if kind not in _KERNEL_KINDS:
-        raise InvalidInputError(
-            "unknown kernel kind %r (choose from %s)" % (kind, sorted(_KERNEL_KINDS))
-        )
-    kwargs = {k: v for k, v in cfg.items() if k != "kind"}
-    try:
-        return _KERNEL_KINDS[kind](**kwargs)
-    except TypeError as exc:
-        raise InvalidInputError("bad kernel config %r: %s" % (cfg, exc)) from exc

@@ -304,15 +304,18 @@ def weak_form_residual(run, test, t):
     through the cutoff adds a boundary term the quadrature does not carry, so
     interpret the residual on runs with small gel fractions.
     """
-    if run.states is None:
-        raise InvalidInputError("run was recorded without state snapshots")
+    rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
+    return _weak_residual(run, test, t, rhs, gross_rhs)
+
+
+def _weak_residual(run, test, t, rhs, gross_rhs):
+    """``weak_form_residual`` given the quadrature ``weak_rhs_quadrature`` returned."""
     idx = _record_index(run, t)
     first, at_t = run.states[0], run.states[idx]
     g = first.grid
     phi = test.value(g.midpoints)
     lhs = float(np.sum(phi * (at_t.xi - first.xi) * g.widths))
     gross_lhs = float(np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths))
-    rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
     denom = max(abs(lhs), abs(rhs), GROSS_GUARD * max(gross_lhs, gross_rhs), EPS_FLOOR)
     return abs(lhs - rhs) / denom
 

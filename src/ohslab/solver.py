@@ -83,7 +83,6 @@ class RhsParts:
 
     velocity: np.ndarray
     loss: np.ndarray
-    flux: np.ndarray
     boundary_outflow_rate: float
 
 
@@ -138,7 +137,7 @@ def _rhs(tables, xi):
     if not np.isfinite(dxi).all():
         raise NumericalFailureError("non-finite right-hand side")
     out = float(grid.midpoints[-1] * F[-1])
-    return RhsParts(velocity=v, loss=L, flux=F[1:], boundary_outflow_rate=out), dxi
+    return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
 
 
 def rhs(state, kernel):
@@ -259,7 +258,9 @@ def run(config, capture_states=False):
     state = project_initial(grid, cfg.initial).validate()
     rho0 = state.domain_mass()
     budget = CLAMP_BUDGET * rho0
-    series = MomentSeries(orders=cfg.moment_orders, thresholds=cfg.truncation_thresholds)
+    series = MomentSeries(
+        orders=cfg.moments.orders, thresholds=cfg.moments.truncation_thresholds
+    )
     states = [] if capture_states else None
 
     def record(st):

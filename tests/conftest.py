@@ -7,6 +7,7 @@ from ohslab import (
     ConstantKernel,
     GridSpec,
     MassConservingKernel,
+    MomentSpec,
     PowerSumKernel,
     SimConfig,
     UniformOn,
@@ -44,7 +45,7 @@ def bagland_config(N, t_end=1.0, cfl=1.0):
         t_end=t_end,
         cfl=cfl,
         record_cadence=0.01,
-        truncation_thresholds=(2.0,),
+        moments=MomentSpec(truncation_thresholds=(2.0,)),
     )
 
 
@@ -78,7 +79,7 @@ def powersum_run():
         initial=UniformOn(0.5, 1.0, 1.0),
         t_end=1.5,
         record_cadence=0.01,
-        truncation_thresholds=(2.0,),
+        moments=MomentSpec(truncation_thresholds=(2.0,)),
     )
     result = run(cfg, capture_states=True)
     assert not result.failed
@@ -94,7 +95,7 @@ def massconserving_run():
         initial=UniformOn(0.5, 1.0, 1.0),
         t_end=1.0,
         record_cadence=0.01,
-        truncation_thresholds=(2.0,),
+        moments=MomentSpec(truncation_thresholds=(2.0,)),
     )
     result = run(cfg, capture_states=True)
     assert not result.failed

@@ -1,12 +1,17 @@
 """Config parsing: unknown keys are rejected, per section, with exit code 2."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.errors import InvalidInputError
+from ohslab.kernels import CertificationParams
 from ohslab.runio import read_manifest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.5},
@@ -17,13 +22,20 @@ BASE = {
     "moments": {"orders": [0, 1, 2], "truncation_thresholds": [1.0]},
     "sweep": {"cutoffs": [2.0, 3.0], "resolution": 0.0625},
     # N = 32 is coarse: the residual gates are set for this grid
-    "check": {"moment_residual_tol": 0.5, "weak_residual_tol": 0.5},
+    "check": {
+        "certification": {"theta1": 1.0, "beta": 1.5},
+        "moment_residual_tol": 0.5,
+        "weak_residual_tol": 0.5,
+    },
 }
 
 
 def with_typo(section, key):
+    """BASE with ``key`` added to the dotted ``section`` (None: the top level)."""
     payload = json.loads(json.dumps(BASE))
-    target = payload if section is None else payload[section]
+    target = payload
+    for name in section.split(".") if section else ():
+        target = target[name]
     target[key] = 1.0
     return payload
 
@@ -34,6 +46,9 @@ def with_typo(section, key):
     ("moments", "order", "section 'moments'"),
     ("sweep", "resolutions", "section 'sweep'"),
     ("initial", "index", "section 'initial'"),
+    ("kernel", "theta", "section 'kernel'"),
+    ("check", "moment_residual_tolerance", "section 'check'"),
+    ("check.certification", "gama", "section 'check.certification'"),
 ])
 def test_unknown_key_is_named_with_its_section(section, key, where):
     with pytest.raises(InvalidInputError) as info:
@@ -48,11 +63,37 @@ def test_section_that_is_not_an_object_is_invalid_input():
         SimConfig.from_dict(payload)
 
 
+def test_check_section_defaults():
+    check = SimConfig.from_dict(BASE).check
+    assert check.certification == CertificationParams(
+        theta1=1.0, theta2=1.0, beta=1.5, gamma=1.5
+    )
+    default = SimConfig.from_dict(dict(BASE, check={})).check
+    assert (default.certification, default.moment_residual_tol) == (None, 0.05)
+
+
 def test_record_cadence_typo_exits_with_invalid_input(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(with_typo(None, "record_cadance")))
     assert main(["--quiet", "simulate", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_check_section_typo_exits_with_invalid_input_before_replay(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(with_typo("check", "moment_residual_tolerance")))
+    assert main(["--quiet", "check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_schema_and_shipped_configs_load():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config schema\s+```jsonc\n(.*?)```", readme, re.S).group(1)
+    SimConfig.from_dict(json.loads(re.sub(r"//[^\n]*", "", block)))
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        SimConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def test_written_manifests_still_load(tmp_path):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, gelation
+from ohslab import (
+    ConstantKernel, GridSpec, MomentSpec, PowerSumKernel, SimConfig, UniformOn, gelation,
+)
 from ohslab.errors import InvalidInputError, WindowEmptyError
 from ohslab.gelation import (
     blowup_bound,
@@ -309,7 +311,7 @@ def test_tail_fit_zero_tail_reports_no_rate():
     cfg = SimConfig(
         kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 4.0, 64),
         initial=UniformOn(0.0, 1.0, 1.0), t_end=0.1, record_cadence=0.02,
-        dt_max=0.05, truncation_thresholds=(3.9,),
+        dt_max=0.05, moments=MomentSpec(truncation_thresholds=(3.9,)),
     )
     result = run(cfg)
     fit = tail_decay_fit(result, 3.9)

@@ -2,15 +2,15 @@
 import numpy as np
 import pytest
 
+from ohslab.config import from_section, to_section
 from ohslab.errors import InvalidInputError, SupportOutsideDomainError
 from ohslab.grid import (
+    INITIAL_KINDS,
     CellSpike,
     SizeGrid,
     TableDensity,
     UniformOn,
     build,
-    ic_from_config,
-    ic_to_config,
     project_initial,
 )
 
@@ -145,8 +145,8 @@ def test_ic_config_roundtrip():
         CellSpike(3, 2.0),
         TableDensity(edges=(0.0, 1.0, 2.0), values=(1.0, 0.5)),
     ):
-        assert ic_from_config(ic_to_config(ic)) == ic
+        assert from_section(INITIAL_KINDS, to_section(ic), "initial") == ic
     with pytest.raises(InvalidInputError):
-        ic_from_config({"kind": "gaussian"})
+        from_section(INITIAL_KINDS, {"kind": "gaussian"}, "initial")
     with pytest.raises(InvalidInputError):
-        ic_from_config({"kind": "uniform_on", "a": 0.0})
+        from_section(INITIAL_KINDS, {"kind": "uniform_on", "a": 0.0}, "initial")

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from ohslab.config import from_section, to_section
 from ohslab.errors import EvaluationOverflowError, InvalidInputError
 from ohslab.kernels import (
+    KERNEL_KINDS,
     PSI_BUILTINS,
     CertificationParams,
     ConstantKernel,
@@ -13,7 +15,6 @@ from ohslab.kernels import (
     certify_hypothesis_A,
     growth_params,
     is_mass_conserving_family,
-    kernel_from_config,
     sample_lattice,
 )
 
@@ -192,15 +193,16 @@ def test_growth_params():
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind + str(id(k) % 89))
 def test_config_roundtrip(kernel):
-    clone = kernel_from_config(kernel.to_config())
+    clone = from_section(KERNEL_KINDS, to_section(kernel), "kernel")
+    assert clone == kernel
     pts = np.geomspace(0.1, 10, 17)
     assert np.array_equal(clone.eval(pts, pts[::-1]), kernel.eval(pts, pts[::-1]))
 
 
-def test_kernel_from_config_rejects_bad_input():
+def test_kernel_section_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        kernel_from_config({"kind": "gaussian"})
+        from_section(KERNEL_KINDS, {"kind": "gaussian"}, "kernel")
     with pytest.raises(InvalidInputError):
-        kernel_from_config({"value": 1.0})
+        from_section(KERNEL_KINDS, {"value": 1.0}, "kernel")
     with pytest.raises(InvalidInputError):
-        kernel_from_config({"kind": "constant", "nope": 3})
+        from_section(KERNEL_KINDS, {"kind": "constant", "nope": 3}, "kernel")

@@ -124,10 +124,7 @@ def test_number_loss_trend_for_block_state():
 def test_stable_dt_arithmetic():
     grid = build("uniform", 1.0, 2)  # widths 0.5
     state = State(t=0.0, xi=np.ones(2), gel_mass=0.0, grid=grid)
-    parts = RhsParts(
-        velocity=np.array([2.0, 0.0]), loss=np.zeros(2),
-        flux=np.zeros(2), boundary_outflow_rate=0.0,
-    )
+    parts = RhsParts(velocity=np.array([2.0, 0.0]), loss=np.zeros(2), boundary_outflow_rate=0.0)
     assert stable_dt(state, parts, cfl=0.5) == 0.125
 
 
@@ -162,8 +159,7 @@ def test_stable_dt_ignores_empty_cells_beyond_the_front():
     grid = build("uniform", 4.0, 8)
     state = State(t=0.0, xi=np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), gel_mass=0.0, grid=grid)
     rate = np.arange(1.0, 9.0)
-    parts = RhsParts(velocity=rate * grid.widths, loss=np.zeros(8),
-                     flux=np.zeros(8), boundary_outflow_rate=0.0)
+    parts = RhsParts(velocity=rate * grid.widths, loss=np.zeros(8), boundary_outflow_rate=0.0)
     # cells 0, 1 and 2 count; the larger rates of cells 3-7 multiply zero
     assert stable_dt(state, parts, cfl=1.0) == 1.0 / 3.0
 
