@@ -102,12 +102,12 @@ def _check_holder(report, states):
     report.add("holder_inequality", ok, {"pairs": list(HOLDER_PAIRS), "worst": worst})
 
 
-def _check_moment_rhs_sign(report, states, kernel):
+def _check_moment_rhs_sign(report, states, tables):
     least = 0.0
     ok = True
     for r in SIGN_ORDERS:
         for state in states:
-            value = moments.moment_rhs(state, kernel, r)
+            value = moments.moment_rhs(state, tables, r)
             scale = max(1.0, abs(value))
             ok = ok and value >= -SIGN_SLACK * scale
             least = min(least, value)
@@ -129,8 +129,7 @@ def _check_weak_form(report, result, tol):
     grid_R = result.config.grid.R
     test = moments.CappedIdentity(grid_R / 2.0)
     t_last = result.series.times()[-1]
-    internal, gross = moments.weak_rhs_quadrature(result, test, t_last)
-    residual = moments._weak_residual(result, test, t_last, internal, gross)
+    residual, internal, gross = moments.weak_form_residual(result, test, t_last)
     brute = oracle.brute_force_weak_rhs(result.states, result.config.kernel, test)
     agree = abs(internal - brute) / max(
         abs(internal), abs(brute), moments.GROSS_GUARD * gross, moments.EPS_FLOOR
@@ -197,7 +196,7 @@ def run_checks(result, stored=None, settings=None):
         _check_bookkeeping(report, "bookkeeping_stored_csv", stored["M1"], stored["gel_mass"])
     _check_certification(report, result.config.kernel, settings.certification)
     _check_holder(report, result.states)
-    _check_moment_rhs_sign(report, result.states, result.config.kernel)
+    _check_moment_rhs_sign(report, result.states, result.tables)
     _check_moment_residual(report, result, settings.moment_residual_tol)
     _check_weak_form(report, result, settings.weak_residual_tol)
     _check_blowup_bounds(report, result)

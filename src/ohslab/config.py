@@ -11,6 +11,7 @@ JSON mapping and ``to_section`` writes it back, so each key is declared once.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -135,14 +136,28 @@ class SimConfig:
         return from_section(cls, cfg, None).validate()
 
 
+def _number(value):
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("expected a number, got %r" % (value,))
+    return float(value)
+
+
+def _integer(value):
+    """A JSON number with an integral value (32 or 32.0) as an int."""
+    if not _number(value).is_integer():
+        raise ValueError("expected an integer, got %r" % (value,))
+    return int(value)
+
+
 #: How a JSON value fills a field, by the field's declared type (a string,
 #: since every config module uses postponed annotations): a scalar coercion, a
 #: section dataclass, or a registry whose "kind" picks the class.
 _READERS = {
-    "float": float,
-    "int": int,
+    "float": _number,
+    "int": _integer,
     "str": str,
-    "tuple": lambda value: tuple(float(v) for v in value),  # every tuple holds floats
+    "tuple": lambda value: tuple(_number(v) for v in value),  # every tuple holds floats
     "Kernel": KERNEL_KINDS,
     "InitialCondition": INITIAL_KINDS,
     "GridSpec": GridSpec,
@@ -169,7 +184,8 @@ def from_section(cls, cfg, section):
     then picks the class.  ``section`` is the dotted section name, None for
     the top level.  Keys that are not fields, missing required keys and
     values that do not coerce to their field's type raise InvalidInputError
-    naming the section; nested sections are read the same way.
+    naming the section; nested sections are read the same way.  Only JSON
+    numbers fill numeric fields, and only integral ones fill ``int`` fields.
     """
     where = "section %r" % section if section else "the top level"
     if not isinstance(cfg, dict):
@@ -197,7 +213,7 @@ def from_section(cls, cfg, section):
             name: _read(specs[name], value, name if section is None else section + "." + name)
             for name, value in cfg.items()
         })
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("bad value in %s: %s" % (where, exc)) from exc
 
 

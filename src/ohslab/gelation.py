@@ -244,15 +244,6 @@ class TailDecayFit:
     rate: float = None
     reference_rate: float = None
 
-    def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "times": list(map(float, self.times)),
-            "theta": list(map(float, self.theta)),
-            "rate": self.rate,
-            "reference_rate": self.reference_rate,
-        }
-
 
 def tail_decay_fit(run_result, lam):
     """Least-squares exponential fit of the tail mass above lam over a run.

@@ -32,8 +32,8 @@ Every kernel is also a short sum of separable terms on ordered pairs:
     Lambda(mid_i, mid_j) = sum_k a_k[i] * b_k[j]   for j <= i
 
 on increasing sizes ``mid``, so pair sums over a triangle reduce to prefix
-sums (see ``solver.KernelTables`` and ``moments.moment_rhs``).  Every factor
-is nonnegative.
+sums, all of them in ``solver.KernelTables`` (``moments.moment_rhs`` calls
+its ``pair_sum``).  Every factor is nonnegative.
 """
 from __future__ import annotations
 

@@ -10,8 +10,8 @@ On top of these the module checks, against simulated states:
 * the Hoelder interpolation bound (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1)
   with sigma = (beta - 1)/(r - 1), which holds for every nonnegative density;
 * the moment evolution identity dM^r/dt = sum of (r*nu*mu^(r-1) - nu^r) * Lambda
-  over ordered pairs nu < mu, whose integrand is nonnegative for r >= 2; the
-  pair sum runs in O(N) on the kernel's separable factors;
+  over ordered pairs nu < mu, whose integrand is nonnegative for r >= 2,
+  summed in O(N) by the run's ``solver.KernelTables.pair_sum``;
 * the weak-form identity with Lipschitz capped test functions, using
   varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu).
 
@@ -156,20 +156,7 @@ def kernel_matrix(grid, kernel):
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
 
 
-def _strict_lower_pair_sum(terms, u, v):
-    """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j, in O(N).
-
-    ``terms`` are the kernel's separable factors on the midpoints, so the
-    inner sum over j < i is an exclusive prefix sum per term.
-    """
-    total = 0.0
-    for a, b in terms:
-        inner = np.cumsum(b * v)
-        total += np.sum((u * a)[1:] * inner[:-1])
-    return float(total)
-
-
-def moment_rhs(state, kernel, r):
+def moment_rhs(state, tables, r):
     """Quadrature of the moment-evolution integrand over ordered pairs nu < mu.
 
     Every term (r*nu*mu^(r-1) - nu^r) with nu < mu and r >= 2 is nonnegative,
@@ -177,16 +164,16 @@ def moment_rhs(state, kernel, r):
     open inner integration range).  It is evaluated as the difference of two
     pair sums of nonnegative terms, gain - loss, where loss <= gain / r holds
     term by term; the roundoff of either sum is far below that margin, so the
-    difference stays nonnegative in floating point as well.
+    difference stays nonnegative in floating point as well.  ``tables`` are
+    the ``solver.KernelTables`` of the state's grid and kernel.
     """
     if r < 2:
         raise InvalidInputError("moment evolution quadrature needs r >= 2")
     g = state.grid
     mid = g.midpoints
-    terms = kernel.separable_terms(mid)
     w = state.xi * g.widths
-    gain = _strict_lower_pair_sum(terms, r * mid ** (r - 1.0) * w, mid * w)
-    loss = _strict_lower_pair_sum(terms, w, mid**r * w)
+    gain = tables.pair_sum(r * mid ** (r - 1.0) * w, mid * w)
+    loss = tables.pair_sum(w, mid**r * w)
     return gain - loss
 
 
@@ -294,6 +281,12 @@ def weak_rhs_quadrature(run, test, t):
     return float(np.trapezoid(sums, times)), float(np.trapezoid(gross, times))
 
 
+class WeakFormResult(NamedTuple):
+    residual: float
+    quadrature: float
+    gross: float
+
+
 def weak_form_residual(run, test, t):
     """Relative mismatch of the two sides of the weak identity at a record time.
 
@@ -302,14 +295,10 @@ def weak_form_residual(run, test, t):
     floored at ``GROSS_GUARD`` times the gross quadrature magnitude and at
     ``EPS_FLOOR`` absolutely.  As with the moment residual, mass leaving
     through the cutoff adds a boundary term the quadrature does not carry, so
-    interpret the residual on runs with small gel fractions.
+    interpret the residual on runs with small gel fractions.  Returns the
+    residual with the quadrature and gross that ``weak_rhs_quadrature`` gave.
     """
     rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
-    return _weak_residual(run, test, t, rhs, gross_rhs)
-
-
-def _weak_residual(run, test, t, rhs, gross_rhs):
-    """``weak_form_residual`` given the quadrature ``weak_rhs_quadrature`` returned."""
     idx = _record_index(run, t)
     first, at_t = run.states[0], run.states[idx]
     g = first.grid
@@ -317,7 +306,7 @@ def _weak_residual(run, test, t, rhs, gross_rhs):
     lhs = float(np.sum(phi * (at_t.xi - first.xi) * g.widths))
     gross_lhs = float(np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths))
     denom = max(abs(lhs), abs(rhs), GROSS_GUARD * max(gross_lhs, gross_rhs), EPS_FLOOR)
-    return abs(lhs - rhs) / denom
+    return WeakFormResult(residual=abs(lhs - rhs) / denom, quadrature=rhs, gross=gross_rhs)
 
 
 def moment_residual(run, r):
@@ -337,14 +326,11 @@ def moment_residual(run, r):
     steps = np.diff(times)
     if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
-    if r < 2:
-        raise InvalidInputError("moment evolution quadrature needs r >= 2")
-    kernel = run.config.kernel
     mr = np.array([moment(s, r) for s in run.states])
     worst = 0.0
     for k in range(1, times.size - 1):
         rate = (mr[k + 1] - mr[k - 1]) / (times[k + 1] - times[k - 1])
-        rhs = moment_rhs(run.states[k], kernel, r)
+        rhs = moment_rhs(run.states[k], run.tables, r)
         worst = max(worst, abs(rate - rhs) / max(abs(rhs), EPS_FLOOR))
     return worst
 

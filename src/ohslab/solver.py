@@ -38,7 +38,9 @@ reversed prefix sum,
 
 so a right-hand side costs O(N) time and memory (a handful of terms per
 kernel) instead of two dense N x N matrix-vector products.  Since all factors
-are nonnegative the sums carry no cancellation.
+are nonnegative the sums carry no cancellation.  The moment quadrature
+(``moments.moment_rhs``) sums over the same factors, built once per run,
+through ``KernelTables.pair_sum``.
 
 The Euler update of cell i is
 
@@ -92,9 +94,9 @@ class KernelTables:
     Holds the state-independent weights of the drift prefix sums
     (a_k, b_k * xbar * dx) and of the reversed loss prefix sums
     (b_k, a_k * gaps), one row per term k of ``kernel.separable_terms``,
-    stacked as (K, N) arrays.  Each ``velocity``/``loss`` call is one row-wise
-    cumsum and one sum over the rows, which adds the terms in order.  Setup,
-    memory and each call are O(N).
+    stacked as (K, N) arrays.  Each ``velocity``/``loss``/``pair_sum`` call is
+    one row-wise cumsum and one sum over the rows, which adds the terms in
+    order.  Setup, memory and each call are O(N).
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -112,6 +114,7 @@ class KernelTables:
         self.grid = grid
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
+        self._terms = (a, b)
         self._drift = (a, b * mid * dx)
         self._loss = (b, a * gaps)
 
@@ -123,8 +126,22 @@ class KernelTables:
         outer, inner = self._loss
         return (outer * np.cumsum((inner * xi)[:, ::-1], axis=1)[:, ::-1]).sum(axis=0)
 
+    def pair_sum(self, u, v):
+        """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j.
 
-def _rhs(tables, xi):
+        An exclusive prefix sum per term; the term totals are added in order.
+        """
+        a, b = self._terms
+        terms = ((u * a)[:, 1:] * np.cumsum(b * v, axis=1)[:, :-1]).sum(axis=1)
+        return float(np.cumsum(terms)[-1])
+
+
+def rhs(tables, xi):
+    """Full right-hand side at density xi: (RhsParts, dxi/dt).
+
+    Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
+    roundoff on every admissible state (summation-by-parts identity).
+    """
     grid = tables.grid
     v = tables.velocity(xi)
     L = tables.loss(xi)
@@ -138,15 +155,6 @@ def _rhs(tables, xi):
         raise NumericalFailureError("non-finite right-hand side")
     out = float(grid.midpoints[-1] * F[-1])
     return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
-
-
-def rhs(state, kernel):
-    """Full right-hand side: (RhsParts, dxi/dt).
-
-    Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
-    roundoff on every admissible state (summation-by-parts identity).
-    """
-    return _rhs(KernelTables(state.grid, kernel), state.xi)
 
 
 def stable_dt(state, parts, cfl, dt_max=math.inf):
@@ -182,24 +190,21 @@ def _clamp(state, xi):
     return np.where(neg, 0.0, xi), created
 
 
-def step(state, kernel, dt, scheme="euler", tables=None, first_stage=None):
+def step(state, tables, dt, first_stage, scheme="euler"):
     """Advance one explicit step; gel mass grows by the stage-combined outflow.
 
-    ``first_stage`` may pass a precomputed (RhsParts, dxi) for the current
-    state so callers that already evaluated the right-hand side (e.g. for the
-    step-size bound) do not evaluate it twice.
+    ``first_stage`` is ``rhs(tables, state.xi)``, which the caller has
+    already evaluated for the step-size bound.
     """
     if dt < 0 or not np.isfinite(dt):
         raise InvalidInputError("step size must be finite and >= 0")
-    if tables is None:
-        tables = KernelTables(state.grid, kernel)
-    parts1, k1 = first_stage if first_stage is not None else _rhs(tables, state.xi)
+    parts1, k1 = first_stage
     if scheme == "euler":
         xi_new = state.xi + dt * k1
         gel_inc = dt * parts1.boundary_outflow_rate
     elif scheme == "heun":
         predictor, _ = _clamp(state, state.xi + dt * k1)
-        parts2, k2 = _rhs(tables, predictor)
+        parts2, k2 = rhs(tables, predictor)
         xi_new = state.xi + 0.5 * dt * (k1 + k2)
         gel_inc = 0.5 * dt * (parts1.boundary_outflow_rate + parts2.boundary_outflow_rate)
     else:
@@ -222,7 +227,8 @@ class RunResult:
 
     ``states`` holds per-record snapshots when the run was asked to capture
     them; the diagnostics that replay the weak form and moment evolution
-    consume this handle.  ``steps`` counts the time steps taken.
+    consume this handle and its ``tables``.  ``steps`` counts the time steps
+    taken.
     """
 
     config: object
@@ -232,6 +238,7 @@ class RunResult:
     failed: bool = False
     error: str = None
     steps: int = 0
+    tables: KernelTables = None
 
 
 def _record_times(t_end, cadence):
@@ -272,17 +279,15 @@ def run(config, capture_states=False):
     time_eps = 1e-12 * max(1.0, cfg.t_end)
     failed, error = False, None
     steps = 0
+    tables = None
     try:
         tables = KernelTables(grid, cfg.kernel)
         for t_next in _record_times(cfg.t_end, cfg.record_cadence):
             while t_next - state.t > time_eps:
-                parts, k1 = _rhs(tables, state.xi)
+                parts, k1 = rhs(tables, state.xi)
                 dt = stable_dt(state, parts, cfg.cfl, cfg.dt_max)
                 dt = min(dt, t_next - state.t)
-                state = step(
-                    state, cfg.kernel, dt, scheme=cfg.scheme,
-                    tables=tables, first_stage=(parts, k1),
-                )
+                state = step(state, tables, dt, (parts, k1), scheme=cfg.scheme)
                 steps += 1
                 if state.clamped_mass > budget:
                     raise NumericalFailureError(
@@ -296,5 +301,5 @@ def run(config, capture_states=False):
         failed, error = True, str(exc)
     return RunResult(
         config=cfg, series=series, final_state=state,
-        states=states, failed=failed, error=error, steps=steps,
+        states=states, failed=failed, error=error, steps=steps, tables=tables,
     )

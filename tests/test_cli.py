@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ohslab import ConstantKernel
 from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
@@ -163,6 +164,19 @@ def test_check_passes_on_reference_run_dir(checked_run_dir):
     assert by_name["moment_residual"] == "pass"
     assert by_name["weak_form_residual"] == "pass"
     assert by_name["certification"] == "skip"  # constant kernel, none configured
+
+
+def test_check_builds_the_kernel_factors_once(checked_run_dir, tmp_path, monkeypatch):
+    calls = []
+    separable_terms = ConstantKernel.separable_terms
+
+    def counted(self, mid):
+        calls.append(mid.size)
+        return separable_terms(self, mid)
+
+    monkeypatch.setattr(ConstantKernel, "separable_terms", counted)
+    assert main(["--quiet", "check", str(checked_run_dir), "--out", str(tmp_path)]) == 0
+    assert calls == [1024]  # the replay's tables serve every pair sum of the suite
 
 
 def test_check_detects_tampered_gel_column(checked_run_dir, tmp_path):

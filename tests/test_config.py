@@ -57,6 +57,37 @@ def test_unknown_key_is_named_with_its_section(section, key, where):
     assert where in str(info.value)
 
 
+@pytest.mark.parametrize("key, value, where", [
+    ("grid", {"kind": "uniform", "R": 2.0, "N": 32.9}, "section 'grid'"),
+    ("grid", {"kind": "uniform", "R": 2.0, "N": "32"}, "section 'grid'"),
+    ("grid", {"kind": "uniform", "R": 2.0, "N": True}, "section 'grid'"),
+    ("grid", {"kind": "uniform", "R": "2.0", "N": 32}, "section 'grid'"),
+    ("grid", {"kind": "uniform", "R": 2.0, "N": 10**400}, "section 'grid'"),
+    ("initial", {"kind": "cell_spike", "index": 1.7, "mass": 1.0}, "section 'initial'"),
+    ("kernel", {"kind": "constant", "value": False}, "section 'kernel'"),
+    ("moments", {"orders": "012"}, "section 'moments'"),
+    ("moments", {"orders": [0, 1, True]}, "section 'moments'"),
+    ("t_end", "1.0", "the top level"),
+    ("t_end", True, "the top level"),
+])
+def test_numbers_are_not_coerced_from_other_types(tmp_path, key, value, where):
+    payload = dict(BASE, **{key: value})
+    with pytest.raises(InvalidInputError) as info:
+        SimConfig.from_dict(payload)
+    assert where in str(info.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["--quiet", "simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_numbers_load_as_int_and_float():
+    payload = dict(BASE, grid={"kind": "uniform", "R": 2, "N": 32.0}, t_end=1)
+    cfg = SimConfig.from_dict(payload)
+    assert (cfg.grid.R, cfg.grid.N, cfg.t_end) == (2.0, 32, 1.0)
+    assert type(cfg.grid.N) is int and type(cfg.grid.R) is type(cfg.t_end) is float
+
+
 def test_section_that_is_not_an_object_is_invalid_input():
     payload = dict(BASE, grid=[2.0, 32])
     with pytest.raises(InvalidInputError):

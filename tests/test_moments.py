@@ -22,7 +22,7 @@ from ohslab.moments import (
     weak_form_residual,
     weak_rhs_quadrature,
 )
-from ohslab.solver import RunResult, run
+from ohslab.solver import KernelTables, RunResult, run
 
 
 def block_state(N=400, R=4.0):
@@ -99,17 +99,19 @@ def test_holder_validation():
 
 def test_moment_rhs_trivial_cases():
     grid = build("uniform", 4.0, 16)
+    tables = KernelTables(grid, ConstantKernel(1.0))
     zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
-    assert moment_rhs(zero, ConstantKernel(1.0), 2) == 0.0
+    assert moment_rhs(zero, tables, 2) == 0.0
     spike = project_initial(grid, CellSpike(0, 1.0))
-    assert moment_rhs(spike, ConstantKernel(1.0), 2) == 0.0  # no ordered pairs
+    assert moment_rhs(spike, tables, 2) == 0.0  # no ordered pairs
 
 
 def test_moment_rhs_converges_to_analytic_value():
     # d(M^2)/dt for the unit block with a unit kernel tends to 2/3
     errors = []
     for N in (256, 512, 1024):
-        value = moment_rhs(block_state(N=N), ConstantKernel(1.0), 2)
+        state = block_state(N=N)
+        value = moment_rhs(state, KernelTables(state.grid, ConstantKernel(1.0)), 2)
         errors.append(abs(value - 2.0 / 3.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.01
@@ -118,11 +120,11 @@ def test_moment_rhs_converges_to_analytic_value():
 def test_moment_rhs_nonnegative_on_random_states():
     grid = build("geometric", 6.0, 48, q=1.1)
     rng = np.random.default_rng(23)
-    kernel = PowerSumKernel(1.0, 1.5)
+    tables = KernelTables(grid, PowerSumKernel(1.0, 1.5))
     for r in (2, 3, 5):
         for _ in range(10):
             state = State(t=0.0, xi=rng.random(48), gel_mass=0.0, grid=grid)
-            assert moment_rhs(state, kernel, r) >= 0.0
+            assert moment_rhs(state, tables, r) >= 0.0
 
 
 def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
@@ -152,7 +154,10 @@ def test_moment_residual_zero_for_empty_states():
     series = MomentSeries(orders=(0.0, 1.0, 2.0), thresholds=())
     for s in states:
         series.append_state(s)
-    handle = RunResult(config=cfg.resolved(), series=series, final_state=states[-1], states=states)
+    handle = RunResult(
+        config=cfg.resolved(), series=series, final_state=states[-1], states=states,
+        tables=KernelTables(grid, cfg.kernel),
+    )
     assert moment_residual(handle, 2) == 0.0
 
 
@@ -192,27 +197,34 @@ def test_capped_power_is_c1_with_compact_derivative():
 
 def test_weak_residual_zero_at_t0(bagland_runs):
     result, _ = bagland_runs[256]
-    assert weak_form_residual(result, CappedIdentity(1.0), 0.0) == 0.0
+    assert weak_form_residual(result, CappedIdentity(1.0), 0.0).residual == 0.0
 
 
 def test_weak_residual_mass_test_function_nullifies(bagland_runs):
     # cap above the support: both sides equal minus the gel mass (zero here)
     result, _ = bagland_runs[512]
-    residual = weak_form_residual(result, CappedIdentity(result.config.grid.R), 1.0)
+    residual = weak_form_residual(result, CappedIdentity(result.config.grid.R), 1.0).residual
     assert residual <= 1e-6
     value, _ = weak_rhs_quadrature(result, CappedIdentity(result.config.grid.R), 1.0)
     assert value == 0.0
 
 
+def test_weak_residual_returns_its_quadrature(bagland_runs):
+    result, _ = bagland_runs[256]
+    res = weak_form_residual(result, CappedIdentity(1.0), 1.0)
+    assert (res.quadrature, res.gross) == weak_rhs_quadrature(result, CappedIdentity(1.0), 1.0)
+    assert res.residual > 0.0
+
+
 def test_weak_residual_active_cap(bagland_runs):
     result, _ = bagland_runs[1024]
-    assert weak_form_residual(result, CappedIdentity(1.0), 1.0) <= 0.05
-    assert weak_form_residual(result, CappedPower(2, 1.0), 1.0) <= 0.05
+    assert weak_form_residual(result, CappedIdentity(1.0), 1.0).residual <= 0.05
+    assert weak_form_residual(result, CappedPower(2, 1.0), 1.0).residual <= 0.05
 
 
 def test_weak_residual_shrinks_with_refinement(bagland_runs):
-    coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0), 1.0)
-    fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0), 1.0)
+    coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0), 1.0).residual
+    fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0), 1.0).residual
     assert fine < coarse
 
 

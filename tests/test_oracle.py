@@ -118,7 +118,7 @@ def test_projected_solution_satisfies_weak_form_under_refinement(capsys):
     residuals = []
     for N in (128, 256, 512):
         handle = _projected_run(N, times)
-        residuals.append(weak_form_residual(handle, CappedIdentity(1.0), 1.0))
+        residuals.append(weak_form_residual(handle, CappedIdentity(1.0), 1.0).residual)
     assert residuals[0] > residuals[1] > residuals[2]
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     print("projected-solution weak-form residual orders:", orders)

@@ -8,9 +8,9 @@ nonnegative densities (with zeros and single spikes).  Drawn magnitudes are
 either zero or at least 1e-6, so no sum reaches the subnormal range, where
 relative precision is lost whatever the summation order.
 
-The stacked (K, N) drift and loss are also checked bit for bit against the
-per-term loop they replace, and the support-aware step bound against the
-positivity it promises on densities with interior gaps.
+The stacked (K, N) drift, loss and strict-lower pair sum are also checked bit
+for bit against per-term loops written here, and the support-aware step
+bound against the positivity it promises on densities with interior gaps.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -80,6 +80,17 @@ def dense_table(grid, kernel):
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
 
 
+def per_term_strict_lower_sum(grid, kernel, u, v):
+    """sum over j < i of u_i * Lambda_ij * v_j, one separable term at a time."""
+    with np.errstate(over="ignore"):
+        terms = kernel.separable_terms(grid.midpoints)
+    total = 0.0
+    for a, b in terms:
+        inner = np.cumsum(b * v)
+        total += np.sum((u * a)[1:] * inner[:-1])
+    return float(total)
+
+
 @PROPERTY_SETTINGS
 @given(kernels, grids())
 def test_separable_terms_reproduce_the_kernel_on_the_lower_triangle(kernel, grid):
@@ -115,16 +126,19 @@ def test_moment_pair_sum_matches_dense_sum(case, r):
     omega = r * mid[:, None] ** (r - 1.0) * mid[None, :] - mid[None, :] ** r
     w = xi * grid.widths
     expected = w @ np.tril(omega * dense_table(grid, kernel), k=-1) @ w
-    value = moment_rhs(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid), kernel, r)
+    tables = KernelTables(grid, kernel)
+    value = moment_rhs(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid), tables, r)
     assert value >= 0.0
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+    for u, v in ((r * mid ** (r - 1.0) * w, mid * w), (w, mid**r * w)):
+        assert tables.pair_sum(u, v) == per_term_strict_lower_sum(grid, kernel, u, v)
 
 
 @PROPERTY_SETTINGS
 @given(cases())
 def test_summation_by_parts_identity_closes(case):
     kernel, grid, xi = case
-    parts, dxi = rhs(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid), kernel)
+    parts, dxi = rhs(KernelTables(grid, kernel), xi)
     terms = grid.midpoints * dxi * grid.widths
     residual = abs(np.sum(terms) + parts.boundary_outflow_rate)
     gross = np.sum(np.abs(terms)) + abs(parts.boundary_outflow_rate)
@@ -152,6 +166,8 @@ def test_stacked_pair_sums_equal_the_per_term_loop(case):
     v, L = per_term_pair_sums(grid, kernel, xi)
     assert np.array_equal(tables.velocity(xi), v, equal_nan=True)
     assert np.array_equal(tables.loss(xi), L, equal_nan=True)
+    u = grid.midpoints * xi
+    assert tables.pair_sum(u, xi) == per_term_strict_lower_sum(grid, kernel, u, xi)
 
 
 @PROPERTY_SETTINGS
@@ -159,9 +175,10 @@ def test_stacked_pair_sums_equal_the_per_term_loop(case):
 def test_euler_step_at_the_support_aware_bound_stays_nonnegative(case):
     kernel, grid, xi = case
     state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
-    parts, k1 = rhs(state, kernel)
+    tables = KernelTables(grid, kernel)
+    parts, k1 = rhs(tables, xi)
     # dt_max only matters for the zero kernel, which has no rate at all
     dt = stable_dt(state, parts, cfl=1.0, dt_max=1.0)
-    out = step(state, kernel, dt, first_stage=(parts, k1))
+    out = step(state, tables, dt, (parts, k1))
     assert np.min(out.xi) >= 0.0
     assert out.clamped_mass <= 1e-14 * state.domain_mass()

@@ -36,10 +36,21 @@ def random_state(grid, scale=1.0, seed=0):
     return State(t=0.0, xi=scale * rng.random(grid.ncells), gel_mass=0.0, grid=grid)
 
 
+def state_rhs(state, kernel):
+    """The right-hand side at a state, on tables built for its grid."""
+    return rhs(KernelTables(state.grid, kernel), state.xi)
+
+
+def fresh_step(state, kernel, dt, scheme="euler"):
+    """One step from a state, on tables and a first stage built for it."""
+    tables = KernelTables(state.grid, kernel)
+    return step(state, tables, dt, rhs(tables, state.xi), scheme=scheme)
+
+
 def test_empty_state_rhs_is_zero():
     grid = build("uniform", 4.0, 32)
     state = State(t=0.0, xi=np.zeros(32), gel_mass=0.0, grid=grid)
-    parts, dxi = rhs(state, ConstantKernel(1.0))
+    parts, dxi = state_rhs(state, ConstantKernel(1.0))
     assert np.all(parts.velocity == 0.0)
     assert np.all(parts.loss == 0.0)
     assert np.all(dxi == 0.0)
@@ -49,7 +60,7 @@ def test_empty_state_rhs_is_zero():
 def test_single_cell_drift_equals_its_mass():
     grid = build("uniform", 4.0, 16)
     state = project_initial(grid, CellSpike(0, 0.7))
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     m0 = grid.midpoints[0] * state.xi[0] * grid.widths[0]
     assert np.all(parts.velocity == m0)
 
@@ -58,7 +69,7 @@ def test_drift_at_unit_edge_matches_integral():
     # v at the edge located at size 1 quadratures integral of nu * 2 over [0, 1] = 1
     grid = build("uniform", 4.0, 400)
     state = project_initial(grid, UniformOn(0.0, 1.0, 1.0))
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     edge_index = 99  # right edge of cell 99 sits at 1.0
     assert grid.edges[edge_index + 1] == 1.0
     assert parts.velocity[edge_index] == pytest.approx(1.0, rel=1e-12)
@@ -68,7 +79,7 @@ def test_loss_constant_state_telescopes():
     grid = build("uniform", 2.0, 32)
     c = 0.7
     state = State(t=0.0, xi=np.full(32, c), gel_mass=0.0, grid=grid)
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     expected = c * (grid.midpoints[-1] - grid.midpoints)
     assert np.max(np.abs(parts.loss - expected)) < 1e-13
     assert parts.loss[-1] == 0.0  # no larger particles inside the domain
@@ -81,7 +92,7 @@ def test_mass_identity_closes_to_roundoff(kernel, gridspec):
     grid = build(kind, 5.0, 64, q)
     for seed in range(5):
         state = random_state(grid, scale=3.0, seed=seed)
-        parts, dxi = rhs(state, kernel)
+        parts, dxi = state_rhs(state, kernel)
         assert np.all(parts.velocity >= 0) and np.all(parts.loss >= 0)
         terms = grid.midpoints * dxi * grid.widths
         residual = abs(np.sum(terms) + parts.boundary_outflow_rate)
@@ -105,7 +116,7 @@ def test_tables_and_rhs_memory_is_linear_in_cells():
     kernel = MassConservingKernel(1.0, 2.0, "half_sum", 1.0)  # the most terms
     tracemalloc.start()
     try:
-        rhs(state, kernel)
+        state_rhs(state, kernel)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -116,7 +127,7 @@ def test_number_loss_trend_for_block_state():
     # total-number decay rate tends to -(M0)^2 / 2 = -2 for the unit block
     grid = build("uniform", 4.0, 4096)
     state = project_initial(grid, UniformOn(0.0, 1.0, 1.0))
-    _, dxi = rhs(state, ConstantKernel(1.0))
+    _, dxi = state_rhs(state, ConstantKernel(1.0))
     dM0 = float(np.sum(dxi * grid.widths))
     assert dM0 == pytest.approx(-2.0, rel=1e-2)
 
@@ -131,16 +142,16 @@ def test_stable_dt_arithmetic():
 def test_stable_dt_empty_state_maps_to_dt_max():
     grid = build("uniform", 1.0, 4)
     state = State(t=0.0, xi=np.zeros(4), gel_mass=0.0, grid=grid)
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     assert stable_dt(state, parts, cfl=0.5, dt_max=0.02) == 0.02
 
 
 def test_stable_dt_scales_inversely_with_density():
     grid = build("uniform", 4.0, 32)
     state = random_state(grid, seed=5)
-    parts, _ = rhs(state, PowerSumKernel(1.0, 1.5))
+    parts, _ = state_rhs(state, PowerSumKernel(1.0, 1.5))
     half = State(t=0.0, xi=0.5 * state.xi, gel_mass=0.0, grid=grid)
-    parts_half, _ = rhs(half, PowerSumKernel(1.0, 1.5))
+    parts_half, _ = state_rhs(half, PowerSumKernel(1.0, 1.5))
     assert stable_dt(half, parts_half, 0.5) == 2.0 * stable_dt(state, parts, 0.5)
 
 
@@ -150,7 +161,7 @@ def test_stable_dt_constant_kernel_contiguous_support_is_the_global_bound(N, blo
     grid = build("uniform", 4.0, N)
     state = project_initial(grid, UniformOn(block[0], block[1], 1.3))
     state.xi[state.xi > 0] *= np.random.default_rng(N).uniform(0.5, 2.0, (state.xi > 0).sum())
-    parts, _ = rhs(state, ConstantKernel(0.7))
+    parts, _ = state_rhs(state, ConstantKernel(0.7))
     global_peak = np.max(parts.velocity / grid.widths + parts.loss)
     assert stable_dt(state, parts, 0.8) == 0.8 / global_peak
 
@@ -167,7 +178,7 @@ def test_stable_dt_ignores_empty_cells_beyond_the_front():
 def test_stable_dt_rejects_bad_cfl():
     grid = build("uniform", 1.0, 4)
     state = State(t=0.0, xi=np.zeros(4), gel_mass=0.0, grid=grid)
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     for cfl in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidInputError):
             stable_dt(state, parts, cfl)
@@ -176,7 +187,7 @@ def test_stable_dt_rejects_bad_cfl():
 def test_step_dt_zero_is_identity():
     grid = build("uniform", 4.0, 32)
     state = random_state(grid, seed=2)
-    out = step(state, ConstantKernel(1.0), 0.0)
+    out = fresh_step(state, ConstantKernel(1.0), 0.0)
     assert np.array_equal(out.xi, state.xi)
     assert out.t == state.t and out.gel_mass == state.gel_mass
 
@@ -184,7 +195,7 @@ def test_step_dt_zero_is_identity():
 def test_step_empty_state_advances_time_only():
     grid = build("uniform", 4.0, 32)
     state = State(t=0.0, xi=np.zeros(32), gel_mass=0.0, grid=grid)
-    out = step(state, ConstantKernel(1.0), 0.3)
+    out = fresh_step(state, ConstantKernel(1.0), 0.3)
     assert out.t == 0.3
     assert np.array_equal(out.xi, state.xi)
     assert out.gel_mass == 0.0
@@ -193,9 +204,9 @@ def test_step_empty_state_advances_time_only():
 def test_step_conserves_mass_without_outflow():
     grid = build("uniform", 4.0, 256)
     state = project_initial(grid, UniformOn(0.0, 1.0, 1.0))
-    parts, _ = rhs(state, ConstantKernel(1.0))
+    parts, _ = state_rhs(state, ConstantKernel(1.0))
     dt = stable_dt(state, parts, 0.5)
-    out = step(state, ConstantKernel(1.0), dt)
+    out = fresh_step(state, ConstantKernel(1.0), dt)
     assert out.gel_mass == 0.0  # support far from the cutoff
     assert abs(out.domain_mass() - 1.0) <= 1e-12
 
@@ -206,10 +217,11 @@ def test_step_preserves_positivity(scheme, cfl):
     grid = build("uniform", 4.0, 64)
     kernel = PowerSumKernel(1.0, 1.5)
     state = random_state(grid, seed=9)
+    tables = KernelTables(grid, kernel)
     for _ in range(50):
-        parts, k1 = rhs(state, kernel)
+        parts, k1 = rhs(tables, state.xi)
         dt = stable_dt(state, parts, cfl)
-        state = step(state, kernel, dt, scheme=scheme, first_stage=(parts, k1))
+        state = step(state, tables, dt, (parts, k1), scheme=scheme)
     assert np.min(state.xi) >= 0.0
     assert state.clamped_mass <= 1e-12
 
@@ -220,10 +232,11 @@ def test_step_bookkeeping_with_outflow(scheme):
     kernel = PowerSumKernel(1.0, 1.5)
     state = project_initial(grid, UniformOn(0.5, 1.0, 1.0))
     rho0 = state.domain_mass()
+    tables = KernelTables(grid, kernel)
     for _ in range(200):
-        parts, k1 = rhs(state, kernel)
+        parts, k1 = rhs(tables, state.xi)
         dt = stable_dt(state, parts, 0.5)
-        state = step(state, kernel, dt, scheme=scheme, first_stage=(parts, k1))
+        state = step(state, tables, dt, (parts, k1), scheme=scheme)
     assert state.gel_mass > 0  # mass has reached the cutoff by now
     assert abs(state.domain_mass() + state.gel_mass - rho0) <= 1e-12 * rho0
 
@@ -232,9 +245,9 @@ def test_step_clamps_and_accounts_for_oversized_dt():
     grid = build("uniform", 4.0, 64)
     kernel = PowerSumKernel(1.0, 1.5)
     state = random_state(grid, seed=3)
-    parts, _ = rhs(state, kernel)
+    parts, _ = state_rhs(state, kernel)
     dt = 50.0 * stable_dt(state, parts, 1.0)
-    out = step(state, kernel, dt)
+    out = fresh_step(state, kernel, dt)
     assert np.min(out.xi) >= 0.0
     assert out.clamped_mass > 0.0
 
@@ -243,9 +256,9 @@ def test_step_rejects_bad_input():
     grid = build("uniform", 4.0, 16)
     state = random_state(grid, seed=1)
     with pytest.raises(InvalidInputError):
-        step(state, ConstantKernel(1.0), -0.1)
+        fresh_step(state, ConstantKernel(1.0), -0.1)
     with pytest.raises(InvalidInputError):
-        step(state, ConstantKernel(1.0), 0.1, scheme="rk4")
+        fresh_step(state, ConstantKernel(1.0), 0.1, scheme="rk4")
 
 
 def base_config(**kw):
