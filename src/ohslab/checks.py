@@ -9,7 +9,7 @@ cross-check, and the blow-up bound table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "skip"
     details: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"name": self.name, "status": self.status, "details": self.details}
-
 
 @dataclass
 class CheckReport:
@@ -49,7 +46,7 @@ class CheckReport:
         self.checks.append(CheckResult(name=name, status=status, details=details or {}))
 
     def to_dict(self):
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def _check_bookkeeping(report, name, m1, gel):

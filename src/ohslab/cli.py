@@ -7,7 +7,9 @@ Subcommands
     into the output directory.
 ``sweep <config.json>``
     Cutoff-scaling experiment from the config's "sweep" section; writes
-    sweep.csv, sweep.json and one artifact subdirectory per cutoff.
+    sweep.csv, sweep.json and one run directory per cutoff, as ``simulate``
+    writes it for the row's config (a row that raised gets only a failed
+    manifest).
 ``check <run-dir-or-config.json>``
     Replay a run (from its manifest or a fresh config) and run the
     verification suite; writes check_report.json.
@@ -75,7 +77,7 @@ def cmd_sweep(args):
     if cfg.sweep is None or not cfg.sweep.cutoffs:
         raise InvalidInputError("sweep command needs a 'sweep' section with cutoffs")
     out = _out_dir(args, Path(args.config).with_suffix(""))
-    report, artifacts = gelation.cutoff_sweep(
+    report, runs = gelation.cutoff_sweep(
         cfg,
         cfg.sweep.cutoffs,
         epsilon=cfg.sweep.epsilon,
@@ -89,20 +91,15 @@ def cmd_sweep(args):
             gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
             fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
     runio.write_json(out / "sweep.json", asdict(report))
-    resolved = cfg.resolved()
-    for row, (series, final_state) in zip(report.rows, artifacts):
+    for row, (row_cfg, result) in zip(report.rows, runs):
         row_dir = out / ("R%g" % row.R)
         row_dir.mkdir(exist_ok=True)
-        extra = None
-        if series is not None:
-            runio.write_moments_csv(row_dir / "moments.csv", series)
-            runio.write_final_state_json(row_dir / "final_state.json", final_state)
-            extra = {"grid_edges": [float(e) for e in final_state.grid.edges]}
-        runio.write_manifest(
-            row_dir / "manifest.json", gelation.row_config(resolved, row.R, row.N),
-            status="failed" if row.failed else "ok", error=row.error,
-            extra=extra,
-        )
+        if result is None:
+            runio.write_manifest(
+                row_dir / "manifest.json", row_cfg, status="failed", error=row.error
+            )
+        else:
+            _write_run_artifacts(row_dir, result)
     n_ok = sum(not row.failed for row in report.rows)
     logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(report.rows), out)
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE

@@ -57,6 +57,14 @@ class SweepSpec:
     epsilon: float = None
     resolution: float = None
 
+    def __post_init__(self):
+        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
+            raise InvalidInputError("sweep cutoffs must be strictly increasing")
+        if self.epsilon is not None and not (0 < self.epsilon < 1):
+            raise InvalidInputError("sweep epsilon must lie in (0, 1)")
+        if self.resolution is not None and not self.resolution > 0:
+            raise InvalidInputError("sweep resolution must be positive")
+
 
 @dataclass(frozen=True)
 class CheckSpec:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import solver
-from .config import SimConfig
+from .config import SweepSpec
 from .errors import CoagulationError, InvalidInputError, WindowEmptyError
 from .kernels import growth_params
 from .moments import truncated_moment
@@ -98,38 +98,37 @@ def row_config(base_config, R, N):
     return replace(base_config, grid=grid, sweep=None)
 
 
-def _failed_row(cfg_dict, exc):
-    """A failed row carrying the error text, with no artifacts."""
-    grid = cfg_dict["grid"]
+def _failed_row(cfg, exc):
+    """A failed row carrying the error text, with no run."""
     error = str(exc)
     if not isinstance(exc, CoagulationError):
         error = "%s: %s" % (type(exc).__name__, error)
-    return SweepRow(R=float(grid["R"]), N=int(grid["N"]), failed=True, error=error), None, None
+    return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error), None
 
 
 def _run_row(args):
     """Worker for one sweep row; module-level so process pools can pickle it.
 
-    Any row-level failure (invalid row configuration, numerical breakdown,
-    memory exhaustion or any other exception) is contained in the returned
-    row so the other rows still report.
+    Returns (row, RunResult).  Any row-level failure (invalid row config,
+    numerical breakdown, memory exhaustion or any other exception) is
+    contained in a failed row with no result, so the other rows still report.
     """
-    cfg_dict, epsilon = args
+    cfg, epsilon = args
     try:
-        result = solver.run(SimConfig.from_dict(cfg_dict))
+        result = solver.run(cfg)
         row = SweepRow(
-            R=float(cfg_dict["grid"]["R"]), N=int(cfg_dict["grid"]["N"]),
+            R=cfg.grid.R, N=cfg.grid.N,
             failed=result.failed, error=result.error, steps=result.steps,
         )
         if result.series.records:
             row.t_loss = gelation_time(result.series, epsilon)
             row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
     except CoagulationError as exc:
-        return _failed_row(cfg_dict, exc)
+        return _failed_row(cfg, exc)
     except Exception as exc:
-        logger.error("sweep row R=%s raised", cfg_dict["grid"]["R"], exc_info=True)
-        return _failed_row(cfg_dict, exc)
-    return row, result.series, result.final_state
+        logger.error("sweep row R=%s raised", cfg.grid.R, exc_info=True)
+        return _failed_row(cfg, exc)
+    return row, result
 
 
 def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=None):
@@ -153,28 +152,17 @@ def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=No
     Returns
     -------
     (GelationReport, list)
-        The report (rows sorted by R) and the per-row (series, final_state)
-        pairs for callers that archive full artifacts.
+        The report (rows sorted by R) and, per row, (row config, RunResult):
+        each row is an ordinary run of its ``row_config``, and the result is
+        None for a row that raised.
     """
+    spec = SweepSpec(tuple(float(R) for R in cutoffs), epsilon, resolution)
     base = base_config.resolved()
-    if epsilon is None:
-        epsilon = base.epsilon
-    if not (0 < epsilon < 1):
-        raise InvalidInputError("gelation threshold must lie in (0, 1)")
-    report = GelationReport(epsilon=float(epsilon))
-    cutoffs = [float(R) for R in cutoffs]
-    if not cutoffs:
-        return report, []
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise InvalidInputError("sweep cutoffs must be strictly increasing")
-    if resolution is None:
-        resolution = base.grid.R / base.grid.N
-    if not resolution > 0:
-        raise InvalidInputError("sweep resolution must be positive")
-    jobs = []
-    for R in cutoffs:
-        N = max(2, int(round(R / resolution)))
-        jobs.append((row_config(base, R, N).to_dict(), float(epsilon)))
+    epsilon = base.epsilon if spec.epsilon is None else spec.epsilon
+    resolution = base.grid.R / base.grid.N if spec.resolution is None else spec.resolution
+    report = GelationReport(epsilon=epsilon)
+    jobs = [(row_config(base, R, max(2, int(round(R / resolution)))), epsilon)
+            for R in spec.cutoffs]
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(jobs)))
@@ -184,20 +172,17 @@ def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=No
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_row, job) for job in jobs]
             results = []
-            for job, future in zip(jobs, futures):
+            for (cfg, _), future in zip(jobs, futures):
                 try:
                     results.append(future.result())
                 except Exception as exc:  # a crashed worker: BrokenProcessPool
-                    logger.error("sweep row R=%s lost its worker", job[0]["grid"]["R"],
-                                 exc_info=True)
-                    results.append(_failed_row(job[0], exc))
-    artifacts = []
-    for row, series, final_state in results:
+                    logger.error("sweep row R=%s lost its worker", cfg.grid.R, exc_info=True)
+                    results.append(_failed_row(cfg, exc))
+    for row, _ in results:
         if row.failed:
             logger.warning("sweep row R=%g failed: %s", row.R, row.error)
         report.rows.append(row)
-        artifacts.append((series, final_state))
-    return report, artifacts
+    return report, [(cfg, result) for (cfg, _), (_, result) in zip(jobs, results)]
 
 
 def blowup_bound(r, delta, moment_value, theta1, beta, rho0):

@@ -15,6 +15,9 @@ On top of these the module checks, against simulated states:
 * the weak-form identity with Lipschitz capped test functions, using
   varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu).
 
+Both identities carry the boundary term of the mass that crossed the cutoff,
+taken from the bookkept gel mass at the last midpoint xbar_{N-1}.
+
 Relative residuals divide by max(|lhs|, |rhs|) floored at ``EPS_FLOOR``; the
 weak-form residual additionally floors the denominator at a small fraction of
 the gross (unsigned) quadrature mass so that roundoff-level cancellations of
@@ -290,21 +293,26 @@ class WeakFormResult(NamedTuple):
 def weak_form_residual(run, test, t):
     """Relative mismatch of the two sides of the weak identity at a record time.
 
-    Left side: integral of varpi against xi(t) - xi(0).  Right side: the
-    time-integrated pair quadrature.  The denominator is the larger side,
-    floored at ``GROSS_GUARD`` times the gross quadrature magnitude and at
-    ``EPS_FLOOR`` absolutely.  As with the moment residual, mass leaving
-    through the cutoff adds a boundary term the quadrature does not carry, so
-    interpret the residual on runs with small gel fractions.  Returns the
-    residual with the quadrature and gross that ``weak_rhs_quadrature`` gave.
+    Left side: integral of varpi against xi(t) - xi(0), plus the boundary
+    term varpi(xbar) / xbar * (gel(t) - gel(0)) with xbar = xbar_{N-1}, the
+    last midpoint: the solver books the mass leaving through the cutoff as
+    gel, and gel mass g leaves as g / xbar particles of size xbar.  Right
+    side: the time-integrated pair quadrature.  The denominator is the larger
+    side, floored at ``GROSS_GUARD`` times the gross quadrature magnitude and
+    at ``EPS_FLOOR`` absolutely.  Returns the residual with the quadrature and
+    gross that ``weak_rhs_quadrature`` gave.
     """
     rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
     idx = _record_index(run, t)
     first, at_t = run.states[0], run.states[idx]
     g = first.grid
     phi = test.value(g.midpoints)
-    lhs = float(np.sum(phi * (at_t.xi - first.xi) * g.widths))
-    gross_lhs = float(np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths))
+    xbar = g.midpoints[-1]
+    boundary = float(phi[-1] / xbar * (at_t.gel_mass - first.gel_mass))
+    lhs = float(np.sum(phi * (at_t.xi - first.xi) * g.widths)) + boundary
+    gross_lhs = float(
+        np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths)
+    ) + abs(boundary)
     denom = max(abs(lhs), abs(rhs), GROSS_GUARD * max(gross_lhs, gross_rhs), EPS_FLOOR)
     return WeakFormResult(residual=abs(lhs - rhs) / denom, quadrature=rhs, gross=gross_rhs)
 
@@ -312,11 +320,13 @@ def weak_form_residual(run, test, t):
 def moment_residual(run, r):
     """Max relative defect of the recorded M^r evolution against its quadrature.
 
-    Uses a centered difference of M^r over uniformly spaced records and the
-    pair quadrature at each interior record; requires at least 3 records.
-    Once mass crosses the cutoff the identity acquires a boundary-flux term
-    that the pair quadrature does not carry, so the residual is a
-    discretization diagnostic only while the gel fraction stays small.
+    Uses a centered difference over uniformly spaced records and the pair
+    quadrature at each interior record; requires at least 3 records.  The
+    differenced quantity is M^r + xbar**(r-1) * gel_mass with xbar =
+    xbar_{N-1}, the last midpoint: the M^r the boundary flux carries out in
+    a step is xbar**(r-1) times that step's gel increment, so the boundary
+    term is exact and what remains is the first-order consistency error of
+    the quadrature.
     """
     if run.states is None:
         raise InvalidInputError("run was recorded without state snapshots")
@@ -326,7 +336,8 @@ def moment_residual(run, r):
     steps = np.diff(times)
     if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
-    mr = np.array([moment(s, r) for s in run.states])
+    xbar = run.states[0].grid.midpoints[-1]
+    mr = np.array([moment(s, r) + xbar ** (r - 1.0) * s.gel_mass for s in run.states])
     worst = 0.0
     for k in range(1, times.size - 1):
         rate = (mr[k + 1] - mr[k - 1]) / (times[k + 1] - times[k - 1])

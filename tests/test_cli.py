@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism, verification."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
 from ohslab.solver import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BAGLAND = {
     "kernel": {"kind": "constant", "value": 1.0},
@@ -142,6 +145,21 @@ def test_sweep_requires_cutoffs(tmp_path):
     assert main(["--quiet", "sweep", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rows_are_the_runs_simulate_writes(tmp_path, workers):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", workers]) == 0
+    for name in ("R2", "R3"):
+        row = out / name
+        row_cfg = write_config(tmp_path, read_manifest(row / "manifest.json")["config"],
+                               name + ".json")
+        sim = tmp_path / ("simulate_" + name)
+        assert main(["--quiet", "simulate", str(row_cfg), "--out", str(sim)]) == 0
+        for artifact in ("moments.csv", "final_state.json", "manifest.json"):
+            assert (sim / artifact).read_bytes() == (row / artifact).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def checked_run_dir(tmp_path_factory):
     """A completed reference run directory for the check command."""
@@ -214,8 +232,8 @@ def test_check_certification_failure_for_constant_kernel(tmp_path):
 
 
 def test_check_power_sum_config_passes_with_auto_certification(tmp_path):
-    # short horizon keeps the gel fraction negligible, so the evolution
-    # identities carry no boundary term and the residual gates apply
+    # no mass reaches R by t = 0.3, so the boundary terms are 0; the 0.2 gates
+    # cover the first-order error at N = 256 (moment 0.068, weak form 0.061)
     payload = {
         "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.5},
         "grid": {"kind": "uniform", "R": 4.0, "N": 256},
@@ -230,6 +248,19 @@ def test_check_power_sum_config_passes_with_auto_certification(tmp_path):
     by_name = {c["name"]: c["status"] for c in report["checks"]}
     assert by_name["certification"] == "pass"
     assert by_name["blowup_bounds"] == "pass"
+
+
+def test_check_shipped_sweep_config_fails_only_the_moment_residual(tmp_path):
+    # three quarters of the mass crosses R = 4 by t = 2; with the boundary
+    # term the weak form passes, and the moment residual's first-order error
+    # at N = 128 (0.139) stays above the default 0.05
+    config = ROOT / "configs" / "gelation_sweep.json"
+    assert main(["--quiet", "check", str(config), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert [name for name, c in by_name.items() if c["status"] == "fail"] == ["moment_residual"]
+    assert by_name["weak_form_residual"]["status"] == "pass"
+    assert by_name["moment_residual"]["details"]["residual"] < 0.2
 
 
 def test_check_rejects_missing_target(tmp_path):

@@ -81,6 +81,18 @@ def test_numbers_are_not_coerced_from_other_types(tmp_path, key, value, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sweep", [
+    {"cutoffs": [8.0, 4.0]},
+    {"cutoffs": [2.0, 3.0], "resolution": 0},
+    {"cutoffs": [2.0, 3.0], "epsilon": 1.5},
+])
+def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BASE, sweep=sweep)))
+    assert main(["--quiet", "simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_numbers_load_as_int_and_float():
     payload = dict(BASE, grid={"kind": "uniform", "R": 2, "N": 32.0}, t_end=1)
     cfg = SimConfig.from_dict(payload)

@@ -146,12 +146,12 @@ def raise_foreign_errors(R):
 
 def test_sweep_serial_contains_non_coagulation_errors(monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(raise_foreign_errors))
-    report, artifacts = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=1)
+    report, runs = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=1)
     assert [row.failed for row in report.rows] == [False, True, True]
     assert report.rows[0].t_loss is not None and report.rows[0].steps > 0
     assert report.rows[1].error == "MemoryError: "
     assert report.rows[2].error == "RuntimeError: boom"
-    assert (report.rows[1].steps, artifacts[1]) == (None, (None, None))
+    assert report.rows[1].steps is None and runs[1][1] is None
 
 
 class CrashingPool:
@@ -168,7 +168,7 @@ class CrashingPool:
 
     def submit(self, fn, job):
         future = Future()
-        if job[0]["grid"]["R"] == 3.0:
+        if job[0].grid.R == 3.0:
             future.set_exception(BrokenProcessPool("worker terminated abruptly"))
         else:
             future.set_result(fn(job))
@@ -177,10 +177,10 @@ class CrashingPool:
 
 def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
     monkeypatch.setattr(gelation, "ProcessPoolExecutor", CrashingPool)
-    report, artifacts = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=3)
+    report, runs = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=3)
     assert [row.failed for row in report.rows] == [False, True, False]
     assert report.rows[1].error == "BrokenProcessPool: worker terminated abruptly"
-    assert artifacts[1] == (None, None)
+    assert runs[1][1] is None
     assert all(row.t_loss is not None for row in (report.rows[0], report.rows[2]))
 
 

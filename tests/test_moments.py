@@ -1,13 +1,16 @@
 """Moment quadratures, inequalities, test functions and residual diagnostics."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn
+from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, load_config
 from ohslab.errors import (
     DegenerateStateError,
     InsufficientRecordsError,
     InvalidInputError,
 )
+from ohslab.gelation import row_config
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.moments import (
     CappedIdentity,
@@ -23,6 +26,8 @@ from ohslab.moments import (
     weak_rhs_quadrature,
 )
 from ohslab.solver import KernelTables, RunResult, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def block_state(N=400, R=4.0):
@@ -201,7 +206,7 @@ def test_weak_residual_zero_at_t0(bagland_runs):
 
 
 def test_weak_residual_mass_test_function_nullifies(bagland_runs):
-    # cap above the support: both sides equal minus the gel mass (zero here)
+    # cap above the support: the boundary term cancels the domain mass change
     result, _ = bagland_runs[512]
     residual = weak_form_residual(result, CappedIdentity(result.config.grid.R), 1.0).residual
     assert residual <= 1e-6
@@ -226,6 +231,22 @@ def test_weak_residual_shrinks_with_refinement(bagland_runs):
     coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0), 1.0).residual
     fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0), 1.0).residual
     assert fine < coarse
+
+
+def test_weak_residual_carries_the_boundary_outflow(powersum_run):
+    series = powersum_run.series
+    assert series.gel()[-1] / series.rho0() > 0.6
+    t_end = series.times()[-1]
+    assert weak_form_residual(powersum_run, CappedIdentity(2.0), t_end).residual <= 0.05
+
+
+def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config():
+    cfg = load_config(ROOT / "configs" / "gelation_sweep.json")
+    coarse, fine = (
+        moment_residual(run(row_config(cfg, cfg.grid.R, N), capture_states=True), 2)
+        for N in (128, 256)
+    )
+    assert fine <= 0.6 * coarse
 
 
 def test_weak_residual_unknown_time(bagland_runs):
