@@ -17,7 +17,6 @@ from .kernels import (
     PowerSumKernel,
     ProductKernel,
     certify_hypothesis_A,
-    is_mass_conserving_family,
     sample_lattice,
 )
 from .oracle import BaglandSolution
@@ -44,7 +43,6 @@ __all__ = [
     "UniformOn",
     "build",
     "certify_hypothesis_A",
-    "is_mass_conserving_family",
     "load_config",
     "project_initial",
     "run",

@@ -1,11 +1,11 @@
 """Verification suite run by the ``check`` command against a completed run.
 
 Each check reports pass/fail/skip with details; the command exits nonzero if
-any check fails.  The suite covers the discrete mass bookkeeping (also on the
-stored CSV, which catches tampering), kernel certification, the Hoelder
-inequality on every recorded state, the sign and evolution residual of the
-higher moments, the weak-form residual with its independent brute-force
-cross-check, and the blow-up bound table.
+any check fails.  The suite covers the discrete mass bookkeeping, every
+column of a stored moments.csv against the replay (catches tampering), kernel
+certification, the Hoelder inequality on every recorded state, the sign and
+evolution residual of the higher moments, the weak-form residual with its
+independent brute-force cross-check, and the blow-up bound table.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import gelation, kernels, moments, oracle
+from . import gelation, kernels, moments, oracle, runio
 from .config import CheckSpec
 from .errors import InvalidInputError
 
@@ -49,39 +49,41 @@ class CheckReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _check_bookkeeping(report, name, m1, gel):
+def _check_bookkeeping(report, m1, gel):
     rho0 = m1[0] + gel[0]
     drift = np.abs(m1 + gel - rho0) / rho0
     monotone = bool(np.all(np.diff(gel) >= 0)) if gel.size > 1 else True
     ok = bool(np.max(drift) <= BOOKKEEPING_RTOL) and monotone
-    report.add(name, ok, {
+    report.add("bookkeeping", ok, {
         "max_rel_drift": float(np.max(drift)),
         "gel_nondecreasing": monotone,
         "tolerance": BOOKKEEPING_RTOL,
     })
 
 
-def _auto_certification(kernel):
-    params = kernels.growth_params(kernel)
-    if params is None:
-        return None
-    theta1, beta = params
-    if beta <= 1:
-        return None
-    extra = getattr(kernel, "K", 0.0)
-    return kernels.CertificationParams(
-        theta1=theta1, theta2=2.0 * (theta1 + extra), beta=beta, gamma=beta
-    )
+def _check_stored_csv(report, series, stored):
+    """The stored moments.csv is the replay's: same header, rows and values."""
+    columns = runio.moment_columns(series)
+    header_ok = list(stored) == [label for label, _ in columns]
+    rows_ok = header_ok and len(stored["t"]) == len(series.records)
+    mismatch = None
+    if rows_ok:  # each column relative to its largest magnitude
+        mismatch = max(float(np.max(np.abs(stored[label] - values)))
+                       / max(float(np.max(np.abs(values))), moments.EPS_FLOOR)
+                       for label, values in columns)
+    report.add("stored_moments_csv", rows_ok and mismatch <= BOOKKEEPING_RTOL, {
+        "header_matches": header_ok, "rows_match": rows_ok,
+        "max_rel_mismatch": mismatch, "tolerance": BOOKKEEPING_RTOL,
+    })
 
 
 def _check_certification(report, kernel, params):
+    params = params or kernel.growth_bounds()
     if params is None:
-        params = _auto_certification(kernel)
-        if params is None:
-            report.add("certification", True, {
-                "reason": "kernel carries no growth parameters and none were configured",
-            }, skip=True)
-            return
+        report.add("certification", True, {
+            "reason": "kernel carries no growth parameters and none were configured",
+        }, skip=True)
+        return
     cert = kernels.certify_hypothesis_A(kernel, params)
     report.add("certification", cert.passed, cert.to_dict())
 
@@ -140,13 +142,13 @@ def _check_weak_form(report, result, tol):
 
 
 def _check_blowup_bounds(report, result):
-    params = kernels.growth_params(result.config.kernel)
-    if params is None or params[1] <= 1:
+    bounds = result.config.kernel.growth_bounds()
+    if bounds is None:
         report.add("blowup_bounds", True, {
             "reason": "kernel carries no growth parameters with beta > 1",
         }, skip=True)
         return
-    theta1, beta = params
+    theta1, beta = bounds.theta1, bounds.beta
     first = result.states[0]
     rho0 = result.series.rho0()
     table = []
@@ -177,8 +179,8 @@ def run_checks(result, stored=None, settings=None):
     result : solver.RunResult
         Replay with captured states.
     stored : dict, optional
-        Columns of a stored moments.csv; when given, bookkeeping is also
-        verified against the stored numbers (detects edited artifacts).
+        Columns of a stored moments.csv; when given, they are compared with
+        the replay's, column by column (detects edited artifacts).
     settings : config.CheckSpec, optional
         The config's "check" section: certification constants and residual
         tolerances; defaults apply when omitted.
@@ -186,11 +188,9 @@ def run_checks(result, stored=None, settings=None):
     settings = settings or CheckSpec()
     report = CheckReport()
     series = result.series
-    _check_bookkeeping(report, "bookkeeping", series.values(1.0), series.gel())
+    _check_bookkeeping(report, series.values(1.0), series.gel())
     if stored is not None:
-        if "M1" not in stored or "gel_mass" not in stored:
-            raise InvalidInputError("stored moments.csv lacks the M1/gel_mass columns")
-        _check_bookkeeping(report, "bookkeeping_stored_csv", stored["M1"], stored["gel_mass"])
+        _check_stored_csv(report, series, stored)
     _check_certification(report, result.config.kernel, settings.certification)
     _check_holder(report, result.states)
     _check_moment_rhs_sign(report, result.states, result.tables)

@@ -116,8 +116,7 @@ def cmd_check(args):
         csv_path = target / "moments.csv"
         if csv_path.exists():
             stored = runio.read_moments_csv(csv_path)
-        out = Path(args.out) if args.out else target
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args, target)
     else:
         cfg = load_config(target)
         out = _out_dir(args, target.with_suffix(""))

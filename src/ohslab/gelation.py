@@ -43,7 +43,6 @@ import numpy as np
 from . import solver
 from .config import SweepSpec
 from .errors import CoagulationError, InvalidInputError, WindowEmptyError
-from .kernels import growth_params
 from .moments import truncated_moment
 
 logger = logging.getLogger(__name__)
@@ -219,8 +218,8 @@ class TailDecayFit:
 
     ``rate`` follows the decay convention theta ~ exp(-rate * t) (None when
     the window holds fewer than two positive samples); ``reference_rate`` is
-    the constant C1 = theta1 * rho0 * lambda**(beta-1) / 2 when the kernel
-    carries (theta1, beta), else None.
+    the constant C1 = theta1 * rho0 * lambda**(beta-1) / 2 with theta1 and
+    beta from the kernel's ``growth_bounds()``, None when it has none.
     """
 
     lam: float
@@ -262,10 +261,9 @@ def tail_decay_fit(run_result, lam):
             "mass below lambda=%g never reaches half the initial mass" % lam
         )
     fit = TailDecayFit(lam=float(lam), times=times[window], theta=theta[window])
-    params = growth_params(run_result.config.kernel)
-    if params is not None and params[1] > 1:
-        theta1, beta = params
-        fit.reference_rate = 0.5 * theta1 * rho0 * lam ** (beta - 1.0)
+    bounds = run_result.config.kernel.growth_bounds()
+    if bounds is not None:
+        fit.reference_rate = 0.5 * bounds.theta1 * rho0 * lam ** (bounds.beta - 1.0)
     positive = fit.theta > 0
     if positive.sum() >= 2:
         slope = np.polyfit(fit.times[positive], np.log(fit.theta[positive]), 1)[0]

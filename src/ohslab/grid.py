@@ -9,7 +9,10 @@ package work on these midpoints and widths.
 exact mass of the initial condition restricted to that cell, and the cell
 density is that mass divided by xbar_i * dx_i.  The first moment of the
 projected state therefore equals the configured total mass to roundoff,
-which gives the gelation diagnostics a clean baseline.
+which gives the gelation diagnostics a clean baseline.  Each initial
+condition checks its values when built, so a bad config fails at load, and
+computes those masses with ``cell_masses(grid)``, which checks only what
+needs the grid.
 """
 from __future__ import annotations
 
@@ -139,6 +142,20 @@ class UniformOn:
     b: float
     mass: float
 
+    def __post_init__(self):
+        if not (0.0 <= self.a < self.b):
+            raise InvalidInputError("uniform_on needs 0 <= a < b")
+        if not (np.isfinite(self.mass) and self.mass > 0):
+            raise InvalidInputError("initial mass must be positive")
+
+    def cell_masses(self, grid):
+        if self.b > grid.cutoff:
+            raise SupportOutsideDomainError(
+                "uniform_on support [%g, %g] exceeds cutoff R=%g" % (self.a, self.b, grid.cutoff)
+            )
+        density = 2.0 * self.mass / (self.b**2 - self.a**2)
+        return _table_masses(grid, (self.a, self.b), (density,))
+
 
 @dataclass(frozen=True)
 class CellSpike:
@@ -147,6 +164,19 @@ class CellSpike:
     kind = "cell_spike"
     index: int
     mass: float
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise InvalidInputError("cell_spike index %d out of range" % self.index)
+        if not (np.isfinite(self.mass) and self.mass > 0):
+            raise InvalidInputError("initial mass must be positive")
+
+    def cell_masses(self, grid):
+        if self.index >= grid.ncells:
+            raise InvalidInputError("cell_spike index %d out of range" % self.index)
+        masses = np.zeros(grid.ncells)
+        masses[self.index] = self.mass
+        return masses
 
 
 @dataclass(frozen=True)
@@ -157,64 +187,38 @@ class TableDensity:
     edges: tuple
     values: tuple
 
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if edges.ndim != 1 or edges.size != values.size + 1:
+            raise InvalidInputError("table needs len(edges) == len(values) + 1")
+        if not np.all(np.diff(edges) > 0):
+            raise InvalidInputError("table edges must be strictly increasing")
+        if np.any(values < 0) or not np.all(np.isfinite(values)):
+            raise InvalidInputError("table values must be finite and nonnegative")
+
+    def cell_masses(self, grid):
+        if self.edges[0] < 0 or self.edges[-1] > grid.cutoff:
+            raise SupportOutsideDomainError("table support [%g, %g] exceeds domain [0, %g]"
+                                            % (self.edges[0], self.edges[-1], grid.cutoff))
+        masses = _table_masses(grid, self.edges, self.values)
+        if masses.sum() <= 0:
+            raise InvalidInputError("table initial condition carries no mass")
+        return masses
+
 
 #: Initial conditions by their config "kind", and the type of any of them.
 INITIAL_KINDS = {ic.kind: ic for ic in (UniformOn, CellSpike, TableDensity)}
 InitialCondition = UniformOn | CellSpike | TableDensity
 
 
-def _overlap_first_moment(lo_edges, hi_edges, a, b):
-    """Per-cell integral of mu over [e_i, e_{i+1}] ∩ [a, b]."""
-    lo = np.clip(lo_edges, a, b)
-    hi = np.clip(hi_edges, a, b)
-    return 0.5 * (hi * hi - lo * lo)
-
-
-def _cell_masses_for(grid, ic):
-    lo, hi = grid.edges[:-1], grid.edges[1:]
-    R = grid.cutoff
-    if isinstance(ic, UniformOn):
-        if not (0.0 <= ic.a < ic.b):
-            raise InvalidInputError("uniform_on needs 0 <= a < b")
-        if ic.b > R:
-            raise SupportOutsideDomainError(
-                "uniform_on support [%g, %g] exceeds cutoff R=%g" % (ic.a, ic.b, R)
-            )
-        if not (np.isfinite(ic.mass) and ic.mass > 0):
-            raise InvalidInputError("initial mass must be positive")
-        density = 2.0 * ic.mass / (ic.b**2 - ic.a**2)
-        return density * _overlap_first_moment(lo, hi, ic.a, ic.b)
-    if isinstance(ic, CellSpike):
-        if not 0 <= ic.index < grid.ncells:
-            raise InvalidInputError("cell_spike index %d out of range" % ic.index)
-        if not (np.isfinite(ic.mass) and ic.mass > 0):
-            raise InvalidInputError("initial mass must be positive")
-        masses = np.zeros(grid.ncells)
-        masses[ic.index] = ic.mass
-        return masses
-    if isinstance(ic, TableDensity):
-        t_edges = np.asarray(ic.edges, dtype=float)
-        values = np.asarray(ic.values, dtype=float)
-        if t_edges.ndim != 1 or t_edges.size != values.size + 1:
-            raise InvalidInputError("table needs len(edges) == len(values) + 1")
-        if not np.all(np.diff(t_edges) > 0):
-            raise InvalidInputError("table edges must be strictly increasing")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise InvalidInputError("table values must be finite and nonnegative")
-        if t_edges[0] < 0 or t_edges[-1] > R:
-            raise SupportOutsideDomainError(
-                "table support [%g, %g] exceeds domain [0, %g]"
-                % (t_edges[0], t_edges[-1], R)
-            )
-        masses = np.zeros(grid.ncells)
-        for k, value in enumerate(values):
-            if value == 0.0:
-                continue
-            masses += value * _overlap_first_moment(lo, hi, t_edges[k], t_edges[k + 1])
-        if masses.sum() <= 0:
-            raise InvalidInputError("table initial condition carries no mass")
-        return masses
-    raise InvalidInputError("unknown initial condition %r" % (ic,))
+def _table_masses(grid, edges, values):
+    """Per-cell integral of mu * density for a piecewise-constant density."""
+    masses = np.zeros(grid.ncells)
+    for a, b, value in zip(edges[:-1], edges[1:], values):
+        lo, hi = np.clip(grid.edges[:-1], a, b), np.clip(grid.edges[1:], a, b)
+        masses += value * (0.5 * (hi * hi - lo * lo))  # mu over [lo, hi]
+    return masses
 
 
 def project_initial(grid, ic):
@@ -224,6 +228,6 @@ def project_initial(grid, ic):
     analytic integrals of mu * density over each cell, so the projected first
     moment matches the configured total mass to roundoff.
     """
-    masses = _cell_masses_for(grid, ic)
+    masses = ic.cell_masses(grid)
     xi = masses / (grid.midpoints * grid.widths)
     return State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)

@@ -24,7 +24,9 @@ of sizes mu and nu merge.  Four families are provided:
 on a lattice of positive size pairs and reports every violation.  The bound
 is a for-all statement; sampling on a configurable log-spaced lattice is the
 uniform machinery used here (closed-form verification would be
-kernel-specific).
+kernel-specific).  ``Kernel.growth_bounds()`` returns the constants a kernel
+satisfies, or None outside the class with beta > 1 (constant, product, and
+power_sum with beta <= 1); ``check`` certifies and bounds blow-up with them.
 
 Every kernel is also a short sum of separable terms on ordered pairs:
 ``separable_terms(mid)`` returns factors (a_k, b_k) with
@@ -90,6 +92,10 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def growth_bounds(self):
+        """The sandwich constants this kernel satisfies; None outside beta > 1."""
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantKernel(Kernel):
@@ -131,6 +137,12 @@ class PowerSumKernel(Kernel):
 
     def separable_terms(self, mid):
         return _power_terms(self.theta1, self.beta, np.asarray(mid, dtype=float))
+
+    def growth_bounds(self):
+        if self.beta <= 1:
+            return None
+        return CertificationParams(theta1=self.theta1, theta2=2.0 * self.theta1,
+                                   beta=self.beta, gamma=self.beta)
 
 
 def _psi_zero(mu, nu, K):
@@ -201,6 +213,10 @@ class MassConservingKernel(Kernel):
         mid = np.asarray(mid, dtype=float)
         return _power_terms(self.theta1, self.beta, mid) + PSI_TERMS[self.psi](mid, self.K)
 
+    def growth_bounds(self):
+        return CertificationParams(theta1=self.theta1, theta2=2.0 * (self.theta1 + self.K),
+                                   beta=self.beta, gamma=self.beta)
+
 
 @dataclass(frozen=True)
 class ProductKernel(Kernel):
@@ -227,26 +243,6 @@ class ProductKernel(Kernel):
 KERNEL_KINDS = {
     k.kind: k for k in (ConstantKernel, PowerSumKernel, MassConservingKernel, ProductKernel)
 }
-
-
-def is_mass_conserving_family(kernel):
-    """True iff the kernel belongs to the mass-conserving family.
-
-    A power-sum kernel satisfies the same growth sandwich but is tagged
-    separately; the family membership is a structural property, not a bound.
-    """
-    return isinstance(kernel, MassConservingKernel)
-
-
-def growth_params(kernel):
-    """Return (theta1, beta) for kernels with an explicit power lower bound.
-
-    Returns None for kernels (constant, product) that do not carry the
-    parameters; diagnostics needing theta1/beta are skipped for those.
-    """
-    if isinstance(kernel, (PowerSumKernel, MassConservingKernel)):
-        return kernel.theta1, kernel.beta
-    return None
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -200,22 +200,20 @@ class CappedIdentity:
 
 class CappedPower:
     """C^1 capped power: mu**r below lam - w, cubic blend to a constant on
-    [lam - w, lam], constant beyond.
+    [lam - w, lam], constant beyond, with blend width w = lam / 10.
 
     The blend keeps value and slope continuous at lam - w and brings the slope
     to zero at lam, so varpi' is compactly supported on [0, lam].
     """
 
-    def __init__(self, r, lam, blend_width=None):
+    def __init__(self, r, lam):
         if not (np.isfinite(lam) and lam > 0):
             raise InvalidInputError("cap must be positive")
         if r < 1:
             raise InvalidInputError("capped power needs r >= 1")
         self.r = float(r)
         self.lam = float(lam)
-        self.w = float(blend_width) if blend_width is not None else self.lam / 10.0
-        if not 0 < self.w <= self.lam:
-            raise InvalidInputError("blend width must lie in (0, lam]")
+        self.w = self.lam / 10.0
         x0 = self.lam - self.w
         self._x0 = x0
         self._f0 = x0**self.r

@@ -93,6 +93,45 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("initial, message", [
+    ({"kind": "uniform_on", "a": 0.5, "b": 1.0, "mass": 0.0}, "initial mass must be positive"),
+    ({"kind": "uniform_on", "a": 1.0, "b": 1.0, "mass": 1.0}, "uniform_on needs 0 <= a < b"),
+    ({"kind": "uniform_on", "a": 1.0, "b": 0.5, "mass": 1.0}, "uniform_on needs 0 <= a < b"),
+    ({"kind": "table", "edges": [0.5, 1.0, 1.5], "values": [1.0, -0.5]},
+     "table values must be finite and nonnegative"),
+    ({"kind": "table", "edges": [0.5, 1.0, 1.0], "values": [1.0, 0.5]},
+     "table edges must be strictly increasing"),
+    ({"kind": "cell_spike", "index": -1, "mass": 1.0}, "cell_spike index -1 out of range"),
+])
+def test_bad_initial_section_exits_with_invalid_input_at_load(tmp_path, initial, message):
+    payload = dict(BASE, initial=initial)
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        SimConfig.from_dict(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for command in (["simulate", str(path)], ["sweep", str(path), "--workers", "1"],
+                    ["check", str(path)]):
+        assert main(["--quiet", *command, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("check", [
+    {"moment_residual_tol": -1.0},
+    {"moment_residual_tol": 0.0},
+    {"weak_residual_tol": -0.5},
+    {"weak_residual_tol": float("nan")},
+    {"moment_residual_tol": float("inf")},
+])
+def test_bad_check_tolerance_exits_with_invalid_input_before_replay(tmp_path, check):
+    payload = dict(BASE, check=check)
+    with pytest.raises(InvalidInputError, match="check tolerances must be finite and > 0"):
+        SimConfig.from_dict(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["--quiet", "check", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_numbers_load_as_int_and_float():
     payload = dict(BASE, grid={"kind": "uniform", "R": 2, "N": 32.0}, t_end=1)
     cfg = SimConfig.from_dict(payload)

@@ -13,8 +13,6 @@ from ohslab.kernels import (
     PowerSumKernel,
     ProductKernel,
     certify_hypothesis_A,
-    growth_params,
-    is_mass_conserving_family,
     sample_lattice,
 )
 
@@ -177,18 +175,24 @@ def test_certification_params_validation():
         CertificationParams(theta1=1.0, theta2=1.0, beta=2.0, gamma=1.5)
 
 
-def test_family_tag():
-    assert is_mass_conserving_family(MassConservingKernel(1.0, 2.0, "zero", 1.0))
-    assert not is_mass_conserving_family(ConstantKernel(1.0))
-    # satisfies the growth sandwich but is not tagged as the family
-    assert not is_mass_conserving_family(PowerSumKernel(1.0, 1.5))
+def test_growth_bounds_constants():
+    assert PowerSumKernel(1.5, 1.2).growth_bounds() == CertificationParams(
+        theta1=1.5, theta2=3.0, beta=1.2, gamma=1.2
+    )
+    assert PowerSumKernel(1.5, 0.8).growth_bounds() is None  # outside beta > 1
+    assert MassConservingKernel(2.0, 3.0, "min", 0.5).growth_bounds() == CertificationParams(
+        theta1=2.0, theta2=5.0, beta=3.0, gamma=3.0
+    )
+    assert ConstantKernel(1.0).growth_bounds() is None
+    assert ProductKernel(1.0).growth_bounds() is None
 
 
-def test_growth_params():
-    assert growth_params(PowerSumKernel(1.5, 1.2)) == (1.5, 1.2)
-    assert growth_params(MassConservingKernel(2.0, 3.0, "min", 1.0)) == (2.0, 3.0)
-    assert growth_params(ConstantKernel(1.0)) is None
-    assert growth_params(ProductKernel(1.0)) is None
+def test_growth_bounds_are_certified():
+    bounded = [k for k in ALL_KERNELS if k.growth_bounds() is not None]
+    assert len(bounded) == 3
+    for kernel in bounded:
+        report = certify_hypothesis_A(kernel, kernel.growth_bounds())
+        assert report.passed, (kernel, report.violations[:3])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind + str(id(k) % 89))
