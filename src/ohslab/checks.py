@@ -67,10 +67,10 @@ def _check_stored_csv(report, series, stored):
     header_ok = list(stored) == [label for label, _ in columns]
     rows_ok = header_ok and len(stored["t"]) == len(series.records)
     mismatch = None
-    if rows_ok:  # each column relative to its largest magnitude
-        mismatch = max(float(np.max(np.abs(stored[label] - values)))
-                       / max(float(np.max(np.abs(values))), moments.EPS_FLOOR)
-                       for label, values in columns)
+    if rows_ok:  # each column relative to its largest magnitude; np.max keeps a NaN
+        mismatch = float(np.max([np.max(np.abs(stored[label] - values))
+                                 / max(float(np.max(np.abs(values))), moments.EPS_FLOOR)
+                                 for label, values in columns]))
     report.add("stored_moments_csv", rows_ok and mismatch <= BOOKKEEPING_RTOL, {
         "header_matches": header_ok, "rows_match": rows_ok,
         "max_rel_mismatch": mismatch, "tolerance": BOOKKEEPING_RTOL,

@@ -192,13 +192,13 @@ class TableDensity:
         values = np.asarray(self.values, dtype=float)
         if edges.ndim != 1 or edges.size != values.size + 1:
             raise InvalidInputError("table needs len(edges) == len(values) + 1")
-        if not np.all(np.diff(edges) > 0):
-            raise InvalidInputError("table edges must be strictly increasing")
+        if not (edges[0] >= 0 and np.all(np.diff(edges) > 0)):
+            raise InvalidInputError("table edges must be strictly increasing from at least 0")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise InvalidInputError("table values must be finite and nonnegative")
 
     def cell_masses(self, grid):
-        if self.edges[0] < 0 or self.edges[-1] > grid.cutoff:
+        if self.edges[-1] > grid.cutoff:
             raise SupportOutsideDomainError("table support [%g, %g] exceeds domain [0, %g]"
                                             % (self.edges[0], self.edges[-1], grid.cutoff))
         masses = _table_masses(grid, self.edges, self.values)

@@ -219,25 +219,23 @@ def _edit_middle_row(column, new_value):
     return edit
 
 
-def test_check_detects_tampered_gel_column(checked_run_dir, tmp_path):
-    # gel mass can never decrease
-    edit = _edit_middle_row("gel_mass", lambda value: "-0.5")
-    tampered = _copy_run_dir(checked_run_dir, tmp_path / "tampered", edit)
-    assert main(["--quiet", "check", str(tampered)]) == 1
-    report = json.loads((tampered / "check_report.json").read_text())
-    by_name = {c["name"]: c["status"] for c in report["checks"]}
-    assert by_name["stored_moments_csv"] == "fail"
-    assert by_name["bookkeeping"] == "pass"  # the replay itself is sound
+STORED_COLUMNS = ["t", "M0", "M1", "M2", "M1_m2", "gel_mass", "clamped_mass"]
 
 
-@pytest.mark.parametrize("column", ["t", "M0", "M1", "M2", "M1_m2", "gel_mass", "clamped_mass"])
-def test_check_detects_one_tampered_value_in_any_column(checked_run_dir, tmp_path, column):
-    edit = _edit_middle_row(column, lambda value: "%.17g" % (value * 1.001 + 1e-6))
+@pytest.mark.parametrize("column, new_value", [
+    *[(column, lambda value: "%.17g" % (value * 1.001 + 1e-6)) for column in STORED_COLUMNS],
+    *[(column, lambda value: "nan") for column in STORED_COLUMNS],
+    ("gel_mass", lambda value: "-0.5"),  # gel mass can never decrease
+], ids=[*STORED_COLUMNS, *["%s-nan" % c for c in STORED_COLUMNS], "gel_mass-negative"])
+def test_check_detects_one_tampered_value_in_any_column(
+    checked_run_dir, tmp_path, column, new_value
+):
+    edit = _edit_middle_row(column, new_value)
     tampered = _copy_run_dir(checked_run_dir, tmp_path / "tampered", edit)
     assert main(["--quiet", "check", str(tampered)]) == 1
     report = json.loads((tampered / "check_report.json").read_text())
     failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
-    assert failing == ["stored_moments_csv"]
+    assert failing == ["stored_moments_csv"]  # the replay itself is sound
 
 
 @pytest.mark.parametrize("edit, header_matches", [

@@ -101,6 +101,8 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
      "table values must be finite and nonnegative"),
     ({"kind": "table", "edges": [0.5, 1.0, 1.0], "values": [1.0, 0.5]},
      "table edges must be strictly increasing"),
+    ({"kind": "table", "edges": [-0.5, 1.0], "values": [1.0]},
+     "table edges must be strictly increasing from at least 0"),
     ({"kind": "cell_spike", "index": -1, "mass": 1.0}, "cell_spike index -1 out of range"),
 ])
 def test_bad_initial_section_exits_with_invalid_input_at_load(tmp_path, initial, message):
