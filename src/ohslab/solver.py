@@ -42,6 +42,15 @@ are nonnegative the sums carry no cancellation.  The moment quadrature
 (``moments.moment_rhs``) sums over the same factors, built once per run,
 through ``KernelTables.pair_sum``.
 
+A step allocates little beyond what it returns.  ``KernelTables`` keeps a
+scratch array for the prefix sums, which runs two of them per complex add,
+and the edge fluxes with their zero inflow set once; ``step`` writes the
+Euler update into the k1 array it is handed; the finiteness test and the
+clamp test are one pass each.  The arrays ``rhs`` returns are new, so a
+later call leaves them alone.  The scratch makes a ``KernelTables`` unsafe
+to share between threads: each run, and so each sweep row in its worker,
+builds its own.
+
 The Euler update of cell i is
 
     xi_i * (1 - dt * (v_{i+1/2}/dx_i + L_i)) + dt * v_{i-1/2} * xi_{i-1} / dx_i,
@@ -93,10 +102,18 @@ class KernelTables:
 
     Holds the state-independent weights of the drift prefix sums
     (a_k, b_k * xbar * dx) and of the reversed loss prefix sums
-    (b_k, a_k * gaps), one row per term k of ``kernel.separable_terms``,
-    stacked as (K, N) arrays.  Each ``velocity``/``loss``/``pair_sum`` call is
-    one row-wise cumsum and one sum over the rows, which adds the terms in
-    order.  Setup, memory and each call are O(N).
+    (b_k, a_k * gaps), one per term k of ``kernel.separable_terms``.  Each
+    ``velocity``/``loss``/``pair_sum`` call is one prefix sum per term and the
+    terms added in order.  Setup, memory and each call are O(N).
+
+    ``velocity`` and ``loss`` sum in a preallocated (N, K) scratch array, one
+    column per term, and ``rhs`` puts its edge fluxes in a preallocated array,
+    so one right-hand side allocates only the arrays it returns.  Adjacent
+    columns are paired into one complex column: a complex add is two
+    independent float adds, so one ``np.add.accumulate`` advances two prefix
+    sums per element with the same bits as two.  An odd K > 1 gets a zero
+    column as its partner.  The scratch makes a table unsafe to share between
+    threads: every run builds its own.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -115,21 +132,52 @@ class KernelTables:
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
         self._terms = (a, b)
-        self._drift = (a, b * mid * dx)
-        self._loss = (b, a * gaps)
+        K = len(terms)
+        # A single term stays real: a zero partner costs more than pairing saves.
+        width = K + K % 2 if K > 1 else 1
+        self._scratch = np.zeros((mid.size, width))
+        self._columns = tuple(self._scratch[:, k] for k in range(K))
+        chains = self._scratch.view(np.complex128) if width > 1 else self._scratch
+        self._forward, self._backward = chains, chains[::-1]
+        # The outer factors in the scratch's layout; a padding column stays zero.
+        outer = np.zeros((2, mid.size, width))
+        outer[0, :, :K], outer[1, :, :K] = a.T, b.T
+        self._drift = (outer[0], tuple(b * mid * dx))
+        self._loss = (outer[1], tuple(a * gaps))
+        # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
+        self._flux = np.zeros(mid.size + 1)
+        self._inflow, self._outflow = self._flux[:-1], self._flux[1:]
+        self._absorbed = np.empty(mid.size)
+        self._zeros = np.zeros(mid.size)
 
     def velocity(self, xi):
-        outer, inner = self._drift
-        return (outer * np.cumsum(inner * xi, axis=1)).sum(axis=0)
+        return self._sum_terms(self._drift, xi, self._forward)
 
     def loss(self, xi):
-        outer, inner = self._loss
-        return (outer * np.cumsum((inner * xi)[:, ::-1], axis=1)[:, ::-1]).sum(axis=0)
+        return self._sum_terms(self._loss, xi, self._backward)
+
+    def _sum_terms(self, factors, xi, chains):
+        """A new array: sum_k outer_k * prefix-sum(inner_k * xi), the terms in order.
+
+        ``chains`` is the paired scratch (forward sums) or its reversed view
+        (backward sums); the terms are added as ``sum(axis=0)`` adds rows.
+        """
+        outer, inner = factors
+        columns = self._columns
+        for factor, column in zip(inner, columns):
+            np.multiply(factor, xi, out=column)
+        np.add.accumulate(chains, axis=0, out=chains)
+        np.multiply(outer, self._scratch, out=self._scratch)
+        total = columns[0].copy()
+        for column in columns[1:]:
+            np.add(total, column, out=total)
+        return total
 
     def pair_sum(self, u, v):
         """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j.
 
         An exclusive prefix sum per term; the term totals are added in order.
+        It leaves the scratch alone, so it may run between ``rhs`` calls.
         """
         a, b = self._terms
         terms = ((u * a)[:, 1:] * np.cumsum(b * v, axis=1)[:, :-1]).sum(axis=1)
@@ -140,20 +188,23 @@ def rhs(tables, xi):
     """Full right-hand side at density xi: (RhsParts, dxi/dt).
 
     Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
-    roundoff on every admissible state (summation-by-parts identity).
+    roundoff on every admissible state (summation-by-parts identity).  The
+    returned arrays are new; only the tables' scratch is reused.
     """
     grid = tables.grid
     v = tables.velocity(xi)
     L = tables.loss(xi)
-    # Edge fluxes with the zero inflow at size 0 in front: F[i + 1] = F_{i+1/2}.
-    F = np.empty(xi.size + 1)
-    F[0] = 0.0
-    np.multiply(v, xi, out=F[1:])
-    dxi = -(F[1:] - F[:-1]) / grid.widths - xi * L
+    outflow = tables._outflow
+    np.multiply(v, xi, out=outflow)
+    dxi = np.subtract(tables._inflow, outflow)
+    np.divide(dxi, grid.widths, out=dxi)
+    absorbed = tables._absorbed
+    np.multiply(xi, L, out=absorbed)
+    np.subtract(dxi, absorbed, out=dxi)
     # The outflow F[-1] enters dxi[-1] (L, xi >= 0), so this also catches it.
-    if not np.isfinite(dxi).all():
+    if not _all_finite(dxi, tables):
         raise NumericalFailureError("non-finite right-hand side")
-    out = float(grid.midpoints[-1] * F[-1])
+    out = float(grid.midpoints[-1] * outflow[-1])
     return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
 
 
@@ -169,54 +220,74 @@ def stable_dt(state, parts, cfl, dt_max=math.inf):
     """
     if not (0 < cfl <= 1):
         raise InvalidInputError("cfl must lie in (0, 1]")
-    occupied = state.xi > 0
-    front = occupied.copy()
-    front[1:] |= occupied[:-1]
-    front[2:] |= occupied[:-2]
-    rate = parts.velocity / state.grid.widths + parts.loss
+    # occupied[i + 2] = xi_i > 0, behind two empty cells below the grid.
+    occupied = np.zeros(state.xi.size + 2, dtype=bool)
+    np.greater(state.xi, 0.0, out=occupied[2:])
+    front = occupied[2:] | occupied[1:-1]
+    front |= occupied[:-2]
+    rate = np.divide(parts.velocity, state.grid.widths)
+    np.add(rate, parts.loss, out=rate)
     peak = float(np.maximum.reduce(rate, where=front, initial=0.0))
     if peak <= 0.0:
         return dt_max
     return min(cfl / peak, dt_max)
 
 
-def _clamp(state, xi):
-    grid = state.grid
+def _all_finite(x, tables):
+    """One exact pass: x . 0 sums 0 * x_i, which is NaN iff x_i is not finite.
+
+    Unlike ``np.dot``, ``np.vdot`` raises no "invalid value" warning on an
+    infinity.
+    """
+    return not math.isnan(np.vdot(x, tables._zeros))
+
+
+def _clamp(grid, xi):
+    """Zero the negative cells of xi in place; returns the mass this creates."""
     neg = xi < 0
-    if not neg.any():
-        return xi, 0.0
     created = -float(np.sum(grid.midpoints[neg] * xi[neg] * grid.widths[neg]))
     logger.debug("clamped %d negative cells (mass %.3e)", int(neg.sum()), created)
-    return np.where(neg, 0.0, xi), created
+    xi[neg] = 0.0
+    return created
 
 
 def step(state, tables, dt, first_stage, scheme="euler"):
     """Advance one explicit step; gel mass grows by the stage-combined outflow.
 
     ``first_stage`` is ``rhs(tables, state.xi)``, which the caller has
-    already evaluated for the step-size bound.
+    already evaluated for the step-size bound.  The step takes it over: the
+    Euler update is written into its k1 array, which becomes the new state's
+    density, so the caller must not use k1 afterwards.
     """
-    if dt < 0 or not np.isfinite(dt):
+    if dt < 0 or not math.isfinite(dt):
         raise InvalidInputError("step size must be finite and >= 0")
     parts1, k1 = first_stage
+    grid = state.grid
     if scheme == "euler":
-        xi_new = state.xi + dt * k1
+        xi_new = np.multiply(k1, dt, out=k1)
+        np.add(state.xi, xi_new, out=xi_new)
         gel_inc = dt * parts1.boundary_outflow_rate
     elif scheme == "heun":
-        predictor, _ = _clamp(state, state.xi + dt * k1)
+        predictor = np.multiply(k1, dt)
+        np.add(state.xi, predictor, out=predictor)
+        # No NaN here (xi and k1 are finite), so the minimum shows a negative cell.
+        if np.minimum.reduce(predictor) < 0:
+            _clamp(grid, predictor)
         parts2, k2 = rhs(tables, predictor)
-        xi_new = state.xi + 0.5 * dt * (k1 + k2)
+        xi_new = np.add(k1, k2, out=k2)
+        np.multiply(xi_new, 0.5 * dt, out=xi_new)
+        np.add(state.xi, xi_new, out=xi_new)
         gel_inc = 0.5 * dt * (parts1.boundary_outflow_rate + parts2.boundary_outflow_rate)
     else:
         raise InvalidInputError("unknown scheme %r" % (scheme,))
-    if not np.isfinite(xi_new).all():
+    if not _all_finite(xi_new, tables):
         raise NumericalFailureError("non-finite density after step")
-    xi_new, created = _clamp(state, xi_new)
+    created = _clamp(grid, xi_new) if np.minimum.reduce(xi_new) < 0 else 0.0
     return State(
         t=state.t + dt,
         xi=xi_new,
         gel_mass=state.gel_mass + gel_inc,
-        grid=state.grid,
+        grid=grid,
         clamped_mass=state.clamped_mass + created,
     )
 

@@ -1,4 +1,6 @@
 """Kernel formulas, symmetry, and growth-bound certification."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,11 @@ ALL_KERNELS = [
 ]
 
 
+def kernel_id(kernel):
+    """A test id that stays the same from run to run: the kind and the fields."""
+    return "-".join([kernel.kind, *(str(v) for v in astuple(kernel))])
+
+
 def test_constant_value():
     assert ConstantKernel(1.0).eval(3.7, 0.2) == 1.0
 
@@ -45,7 +52,7 @@ def test_product_formula():
     assert ProductKernel(1.5).eval(2.0, 3.0) == pytest.approx(6.0**1.5, rel=1e-15)
 
 
-@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind + str(id(k) % 97))
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)
 def test_symmetry_exact(kernel):
     rng = np.random.default_rng(7)
     mu = rng.uniform(1e-3, 1e3, size=1000)
@@ -195,7 +202,7 @@ def test_growth_bounds_are_certified():
         assert report.passed, (kernel, report.violations[:3])
 
 
-@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.kind + str(id(k) % 89))
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)
 def test_config_roundtrip(kernel):
     clone = from_section(KERNEL_KINDS, to_section(kernel), "kernel")
     assert clone == kernel
