@@ -13,14 +13,14 @@ On top of these the module checks, against simulated states:
   over ordered pairs nu < mu, whose integrand is nonnegative for r >= 2,
   summed in O(N) by the run's ``solver.KernelTables.pair_sum``;
 * the weak-form identity with Lipschitz capped test functions, using
-  varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu).
+  varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu), summed the same way.
 
 Both identities carry the boundary term of the mass that crossed the cutoff,
 taken from the bookkept gel mass at the last midpoint xbar_{N-1}.
 
 Relative residuals divide by max(|lhs|, |rhs|) floored at ``EPS_FLOOR``; the
 weak-form residual additionally floors the denominator at a small fraction of
-the gross (unsigned) quadrature mass so that roundoff-level cancellations of
+the gross quadrature magnitude so that roundoff-level cancellations of
 two near-zero sides do not read as order-one residuals.
 """
 from __future__ import annotations
@@ -115,17 +115,6 @@ class MomentSeries:
         first = self.records[0]
         return first.moments[1.0] + first.gel_mass
 
-    def validate(self):
-        t = self.times()
-        if t.size and not np.all(np.diff(t) > 0):
-            raise InvalidInputError("record times must be strictly increasing")
-        for rec in self.records:
-            vals = list(rec.moments.values()) + list(rec.tails.values())
-            arr = np.asarray(vals + [rec.gel_mass, rec.clamped_mass])
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise InvalidInputError("moment records must be finite and >= 0")
-        return self
-
 
 class HolderResult(NamedTuple):
     lhs: float
@@ -154,9 +143,22 @@ def holder_check(state, r, beta):
 
 
 def kernel_matrix(grid, kernel):
-    """Kernel values at all midpoint pairs (the weak-form pair table)."""
+    """Kernel values at all midpoint pairs: a dense reference for tests."""
     mid = grid.midpoints
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
+
+
+def _signed_pair_sum(tables, w, terms):
+    """(value, gross) of one state's pair quadrature, w = xi * dx: the pair
+    weight of xbar_j < xbar_i is the sum of sign * u[i] * v[j] over ``terms``,
+    u, v >= 0, and gross adds the terms' pair sums without their signs.
+    """
+    value = gross = 0.0
+    for sign, u, v in terms:
+        part = tables.pair_sum(u * w, v * w)
+        value += sign * part
+        gross += part
+    return value, gross
 
 
 def moment_rhs(state, tables, r):
@@ -174,19 +176,24 @@ def moment_rhs(state, tables, r):
         raise InvalidInputError("moment evolution quadrature needs r >= 2")
     g = state.grid
     mid = g.midpoints
-    w = state.xi * g.widths
-    gain = tables.pair_sum(r * mid ** (r - 1.0) * w, mid * w)
-    loss = tables.pair_sum(w, mid**r * w)
-    return gain - loss
+    terms = ((1.0, r * mid ** (r - 1.0), mid), (-1.0, 1.0, mid**r))
+    return _signed_pair_sum(tables, state.xi * g.widths, terms)[0]
 
 
-class CappedIdentity:
-    """Lipschitz test function min(mu, lam); derivative 1 below the cap."""
+class _CappedTest:
+    """A Lipschitz test function constant from the cap lam on."""
 
     def __init__(self, lam):
         if not (np.isfinite(lam) and lam > 0):
             raise InvalidInputError("cap must be positive")
         self.lam = float(lam)
+
+    def varpi1(self, mu, nu):
+        return np.asarray(nu, dtype=float) * self.deriv(mu) - self.value(nu)
+
+
+class CappedIdentity(_CappedTest):
+    """Lipschitz test function min(mu, lam); derivative 1 below the cap."""
 
     def value(self, mu):
         return np.minimum(np.asarray(mu, dtype=float), self.lam)
@@ -194,11 +201,12 @@ class CappedIdentity:
     def deriv(self, mu):
         return np.where(np.asarray(mu, dtype=float) < self.lam, 1.0, 0.0)
 
-    def varpi1(self, mu, nu):
-        return np.asarray(nu, dtype=float) * self.deriv(mu) - self.value(nu)
+    def pair_terms(self, mid):
+        """varpi1 on pairs nu < mu: -[mu >= lam] * min(nu, lam), 0 below the cap."""
+        return ((-1.0, 1.0 - self.deriv(mid), self.value(mid)),)
 
 
-class CappedPower:
+class CappedPower(_CappedTest):
     """C^1 capped power: mu**r below lam - w, cubic blend to a constant on
     [lam - w, lam], constant beyond, with blend width w = lam / 10.
 
@@ -207,12 +215,10 @@ class CappedPower:
     """
 
     def __init__(self, r, lam):
-        if not (np.isfinite(lam) and lam > 0):
-            raise InvalidInputError("cap must be positive")
+        super().__init__(lam)
         if r < 1:
             raise InvalidInputError("capped power needs r >= 1")
         self.r = float(r)
-        self.lam = float(lam)
         self.w = self.lam / 10.0
         x0 = self.lam - self.w
         self._x0 = x0
@@ -237,8 +243,9 @@ class CappedPower:
             np.where(mu >= self.lam, 0.0, blend),
         )
 
-    def varpi1(self, mu, nu):
-        return np.asarray(nu, dtype=float) * self.deriv(mu) - self.value(nu)
+    def pair_terms(self, mid):
+        """varpi1 on pairs nu < mu: the gain nu * varpi'(mu) and the loss varpi(nu)."""
+        return ((1.0, self.deriv(mid), mid), (-1.0, 1.0, self.value(mid)))
 
 
 def _record_index(run, t):
@@ -251,18 +258,13 @@ def _record_index(run, t):
     return idx
 
 
-def _weak_matrix(grid, K, test):
-    mid = grid.midpoints
-    return np.tril(test.varpi1(mid[:, None], mid[None, :]) * K, k=-1)
-
-
 def weak_rhs_quadrature(run, test, t):
     """Time-integrated pair quadrature of the weak form up to the record at t.
 
     Per record the sum of varpi1 * Lambda * xi * xi * dx * dx over pairs
-    nu < mu, integrated in time with the trapezoid rule over the recorded
-    cadence.  Returns (value, gross) where gross is the corresponding
-    integral of unsigned terms, used to scale roundoff guards.
+    nu < mu, O(N) on the run's ``tables`` through the test function's
+    ``pair_terms``, integrated in time with the trapezoid rule over the
+    recorded cadence.  Returns (value, gross); gross scales roundoff guards.
     """
     if run.states is None:
         raise InvalidInputError("run was recorded without state snapshots")
@@ -271,15 +273,10 @@ def weak_rhs_quadrature(run, test, t):
     if idx == 0:
         return 0.0, 0.0
     grid = run.states[0].grid
-    terms = _weak_matrix(grid, kernel_matrix(grid, run.config.kernel), test)
-    terms_abs = np.abs(terms)
-    sums = np.empty(idx + 1)
-    gross = np.empty(idx + 1)
-    for k in range(idx + 1):
-        w = run.states[k].xi * grid.widths
-        sums[k] = w @ (terms @ w)
-        gross[k] = w @ (terms_abs @ w)
-    return float(np.trapezoid(sums, times)), float(np.trapezoid(gross, times))
+    terms = test.pair_terms(grid.midpoints)
+    sums = np.array([_signed_pair_sum(run.tables, state.xi * grid.widths, terms)
+                     for state in run.states[: idx + 1]])
+    return float(np.trapezoid(sums[:, 0], times)), float(np.trapezoid(sums[:, 1], times))
 
 
 class WeakFormResult(NamedTuple):
@@ -298,7 +295,10 @@ def weak_form_residual(run, test, t):
     side: the time-integrated pair quadrature.  The denominator is the larger
     side, floored at ``GROSS_GUARD`` times the gross quadrature magnitude and
     at ``EPS_FLOOR`` absolutely.  Returns the residual with the quadrature and
-    gross that ``weak_rhs_quadrature`` gave.
+    gross that ``weak_rhs_quadrature`` gave: |quadrature| for
+    ``CappedIdentity``, whose one pair term keeps its sign, and gain + loss,
+    the roundoff scale of its two pair sums and an upper bound of the
+    unsigned sum, for ``CappedPower``.
     """
     rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
     idx = _record_index(run, t)

@@ -13,8 +13,8 @@ moment and matches the initial block, and the closed-form moments are
 so M^1 = M for all t and M^0 = 2 / (1 + t).
 
 ``brute_force_weak_rhs`` re-evaluates the weak-form pair quadrature by direct
-per-row summation with fresh kernel evaluations; it shares no tables, masks
-or accumulation order with the vectorized path it cross-checks.
+per-row summation with fresh kernel evaluations; it shares no tables, separable
+factors or accumulation order with the O(N) path it cross-checks.
 """
 from __future__ import annotations
 
@@ -89,8 +89,8 @@ def brute_force_weak_rhs(states, kernel, test):
     O(N^2) per record: for each cell the pair terms against all smaller cells
     are evaluated and summed row by row, with the kernel called afresh on raw
     midpoints.  The time integral uses the trapezoid rule over the records'
-    own times.  Serves as the independent oracle for the vectorized weak-form
-    quadrature.
+    own times.  Serves as the independent oracle for the weak-form quadrature
+    of ``moments.weak_rhs_quadrature``.
     """
     if len(states) < 2:
         return 0.0

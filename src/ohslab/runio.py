@@ -59,6 +59,12 @@ def read_moments_csv(path):
     return {label: data[:, k] for k, label in enumerate(header)}
 
 
+def _dump_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_final_state_json(path, state):
     payload = {
         "t": state.t,
@@ -67,9 +73,7 @@ def write_final_state_json(path, state):
         "gel_mass": state.gel_mass,
         "clamped_mass": state.clamped_mass,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _dump_json(path, payload)
 
 
 def write_manifest(path, config, status="ok", error=None, extra=None):
@@ -82,9 +86,7 @@ def write_manifest(path, config, status="ok", error=None, extra=None):
         payload["error"] = error
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _dump_json(path, payload)
 
 
 def read_manifest(path):
@@ -99,6 +101,4 @@ def read_manifest(path):
 
 def write_json(path, payload):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _dump_json(path, payload)

@@ -294,12 +294,3 @@ def test_pth_root_zero_state_and_bounds():
     with pytest.raises(InvalidInputError):
         pth_root_diagnostic(zero, [0.5])
 
-
-def test_series_validation():
-    series = MomentSeries(orders=(0.0, 1.0), thresholds=())
-    grid = build("uniform", 4.0, 8)
-    state = State(t=0.0, xi=np.zeros(8), gel_mass=0.0, grid=grid)
-    series.append_state(state)
-    series.append_state(state)  # duplicate time
-    with pytest.raises(InvalidInputError):
-        series.validate()

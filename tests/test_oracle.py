@@ -1,4 +1,6 @@
 """Explicit-solution values and the brute-force weak-form cross-check."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,16 @@ from ohslab.errors import InvalidInputError
 from ohslab.grid import build
 from ohslab.moments import (
     CappedIdentity,
+    CappedPower,
     MomentSeries,
+    kernel_matrix,
     weak_form_residual,
     weak_rhs_quadrature,
     GROSS_GUARD,
     EPS_FLOOR,
 )
 from ohslab.oracle import brute_force_weak_rhs, l1_error, project_state
-from ohslab.solver import RunResult
+from ohslab.solver import KernelTables, RunResult
 
 
 def test_density_spot_values():
@@ -91,7 +95,10 @@ def _projected_run(N, times, lam_cfg=None):
     series = MomentSeries(orders=(0.0, 1.0), thresholds=())
     for s in states:
         series.append_state(s)
-    return RunResult(config=cfg, series=series, final_state=states[-1], states=states)
+    return RunResult(
+        config=cfg, series=series, final_state=states[-1], states=states,
+        tables=KernelTables(grid, cfg.kernel),
+    )
 
 
 def test_brute_force_trivial_cases(bagland_runs):
@@ -123,3 +130,52 @@ def test_projected_solution_satisfies_weak_form_under_refinement(capsys):
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
     print("projected-solution weak-form residual orders:", orders)
     assert np.all(orders > 0.5)
+
+
+def _dense_weak_quadrature(run, test):
+    """The weak-form quadrature over all records, summed on a dense pair table."""
+    grid = run.states[0].grid
+    mid = grid.midpoints
+    K = kernel_matrix(grid, run.config.kernel)
+    terms = np.tril(test.varpi1(mid[:, None], mid[None, :]) * K, k=-1)
+    terms_abs = np.abs(terms)
+    sums, gross = [], []
+    for state in run.states:
+        w = state.xi * grid.widths
+        sums.append(w @ (terms @ w))
+        gross.append(w @ (terms_abs @ w))
+    times = run.series.times()
+    return np.trapezoid(sums, times), np.trapezoid(gross, times)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("make_test", [CappedIdentity, lambda lam: CappedPower(2, lam)],
+                         ids=["identity", "power"])
+@pytest.mark.parametrize("fixture", ["bagland_runs", "powersum_run", "massconserving_run"])
+def test_pair_sum_quadrature_matches_dense_table(request, fixture, make_test, lam):
+    run = request.getfixturevalue(fixture)
+    if fixture == "bagland_runs":
+        run = run[1024][0]
+    test = make_test(lam)
+    value, gross = weak_rhs_quadrature(run, test, run.series.times()[-1])
+    dense, dense_gross = _dense_weak_quadrature(run, test)
+    assert dense_gross > 0.0
+    assert abs(value - dense) <= 1e-13 * gross
+    if isinstance(test, CappedIdentity):
+        assert gross == abs(value)
+        assert abs(gross - dense_gross) <= 1e-13 * dense_gross
+    else:  # gain + loss bounds the unsigned sum; 1e-13 allows for roundoff
+        assert gross >= dense_gross * (1.0 - 1e-13)
+
+
+def test_weak_form_residual_memory_is_linear_in_n():
+    handle = _projected_run(4096, np.linspace(0.0, 1.0, 5))
+    for test in (CappedIdentity(1.0), CappedPower(2, 1.0)):
+        tracemalloc.start()
+        try:
+            weak_form_residual(handle, test, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense 4096 x 4096 table alone would take 128 MiB
+        assert peak < 16 * 2**20
