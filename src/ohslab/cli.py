@@ -73,17 +73,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    if cfg.sweep is None or not cfg.sweep.cutoffs:
-        raise InvalidInputError("sweep command needs a 'sweep' section with cutoffs")
+    report, runs = gelation.cutoff_sweep(load_config(args.config), workers=args.workers)
     out = _out_dir(args, Path(args.config).with_suffix(""))
-    report, runs = gelation.cutoff_sweep(
-        cfg,
-        cfg.sweep.cutoffs,
-        epsilon=cfg.sweep.epsilon,
-        resolution=cfg.sweep.resolution,
-        workers=args.workers,
-    )
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in report.rows:

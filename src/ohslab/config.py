@@ -53,17 +53,18 @@ class MomentSpec:
 class SweepSpec:
     """Cutoff-scaling experiment: rerun at each cutoff R with fixed resolution."""
 
-    cutoffs: tuple = ()
-    epsilon: float = None
+    cutoffs: tuple
     resolution: float = None
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
+        R = np.asarray(self.cutoffs, dtype=float)
+        if not (R.size and np.all(np.isfinite(R) & (R > 0))):
+            raise InvalidInputError("sweep cutoffs must be a non-empty list of finite values > 0")
+        if np.any(np.diff(R) <= 0):
             raise InvalidInputError("sweep cutoffs must be strictly increasing")
-        if self.epsilon is not None and not (0 < self.epsilon < 1):
-            raise InvalidInputError("sweep epsilon must lie in (0, 1)")
-        if self.resolution is not None and not self.resolution > 0:
-            raise InvalidInputError("sweep resolution must be positive")
+        dx = self.resolution
+        if dx is not None and not (np.isfinite(dx) and dx > 0):
+            raise InvalidInputError("sweep resolution must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ boundary mass loss exceeds a threshold epsilon (default 1e-2):
     t_loss = first t with gel_mass(t) / rho0 > epsilon,
 
 linearly interpolated between bracketing records.  ``cutoff_sweep`` reruns a
-base configuration over increasing cutoffs at fixed resolution (N scaled
-proportionally to R) and tabulates t_loss(R); the table documents how the
-loss time scales with the cutoff, which is the truncated-domain stand-in for
-statements about the untruncated problem.
+config over the cutoffs of its "sweep" section at fixed resolution (N scaled
+proportionally to R) and tabulates t_loss(R) with the config's one threshold
+epsilon; the table documents how the loss time scales with the cutoff, which
+is the truncated-domain stand-in for statements about the untruncated problem.
 
 ``blowup_bound`` evaluates the finite-time bound
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import solver
-from .config import SweepSpec
 from .errors import CoagulationError, InvalidInputError, WindowEmptyError
 from .moments import truncated_moment
 
@@ -105,14 +104,14 @@ def _failed_row(cfg, exc):
     return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error), None
 
 
-def _run_row(args):
+def _run_row(cfg):
     """Worker for one sweep row; module-level so process pools can pickle it.
 
-    Returns (row, RunResult).  Any row-level failure (invalid row config,
-    numerical breakdown, memory exhaustion or any other exception) is
-    contained in a failed row with no result, so the other rows still report.
+    Returns (row, RunResult); t_loss uses the row config's epsilon.  Any
+    row-level failure (invalid row config, numerical breakdown, memory
+    exhaustion or any other exception) is contained in a failed row with no
+    result, so the other rows still report.
     """
-    cfg, epsilon = args
     try:
         result = solver.run(cfg)
         row = SweepRow(
@@ -120,7 +119,7 @@ def _run_row(args):
             failed=result.failed, error=result.error, steps=result.steps,
         )
         if result.series.records:
-            row.t_loss = gelation_time(result.series, epsilon)
+            row.t_loss = gelation_time(result.series, cfg.epsilon)
             row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
     except CoagulationError as exc:
         return _failed_row(cfg, exc)
@@ -130,23 +129,21 @@ def _run_row(args):
     return row, result
 
 
-def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=None):
-    """Rerun a base config over increasing cutoffs at fixed grid resolution.
+def cutoff_sweep(config, workers=None):
+    """Rerun a config over the cutoffs of its sweep section at fixed resolution.
 
     Parameters
     ----------
-    base_config : SimConfig
-        Template run; its grid supplies the default resolution R/N.
-    cutoffs : sequence of float
-        Increasing cutoff sizes.  Empty input yields an empty report.
-    epsilon : float, optional
-        Gel-fraction threshold; defaults to the config's epsilon.
-    resolution : float, optional
-        Cell width dx held fixed across rows (N = round(R / dx)).
+    config : SimConfig
+        Template run.  Its ``sweep`` section supplies the cutoffs and the
+        cell width dx held fixed across rows (N = round(R / dx)), by default
+        the base grid's R / N; its ``epsilon`` is the gel-fraction threshold
+        of every row.  A config without a sweep section raises
+        ``InvalidInputError``.
     workers : int, optional
-        Process count for concurrent rows; <= 1 runs serially.  Rows are
-        independent simulations; failures are recorded per row and do not
-        abort the sweep.
+        Process count for concurrent rows (default: cpu count); <= 1 runs
+        serially.  Rows are independent simulations; failures are recorded
+        per row and do not abort the sweep.
 
     Returns
     -------
@@ -155,33 +152,32 @@ def cutoff_sweep(base_config, cutoffs, epsilon=None, resolution=None, workers=No
         each row is an ordinary run of its ``row_config``, and the result is
         None for a row that raised.
     """
-    spec = SweepSpec(tuple(float(R) for R in cutoffs), epsilon, resolution)
-    base = base_config.resolved()
-    epsilon = base.epsilon if spec.epsilon is None else spec.epsilon
-    resolution = base.grid.R / base.grid.N if spec.resolution is None else spec.resolution
-    report = GelationReport(epsilon=epsilon)
-    jobs = [(row_config(base, R, max(2, int(round(R / resolution)))), epsilon)
-            for R in spec.cutoffs]
+    if config.sweep is None:
+        raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
+    base = config.resolved()
+    resolution = base.sweep.resolution or base.grid.R / base.grid.N
+    jobs = [row_config(base, R, max(2, int(round(R / resolution)))) for R in base.sweep.cutoffs]
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(jobs)))
     if workers == 1:
-        results = [_run_row(job) for job in jobs]
+        results = [_run_row(cfg) for cfg in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_row, job) for job in jobs]
+            futures = [pool.submit(_run_row, cfg) for cfg in jobs]
             results = []
-            for (cfg, _), future in zip(jobs, futures):
+            for cfg, future in zip(jobs, futures):
                 try:
                     results.append(future.result())
                 except Exception as exc:  # a crashed worker: BrokenProcessPool
                     logger.error("sweep row R=%s lost its worker", cfg.grid.R, exc_info=True)
                     results.append(_failed_row(cfg, exc))
+    report = GelationReport(epsilon=base.epsilon)
     for row, _ in results:
         if row.failed:
             logger.warning("sweep row R=%g failed: %s", row.R, row.error)
         report.rows.append(row)
-    return report, [(cfg, result) for (cfg, _), (_, result) in zip(jobs, results)]
+    return report, [(cfg, result) for cfg, (_, result) in zip(jobs, results)]
 
 
 def blowup_bound(r, delta, moment_value, theta1, beta, rho0):

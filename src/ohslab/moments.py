@@ -248,6 +248,12 @@ class CappedPower(_CappedTest):
         return ((1.0, self.deriv(mid), mid), (-1.0, 1.0, self.value(mid)))
 
 
+def _require_replay(run):
+    """Raise unless the run carries the state snapshots and kernel tables replays sum on."""
+    if run.states is None or run.tables is None:
+        raise InvalidInputError("run was recorded without state snapshots or kernel tables")
+
+
 def _record_index(run, t):
     times = run.series.times()
     if times.size == 0:
@@ -266,8 +272,7 @@ def weak_rhs_quadrature(run, test, t):
     ``pair_terms``, integrated in time with the trapezoid rule over the
     recorded cadence.  Returns (value, gross); gross scales roundoff guards.
     """
-    if run.states is None:
-        raise InvalidInputError("run was recorded without state snapshots")
+    _require_replay(run)
     idx = _record_index(run, t)
     times = run.series.times()[: idx + 1]
     if idx == 0:
@@ -326,8 +331,7 @@ def moment_residual(run, r):
     term is exact and what remains is the first-order consistency error of
     the quadrature.
     """
-    if run.states is None:
-        raise InvalidInputError("run was recorded without state snapshots")
+    _require_replay(run)
     times = run.series.times()
     if times.size < 3:
         raise InsufficientRecordsError("moment residual needs at least 3 records")

@@ -1,5 +1,6 @@
 """Shared reference runs and the acceptance-summary hook."""
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from ohslab import (
     MomentSpec,
     PowerSumKernel,
     SimConfig,
+    SweepSpec,
     UniformOn,
 )
 from ohslab.gelation import cutoff_sweep
@@ -114,7 +116,6 @@ def gelation_sweep():
         epsilon=0.01,
     )
     t0 = time.perf_counter()
-    report, _ = cutoff_sweep(
-        base, (4.0, 8.0, 16.0, 32.0), epsilon=0.01, resolution=1.0 / 32.0, workers=4
-    )
+    sweep = SweepSpec((4.0, 8.0, 16.0, 32.0), resolution=1.0 / 32.0)
+    report, _ = cutoff_sweep(replace(base, sweep=sweep), workers=4)
     return report, time.perf_counter() - t0

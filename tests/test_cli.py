@@ -7,6 +7,8 @@ import pytest
 from ohslab import ConstantKernel
 from ohslab.cli import main
 from ohslab.config import SimConfig
+from ohslab.gelation import gelation_time
+from ohslab.moments import MomentRecord, MomentSeries
 from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
 from ohslab.solver import run
 
@@ -140,20 +142,39 @@ def test_sweep_constant_kernel_leaves_t_loss_empty(tmp_path):
 def test_sweep_requires_cutoffs(tmp_path):
     cfg = write_config(tmp_path, BAGLAND)  # no sweep section
     assert main(["--quiet", "sweep", str(cfg)]) == 2
+    assert not (tmp_path / "config").exists()  # the default output directory
     payload = dict(POWERSUM_SWEEP, sweep={"cutoffs": []})
     cfg = write_config(tmp_path, payload, "empty.json")
     assert main(["--quiet", "sweep", str(cfg)]) == 2
+    assert not (tmp_path / "empty").exists()
+
+
+def series_from_csv(path):
+    """The t, M1 and gel_mass columns of a stored moments.csv as a MomentSeries."""
+    data = read_moments_csv(path)
+    series = MomentSeries(orders=(1.0,), thresholds=())
+    series.records = [
+        MomentRecord(t=t, moments={1.0: m1}, tails={}, gel_mass=gel, clamped_mass=0.0)
+        for t, m1, gel in zip(data["t"], data["M1"], data["gel_mass"])
+    ]
+    return series
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_rows_are_the_runs_simulate_writes(tmp_path, workers):
-    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    cfg = write_config(tmp_path, dict(POWERSUM_SWEEP, epsilon=0.05))
     out = tmp_path / "sweep"
     assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", workers]) == 0
-    for name in ("R2", "R3"):
+    report = json.loads((out / "sweep.json").read_text())
+    assert report["epsilon"] == 0.05
+    for name, report_row in zip(("R2", "R3"), report["rows"]):
         row = out / name
-        row_cfg = write_config(tmp_path, read_manifest(row / "manifest.json")["config"],
-                               name + ".json")
+        row_config = read_manifest(row / "manifest.json")["config"]
+        # one threshold: the row's manifest records the epsilon its t_loss used
+        assert row_config["epsilon"] == report["epsilon"]
+        stored = series_from_csv(row / "moments.csv")
+        assert gelation_time(stored, row_config["epsilon"]) == report_row["t_loss"]
+        row_cfg = write_config(tmp_path, row_config, name + ".json")
         sim = tmp_path / ("simulate_" + name)
         assert main(["--quiet", "simulate", str(row_cfg), "--out", str(sim)]) == 0
         for artifact in ("moments.csv", "final_state.json", "manifest.json"):

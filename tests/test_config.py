@@ -84,13 +84,21 @@ def test_numbers_are_not_coerced_from_other_types(tmp_path, key, value, where):
 @pytest.mark.parametrize("sweep", [
     {"cutoffs": [8.0, 4.0]},
     {"cutoffs": [2.0, 3.0], "resolution": 0},
-    {"cutoffs": [2.0, 3.0], "epsilon": 1.5},
+    {"cutoffs": [2.0, 3.0], "epsilon": 1.5},  # an unknown key: epsilon is top-level only
+    {"cutoffs": [4.0, float("inf")]},
+    {"cutoffs": [4.0, float("nan")]},
+    {"cutoffs": [-1.0, 4.0]},
+    {"cutoffs": [0.0, 4.0]},
+    {"cutoffs": [2.0, 3.0], "resolution": float("inf")},
+    {},
 ])
 def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(BASE, sweep=sweep)))
-    assert main(["--quiet", "simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
+    for command in (["simulate", str(path)], ["sweep", str(path), "--workers", "1"],
+                    ["check", str(path)]):
+        assert main(["--quiet", *command, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("initial, message", [

@@ -4,13 +4,15 @@ import multiprocessing
 import os
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ohslab import (
-    ConstantKernel, GridSpec, MomentSpec, PowerSumKernel, SimConfig, UniformOn, gelation,
+    ConstantKernel, GridSpec, MomentSpec, PowerSumKernel, SimConfig, SweepSpec, UniformOn,
+    gelation,
 )
 from ohslab.errors import InvalidInputError, WindowEmptyError
 from ohslab.gelation import (
@@ -84,7 +86,9 @@ def constant_base(t_end=1.0):
 
 def test_sweep_constant_kernel_never_reaches_cutoffs():
     # explicit-solution support stays in [0, M*(1+t_end)] = [0, 2]
-    report, artifacts = cutoff_sweep(constant_base(), (4.0, 8.0), epsilon=0.01, workers=1)
+    report, artifacts = cutoff_sweep(
+        replace(constant_base(), sweep=SweepSpec((4.0, 8.0))), workers=1
+    )
     assert [row.R for row in report.rows] == [4.0, 8.0]
     assert all(row.t_loss is None for row in report.rows)
     # upwind leakage beyond the support is at roundoff scale
@@ -92,16 +96,21 @@ def test_sweep_constant_kernel_never_reaches_cutoffs():
     assert len(artifacts) == 2
 
 
-def test_sweep_empty_cutoffs_yield_empty_report():
-    report, artifacts = cutoff_sweep(constant_base(), (), epsilon=0.01)
-    assert report.rows == [] and artifacts == []
+def test_sweep_spec_rejects_empty_cutoffs():
+    with pytest.raises(InvalidInputError):
+        SweepSpec(cutoffs=())
 
 
 def test_sweep_requires_increasing_cutoffs():
     with pytest.raises(InvalidInputError):
-        cutoff_sweep(constant_base(), (4.0, 4.0), epsilon=0.01)
+        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((4.0, 4.0))))
     with pytest.raises(InvalidInputError):
-        cutoff_sweep(constant_base(), (8.0, 4.0), epsilon=0.01)
+        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((8.0, 4.0))))
+
+
+def test_sweep_requires_a_sweep_section():
+    with pytest.raises(InvalidInputError, match="'sweep' section"):
+        cutoff_sweep(constant_base(), workers=1)
 
 
 def powersum_base():
@@ -113,7 +122,9 @@ def powersum_base():
 
 def test_sweep_row_replicates_direct_run():
     base = powersum_base()
-    report, _ = cutoff_sweep(base, (2.0, 3.0), epsilon=0.01, resolution=1.0 / 16.0, workers=1)
+    report, _ = cutoff_sweep(
+        replace(base, sweep=SweepSpec((2.0, 3.0), resolution=1.0 / 16.0)), workers=1
+    )
     direct = run(base)  # R = 2, N = 32 equals the first row's configuration
     assert report.rows[0].N == 32
     assert report.rows[0].t_loss == gelation_time(direct.series, 0.01)
@@ -122,8 +133,8 @@ def test_sweep_row_replicates_direct_run():
 
 def test_sweep_parallel_matches_serial():
     base = powersum_base()
-    serial, _ = cutoff_sweep(base, (2.0, 3.0), epsilon=0.01, workers=1)
-    parallel, _ = cutoff_sweep(base, (2.0, 3.0), epsilon=0.01, workers=2)
+    serial, _ = cutoff_sweep(replace(base, sweep=SweepSpec((2.0, 3.0))), workers=1)
+    parallel, _ = cutoff_sweep(replace(base, sweep=SweepSpec((2.0, 3.0))), workers=2)
     for a, b in zip(serial.rows, parallel.rows):
         assert (a.R, a.N, a.t_loss, a.gel_fraction_final) == (b.R, b.N, b.t_loss, b.gel_fraction_final)
 
@@ -146,7 +157,9 @@ def raise_foreign_errors(R):
 
 def test_sweep_serial_contains_non_coagulation_errors(monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(raise_foreign_errors))
-    report, runs = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=1)
+    report, runs = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), workers=1
+    )
     assert [row.failed for row in report.rows] == [False, True, True]
     assert report.rows[0].t_loss is not None and report.rows[0].steps > 0
     assert report.rows[1].error == "MemoryError: "
@@ -168,7 +181,7 @@ class CrashingPool:
 
     def submit(self, fn, job):
         future = Future()
-        if job[0].grid.R == 3.0:
+        if job.grid.R == 3.0:
             future.set_exception(BrokenProcessPool("worker terminated abruptly"))
         else:
             future.set_result(fn(job))
@@ -177,7 +190,9 @@ class CrashingPool:
 
 def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
     monkeypatch.setattr(gelation, "ProcessPoolExecutor", CrashingPool)
-    report, runs = cutoff_sweep(powersum_base(), (2.0, 3.0, 4.0), epsilon=0.01, workers=3)
+    report, runs = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), workers=3
+    )
     assert [row.failed for row in report.rows] == [False, True, False]
     assert report.rows[1].error == "BrokenProcessPool: worker terminated abruptly"
     assert runs[1][1] is None
@@ -190,7 +205,7 @@ def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
 )
 def test_sweep_pool_survives_a_worker_that_exits(monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(lambda R: os._exit(1)))
-    report, _ = cutoff_sweep(powersum_base(), (2.0, 3.0), epsilon=0.01, workers=2)
+    report, _ = cutoff_sweep(replace(powersum_base(), sweep=SweepSpec((2.0, 3.0))), workers=2)
     assert [row.R for row in report.rows] == [2.0, 3.0]
     assert report.rows[1].failed
     assert report.rows[1].error.startswith("BrokenProcessPool: ")
@@ -206,8 +221,9 @@ def test_row_config_moves_the_grid_and_drops_the_sweep():
 
 
 def test_sweep_scales_cell_count_with_cutoff():
-    report, _ = cutoff_sweep(powersum_base(), (2.0, 4.0), epsilon=0.01,
-                             resolution=1.0 / 16.0, workers=1)
+    report, _ = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 4.0), resolution=1.0 / 16.0)), workers=1
+    )
     assert [row.N for row in report.rows] == [32, 64]
 
 

@@ -1,4 +1,5 @@
 """Moment quadratures, inequalities, test functions and residual diagnostics."""
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,19 @@ def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config()
         for N in (128, 256)
     )
     assert fine <= 0.6 * coarse
+
+
+@pytest.mark.parametrize("missing", ["states", "tables"])
+def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
+    stripped = replace(powersum_run, **{missing: None})
+    t_end = float(powersum_run.series.times()[-1])
+    for replay in (
+        lambda: weak_rhs_quadrature(stripped, CappedIdentity(2.0), t_end),
+        lambda: weak_form_residual(stripped, CappedIdentity(2.0), t_end),
+        lambda: moment_residual(stripped, 2),
+    ):
+        with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
+            replay()
 
 
 def test_weak_residual_unknown_time(bagland_runs):
