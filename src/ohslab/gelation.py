@@ -266,10 +266,3 @@ def tail_decay_fit(run_result, lam):
         fit.rate = float(-slope)
     return fit
 
-
-def tail_positivity(state, m):
-    """Tail first moment above m and whether it is strictly positive."""
-    if not (0 < m < state.grid.cutoff):
-        raise InvalidInputError("tail threshold must lie inside (0, R)")
-    value = truncated_moment(state, 1, m)
-    return value, value > 0

@@ -347,17 +347,3 @@ def moment_residual(run, r):
         worst = max(worst, abs(rate - rhs) / max(abs(rhs), EPS_FLOOR))
     return worst
 
-
-def pth_root_diagnostic(state, orders):
-    """The sequence (p, (M^p)^(1/p)) for the given orders (all >= 1).
-
-    On a truncated domain each entry is bounded by R * (M^0)^(1/p), so the
-    sequence is trapped below the cutoff as p grows; unbounded growth is only
-    attainable in the R -> infinity limit, which the cutoff sweep documents.
-    """
-    out = []
-    for p in orders:
-        if p < 1:
-            raise InvalidInputError("pth-root diagnostic needs orders >= 1")
-        out.append((p, moment(state, p) ** (1.0 / p)))
-    return out

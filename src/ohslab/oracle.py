@@ -12,9 +12,11 @@ moment and matches the initial block, and the closed-form moments are
 
 so M^1 = M for all t and M^0 = 2 / (1 + t).
 
-``brute_force_weak_rhs`` re-evaluates the weak-form pair quadrature by direct
-per-row summation with fresh kernel evaluations; it shares no tables, separable
-factors or accumulation order with the O(N) path it cross-checks.
+``brute_force_weak_rhs`` re-evaluates the weak-form pair quadrature densely:
+it builds the strict-lower pair table from fresh ``kernel.eval`` and
+``varpi1`` calls on raw midpoints, once per call and in row blocks, and sums
+every record against it.  It shares no tables, separable factors or
+accumulation order with the O(N) path it cross-checks.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .grid import UniformOn, project_initial
+
+#: Byte budget of one row block of the oracle's pair table.
+_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -84,31 +89,36 @@ def project_state(sol, grid, t):
 
 
 def brute_force_weak_rhs(states, kernel, test):
-    """Directly-summed weak-form right side over recorded states.
+    """Densely summed weak-form right side over recorded states.
 
-    O(N^2) per record: for each cell the pair terms against all smaller cells
-    are evaluated and summed row by row, with the kernel called afresh on raw
-    midpoints.  The time integral uses the trapezoid rule over the records'
-    own times.  Serves as the independent oracle for the weak-form quadrature
-    of ``moments.weak_rhs_quadrature``.
+    Builds the strict-lower pair table
+    ``W[i, j] = test.varpi1(mid_i, mid_j) * kernel.eval(mid_i, mid_j)``
+    (``j < i``) once, with the kernel called afresh on raw midpoints and no
+    separable factors, over the cells up to the largest one occupied in any
+    record.  It is built in row blocks of at most ``_BLOCK_BYTES`` each, and
+    every record ``x = xi * dx`` is summed against each block by one matmul,
+    as ``x @ W @ x``.  The time integral uses the trapezoid rule over the
+    records' own times.  Serves as the independent oracle for the weak-form
+    quadrature of ``moments.weak_rhs_quadrature``.
+
+    Every record must share one grid; mixed grids raise ``InvalidInputError``.
     """
     if len(states) < 2:
         return 0.0
-    times = np.array([st.t for st in states])
-    sums = np.empty(len(states))
-    for k, st in enumerate(states):
-        grid = st.grid
-        mid, dx, xi = grid.midpoints, grid.widths, st.xi
-        total = 0.0
-        for i in range(1, grid.ncells):
-            if xi[i] == 0.0:
-                continue
-            smaller = mid[:i]
-            terms = (
-                test.varpi1(mid[i], smaller)
-                * kernel.eval(mid[i], smaller)
-                * xi[i] * xi[:i] * dx[i] * dx[:i]
-            )
-            total += float(np.sum(terms))
-        sums[k] = total
-    return float(np.trapezoid(sums, times))
+    grid = states[0].grid
+    if any(not np.array_equal(st.grid.edges, grid.edges) for st in states[1:]):
+        raise InvalidInputError("brute-force weak form needs every record on one grid")
+    n = max(int(np.max(np.flatnonzero(st.xi), initial=-1)) + 1 for st in states)
+    if n < 2:
+        return 0.0
+    mid = grid.midpoints[:n]
+    X = np.array([st.xi[:n] for st in states]) * grid.widths[:n]
+    sums = np.zeros(len(states))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for a in range(1, n, rows):
+        b = min(a + rows, n)
+        mu, nu = mid[a:b, None], mid[None, :b]
+        # block row r is cell a + r, so tril with k = a - 1 keeps exactly j < i
+        block = np.tril(test.varpi1(mu, nu) * kernel.eval(mu, nu), k=a - 1)
+        sums += np.sum((X[:, :b] @ block.T) * X[:, a:b], axis=1)
+    return float(np.trapezoid(sums, [st.t for st in states]))

@@ -22,9 +22,7 @@ from ohslab.gelation import (
     gelation_time,
     row_config,
     tail_decay_fit,
-    tail_positivity,
 )
-from ohslab.grid import State, build
 from ohslab.moments import MomentRecord, MomentSeries
 from ohslab.solver import RunResult, run
 
@@ -365,15 +363,3 @@ def test_tail_fit_threshold_validation(powersum_run):
     with pytest.raises(InvalidInputError):
         tail_decay_fit(no_states, 3.0)  # neither recorded nor replayable
 
-
-def test_tail_positivity(bagland_t2):
-    first, last = bagland_t2.states[0], bagland_t2.states[-1]
-    value0, flag0 = tail_positivity(first, 2.0)
-    assert value0 == 0.0 and not flag0
-    value2, flag2 = tail_positivity(last, 2.0)
-    assert value2 > 0.0 and flag2
-    zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=build("uniform", 4.0, 16))
-    value, flag = tail_positivity(zero, 2.0)
-    assert value == 0.0 and not flag
-    with pytest.raises(InvalidInputError):
-        tail_positivity(zero, 4.0)

@@ -21,7 +21,6 @@ from ohslab.moments import (
     moment,
     moment_residual,
     moment_rhs,
-    pth_root_diagnostic,
     truncated_moment,
     weak_form_residual,
     weak_rhs_quadrature,
@@ -267,44 +266,4 @@ def test_weak_residual_unknown_time(bagland_runs):
     result, _ = bagland_runs[256]
     with pytest.raises(InvalidInputError):
         weak_form_residual(result, CappedIdentity(1.0), 0.5554)
-
-
-def test_pth_root_monodisperse_closed_form():
-    grid = build("uniform", 8.0, 2)  # midpoints 2 and 6
-    state = project_initial(grid, CellSpike(0, 1.0))
-    values = dict(pth_root_diagnostic(state, [1, 2, 4, 8, 32]))
-    for p, value in values.items():
-        assert value == pytest.approx(2.0 * 0.5 ** (1.0 / p), rel=1e-12)
-    seq = [values[p] for p in (1, 2, 4, 8, 32)]
-    assert np.all(np.diff(seq) > 0)
-    assert seq[-1] == pytest.approx(2.0, rel=0.05)
-
-
-def test_pth_root_block_tends_to_support_end():
-    state = block_state(N=2000)
-    values = dict(pth_root_diagnostic(state, [1, 2, 3, 8, 16, 32]))
-    for p in (1, 2, 3):
-        assert values[p] == pytest.approx((2.0 / (p + 1.0)) ** (1.0 / p), abs=1e-3)
-    # approaches the support end (1) from below once p is large
-    assert values[8] < values[16] < values[32] < 1.0
-
-
-def test_pth_root_zero_state_and_bounds():
-    grid = build("uniform", 4.0, 16)
-    zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
-    assert all(v == 0.0 for _, v in pth_root_diagnostic(zero, [1, 2, 4]))
-    rng = np.random.default_rng(29)
-    R = grid.cutoff
-    for _ in range(10):
-        state = State(t=0.0, xi=rng.random(16), gel_mass=0.0, grid=grid)
-        number = moment(state, 0)
-        for p, value in pth_root_diagnostic(state, [1, 2, 4, 16]):
-            # the cutoff bounds the sequence up to the number normalization
-            assert value <= R * max(1.0, number) ** (1.0 / p) * (1.0 + 1e-12)
-        # with total number at most one the cutoff itself is the bound
-        unit = State(t=0.0, xi=state.xi / number, gel_mass=0.0, grid=grid)
-        for _, value in pth_root_diagnostic(unit, [1, 2, 4, 16]):
-            assert value <= R * (1.0 + 1e-12)
-    with pytest.raises(InvalidInputError):
-        pth_root_diagnostic(zero, [0.5])
 

@@ -1,12 +1,20 @@
 """Explicit-solution values and the brute-force weak-form cross-check."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ohslab import BaglandSolution, ConstantKernel, GridSpec, SimConfig, UniformOn
+from ohslab import (
+    BaglandSolution,
+    ConstantKernel,
+    GridSpec,
+    PowerSumKernel,
+    SimConfig,
+    UniformOn,
+)
 from ohslab.errors import InvalidInputError
-from ohslab.grid import build
+from ohslab.grid import build, project_initial
 from ohslab.moments import (
     CappedIdentity,
     CappedPower,
@@ -17,6 +25,7 @@ from ohslab.moments import (
     GROSS_GUARD,
     EPS_FLOOR,
 )
+from ohslab import oracle
 from ohslab.oracle import brute_force_weak_rhs, l1_error, project_state
 from ohslab.solver import KernelTables, RunResult
 
@@ -110,14 +119,132 @@ def test_brute_force_trivial_cases(bagland_runs):
     assert brute_force_weak_rhs(result.states, kernel, CappedIdentity(8.0)) == 0.0
 
 
-@pytest.mark.parametrize("lam", [1.0, 2.5])
-def test_brute_force_agrees_with_vectorized_quadrature(bagland_runs, lam):
+def test_brute_force_all_zero_records(bagland_runs):
     result, _ = bagland_runs[256]
-    test = CappedIdentity(lam)
-    internal, gross = weak_rhs_quadrature(result, test, 1.0)
+    zero = [replace(st, xi=np.zeros_like(st.xi)) for st in result.states[:5]]
+    assert brute_force_weak_rhs(zero, result.config.kernel, CappedIdentity(1.0)) == 0.0
+
+
+def test_brute_force_rejects_mixed_grids(bagland_runs):
+    coarse, _ = bagland_runs[256]
+    fine, _ = bagland_runs[512]
+    with pytest.raises(InvalidInputError):
+        brute_force_weak_rhs([coarse.states[0], fine.states[1]], coarse.config.kernel,
+                             CappedIdentity(1.0))
+
+
+def _fixture_run(request, fixture):
+    run = request.getfixturevalue(fixture)
+    return run[256][0] if fixture == "bagland_runs" else run
+
+
+ORACLE_FIXTURES = ["bagland_runs", "powersum_run", "massconserving_run"]
+TEST_KINDS = pytest.mark.parametrize(
+    "make_test", [CappedIdentity, lambda lam: CappedPower(2, lam)], ids=["identity", "power"]
+)
+
+
+def _relative_gap(a, b, internal, gross):
+    """|a - b| over the denominator of the check's oracle agreement."""
+    return abs(a - b) / max(abs(internal), abs(b), GROSS_GUARD * gross, EPS_FLOOR)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+@TEST_KINDS
+@pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
+def test_brute_force_agrees_with_vectorized_quadrature(request, fixture, make_test, lam):
+    result = _fixture_run(request, fixture)
+    test = make_test(lam)
+    internal, gross = weak_rhs_quadrature(result, test, result.series.times()[-1])
     brute = brute_force_weak_rhs(result.states, result.config.kernel, test)
-    denom = max(abs(internal), abs(brute), GROSS_GUARD * gross, EPS_FLOOR)
-    assert abs(internal - brute) / denom <= 1e-10
+    assert _relative_gap(internal, brute, internal, gross) <= 1e-10
+
+
+def _per_row_reference(states, kernel, test):
+    """The oracle as a per-row loop: one kernel call per occupied row per record."""
+    if len(states) < 2:
+        return 0.0
+    times = np.array([st.t for st in states])
+    sums = np.empty(len(states))
+    for k, st in enumerate(states):
+        grid = st.grid
+        mid, dx, xi = grid.midpoints, grid.widths, st.xi
+        total = 0.0
+        for i in range(1, grid.ncells):
+            if xi[i] == 0.0:
+                continue
+            smaller = mid[:i]
+            terms = (
+                test.varpi1(mid[i], smaller)
+                * kernel.eval(mid[i], smaller)
+                * xi[i] * xi[:i] * dx[i] * dx[:i]
+            )
+            total += float(np.sum(terms))
+        sums[k] = total
+    return float(np.trapezoid(sums, times))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@TEST_KINDS
+@pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
+def test_brute_force_matches_per_row_reference(request, fixture, make_test, lam):
+    result = _fixture_run(request, fixture)
+    test = make_test(lam)
+    internal, gross = weak_rhs_quadrature(result, test, result.series.times()[-1])
+    reference = _per_row_reference(result.states, result.config.kernel, test)
+    brute = brute_force_weak_rhs(result.states, result.config.kernel, test)
+    assert reference != 0.0
+    assert _relative_gap(reference, brute, internal, gross) <= 1e-13
+
+
+class _CountingKernel:
+    """Forwards ``eval`` to a kernel and counts the calls."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0
+
+    def eval(self, mu, nu):
+        self.calls += 1
+        return self.kernel.eval(mu, nu)
+
+
+def test_brute_force_builds_its_table_once(bagland_runs):
+    result, _ = bagland_runs[256]
+    kernel = _CountingKernel(result.config.kernel)
+    brute_force_weak_rhs(result.states, kernel, CappedIdentity(1.0))
+    assert kernel.calls == 1
+
+
+def test_brute_force_row_blocks_sum_to_one_table(bagland_runs, monkeypatch):
+    result, _ = bagland_runs[256]
+    test = CappedIdentity(1.0)
+    whole = brute_force_weak_rhs(result.states, result.config.kernel, test)
+    occupied = max(int(np.flatnonzero(st.xi)[-1]) + 1 for st in result.states)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 8 * occupied * 5)  # five rows a block
+    kernel = _CountingKernel(result.config.kernel)
+    blocked = brute_force_weak_rhs(result.states, kernel, test)
+    assert kernel.calls == -(-(occupied - 1) // 5)
+    assert abs(blocked - whole) <= 1e-13 * abs(whole)
+    reference = _per_row_reference(result.states, result.config.kernel, test)
+    assert abs(blocked - reference) <= 1e-13 * abs(reference)
+
+
+def test_brute_force_memory_is_bounded_by_its_row_blocks():
+    grid = build("uniform", 8.0, 4096)
+    full = project_initial(grid, UniformOn(0.0, 8.0, 1.0))
+    states = [replace(full, t=t) for t in (0.0, 0.5, 1.0)]
+    kernel = PowerSumKernel(1.0, 1.5)
+    for test in (CappedIdentity(4.0), CappedPower(2, 4.0)):
+        tracemalloc.start()
+        try:
+            value = brute_force_weak_rhs(states, kernel, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value < 0.0
+        # one dense 4096 x 4096 table alone would take 128 MiB
+        assert peak < 40 * 2**20
 
 
 def test_projected_solution_satisfies_weak_form_under_refinement(capsys):
