@@ -41,7 +41,10 @@ EXIT_NUMERICAL_FAILURE = 3
 
 def _out_dir(args, default):
     out = Path(args.out) if args.out else Path(default)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError("cannot use %s as output directory: %s" % (out, exc)) from exc
     return out
 
 

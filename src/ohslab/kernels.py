@@ -34,7 +34,7 @@ Every kernel is also a short sum of separable terms on ordered pairs:
     Lambda(mid_i, mid_j) = sum_k a_k[i] * b_k[j]   for j <= i
 
 on increasing sizes ``mid``, so pair sums over a triangle reduce to prefix
-sums, all of them in ``solver.KernelTables`` (``moments.moment_rhs`` calls
+sums, all of them in ``solver.KernelTables`` (``moments.pair_sums`` calls
 its ``pair_sum``).  Every factor is nonnegative.
 """
 from __future__ import annotations
@@ -295,10 +295,7 @@ class CertificationReport:
             "n_samples": self.n_samples,
             "passed": self.passed,
             "n_violations": len(self.violations),
-            "violations": [
-                {"mu": v.mu, "nu": v.nu, "value": v.value, "lower": v.lower, "upper": v.upper}
-                for v in self.violations[:32]
-            ],
+            "violations": [asdict(v) for v in self.violations[:32]],
         }
 
 

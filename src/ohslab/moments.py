@@ -9,11 +9,11 @@ On top of these the module checks, against simulated states:
 
 * the Hoelder interpolation bound (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1)
   with sigma = (beta - 1)/(r - 1), which holds for every nonnegative density;
-* the moment evolution identity dM^r/dt = sum of (r*nu*mu^(r-1) - nu^r) * Lambda
-  over ordered pairs nu < mu, whose integrand is nonnegative for r >= 2,
-  summed in O(N) by the run's ``solver.KernelTables.pair_sum``;
-* the weak-form identity with Lipschitz capped test functions, using
-  varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu), summed the same way.
+* the weak-form identity with a test function varpi, whose right side sums
+  varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu) against Lambda over ordered
+  pairs nu < mu, in O(N) on the run's ``solver.KernelTables`` (``pair_sums``);
+* the moment evolution identity, the weak form tested with ``Power(r)`` =
+  mu^r, whose pair weight r*nu*mu^(r-1) - nu^r is nonnegative for r >= 2.
 
 Both identities carry the boundary term of the mass that crossed the cutoff,
 taken from the bookkept gel mass at the last midpoint xbar_{N-1}.
@@ -161,35 +161,56 @@ def _signed_pair_sum(tables, w, terms):
     return value, gross
 
 
-def moment_rhs(state, tables, r):
-    """Quadrature of the moment-evolution integrand over ordered pairs nu < mu.
-
-    Every term (r*nu*mu^(r-1) - nu^r) with nu < mu and r >= 2 is nonnegative,
-    so the result is nonnegative (diagonal pairs are excluded to match the
-    open inner integration range).  It is evaluated as the difference of two
-    pair sums of nonnegative terms, gain - loss, where loss <= gain / r holds
-    term by term; the roundoff of either sum is far below that margin, so the
-    difference stays nonnegative in floating point as well.  ``tables`` are
-    the ``solver.KernelTables`` of the state's grid and kernel.
+def pair_sums(states, tables, test):
+    """(value, gross) of ``test``'s pair quadrature at every state, as a
+    (len(states), 2) array: the sum of varpi1 * Lambda * xi * xi * dx * dx
+    over pairs nu < mu, O(N) on the states' ``solver.KernelTables``.
     """
-    if r < 2:
-        raise InvalidInputError("moment evolution quadrature needs r >= 2")
-    g = state.grid
-    mid = g.midpoints
-    terms = ((1.0, r * mid ** (r - 1.0), mid), (-1.0, 1.0, mid**r))
-    return _signed_pair_sum(tables, state.xi * g.widths, terms)[0]
+    grid = states[0].grid
+    terms = test.pair_terms(grid.midpoints)
+    return np.array([_signed_pair_sum(tables, state.xi * grid.widths, terms)
+                     for state in states])
 
 
-class _CappedTest:
+class _PairTest:
+    """A test function varpi with its pair weight
+    varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu)."""
+
+    def varpi1(self, mu, nu):
+        return np.asarray(nu, dtype=float) * self.deriv(mu) - self.value(nu)
+
+    def pair_terms(self, mid):
+        """varpi1 on pairs nu < mu: the gain nu * varpi'(mu) and the loss varpi(nu)."""
+        return ((1.0, self.deriv(mid), mid), (-1.0, 1.0, self.value(mid)))
+
+
+class Power(_PairTest):
+    """The moment test function mu**r, uncapped, r >= 2.
+
+    Its pair weight r*nu*mu^(r-1) - nu^r is nonnegative on pairs nu < mu:
+    the loss sum is at most 1/r of the gain sum term by term, far above
+    either sum's roundoff, so the quadrature stays nonnegative in floats too.
+    """
+
+    def __init__(self, r):
+        if r < 2:
+            raise InvalidInputError("moment evolution quadrature needs r >= 2")
+        self.r = r
+
+    def value(self, mu):
+        return np.asarray(mu, dtype=float) ** self.r
+
+    def deriv(self, mu):
+        return self.r * np.asarray(mu, dtype=float) ** (self.r - 1.0)
+
+
+class _CappedTest(_PairTest):
     """A Lipschitz test function constant from the cap lam on."""
 
     def __init__(self, lam):
         if not (np.isfinite(lam) and lam > 0):
             raise InvalidInputError("cap must be positive")
         self.lam = float(lam)
-
-    def varpi1(self, mu, nu):
-        return np.asarray(nu, dtype=float) * self.deriv(mu) - self.value(nu)
 
 
 class CappedIdentity(_CappedTest):
@@ -243,44 +264,23 @@ class CappedPower(_CappedTest):
             np.where(mu >= self.lam, 0.0, blend),
         )
 
-    def pair_terms(self, mid):
-        """varpi1 on pairs nu < mu: the gain nu * varpi'(mu) and the loss varpi(nu)."""
-        return ((1.0, self.deriv(mid), mid), (-1.0, 1.0, self.value(mid)))
-
 
 def _require_replay(run):
     """Raise unless the run carries the state snapshots and kernel tables replays sum on."""
-    if run.states is None or run.tables is None:
+    if not run.states or run.tables is None:
         raise InvalidInputError("run was recorded without state snapshots or kernel tables")
 
 
-def _record_index(run, t):
-    times = run.series.times()
-    if times.size == 0:
-        raise InsufficientRecordsError("run has no records")
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise InvalidInputError("time %g does not match any record time" % t)
-    return idx
+def weak_rhs_quadrature(run, test):
+    """Time-integrated pair quadrature of the weak form over the whole replay.
 
-
-def weak_rhs_quadrature(run, test, t):
-    """Time-integrated pair quadrature of the weak form up to the record at t.
-
-    Per record the sum of varpi1 * Lambda * xi * xi * dx * dx over pairs
-    nu < mu, O(N) on the run's ``tables`` through the test function's
-    ``pair_terms``, integrated in time with the trapezoid rule over the
-    recorded cadence.  Returns (value, gross); gross scales roundoff guards.
+    The ``pair_sums`` of every record, integrated in time with the trapezoid
+    rule over the recorded cadence; 0 on a one-record run.  Returns
+    (value, gross).
     """
     _require_replay(run)
-    idx = _record_index(run, t)
-    times = run.series.times()[: idx + 1]
-    if idx == 0:
-        return 0.0, 0.0
-    grid = run.states[0].grid
-    terms = test.pair_terms(grid.midpoints)
-    sums = np.array([_signed_pair_sum(run.tables, state.xi * grid.widths, terms)
-                     for state in run.states[: idx + 1]])
+    sums = pair_sums(run.states, run.tables, test)
+    times = run.series.times()
     return float(np.trapezoid(sums[:, 0], times)), float(np.trapezoid(sums[:, 1], times))
 
 
@@ -290,8 +290,8 @@ class WeakFormResult(NamedTuple):
     gross: float
 
 
-def weak_form_residual(run, test, t):
-    """Relative mismatch of the two sides of the weak identity at a record time.
+def weak_form_residual(run, test):
+    """Relative mismatch of the two sides of the weak identity at the last record.
 
     Left side: integral of varpi against xi(t) - xi(0), plus the boundary
     term varpi(xbar) / xbar * (gel(t) - gel(0)) with xbar = xbar_{N-1}, the
@@ -303,11 +303,10 @@ def weak_form_residual(run, test, t):
     gross that ``weak_rhs_quadrature`` gave: |quadrature| for
     ``CappedIdentity``, whose one pair term keeps its sign, and gain + loss,
     the roundoff scale of its two pair sums and an upper bound of the
-    unsigned sum, for ``CappedPower``.
+    unsigned sum, for ``CappedPower`` and ``Power``.
     """
-    rhs, gross_rhs = weak_rhs_quadrature(run, test, t)
-    idx = _record_index(run, t)
-    first, at_t = run.states[0], run.states[idx]
+    rhs, gross_rhs = weak_rhs_quadrature(run, test)
+    first, at_t = run.states[0], run.states[-1]
     g = first.grid
     phi = test.value(g.midpoints)
     xbar = g.midpoints[-1]
@@ -340,10 +339,7 @@ def moment_residual(run, r):
         raise InvalidInputError("moment residual needs records at uniform cadence")
     xbar = run.states[0].grid.midpoints[-1]
     mr = np.array([moment(s, r) + xbar ** (r - 1.0) * s.gel_mass for s in run.states])
-    worst = 0.0
-    for k in range(1, times.size - 1):
-        rate = (mr[k + 1] - mr[k - 1]) / (times[k + 1] - times[k - 1])
-        rhs = moment_rhs(run.states[k], run.tables, r)
-        worst = max(worst, abs(rate - rhs) / max(abs(rhs), EPS_FLOOR))
-    return worst
+    rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
+    rhs = pair_sums(run.states[1:-1], run.tables, Power(r))[:, 0]
+    return float(np.max(np.abs(rate - rhs) / np.maximum(np.abs(rhs), EPS_FLOOR)))
 

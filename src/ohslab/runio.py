@@ -50,6 +50,10 @@ def read_moments_csv(path):
     if not rows:
         raise InvalidInputError("%s is empty" % path)
     header, body = rows[0], rows[1:]
+    for line, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise InvalidInputError("%s line %d has %d cells, the header %d"
+                                    % (path, line, len(row), len(header)))
     try:
         data = np.array([[float(cell) for cell in row] for row in body])
     except ValueError as exc:

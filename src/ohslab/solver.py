@@ -39,8 +39,8 @@ reversed prefix sum,
 so a right-hand side costs O(N) time and memory (a handful of terms per
 kernel) instead of two dense N x N matrix-vector products.  Since all factors
 are nonnegative the sums carry no cancellation.  The moment and weak-form
-quadratures (``moments.moment_rhs``, ``moments.weak_rhs_quadrature``) sum
-over the same factors, built once per run, through ``KernelTables.pair_sum``.
+quadratures (``moments.pair_sums``) sum over the same factors, built once
+per run, through ``KernelTables.pair_sum``.
 
 A step allocates little beyond what it returns.  ``KernelTables`` keeps a
 scratch array for the prefix sums, which runs two of them per complex add,

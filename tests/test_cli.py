@@ -7,6 +7,7 @@ import pytest
 from ohslab import ConstantKernel
 from ohslab.cli import main
 from ohslab.config import SimConfig
+from ohslab.errors import InvalidInputError
 from ohslab.gelation import gelation_time
 from ohslab.moments import MomentRecord, MomentSeries
 from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
@@ -273,6 +274,51 @@ def test_check_fails_a_stored_csv_that_lacks_a_column_or_row(
     assert stored["status"] == "fail"
     assert stored["details"]["header_matches"] is header_matches
     assert stored["details"]["rows_match"] is False
+
+
+def test_check_rejects_a_stored_csv_row_with_a_missing_cell(checked_run_dir, tmp_path):
+    def edit(lines):
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        return lines
+
+    tampered = _copy_run_dir(checked_run_dir, tmp_path / "tampered", edit)
+    with pytest.raises(InvalidInputError, match="line 4 has 6 cells, the header 7"):
+        read_moments_csv(tampered / "moments.csv")
+    assert main(["--quiet", "check", str(tampered)]) == 2
+    assert not (tampered / "check_report.json").exists()
+
+
+def test_check_passes_on_a_run_whose_domain_empties(tmp_path):
+    # the one spike sits in the last cell, so the first step books it all as gel
+    payload = {
+        "kernel": {"kind": "constant", "value": 1.0},
+        "grid": {"kind": "uniform", "R": 2.0, "N": 8},
+        "initial": {"kind": "cell_spike", "index": 7, "mass": 1.0},
+        "t_end": 1.0,
+        "cfl": 1.0,
+        "dt_max": 10.0,
+        "record_cadence": 0.5,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 0
+    data = read_moments_csv(out / "moments.csv")
+    assert list(data["M1"][1:]) == [0.0, 0.0]
+    assert main(["--quiet", "check", str(out)]) == 0
+    report = json.loads((out / "check_report.json").read_text())
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--workers", "1"], ["check"],
+], ids=["simulate", "sweep", "check"])
+def test_unusable_out_path_is_invalid_input(tmp_path, command):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    for out in (blocker, blocker / "sub"):
+        assert main(["--quiet", command[0], str(cfg), "--out", str(out), *command[1:]]) == 2
+    assert blocker.read_text() == "not a directory"
 
 
 def test_check_certification_failure_for_constant_kernel(tmp_path):

@@ -17,10 +17,11 @@ from ohslab.moments import (
     CappedIdentity,
     CappedPower,
     MomentSeries,
+    Power,
     holder_check,
     moment,
     moment_residual,
-    moment_rhs,
+    pair_sums,
     truncated_moment,
     weak_form_residual,
     weak_rhs_quadrature,
@@ -106,9 +107,9 @@ def test_moment_rhs_trivial_cases():
     grid = build("uniform", 4.0, 16)
     tables = KernelTables(grid, ConstantKernel(1.0))
     zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
-    assert moment_rhs(zero, tables, 2) == 0.0
+    assert pair_sums([zero], tables, Power(2))[0, 0] == 0.0
     spike = project_initial(grid, CellSpike(0, 1.0))
-    assert moment_rhs(spike, tables, 2) == 0.0  # no ordered pairs
+    assert pair_sums([spike], tables, Power(2))[0, 0] == 0.0  # no ordered pairs
 
 
 def test_moment_rhs_converges_to_analytic_value():
@@ -116,7 +117,7 @@ def test_moment_rhs_converges_to_analytic_value():
     errors = []
     for N in (256, 512, 1024):
         state = block_state(N=N)
-        value = moment_rhs(state, KernelTables(state.grid, ConstantKernel(1.0)), 2)
+        value = pair_sums([state], KernelTables(state.grid, ConstantKernel(1.0)), Power(2))[0, 0]
         errors.append(abs(value - 2.0 / 3.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.01
@@ -129,7 +130,7 @@ def test_moment_rhs_nonnegative_on_random_states():
     for r in (2, 3, 5):
         for _ in range(10):
             state = State(t=0.0, xi=rng.random(48), gel_mass=0.0, grid=grid)
-            assert moment_rhs(state, tables, r) >= 0.0
+            assert pair_sums([state], tables, Power(r))[0, 0] >= 0.0
 
 
 def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
@@ -187,6 +188,16 @@ def test_capped_identity_shape():
     assert test.varpi1(1.5, 0.7) == 0.0
 
 
+def test_power_is_the_uncapped_moment_test_function():
+    test = Power(3)
+    mu = np.array([0.5, 2.0, 40.0])
+    assert np.array_equal(test.value(mu), mu**3)
+    assert np.array_equal(test.deriv(mu), 3 * mu**2.0)
+    assert test.varpi1(2.0, 0.5) == 0.5 * 12.0 - 0.125  # r*nu*mu^(r-1) - nu^r
+    with pytest.raises(InvalidInputError, match="needs r >= 2"):
+        Power(1.5)
+
+
 def test_capped_power_is_c1_with_compact_derivative():
     test = CappedPower(2, 1.0)
     x0, lam, eps = 1.0 - test.w, 1.0, 1e-7
@@ -200,44 +211,44 @@ def test_capped_power_is_c1_with_compact_derivative():
     assert np.allclose(test.value(mu), mu**2)
 
 
-def test_weak_residual_zero_at_t0(bagland_runs):
-    result, _ = bagland_runs[256]
-    assert weak_form_residual(result, CappedIdentity(1.0), 0.0).residual == 0.0
+def test_weak_residual_zero_at_t0():
+    result = small_run(t_end=0.0)  # one record, at t = 0
+    assert len(result.states) == 1
+    assert weak_form_residual(result, CappedIdentity(1.0)).residual == 0.0
 
 
 def test_weak_residual_mass_test_function_nullifies(bagland_runs):
     # cap above the support: the boundary term cancels the domain mass change
     result, _ = bagland_runs[512]
-    residual = weak_form_residual(result, CappedIdentity(result.config.grid.R), 1.0).residual
+    residual = weak_form_residual(result, CappedIdentity(result.config.grid.R)).residual
     assert residual <= 1e-6
-    value, _ = weak_rhs_quadrature(result, CappedIdentity(result.config.grid.R), 1.0)
+    value, _ = weak_rhs_quadrature(result, CappedIdentity(result.config.grid.R))
     assert value == 0.0
 
 
 def test_weak_residual_returns_its_quadrature(bagland_runs):
     result, _ = bagland_runs[256]
-    res = weak_form_residual(result, CappedIdentity(1.0), 1.0)
-    assert (res.quadrature, res.gross) == weak_rhs_quadrature(result, CappedIdentity(1.0), 1.0)
+    res = weak_form_residual(result, CappedIdentity(1.0))
+    assert (res.quadrature, res.gross) == weak_rhs_quadrature(result, CappedIdentity(1.0))
     assert res.residual > 0.0
 
 
 def test_weak_residual_active_cap(bagland_runs):
     result, _ = bagland_runs[1024]
-    assert weak_form_residual(result, CappedIdentity(1.0), 1.0).residual <= 0.05
-    assert weak_form_residual(result, CappedPower(2, 1.0), 1.0).residual <= 0.05
+    assert weak_form_residual(result, CappedIdentity(1.0)).residual <= 0.05
+    assert weak_form_residual(result, CappedPower(2, 1.0)).residual <= 0.05
 
 
 def test_weak_residual_shrinks_with_refinement(bagland_runs):
-    coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0), 1.0).residual
-    fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0), 1.0).residual
+    coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0)).residual
+    fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0)).residual
     assert fine < coarse
 
 
 def test_weak_residual_carries_the_boundary_outflow(powersum_run):
     series = powersum_run.series
     assert series.gel()[-1] / series.rho0() > 0.6
-    t_end = series.times()[-1]
-    assert weak_form_residual(powersum_run, CappedIdentity(2.0), t_end).residual <= 0.05
+    assert weak_form_residual(powersum_run, CappedIdentity(2.0)).residual <= 0.05
 
 
 def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config():
@@ -252,18 +263,10 @@ def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config()
 @pytest.mark.parametrize("missing", ["states", "tables"])
 def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
     stripped = replace(powersum_run, **{missing: None})
-    t_end = float(powersum_run.series.times()[-1])
     for replay in (
-        lambda: weak_rhs_quadrature(stripped, CappedIdentity(2.0), t_end),
-        lambda: weak_form_residual(stripped, CappedIdentity(2.0), t_end),
+        lambda: weak_rhs_quadrature(stripped, CappedIdentity(2.0)),
+        lambda: weak_form_residual(stripped, CappedIdentity(2.0)),
         lambda: moment_residual(stripped, 2),
     ):
         with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
             replay()
-
-
-def test_weak_residual_unknown_time(bagland_runs):
-    result, _ = bagland_runs[256]
-    with pytest.raises(InvalidInputError):
-        weak_form_residual(result, CappedIdentity(1.0), 0.5554)
-
