@@ -58,7 +58,7 @@ def _write_run_artifacts(out, result):
         error=result.error,
         extra={
             "outputs": ["moments.csv", "final_state.json"],
-            "grid_edges": [float(e) for e in result.final_state.grid.edges],
+            "grid_edges": result.final_state.grid.edges,
         },
     )
 
@@ -76,8 +76,12 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    report, runs = gelation.cutoff_sweep(load_config(args.config), workers=args.workers)
+    cfg = load_config(args.config)
+    if cfg.sweep is None:
+        raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
+    # The output directory is checked before any row runs.
     out = _out_dir(args, Path(args.config).with_suffix(""))
+    report, runs = gelation.cutoff_sweep(cfg, workers=args.workers)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in report.rows:

@@ -2,6 +2,13 @@
 
 CSV files use '.' decimals, no thousands separators, and 17 significant
 digits, so identical configs produce bit-identical, diff-able outputs.
+
+JSON files are the bytes of ``json.dump(payload, indent=2)`` and a newline.
+The indenting encoder runs in pure Python, so a top-level value that is a
+1-D float ndarray (a density or the grid edges) goes through the C encoder
+instead: ``json.dumps(a.tolist())`` with each ", " broken onto its own
+indented line, which is the same text.  Every other value is
+``json.dumps(value, indent=2)`` indented one level.
 """
 from __future__ import annotations
 
@@ -63,17 +70,31 @@ def read_moments_csv(path):
     return {label: data[:, k] for k, label in enumerate(header)}
 
 
+def _render(value):
+    """A top-level value as ``json.dump(indent=2)`` writes it, one level in."""
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        items = json.dumps(value.tolist())[1:-1]
+        return "[\n    %s\n  ]" % items.replace(", ", ",\n    ") if items else "[]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def _dump_json(path, payload):
+    """Write a dict with str keys as ``json.dump(payload, indent=2)`` would, and a newline."""
+    if payload:
+        items = ",\n  ".join("%s: %s" % (json.dumps(key), _render(value))
+                              for key, value in payload.items())
+        text = "{\n  %s\n}\n" % items
+    else:
+        text = "{}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_final_state_json(path, state):
     payload = {
         "t": state.t,
-        "edges": [float(e) for e in state.grid.edges],
-        "xi": [float(x) for x in state.xi],
+        "edges": state.grid.edges,
+        "xi": state.xi,
         "gel_mass": state.gel_mass,
         "clamped_mass": state.clamped_mass,
     }

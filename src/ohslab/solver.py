@@ -44,12 +44,13 @@ per run, through ``KernelTables.pair_sum``.
 
 A step allocates little beyond what it returns.  ``KernelTables`` keeps a
 scratch array for the prefix sums, which runs two of them per complex add,
-and the edge fluxes with their zero inflow set once; ``step`` writes the
-Euler update into the k1 array it is handed; the finiteness test and the
-clamp test are one pass each.  The arrays ``rhs`` returns are new, so a
-later call leaves them alone.  The scratch makes a ``KernelTables`` unsafe
-to share between threads: each run, and so each sweep row in its worker,
-builds its own.
+and the edge fluxes with their zero inflow set once, with views of the
+current window's length; ``step`` writes the Euler update into the k1 array
+it is handed, padded with zeros to the whole grid while the window is
+shorter; the finiteness test and the clamp test are one pass each.  The
+arrays ``rhs`` returns are new, so a later call leaves them alone.  The
+scratch makes a ``KernelTables`` unsafe to share between threads: each run,
+and so each sweep row in its worker, builds its own.
 
 The Euler update of cell i is
 
@@ -65,6 +66,26 @@ step; since the upwind front moves one cell per step, fewer steps also leave
 less spurious mass ahead of it.  On a uniform grid with contiguous support
 and a constant kernel the maximum lies inside the support, so the bound
 equals the global one bit for bit.
+
+``run`` steps only an active window, the first n cells, with n = N once the
+window reaches the top.  A stage moves the upwind front at most one cell,
+since a cell's update reads only itself and the cell below, so the shortest
+window whose top two cells are empty (the last occupied cell + 3 cells at
+the start) grows by at most the stage count each step (1 for Euler, 2 for
+Heun): a bound on it needs no search.  The window ends up to WINDOW_SLACK
+cells above that bound and is extended when the bound reaches its end, so
+its top two cells, and every cell above it, are empty.  On such a prefix the work is exact, not approximate: the forward
+prefix sum of the drift is the whole grid's prefix; the reversed loss sum
+over the empty cells above adds only +0.0; the flux out of the window's top
+cell, and with it the boundary outflow, is 0.0; and the whole grid's update
+above the window is exactly 0.0, which ``step`` writes there.  The
+stable-step mask is False above the window, so the bound is the whole
+grid's too.  Every result is therefore the whole grid's bit for bit, and a
+step costs O(n), not O(N).  The contract: ``rhs``,
+``KernelTables.velocity`` and ``loss`` take their length from xi, which is
+a prefix whose top cell is empty with every cell above it empty;
+``stable_dt`` takes it from the parts and ``step`` from k1, a prefix whose
+top two cells are empty.  Their state is always the whole grid's.
 
 Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
@@ -86,6 +107,10 @@ logger = logging.getLogger(__name__)
 
 #: Relative clamped-mass budget before a run is declared unstable.
 CLAMP_BUDGET = 1e-8
+
+#: Empty cells the active window runs ahead of the front, so its views are
+#: rebuilt once per this many cells of front motion instead of every step.
+WINDOW_SLACK = 32
 
 
 @dataclass(eq=False)
@@ -112,8 +137,9 @@ class KernelTables:
     columns are paired into one complex column: a complex add is two
     independent float adds, so one ``np.add.accumulate`` advances two prefix
     sums per element with the same bits as two.  An odd K > 1 gets a zero
-    column as its partner.  The scratch makes a table unsafe to share between
-    threads: every run builds its own.
+    column as its partner.  A call on n < N cells (the active window) works on
+    views of the first n rows of the scratch, factors and fluxes.  The scratch
+    makes a table unsafe to share between threads: every run builds its own.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -135,25 +161,51 @@ class KernelTables:
         K = len(terms)
         # A single term stays real: a zero partner costs more than pairing saves.
         width = K + K % 2 if K > 1 else 1
-        self._scratch = np.zeros((mid.size, width))
-        self._columns = tuple(self._scratch[:, k] for k in range(K))
-        chains = self._scratch.view(np.complex128) if width > 1 else self._scratch
-        self._forward, self._backward = chains, chains[::-1]
         # The outer factors in the scratch's layout; a padding column stays zero.
         outer = np.zeros((2, mid.size, width))
         outer[0, :, :K], outer[1, :, :K] = a.T, b.T
-        self._drift = (outer[0], tuple(b * mid * dx))
-        self._loss = (outer[1], tuple(a * gaps))
-        # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
-        self._flux = np.zeros(mid.size + 1)
-        self._inflow, self._outflow = self._flux[:-1], self._flux[1:]
-        self._absorbed = np.empty(mid.size)
-        self._zeros = np.zeros(mid.size)
+        self._full = {
+            "scratch": np.zeros((mid.size, width)),
+            "drift": (outer[0], tuple(b * mid * dx)),
+            "loss": (outer[1], tuple(a * gaps)),
+            # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
+            "flux": np.zeros(mid.size + 1),
+            "absorbed": np.empty(mid.size),
+            "zeros": np.zeros(mid.size),
+        }
+        self._fit(mid.size)
+
+    def _fit(self, n):
+        """Point the scratch and factor views at the first n cells.
+
+        Callers refit only when their length differs from ``_n``, so at a
+        fixed n (the whole grid, once the window spans it) a call costs one
+        comparison; a refit costs about as much as stepping a few hundred
+        cells.
+        """
+        full = self._full
+        self._n = n
+        self._scratch = scratch = full["scratch"][:n]
+        self._columns = tuple(scratch[:, k] for k in range(len(self._terms[0])))
+        chains = scratch.view(np.complex128) if scratch.shape[1] > 1 else scratch
+        self._forward, self._backward = chains, chains[::-1]
+        outer, inner = full["drift"]
+        self._drift = (outer[:n], tuple(f[:n] for f in inner))
+        outer, inner = full["loss"]
+        self._loss = (outer[:n], tuple(f[:n] for f in inner))
+        flux = full["flux"][:n + 1]
+        self._inflow, self._outflow = flux[:-1], flux[1:]
+        self._absorbed, self._zeros = full["absorbed"][:n], full["zeros"][:n]
+        self._widths = self.grid.widths[:n]
 
     def velocity(self, xi):
+        if xi.size != self._n:
+            self._fit(xi.size)
         return self._sum_terms(self._drift, xi, self._forward)
 
     def loss(self, xi):
+        if xi.size != self._n:
+            self._fit(xi.size)
         return self._sum_terms(self._loss, xi, self._backward)
 
     def _sum_terms(self, factors, xi, chains):
@@ -190,21 +242,25 @@ def rhs(tables, xi):
     Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
     roundoff on every admissible state (summation-by-parts identity).  The
     returned arrays are new; only the tables' scratch is reused.
+
+    xi may be a prefix of the grid's cells (the active window) whose top
+    cell is empty, with every cell above it empty; the parts and dxi are
+    then those of the whole grid's first len(xi) cells.
     """
-    grid = tables.grid
     v = tables.velocity(xi)
     L = tables.loss(xi)
     outflow = tables._outflow
     np.multiply(v, xi, out=outflow)
     dxi = np.subtract(tables._inflow, outflow)
-    np.divide(dxi, grid.widths, out=dxi)
+    np.divide(dxi, tables._widths, out=dxi)
     absorbed = tables._absorbed
     np.multiply(xi, L, out=absorbed)
     np.subtract(dxi, absorbed, out=dxi)
     # The outflow F[-1] enters dxi[-1] (L, xi >= 0), so this also catches it.
     if not _all_finite(dxi, tables):
         raise NumericalFailureError("non-finite right-hand side")
-    out = float(grid.midpoints[-1] * outflow[-1])
+    # A window's top cell is empty, so its outflow, and this rate, is 0.0.
+    out = float(tables.grid.midpoints[-1] * outflow[-1])
     return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
 
 
@@ -217,15 +273,23 @@ def stable_dt(state, parts, cfl, dt_max=math.inf):
     drive the cell negative; the two-cell margin covers the cell a Heun
     predictor fills.  An empty state has no rate; the configured dt_max is
     returned instead.
+
+    ``parts`` may cover an active window, a prefix of the grid whose top two
+    cells are empty; the maximum then runs over that prefix, which holds
+    every cell of the mask.
     """
     if not (0 < cfl <= 1):
         raise InvalidInputError("cfl must lie in (0, 1]")
+    n = parts.velocity.size
+    xi, widths = state.xi, state.grid.widths
+    if n < xi.size:
+        xi, widths = xi[:n], widths[:n]
     # occupied[i + 2] = xi_i > 0, behind two empty cells below the grid.
-    occupied = np.zeros(state.xi.size + 2, dtype=bool)
-    np.greater(state.xi, 0.0, out=occupied[2:])
+    occupied = np.zeros(n + 2, dtype=bool)
+    np.greater(xi, 0.0, out=occupied[2:])
     front = occupied[2:] | occupied[1:-1]
     front |= occupied[:-2]
-    rate = np.divide(parts.velocity, state.grid.widths)
+    rate = np.divide(parts.velocity, widths)
     np.add(rate, parts.loss, out=rate)
     peak = float(np.maximum.reduce(rate, where=front, initial=0.0))
     if peak <= 0.0:
@@ -243,9 +307,13 @@ def _all_finite(x, tables):
 
 
 def _clamp(grid, xi):
-    """Zero the negative cells of xi in place; returns the mass this creates."""
+    """Zero the negative cells of xi (a prefix of the grid's cells) in place.
+
+    Returns the mass this creates.
+    """
     neg = xi < 0
-    created = -float(np.sum(grid.midpoints[neg] * xi[neg] * grid.widths[neg]))
+    n = xi.size
+    created = -float(np.sum(grid.midpoints[:n][neg] * xi[neg] * grid.widths[:n][neg]))
     logger.debug("clamped %d negative cells (mass %.3e)", int(neg.sum()), created)
     xi[neg] = 0.0
     return created
@@ -258,31 +326,45 @@ def step(state, tables, dt, first_stage, scheme="euler"):
     already evaluated for the step-size bound.  The step takes it over: the
     Euler update is written into its k1 array, which becomes the new state's
     density, so the caller must not use k1 afterwards.
+
+    A first stage over an active window (a prefix whose top two cells are
+    empty) steps that prefix only; the new density is zero above it, where
+    the whole grid's update is exactly 0.0.
     """
     if dt < 0 or not math.isfinite(dt):
         raise InvalidInputError("step size must be finite and >= 0")
     parts1, k1 = first_stage
     grid = state.grid
+    xi = state.xi
+    n = k1.size
+    if n < xi.size:
+        xi = xi[:n]
+    if n != tables._n:
+        tables._fit(n)
     if scheme == "euler":
         xi_new = np.multiply(k1, dt, out=k1)
-        np.add(state.xi, xi_new, out=xi_new)
+        np.add(xi, xi_new, out=xi_new)
         gel_inc = dt * parts1.boundary_outflow_rate
     elif scheme == "heun":
         predictor = np.multiply(k1, dt)
-        np.add(state.xi, predictor, out=predictor)
+        np.add(xi, predictor, out=predictor)
         # No NaN here (xi and k1 are finite), so the minimum shows a negative cell.
         if np.minimum.reduce(predictor) < 0:
             _clamp(grid, predictor)
         parts2, k2 = rhs(tables, predictor)
         xi_new = np.add(k1, k2, out=k2)
         np.multiply(xi_new, 0.5 * dt, out=xi_new)
-        np.add(state.xi, xi_new, out=xi_new)
+        np.add(xi, xi_new, out=xi_new)
         gel_inc = 0.5 * dt * (parts1.boundary_outflow_rate + parts2.boundary_outflow_rate)
     else:
         raise InvalidInputError("unknown scheme %r" % (scheme,))
     if not _all_finite(xi_new, tables):
         raise NumericalFailureError("non-finite density after step")
     created = _clamp(grid, xi_new) if np.minimum.reduce(xi_new) < 0 else 0.0
+    if n < state.xi.size:
+        whole = np.zeros(state.xi.size)
+        whole[:n] = xi_new
+        xi_new = whole
     return State(
         t=state.t + dt,
         xi=xi_new,
@@ -351,15 +433,27 @@ def run(config, capture_states=False):
     failed, error = False, None
     steps = 0
     tables = None
+    # The active window is cells [0, n), n >= front.  Cells [front - 2, N)
+    # are empty: a stage moves the upwind front at most one cell, so front
+    # grows by the stage count per step.  n runs up to WINDOW_SLACK ahead.
+    N = grid.ncells
+    occupied = np.flatnonzero(state.xi)
+    front = (occupied[-1] if occupied.size else -1) + 3
+    n = min(N, front + WINDOW_SLACK)
+    stages = 2 if cfg.scheme == "heun" else 1
     try:
         tables = KernelTables(grid, cfg.kernel)
         for t_next in _record_times(cfg.t_end, cfg.record_cadence):
             while t_next - state.t > time_eps:
-                parts, k1 = rhs(tables, state.xi)
+                parts, k1 = rhs(tables, state.xi if n == N else state.xi[:n])
                 dt = stable_dt(state, parts, cfg.cfl, cfg.dt_max)
                 dt = min(dt, t_next - state.t)
                 state = step(state, tables, dt, (parts, k1), scheme=cfg.scheme)
                 steps += 1
+                if n < N:
+                    front += stages
+                    if front > n:
+                        n = min(N, front + WINDOW_SLACK)
                 if state.clamped_mass > budget:
                     raise NumericalFailureError(
                         "clamped mass %.3e exceeds budget %.3e (unstable run)"

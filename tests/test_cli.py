@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ohslab import ConstantKernel
+from ohslab import ConstantKernel, solver
 from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.errors import InvalidInputError
@@ -312,13 +312,16 @@ def test_check_passes_on_a_run_whose_domain_empties(tmp_path):
 @pytest.mark.parametrize("command", [
     ["simulate"], ["sweep", "--workers", "1"], ["check"],
 ], ids=["simulate", "sweep", "check"])
-def test_unusable_out_path_is_invalid_input(tmp_path, command):
+def test_unusable_out_path_is_invalid_input(tmp_path, command, monkeypatch):
     cfg = write_config(tmp_path, POWERSUM_SWEEP)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda *args, **kwargs: runs.append(args))
     for out in (blocker, blocker / "sub"):
         assert main(["--quiet", command[0], str(cfg), "--out", str(out), *command[1:]]) == 2
     assert blocker.read_text() == "not a directory"
+    assert runs == []  # the output directory is refused before any run
 
 
 def test_check_certification_failure_for_constant_kernel(tmp_path):

@@ -9,6 +9,10 @@ except the sign of a zero in dxi/dt, which never reaches a state.  The
 scratch is shared between calls, so the tests also check that nothing a call
 returns is overwritten by a later one, and that non-finite input still fails
 with the same error and no warning the reference does not give.
+
+``run`` steps only an active window, a prefix of the cells whose top two are
+empty; the window properties check that every call on such a prefix gives
+the whole grid's result bit for bit.
 """
 import math
 import warnings
@@ -191,18 +195,78 @@ def test_step_path_is_bitwise_the_reference(case, dt_factor, scheme):
     assert_same_state(new, old)
 
 
+@st.composite
+def windows(draw):
+    """A case whose density is empty from cell n - 2 up, and the window n < N."""
+    kernel, grid, xi = draw(cases())
+    n = draw(st.integers(2, xi.size - 1))
+    xi[n - 2:] = 0.0
+    return kernel, grid, xi, n
+
+
+def stepped(state, tables, dt, stage, scheme):
+    """The new state of a step, or the message of the failure it raises."""
+    try:
+        return step(state, tables, dt, stage, scheme=scheme)
+    except NumericalFailureError as exc:
+        return str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(windows(), st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
+    kernel, grid, xi, n = case
+    tables = KernelTables(grid, kernel)
+    whole, dxi = copy_stage(rhs(tables, xi))
+    parts, window_dxi = rhs(tables, xi[:n])
+    assert same_bits(parts.velocity, whole.velocity[:n])
+    assert same_bits(parts.loss, whole.loss[:n])
+    assert np.array_equal(window_dxi, dxi[:n])  # only the sign of a zero may differ
+    assert same_bits(parts.boundary_outflow_rate, 0.0)
+    assert same_bits(whole.boundary_outflow_rate, 0.0)
+
+    state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
+    bound = stable_dt(state, parts, 0.9, dt_max=2.0)
+    assert same_bits(bound, stable_dt(state, whole, 0.9, dt_max=2.0))
+
+    # a factor above 1 oversteps the bound, so the clamp is exercised too
+    dt = dt_factor * bound
+    window_stage = (parts, window_dxi)
+    for scheme in ("euler", "heun"):
+        old = stepped(state, tables, dt, copy_stage((whole, dxi)), scheme)
+        new = stepped(state, tables, dt, copy_stage(window_stage), scheme)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert_same_state(new, old)
+
+
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
-@pytest.mark.parametrize("kernel, grid", [
-    (PowerSumKernel(1.0, 1.5), GridSpec("uniform", 2.0, 64)),
-    (MassConservingKernel(1.0, 1.5, "half_sum", 0.5), GridSpec("geometric", 4.0, 96, q=1.03)),
-])
-def test_run_is_bitwise_the_reference_loop(kernel, grid, scheme):
+@pytest.mark.parametrize("kernel, grid, initial, below_R", [
+    (PowerSumKernel(1.0, 1.5), GridSpec("uniform", 2.0, 64), UniformOn(0.5, 1.0, 1.0), False),
+    (MassConservingKernel(1.0, 1.5, "half_sum", 0.5), GridSpec("geometric", 4.0, 96, q=1.03),
+     UniformOn(0.5, 1.0, 1.0), False),
+    (ConstantKernel(1.0), GridSpec("uniform", 8.0, 128), UniformOn(0.0, 1.0, 1.0), True),
+], ids=["kernel0-grid0", "kernel1-grid1", "support_below_R"])
+def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, below_R, scheme, monkeypatch):
     cfg = SimConfig(
-        kernel=kernel, grid=grid, initial=UniformOn(0.5, 1.0, 1.0),
+        kernel=kernel, grid=grid, initial=initial,
         t_end=0.5, record_cadence=0.25, scheme=scheme, cfl=0.9,
     )
+    real_rhs, windows_seen = solver.rhs, []
+
+    def spy(tables, xi):
+        windows_seen.append(xi.size)
+        return real_rhs(tables, xi)
+
+    monkeypatch.setattr(solver, "rhs", spy)
     result = solver.run(cfg, capture_states=True)
-    assert not result.failed and result.final_state.gel_mass > 0.0
+    assert not result.failed
+    if below_R:
+        # the support stays far below R, so the run steps a shorter window
+        assert min(windows_seen) < grid.N
+    else:
+        assert result.final_state.gel_mass > 0.0
     resolved = result.config
     state = project_initial(resolved.grid.build(), resolved.initial)
     ref = ReferenceTables(state.grid, kernel)
