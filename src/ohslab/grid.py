@@ -66,9 +66,11 @@ def build(kind, R, N, q=None):
     N : int
         Cell count, >= 2.
     q : float, optional
-        Width ratio for geometric grids, > 1.  The first width is chosen so
-        the geometric sum of widths equals R.
+        Width ratio for geometric grids, > 1, and for no other kind.  The
+        first width is chosen so the geometric sum of widths equals R.
     """
+    if q is not None and kind != "geometric":
+        raise InvalidInputError("grid ratio q applies only to a geometric grid")
     if not (np.isfinite(R) and R > 0):
         raise InvalidInputError("grid cutoff R must be positive")
     N = int(N)

@@ -117,11 +117,14 @@ def write_manifest(path, config, status="ok", error=None, extra=None):
 def read_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise InvalidInputError("cannot read manifest %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError("manifest %s is not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(manifest, dict):
+        raise InvalidInputError("manifest %s is not a JSON object" % path)
+    return manifest
 
 
 def write_json(path, payload):

@@ -44,13 +44,12 @@ per run, through ``KernelTables.pair_sum``.
 
 A step allocates little beyond what it returns.  ``KernelTables`` keeps a
 scratch array for the prefix sums, which runs two of them per complex add,
-and the edge fluxes with their zero inflow set once, with views of the
-current window's length; ``step`` writes the Euler update into the k1 array
-it is handed, padded with zeros to the whole grid while the window is
-shorter; the finiteness test and the clamp test are one pass each.  The
-arrays ``rhs`` returns are new, so a later call leaves them alone.  The
-scratch makes a ``KernelTables`` unsafe to share between threads: each run,
-and so each sweep row in its worker, builds its own.
+and the edge fluxes with their zero inflow set once; ``step`` writes the
+Euler update into the k1 array it is handed; the finiteness test and the
+clamp test are one pass each.  The arrays ``rhs`` returns are new, so a
+later call leaves them alone.  The scratch makes a ``KernelTables`` unsafe
+to share between threads: each run, and so each sweep row in its worker,
+builds its own.
 
 The Euler update of cell i is
 
@@ -67,25 +66,25 @@ less spurious mass ahead of it.  On a uniform grid with contiguous support
 and a constant kernel the maximum lies inside the support, so the bound
 equals the global one bit for bit.
 
-``run`` steps only an active window, the first n cells, with n = N once the
-window reaches the top.  A stage moves the upwind front at most one cell,
-since a cell's update reads only itself and the cell below, so the shortest
-window whose top two cells are empty (the last occupied cell + 3 cells at
-the start) grows by at most the stage count each step (1 for Euler, 2 for
-Heun): a bound on it needs no search.  The window ends up to WINDOW_SLACK
-cells above that bound and is extended when the bound reaches its end, so
-its top two cells, and every cell above it, are empty.  On such a prefix the work is exact, not approximate: the forward
-prefix sum of the drift is the whole grid's prefix; the reversed loss sum
-over the empty cells above adds only +0.0; the flux out of the window's top
-cell, and with it the boundary outflow, is 0.0; and the whole grid's update
-above the window is exactly 0.0, which ``step`` writes there.  The
-stable-step mask is False above the window, so the bound is the whole
-grid's too.  Every result is therefore the whole grid's bit for bit, and a
-step costs O(n), not O(N).  The contract: ``rhs``,
-``KernelTables.velocity`` and ``loss`` take their length from xi, which is
-a prefix whose top cell is empty with every cell above it empty;
-``stable_dt`` takes it from the parts and ``step`` from k1, a prefix whose
-top two cells are empty.  Their state is always the whole grid's.
+``run`` steps only an active window, the grid of the first n cells
+(``KernelTables.prefix``), with n = N once the window reaches the top.  A
+stage moves the upwind front at most one cell, since a cell's update reads
+only itself and the cell below, so the shortest window whose top two cells
+are empty (the last occupied cell + 3 cells at the start) grows by at most
+the stage count each step (1 for Euler, 2 for Heun): a bound on it needs no
+search.  The window ends up to WINDOW_SLACK cells above that bound and is
+extended when the bound reaches its end, so its top two cells, and every
+cell above it, are empty.  The whole grid's step is then exactly the
+window's step padded with empty cells: the window's midpoints, widths and
+factors are the whole grid's, but for the top cell's loss gap, which
+multiplies that empty cell either way; the reversed loss sum over the empty
+cells above adds only +0.0; the flux out of the window's top cell, and with
+it the boundary outflow, is 0.0; and the whole grid's update above the
+window is exactly 0.0.  Every result is therefore the whole grid's bit for
+bit, and a step costs O(n), not O(N).  Only ``run`` knows of the window: it
+moves the state onto the window's grid and pads it back to N cells at every
+record; ``rhs``, ``stable_dt`` and ``step`` work on whole arrays of the
+grid they are given.
 
 Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
@@ -100,7 +99,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .grid import State, project_initial
+from .grid import SizeGrid, State, project_initial
 from .moments import MomentSeries
 
 logger = logging.getLogger(__name__)
@@ -108,7 +107,7 @@ logger = logging.getLogger(__name__)
 #: Relative clamped-mass budget before a run is declared unstable.
 CLAMP_BUDGET = 1e-8
 
-#: Empty cells the active window runs ahead of the front, so its views are
+#: Empty cells the active window runs ahead of the front, so its tables are
 #: rebuilt once per this many cells of front motion instead of every step.
 WINDOW_SLACK = 32
 
@@ -137,9 +136,8 @@ class KernelTables:
     columns are paired into one complex column: a complex add is two
     independent float adds, so one ``np.add.accumulate`` advances two prefix
     sums per element with the same bits as two.  An odd K > 1 gets a zero
-    column as its partner.  A call on n < N cells (the active window) works on
-    views of the first n rows of the scratch, factors and fluxes.  The scratch
-    makes a table unsafe to share between threads: every run builds its own.
+    column as its partner.  The scratch makes a table unsafe to share between
+    threads: every run builds its own.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -148,64 +146,56 @@ class KernelTables:
     """
 
     def __init__(self, grid, kernel):
-        mid, dx = grid.midpoints, grid.widths
+        mid = grid.midpoints
         kernel.eval(mid, mid)
         with np.errstate(over="ignore"):
             terms = kernel.separable_terms(mid)
             a = np.array([np.broadcast_to(f, mid.shape) for f, _ in terms], dtype=float)
             b = np.array([np.broadcast_to(f, mid.shape) for _, f in terms], dtype=float)
+        self._lay_out(grid, a, b)
+
+    def _lay_out(self, grid, a, b):
+        """Set the weights, scratch and fluxes for the factor rows a, b on grid."""
+        mid, dx = grid.midpoints, grid.widths
         self.grid = grid
+        self._terms = (a, b)
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
-        self._terms = (a, b)
-        K = len(terms)
+        K = len(a)
         # A single term stays real: a zero partner costs more than pairing saves.
         width = K + K % 2 if K > 1 else 1
         # The outer factors in the scratch's layout; a padding column stays zero.
         outer = np.zeros((2, mid.size, width))
         outer[0, :, :K], outer[1, :, :K] = a.T, b.T
-        self._full = {
-            "scratch": np.zeros((mid.size, width)),
-            "drift": (outer[0], tuple(b * mid * dx)),
-            "loss": (outer[1], tuple(a * gaps)),
-            # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
-            "flux": np.zeros(mid.size + 1),
-            "absorbed": np.empty(mid.size),
-            "zeros": np.zeros(mid.size),
-        }
-        self._fit(mid.size)
-
-    def _fit(self, n):
-        """Point the scratch and factor views at the first n cells.
-
-        Callers refit only when their length differs from ``_n``, so at a
-        fixed n (the whole grid, once the window spans it) a call costs one
-        comparison; a refit costs about as much as stepping a few hundred
-        cells.
-        """
-        full = self._full
-        self._n = n
-        self._scratch = scratch = full["scratch"][:n]
-        self._columns = tuple(scratch[:, k] for k in range(len(self._terms[0])))
-        chains = scratch.view(np.complex128) if scratch.shape[1] > 1 else scratch
+        self._drift = (outer[0], tuple(b * mid * dx))
+        self._loss = (outer[1], tuple(a * gaps))
+        self._scratch = scratch = np.zeros((mid.size, width))
+        self._columns = tuple(scratch[:, k] for k in range(K))
+        chains = scratch.view(np.complex128) if width > 1 else scratch
         self._forward, self._backward = chains, chains[::-1]
-        outer, inner = full["drift"]
-        self._drift = (outer[:n], tuple(f[:n] for f in inner))
-        outer, inner = full["loss"]
-        self._loss = (outer[:n], tuple(f[:n] for f in inner))
-        flux = full["flux"][:n + 1]
+        # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
+        flux = np.zeros(mid.size + 1)
         self._inflow, self._outflow = flux[:-1], flux[1:]
-        self._absorbed, self._zeros = full["absorbed"][:n], full["zeros"][:n]
-        self._widths = self.grid.widths[:n]
+        self._absorbed = np.empty(mid.size)
+        self._zeros = np.zeros(mid.size)
+
+    def prefix(self, n):
+        """The tables of the grid of the first n cells; these tables at n = N.
+
+        The factor rows are reused, with no kernel call; the scratch and
+        fluxes are new.
+        """
+        if n == self.grid.ncells:
+            return self
+        a, b = self._terms
+        tables = object.__new__(KernelTables)
+        tables._lay_out(SizeGrid(self.grid.edges[:n + 1]), a[:, :n], b[:, :n])
+        return tables
 
     def velocity(self, xi):
-        if xi.size != self._n:
-            self._fit(xi.size)
         return self._sum_terms(self._drift, xi, self._forward)
 
     def loss(self, xi):
-        if xi.size != self._n:
-            self._fit(xi.size)
         return self._sum_terms(self._loss, xi, self._backward)
 
     def _sum_terms(self, factors, xi, chains):
@@ -242,24 +232,19 @@ def rhs(tables, xi):
     Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
     roundoff on every admissible state (summation-by-parts identity).  The
     returned arrays are new; only the tables' scratch is reused.
-
-    xi may be a prefix of the grid's cells (the active window) whose top
-    cell is empty, with every cell above it empty; the parts and dxi are
-    then those of the whole grid's first len(xi) cells.
     """
     v = tables.velocity(xi)
     L = tables.loss(xi)
     outflow = tables._outflow
     np.multiply(v, xi, out=outflow)
     dxi = np.subtract(tables._inflow, outflow)
-    np.divide(dxi, tables._widths, out=dxi)
+    np.divide(dxi, tables.grid.widths, out=dxi)
     absorbed = tables._absorbed
     np.multiply(xi, L, out=absorbed)
     np.subtract(dxi, absorbed, out=dxi)
     # The outflow F[-1] enters dxi[-1] (L, xi >= 0), so this also catches it.
     if not _all_finite(dxi, tables):
         raise NumericalFailureError("non-finite right-hand side")
-    # A window's top cell is empty, so its outflow, and this rate, is 0.0.
     out = float(tables.grid.midpoints[-1] * outflow[-1])
     return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
 
@@ -273,23 +258,16 @@ def stable_dt(state, parts, cfl, dt_max=math.inf):
     drive the cell negative; the two-cell margin covers the cell a Heun
     predictor fills.  An empty state has no rate; the configured dt_max is
     returned instead.
-
-    ``parts`` may cover an active window, a prefix of the grid whose top two
-    cells are empty; the maximum then runs over that prefix, which holds
-    every cell of the mask.
     """
     if not (0 < cfl <= 1):
         raise InvalidInputError("cfl must lie in (0, 1]")
-    n = parts.velocity.size
-    xi, widths = state.xi, state.grid.widths
-    if n < xi.size:
-        xi, widths = xi[:n], widths[:n]
+    xi = state.xi
     # occupied[i + 2] = xi_i > 0, behind two empty cells below the grid.
-    occupied = np.zeros(n + 2, dtype=bool)
+    occupied = np.zeros(xi.size + 2, dtype=bool)
     np.greater(xi, 0.0, out=occupied[2:])
     front = occupied[2:] | occupied[1:-1]
     front |= occupied[:-2]
-    rate = np.divide(parts.velocity, widths)
+    rate = np.divide(parts.velocity, state.grid.widths)
     np.add(rate, parts.loss, out=rate)
     peak = float(np.maximum.reduce(rate, where=front, initial=0.0))
     if peak <= 0.0:
@@ -307,13 +285,9 @@ def _all_finite(x, tables):
 
 
 def _clamp(grid, xi):
-    """Zero the negative cells of xi (a prefix of the grid's cells) in place.
-
-    Returns the mass this creates.
-    """
+    """Zero the negative cells of xi in place; returns the mass this creates."""
     neg = xi < 0
-    n = xi.size
-    created = -float(np.sum(grid.midpoints[:n][neg] * xi[neg] * grid.widths[:n][neg]))
+    created = -float(np.sum(grid.midpoints[neg] * xi[neg] * grid.widths[neg]))
     logger.debug("clamped %d negative cells (mass %.3e)", int(neg.sum()), created)
     xi[neg] = 0.0
     return created
@@ -326,21 +300,12 @@ def step(state, tables, dt, first_stage, scheme="euler"):
     already evaluated for the step-size bound.  The step takes it over: the
     Euler update is written into its k1 array, which becomes the new state's
     density, so the caller must not use k1 afterwards.
-
-    A first stage over an active window (a prefix whose top two cells are
-    empty) steps that prefix only; the new density is zero above it, where
-    the whole grid's update is exactly 0.0.
     """
     if dt < 0 or not math.isfinite(dt):
         raise InvalidInputError("step size must be finite and >= 0")
     parts1, k1 = first_stage
     grid = state.grid
     xi = state.xi
-    n = k1.size
-    if n < xi.size:
-        xi = xi[:n]
-    if n != tables._n:
-        tables._fit(n)
     if scheme == "euler":
         xi_new = np.multiply(k1, dt, out=k1)
         np.add(xi, xi_new, out=xi_new)
@@ -361,10 +326,6 @@ def step(state, tables, dt, first_stage, scheme="euler"):
     if not _all_finite(xi_new, tables):
         raise NumericalFailureError("non-finite density after step")
     created = _clamp(grid, xi_new) if np.minimum.reduce(xi_new) < 0 else 0.0
-    if n < state.xi.size:
-        whole = np.zeros(state.xi.size)
-        whole[:n] = xi_new
-        xi_new = whole
     return State(
         t=state.t + dt,
         xi=xi_new,
@@ -394,6 +355,16 @@ class RunResult:
     tables: KernelTables = None
 
 
+def _on_grid(state, grid):
+    """The state on grid, a grid sharing its first cells; new cells are empty."""
+    if grid is state.grid:
+        return state
+    xi = np.zeros(grid.ncells)
+    m = min(xi.size, state.xi.size)
+    xi[:m] = state.xi[:m]
+    return replace(state, xi=xi, grid=grid)
+
+
 def _record_times(t_end, cadence):
     if t_end <= 0:
         return []
@@ -412,6 +383,7 @@ def run(config, capture_states=False):
     Records the moment series at the configured cadence (always including
     t = 0 and t_end) and is deterministic given the config.  On numerical
     failure the partial series is returned with the failure marker set.
+    Recorded states and the final state are on the whole grid.
     """
     cfg = config.resolved()
     grid = cfg.grid.build()
@@ -436,34 +408,41 @@ def run(config, capture_states=False):
     # The active window is cells [0, n), n >= front.  Cells [front - 2, N)
     # are empty: a stage moves the upwind front at most one cell, so front
     # grows by the stage count per step.  n runs up to WINDOW_SLACK ahead.
+    # ``live`` is the state on the window's grid.
     N = grid.ncells
     occupied = np.flatnonzero(state.xi)
     front = (occupied[-1] if occupied.size else -1) + 3
     n = min(N, front + WINDOW_SLACK)
     stages = 2 if cfg.scheme == "heun" else 1
+    live = state
     try:
         tables = KernelTables(grid, cfg.kernel)
+        window = tables.prefix(n)
+        live = _on_grid(state, window.grid)
         for t_next in _record_times(cfg.t_end, cfg.record_cadence):
-            while t_next - state.t > time_eps:
-                parts, k1 = rhs(tables, state.xi if n == N else state.xi[:n])
-                dt = stable_dt(state, parts, cfg.cfl, cfg.dt_max)
-                dt = min(dt, t_next - state.t)
-                state = step(state, tables, dt, (parts, k1), scheme=cfg.scheme)
+            while t_next - live.t > time_eps:
+                parts, k1 = rhs(window, live.xi)
+                dt = stable_dt(live, parts, cfg.cfl, cfg.dt_max)
+                dt = min(dt, t_next - live.t)
+                live = step(live, window, dt, (parts, k1), scheme=cfg.scheme)
                 steps += 1
                 if n < N:
                     front += stages
                     if front > n:
                         n = min(N, front + WINDOW_SLACK)
-                if state.clamped_mass > budget:
+                        window = tables.prefix(n)
+                        live = _on_grid(live, window.grid)
+                if live.clamped_mass > budget:
                     raise NumericalFailureError(
                         "clamped mass %.3e exceeds budget %.3e (unstable run)"
-                        % (state.clamped_mass, budget)
+                        % (live.clamped_mass, budget)
                     )
-            state = replace(state, t=t_next)
-            record(state)
+            live = replace(live, t=t_next)
+            record(_on_grid(live, grid))
     except NumericalFailureError as exc:
-        logger.warning("run failed at t=%.6g: %s", state.t, exc)
+        logger.warning("run failed at t=%.6g: %s", live.t, exc)
         failed, error = True, str(exc)
+    state = _on_grid(live, grid)
     return RunResult(
         config=cfg, series=series, final_state=state,
         states=states, failed=failed, error=error, steps=steps, tables=tables,

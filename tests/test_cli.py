@@ -376,6 +376,15 @@ def test_check_rejects_missing_target(tmp_path):
     assert main(["--quiet", "check", str(tmp_path / "nowhere.json")]) == 2
 
 
+@pytest.mark.parametrize("manifest", ["5", "null", "[1, 2]"])
+def test_check_rejects_a_manifest_that_is_not_an_object(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(InvalidInputError, match="is not a JSON object"):
+        read_manifest(tmp_path / "manifest.json")
+    assert main(["--quiet", "check", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_failed_run_directory_reports_numerical_failure(tmp_path):
     payload = {
         "kernel": {"kind": "product", "exponent": 200.0},

@@ -101,20 +101,26 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("initial, message", [
-    ({"kind": "uniform_on", "a": 0.5, "b": 1.0, "mass": 0.0}, "initial mass must be positive"),
-    ({"kind": "uniform_on", "a": 1.0, "b": 1.0, "mass": 1.0}, "uniform_on needs 0 <= a < b"),
-    ({"kind": "uniform_on", "a": 1.0, "b": 0.5, "mass": 1.0}, "uniform_on needs 0 <= a < b"),
-    ({"kind": "table", "edges": [0.5, 1.0, 1.5], "values": [1.0, -0.5]},
+@pytest.mark.parametrize("section, value, message", [
+    ("initial", {"kind": "uniform_on", "a": 0.5, "b": 1.0, "mass": 0.0},
+     "initial mass must be positive"),
+    ("initial", {"kind": "uniform_on", "a": 1.0, "b": 1.0, "mass": 1.0},
+     "uniform_on needs 0 <= a < b"),
+    ("initial", {"kind": "uniform_on", "a": 1.0, "b": 0.5, "mass": 1.0},
+     "uniform_on needs 0 <= a < b"),
+    ("initial", {"kind": "table", "edges": [0.5, 1.0, 1.5], "values": [1.0, -0.5]},
      "table values must be finite and nonnegative"),
-    ({"kind": "table", "edges": [0.5, 1.0, 1.0], "values": [1.0, 0.5]},
+    ("initial", {"kind": "table", "edges": [0.5, 1.0, 1.0], "values": [1.0, 0.5]},
      "table edges must be strictly increasing"),
-    ({"kind": "table", "edges": [-0.5, 1.0], "values": [1.0]},
+    ("initial", {"kind": "table", "edges": [-0.5, 1.0], "values": [1.0]},
      "table edges must be strictly increasing from at least 0"),
-    ({"kind": "cell_spike", "index": -1, "mass": 1.0}, "cell_spike index -1 out of range"),
+    ("initial", {"kind": "cell_spike", "index": -1, "mass": 1.0},
+     "cell_spike index -1 out of range"),
+    ("grid", {"kind": "uniform", "R": 8.0, "N": 64, "q": 1.01},
+     "grid ratio q applies only to a geometric grid"),
 ])
-def test_bad_initial_section_exits_with_invalid_input_at_load(tmp_path, initial, message):
-    payload = dict(BASE, initial=initial)
+def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
+    payload = dict(BASE, **{section: value})
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         SimConfig.from_dict(payload)
     path = tmp_path / "bad.json"

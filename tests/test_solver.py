@@ -16,10 +16,12 @@ from ohslab import (
     UniformOn,
     solver,
 )
-from ohslab.errors import EvaluationOverflowError, InvalidInputError
+from ohslab.errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.oracle import l1_error
 from ohslab.solver import KernelTables, RhsParts, rhs, run, stable_dt, step
+
+from conftest import bagland_config
 
 RNG = np.random.default_rng(123)
 
@@ -392,3 +394,26 @@ def test_run_failure_marker_on_kernel_overflow():
     assert result.failed
     assert result.error
     assert len(result.series.records) == 1  # partial series retained
+
+
+def test_run_failure_inside_a_short_window_keeps_the_whole_grid(monkeypatch):
+    real_step, stepped = solver.step, []
+
+    def fails_at_step_50(state, *args, **kwargs):
+        if len(stepped) == 50:
+            raise NumericalFailureError("planted failure")
+        stepped.append(real_step(state, *args, **kwargs))
+        return stepped[-1]
+
+    monkeypatch.setattr(solver, "step", fails_at_step_50)
+    result = run(bagland_config(512))
+    assert result.failed and result.error == "planted failure"
+    last = stepped[-1]
+    assert last.xi.size < 512  # the window was shorter than the grid
+    final = result.final_state
+    assert final.grid is result.tables.grid and final.xi.size == 512
+    assert np.array_equal(final.xi[:last.xi.size], last.xi)
+    assert not final.xi[last.xi.size:].any()
+    assert (final.t, final.gel_mass) == (last.t, last.gel_mass)
+    records = result.series.records
+    assert 1 < len(records) and records[-1].t <= final.t < 1.0  # partial series retained

@@ -10,12 +10,14 @@ scratch is shared between calls, so the tests also check that nothing a call
 returns is overwritten by a later one, and that non-finite input still fails
 with the same error and no warning the reference does not give.
 
-``run`` steps only an active window, a prefix of the cells whose top two are
-empty; the window properties check that every call on such a prefix gives
-the whole grid's result bit for bit.
+``run`` steps only an active window, the grid of a prefix of the cells whose
+top two are empty, with ``KernelTables.prefix``; the window property checks
+that every call on such a window gives the whole grid's result bit for bit.
 """
 import math
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,13 +214,26 @@ def stepped(state, tables, dt, stage, scheme):
         return str(exc)
 
 
+def no_kernel_calls(kernel):
+    """A context in which a call to the kernel's eval or separable_terms fails."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel was called")
+
+    cls = type(kernel)
+    return mock.patch.multiple(cls, eval=forbidden, separable_terms=forbidden)
+
+
 @PROPERTY_SETTINGS
 @given(windows(), st.sampled_from([0.0, 0.5, 1.0, 4.0]))
 def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
     kernel, grid, xi, n = case
     tables = KernelTables(grid, kernel)
+    with no_kernel_calls(kernel):
+        window = tables.prefix(n)
+    assert same_bits(window.grid.edges, grid.edges[:n + 1])
+    assert tables.prefix(grid.ncells) is tables
     whole, dxi = copy_stage(rhs(tables, xi))
-    parts, window_dxi = rhs(tables, xi[:n])
+    parts, window_dxi = rhs(window, xi[:n])
     assert same_bits(parts.velocity, whole.velocity[:n])
     assert same_bits(parts.loss, whole.loss[:n])
     assert np.array_equal(window_dxi, dxi[:n])  # only the sign of a zero may differ
@@ -226,7 +241,8 @@ def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
     assert same_bits(whole.boundary_outflow_rate, 0.0)
 
     state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
-    bound = stable_dt(state, parts, 0.9, dt_max=2.0)
+    window_state = replace(state, xi=xi[:n].copy(), grid=window.grid)
+    bound = stable_dt(window_state, parts, 0.9, dt_max=2.0)
     assert same_bits(bound, stable_dt(state, whole, 0.9, dt_max=2.0))
 
     # a factor above 1 oversteps the bound, so the clamp is exercised too
@@ -234,11 +250,14 @@ def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
     window_stage = (parts, window_dxi)
     for scheme in ("euler", "heun"):
         old = stepped(state, tables, dt, copy_stage((whole, dxi)), scheme)
-        new = stepped(state, tables, dt, copy_stage(window_stage), scheme)
+        new = stepped(window_state, window, dt, copy_stage(window_stage), scheme)
         if isinstance(old, str):
             assert new == old
         else:
-            assert_same_state(new, old)
+            assert new.grid is window.grid
+            padded = np.zeros(grid.ncells)
+            padded[:n] = new.xi
+            assert_same_state(replace(new, xi=padded), old)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
