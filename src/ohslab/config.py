@@ -119,9 +119,14 @@ class SimConfig:
             raise InvalidInputError("gelation threshold epsilon must lie in (0, 1)")
         if self.dt_max is not None and not self.dt_max > 0:
             raise InvalidInputError("dt_max must be positive")
-        for m in self.moments.truncation_thresholds:
+        if not np.all(np.isfinite(self.moments.orders)):
+            raise InvalidInputError("moment orders must be finite")
+        thresholds = self.moments.truncation_thresholds
+        for m in thresholds:
             if not (0 <= m <= self.grid.R):
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
+        if len(set(thresholds)) < len(thresholds):
+            raise InvalidInputError("truncation thresholds must be distinct")
         self.grid.build()  # surfaces grid errors early
         return self
 

@@ -25,11 +25,16 @@ from .errors import InvalidInputError, SupportOutsideDomainError
 
 @dataclass(frozen=True, eq=False)
 class SizeGrid:
-    """Partition of [0, R]; immutable and shareable across workers."""
+    """Partition of [0, R]; immutable and shareable across workers.
+
+    ``power(r)`` caches the row midpoints**r per order, so every moment of
+    every state on the grid is one multiply-reduce against a row built once.
+    """
 
     edges: np.ndarray
     midpoints: np.ndarray = field(init=False, repr=False)
     widths: np.ndarray = field(init=False, repr=False)
+    _powers: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -41,9 +46,20 @@ class SizeGrid:
             raise InvalidInputError("grid must start at size 0")
         if not np.all(np.diff(edges) > 0):
             raise InvalidInputError("grid edges must be strictly increasing")
+        mid, widths = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+        mid.flags.writeable = widths.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "midpoints", 0.5 * (edges[:-1] + edges[1:]))
-        object.__setattr__(self, "widths", np.diff(edges))
+        object.__setattr__(self, "midpoints", mid)
+        object.__setattr__(self, "widths", widths)
+        self._powers[1] = mid
+
+    def power(self, r):
+        """midpoints**r, read-only, computed once per order; midpoints at r = 1."""
+        row = self._powers.get(r)
+        if row is None:
+            row = self._powers[r] = self.midpoints**r
+            row.flags.writeable = False
+        return row
 
     @property
     def ncells(self):

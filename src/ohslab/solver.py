@@ -222,8 +222,8 @@ class KernelTables:
         It leaves the scratch alone, so it may run between ``rhs`` calls.
         """
         a, b = self._terms
-        terms = ((u * a)[:, 1:] * np.cumsum(b * v, axis=1)[:, :-1]).sum(axis=1)
-        return float(np.cumsum(terms)[-1])
+        terms = np.add.reduce((u * a)[:, 1:] * np.add.accumulate(b * v, axis=1)[:, :-1], axis=1)
+        return float(np.add.accumulate(terms)[-1])
 
 
 def rhs(tables, xi):

@@ -1,0 +1,40 @@
+"""The check suite's Hoelder entry: each distinct order summed once per record."""
+import numpy as np
+
+from ohslab import checks, moments
+
+
+def per_pair_holder_entry(states):
+    """The holder_inequality entry from one holder_check(state, r, beta) per pair."""
+    worst = {"ratio": 0.0}
+    ok = True
+    for state in states:
+        if state.domain_mass() == 0.0:
+            continue
+        for r, beta in checks.HOLDER_PAIRS:
+            res = moments.holder_check(state, r, beta)
+            ok = ok and res.satisfied
+            ratio = res.lhs / res.rhs if res.rhs > 0 else np.inf
+            if ratio > worst["ratio"]:
+                worst = {"ratio": float(ratio), "t": state.t, "r": r, "beta": beta}
+    return "pass" if ok else "fail", {"pairs": list(checks.HOLDER_PAIRS), "worst": worst}
+
+
+def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch):
+    states = bagland_runs[1024][0].states
+    calls = []
+    moment = moments.moment
+
+    def counted(state, r):
+        calls.append(r)
+        return moment(state, r)
+
+    monkeypatch.setattr(moments, "moment", counted)
+    report = checks.CheckReport()
+    checks._check_holder(report, states)
+    monkeypatch.undo()
+    assert len(calls) <= 10 * len(states)
+    (entry,) = report.checks
+    assert entry.name == "holder_inequality"
+    # bit for bit: the worst ratio and its record compare with ==
+    assert (entry.status, entry.details) == per_pair_holder_entry(states)

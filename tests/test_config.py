@@ -118,6 +118,12 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
      "cell_spike index -1 out of range"),
     ("grid", {"kind": "uniform", "R": 8.0, "N": 64, "q": 1.01},
      "grid ratio q applies only to a geometric grid"),
+    ("moments", {"orders": [0, 1, float("nan")]}, "moment orders must be finite"),
+    ("moments", {"orders": [float("inf")]}, "moment orders must be finite"),
+    ("moments", {"orders": [2, float("-inf")]}, "moment orders must be finite"),
+    ("moments", {"truncation_thresholds": [2.0, 2.0]}, "truncation thresholds must be distinct"),
+    ("moments", {"truncation_thresholds": [0.5, 1, 1.0]},
+     "truncation thresholds must be distinct"),
 ])
 def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
     payload = dict(BASE, **{section: value})

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, load_config
 from ohslab.errors import (
@@ -63,6 +65,76 @@ def test_truncated_moment_limits():
     assert truncated_moment(state, 2, state.grid.cutoff) == 0.0
     # integral of 2 mu over [0.5, 1] = 0.75; threshold aligned with a cell face
     assert truncated_moment(state, 1, 0.5) == pytest.approx(0.75, abs=1e-12)
+
+
+def old_moment(state, r):
+    """The moment body before the cached power rows."""
+    g = state.grid
+    return float(np.sum(g.midpoints**r * state.xi * g.widths))
+
+
+def old_truncated_moment(state, r, m):
+    """The truncated moment body before the cached power rows."""
+    g = state.grid
+    keep = g.midpoints >= m
+    if not keep.any():
+        return 0.0
+    return float(np.sum(g.midpoints[keep] ** r * state.xi[keep] * g.widths[keep]))
+
+
+@st.composite
+def grid_states(draw):
+    """A uniform or geometric grid with a random density, gapped or not."""
+    R = draw(st.floats(0.5, 50.0))
+    N = draw(st.integers(3, 160))
+    if draw(st.booleans()):
+        grid = build("uniform", R, N)
+    else:
+        grid = build("geometric", R, N, draw(st.floats(1.001, 1.1)))
+    amount = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    xi = np.array(draw(st.lists(amount, min_size=N, max_size=N)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, N - 2))
+        xi[lo:draw(st.integers(lo + 1, N))] = 0.0
+    return State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
+
+
+@st.composite
+def thresholds(draw, grid):
+    """A threshold below, at, between or above the grid's midpoints."""
+    mid = grid.midpoints
+    k = draw(st.integers(0, mid.size - 2))
+    return draw(st.sampled_from([
+        0.0, mid[0] / 2, mid[k], 0.5 * (mid[k] + mid[k + 1]), mid[-1], grid.cutoff,
+        grid.cutoff + 1.0,
+    ]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cached_power_rows_reproduce_the_old_moment_bodies_bitwise(data):
+    state = data.draw(grid_states())
+    grid = state.grid
+    # an order, then the same order again, as the other type where it has one
+    r, twin = data.draw(st.sampled_from([
+        (1, 1.0), (2, 2.0), (2.5, 2.5), (3, 3.0), (6, 6.0), (1.0, 1), (2.0, 2), (3.0, 3),
+    ]))
+    m = data.draw(thresholds(grid))
+    assert moment(state, r) == old_moment(state, r)
+    assert truncated_moment(state, r, m) == old_truncated_moment(state, r, m)
+    row, cached = grid.power(r), len(grid._powers)
+    assert moment(state, twin) == old_moment(state, twin)
+    assert truncated_moment(state, twin, m) == old_truncated_moment(state, twin, m)
+    assert grid.power(twin) is row
+    assert len(grid._powers) == cached
+
+
+def test_power_rows_are_read_only_and_r1_is_the_midpoints():
+    grid = build("geometric", 4.0, 32, 1.05)
+    assert grid.power(1) is grid.midpoints
+    for r in (1, 2.5):
+        with pytest.raises(ValueError):
+            grid.power(r)[0] = 0.0
 
 
 def test_holder_equality_for_point_mass():

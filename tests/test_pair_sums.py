@@ -182,3 +182,26 @@ def test_euler_step_at_the_support_aware_bound_stays_nonnegative(case):
     out = step(state, tables, dt, (parts, k1))
     assert np.min(out.xi) >= 0.0
     assert out.clamped_mass <= 1e-14 * state.domain_mass()
+
+
+def cumsum_pair_sum(tables, u, v):
+    """KernelTables.pair_sum in its np.cumsum/.sum form."""
+    a, b = tables._terms
+    terms = ((u * a)[:, 1:] * np.cumsum(b * v, axis=1)[:, :-1]).sum(axis=1)
+    return float(np.cumsum(terms)[-1])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([
+    (1, ConstantKernel(1.5)),
+    (2, PowerSumKernel(1.0, 1.5)),
+    (3, MassConservingKernel(1.0, 1.5, "min", 0.5)),
+    (4, MassConservingKernel(1.0, 2.0, "half_sum", 0.5)),
+]), st.one_of(cases(), gapped_cases()))
+def test_pair_sum_equals_the_cumsum_form_for_one_to_four_terms(kernel_case, case):
+    K, kernel = kernel_case
+    _, grid, xi = case
+    tables = KernelTables(grid, kernel)
+    assert len(tables._terms[0]) == K
+    u = grid.midpoints * xi
+    assert tables.pair_sum(u, xi) == cumsum_pair_sum(tables, u, xi)
