@@ -107,16 +107,18 @@ def _check_holder(report, states):
 
 
 def _check_moment_rhs_sign(report, states, tables):
-    values = np.array([moments.pair_sums(states, tables, moments.Power(r))[:, 0]
-                       for r in SIGN_ORDERS])
+    """Add the sign check; returns {order: its pair sums at every record}."""
+    sums = {r: moments.pair_sums(states, tables, moments.Power(r))[:, 0] for r in SIGN_ORDERS}
+    values = np.array(list(sums.values()))
     ok = bool(np.all(values >= -SIGN_SLACK * np.maximum(1.0, np.abs(values))))
     least = min(0.0, float(np.min(values)))
     report.add("moment_rhs_sign", ok, {"orders": list(SIGN_ORDERS), "min_value": least})
+    return sums
 
 
-def _check_moment_residual(report, result, tol):
+def _check_moment_residual(report, result, tol, sums):
     try:
-        residual = moments.moment_residual(result, 2)
+        residual = moments.moment_residual(result, 2, sums)
     except InvalidInputError as exc:  # too few records, non-uniform cadence
         report.add("moment_residual", True, {"reason": str(exc)}, skip=True)
         return
@@ -193,8 +195,8 @@ def run_checks(result, stored=None, settings=None):
         _check_stored_csv(report, series, stored)
     _check_certification(report, result.config.kernel, settings.certification)
     _check_holder(report, result.states)
-    _check_moment_rhs_sign(report, result.states, result.tables)
-    _check_moment_residual(report, result, settings.moment_residual_tol)
+    sums = _check_moment_rhs_sign(report, result.states, result.tables)
+    _check_moment_residual(report, result, settings.moment_residual_tol, sums[2])
     _check_weak_form(report, result, settings.weak_residual_tol)
     _check_blowup_bounds(report, result)
     return report

@@ -24,6 +24,21 @@ from .kernels import KERNEL_KINDS, CertificationParams, Kernel
 SCHEMES = ("euler", "heun")
 
 
+def moment_labels(orders, thresholds):
+    """The moments.csv labels of the moment columns and the tail columns.
+
+    ``%g`` keeps six significant digits, so orders or thresholds that differ
+    only beyond them get the same label; ``SimConfig.validate`` rejects
+    those.
+    """
+    return ["M%g" % r for r in orders] + ["M1_m%g" % m for m in thresholds]
+
+
+def _recorded_orders(orders):
+    """The moment orders a run records: the configured ones, 0 and 1, sorted."""
+    return tuple(sorted({0.0, 1.0} | {float(r) for r in orders}))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Section "grid"; R and N are required."""
@@ -127,6 +142,13 @@ class SimConfig:
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
         if len(set(thresholds)) < len(thresholds):
             raise InvalidInputError("truncation thresholds must be distinct")
+        labels = moment_labels(_recorded_orders(self.moments.orders), thresholds)
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise InvalidInputError(
+                "moment orders or truncation thresholds give the column %s more than once"
+                % ", ".join(repeated)
+            )
         self.grid.build()  # surfaces grid errors early
         return self
 
@@ -140,7 +162,7 @@ class SimConfig:
         if dt_max is None:
             dt_max = 1e-2 * self.t_end if self.t_end > 0 else 1.0
         moments = MomentSpec(
-            orders=tuple(sorted({0.0, 1.0} | {float(r) for r in self.moments.orders})),
+            orders=_recorded_orders(self.moments.orders),
             truncation_thresholds=tuple(float(m) for m in self.moments.truncation_thresholds),
         )
         return replace(self, record_cadence=cadence, dt_max=dt_max, moments=moments)

@@ -328,7 +328,7 @@ def weak_form_residual(run, test):
     return WeakFormResult(residual=abs(lhs - rhs) / denom, quadrature=rhs, gross=gross_rhs)
 
 
-def moment_residual(run, r):
+def moment_residual(run, r, sums=None):
     """Max relative defect of the recorded M^r evolution against its quadrature.
 
     Uses a centered difference over uniformly spaced records and the pair
@@ -337,7 +337,9 @@ def moment_residual(run, r):
     xbar_{N-1}, the last midpoint: the M^r the boundary flux carries out in
     a step is xbar**(r-1) times that step's gel increment, so the boundary
     term is exact and what remains is the first-order consistency error of
-    the quadrature.
+    the quadrature.  ``sums``, when given, are the quadratures at every
+    record, ``pair_sums(run.states, run.tables, Power(r))[:, 0]``, which a
+    caller that has them need not sum again.
     """
     _require_replay(run)
     times = run.series.times()
@@ -349,6 +351,9 @@ def moment_residual(run, r):
     xbar = run.states[0].grid.midpoints[-1]
     mr = np.array([moment(s, r) + xbar ** (r - 1.0) * s.gel_mass for s in run.states])
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
-    rhs = pair_sums(run.states[1:-1], run.tables, Power(r))[:, 0]
+    if sums is None:
+        rhs = pair_sums(run.states[1:-1], run.tables, Power(r))[:, 0]
+    else:
+        rhs = np.asarray(sums)[1:-1]
     return float(np.max(np.abs(rate - rhs) / np.maximum(np.abs(rhs), EPS_FLOOR)))
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import moment_labels
 from .errors import InvalidInputError
 
 
@@ -28,14 +29,14 @@ def _fmt(x):
 
 def moment_columns(series):
     """Ordered (label, values) columns of a moment series."""
-    cols = [("t", series.times())]
-    for r in series.orders:
-        cols.append(("M%g" % r, series.values(r)))
-    for m in series.thresholds:
-        cols.append(("M1_m%g" % m, series.tail(m)))
-    cols.append(("gel_mass", series.gel()))
-    cols.append(("clamped_mass", series.clamped()))
-    return cols
+    values = [series.values(r) for r in series.orders]
+    values += [series.tail(m) for m in series.thresholds]
+    return [
+        ("t", series.times()),
+        *zip(moment_labels(series.orders, series.thresholds), values),
+        ("gel_mass", series.gel()),
+        ("clamped_mass", series.clamped()),
+    ]
 
 
 def write_moments_csv(path, series):

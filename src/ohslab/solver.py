@@ -42,14 +42,18 @@ are nonnegative the sums carry no cancellation.  The moment and weak-form
 quadratures (``moments.pair_sums``) sum over the same factors, built once
 per run, through ``KernelTables.pair_sum``.
 
-A step allocates little beyond what it returns.  ``KernelTables`` keeps a
-scratch array for the prefix sums, which runs two of them per complex add,
-and the edge fluxes with their zero inflow set once; ``step`` writes the
-Euler update into the k1 array it is handed; the finiteness test and the
-clamp test are one pass each.  The arrays ``rhs`` returns are new, so a
-later call leaves them alone.  The scratch makes a ``KernelTables`` unsafe
-to share between threads: each run, and so each sweep row in its worker,
-builds its own.
+A time step allocates nothing.  ``run`` hands ``step`` the tables of the
+active window (below), which own every buffer a step writes: the density in
+two halves, the current one and the one the update is written into, swapped
+once the step is taken; the two stage derivatives k1 and k2; each
+direction's prefix-sum scratch and result; the edge fluxes with their zero
+inflow set once; the step bound's rate and masks.  One ``step`` call is one
+whole time step: the stage right-hand side(s), the step bound, the update,
+the finiteness and clamp tests and the clamp budget.  Only the step's times
+and the gel and clamped masses are new Python floats; a ``State`` is built
+only at records.  The buffers make a ``KernelTables`` unsafe to share
+between threads: each run, and so each sweep row in its worker, builds its
+own.
 
 The Euler update of cell i is
 
@@ -82,19 +86,21 @@ cells above adds only +0.0; the flux out of the window's top cell, and with
 it the boundary outflow, is 0.0; and the whole grid's update above the
 window is exactly 0.0.  Every result is therefore the whole grid's bit for
 bit, and a step costs O(n), not O(N).  Only ``run`` knows of the window: it
-moves the state onto the window's grid and pads it back to N cells at every
-record; ``rhs``, ``stable_dt`` and ``step`` work on whole arrays of the
-grid they are given.
+copies the density into a grown window's buffer and pads it back to N cells
+at every record; ``rhs``, ``stable_dt`` and ``step`` work on whole arrays of
+the tables they are given.
 
 Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
 times the initial mass, which separates roundoff from genuine instability.
+A step that fails, by that budget or by a non-finite value, is not taken:
+the run ends on the last step that passed.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,17 +118,9 @@ CLAMP_BUDGET = 1e-8
 WINDOW_SLACK = 32
 
 
-@dataclass(eq=False)
-class RhsParts:
-    """Pieces of one right-hand-side evaluation (per right edge / per cell)."""
-
-    velocity: np.ndarray
-    loss: np.ndarray
-    boundary_outflow_rate: float
-
-
 class KernelTables:
-    """Separable kernel factors for one (grid, kernel) pair, built once per run.
+    """Separable kernel factors for one (grid, kernel) pair, built once per run,
+    and the buffers of a run's steps on that grid.
 
     Holds the state-independent weights of the drift prefix sums
     (a_k, b_k * xbar * dx) and of the reversed loss prefix sums
@@ -130,13 +128,19 @@ class KernelTables:
     ``velocity``/``loss``/``pair_sum`` call is one prefix sum per term and the
     terms added in order.  Setup, memory and each call are O(N).
 
-    ``velocity`` and ``loss`` sum in a preallocated (N, K) scratch array, one
-    column per term, and ``rhs`` puts its edge fluxes in a preallocated array,
-    so one right-hand side allocates only the arrays it returns.  Adjacent
+    ``velocity`` and ``loss`` each sum in a preallocated (N, K) scratch array
+    of their own, one column per term, and return their own result array: the
+    column itself for a single term, else an array the columns are added
+    into.  The next call in the same direction overwrites it.  Adjacent
     columns are paired into one complex column: a complex add is two
     independent float adds, so one ``np.add.accumulate`` advances two prefix
     sums per element with the same bits as two.  An odd K > 1 gets a zero
-    column as its partner.  The scratch makes a table unsafe to share between
+    column as its partner.
+
+    The tables also hold what ``step`` writes: ``xi``, the density of a run
+    on this grid, and its spare half; the stage derivatives k1 and k2; the
+    edge fluxes with the zero inflow at size 0 in front; and the step bound's
+    rate and masks.  The buffers make a table unsafe to share between
     threads: every run builds its own.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
@@ -155,35 +159,32 @@ class KernelTables:
         self._lay_out(grid, a, b)
 
     def _lay_out(self, grid, a, b):
-        """Set the weights, scratch and fluxes for the factor rows a, b on grid."""
+        """Set the weights and the buffers for the factor rows a, b on grid."""
         mid, dx = grid.midpoints, grid.widths
+        n = mid.size
         self.grid = grid
         self._terms = (a, b)
+        self._widths, self._top = dx, float(mid[-1])
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
-        K = len(a)
-        # A single term stays real: a zero partner costs more than pairing saves.
-        width = K + K % 2 if K > 1 else 1
-        # The outer factors in the scratch's layout; a padding column stays zero.
-        outer = np.zeros((2, mid.size, width))
-        outer[0, :, :K], outer[1, :, :K] = a.T, b.T
-        self._drift = (outer[0], tuple(b * mid * dx))
-        self._loss = (outer[1], tuple(a * gaps))
-        self._scratch = scratch = np.zeros((mid.size, width))
-        self._columns = tuple(scratch[:, k] for k in range(K))
-        chains = scratch.view(np.complex128) if width > 1 else scratch
-        self._forward, self._backward = chains, chains[::-1]
+        self._drift = _direction(a, b * mid * dx, reverse=False)
+        self._loss = _direction(b, a * gaps, reverse=True)
         # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
-        flux = np.zeros(mid.size + 1)
+        flux = np.zeros(n + 1)
         self._inflow, self._outflow = flux[:-1], flux[1:]
-        self._absorbed = np.empty(mid.size)
-        self._zeros = np.zeros(mid.size)
+        self._absorbed = np.empty(n)
+        self._zeros = np.zeros(n)
+        self.xi, self._spare = np.zeros(n), np.empty(n)
+        self._k1, self._k2 = np.empty(n), np.empty(n)
+        self._rate = np.empty(n)
+        # occupied[i + 2] = xi_i > 0, behind two cells below the grid that stay empty.
+        occupied = np.zeros(n + 2, dtype=bool)
+        self._mask = (occupied[2:], occupied[1:-1], occupied[:-2], np.empty(n, dtype=bool))
 
     def prefix(self, n):
         """The tables of the grid of the first n cells; these tables at n = N.
 
-        The factor rows are reused, with no kernel call; the scratch and
-        fluxes are new.
+        The factor rows are reused, with no kernel call; the buffers are new.
         """
         if n == self.grid.ncells:
             return self
@@ -193,63 +194,95 @@ class KernelTables:
         return tables
 
     def velocity(self, xi):
-        return self._sum_terms(self._drift, xi, self._forward)
+        """The drift v_{i+1/2} at density xi, in the drift's result array."""
+        return _sum_terms(self._drift, xi)
 
     def loss(self, xi):
-        return self._sum_terms(self._loss, xi, self._backward)
-
-    def _sum_terms(self, factors, xi, chains):
-        """A new array: sum_k outer_k * prefix-sum(inner_k * xi), the terms in order.
-
-        ``chains`` is the paired scratch (forward sums) or its reversed view
-        (backward sums); the terms are added as ``sum(axis=0)`` adds rows.
-        """
-        outer, inner = factors
-        columns = self._columns
-        for factor, column in zip(inner, columns):
-            np.multiply(factor, xi, out=column)
-        np.add.accumulate(chains, axis=0, out=chains)
-        np.multiply(outer, self._scratch, out=self._scratch)
-        total = columns[0].copy()
-        for column in columns[1:]:
-            np.add(total, column, out=total)
-        return total
+        """The loss rate L_j at density xi, in the loss's result array."""
+        return _sum_terms(self._loss, xi)
 
     def pair_sum(self, u, v):
         """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j.
 
         An exclusive prefix sum per term; the term totals are added in order.
-        It leaves the scratch alone, so it may run between ``rhs`` calls.
+        It leaves the buffers alone, so it may run between steps.  A sum that
+        overflows, or meets a non-finite value, raises NumericalFailureError
+        and warns of nothing.
         """
         a, b = self._terms
-        terms = np.add.reduce((u * a)[:, 1:] * np.add.accumulate(b * v, axis=1)[:, :-1], axis=1)
-        return float(np.add.accumulate(terms)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.add.reduce(
+                (u * a)[:, 1:] * np.add.accumulate(b * v, axis=1)[:, :-1], axis=1
+            )
+            total = float(np.add.accumulate(terms)[-1])
+        if not math.isfinite(total):
+            raise NumericalFailureError("non-finite pair sum")
+        return total
 
 
-def rhs(tables, xi):
-    """Full right-hand side at density xi: (RhsParts, dxi/dt).
+def _direction(outer, inner, reverse):
+    """The buffers of sum_k outer_k * prefix-sum(inner_k * xi), reversed or not.
 
-    Satisfies sum_i xbar_i * dxi_i * dx_i + boundary_outflow_rate = 0 to
-    roundoff on every admissible state (summation-by-parts identity).  The
-    returned arrays are new; only the tables' scratch is reused.
+    (the (inner_k, scratch column k) pairs, outer factors in the scratch's
+    layout, scratch, the paired chains the prefix sum runs over, the
+    (left, right) pairs whose sums go into the result, result).
+    """
+    K, n = outer.shape
+    # A single term stays real: a zero partner costs more than pairing saves.
+    width = K + K % 2 if K > 1 else 1
+    # A padding column of the outer factors, and so of the scratch, stays zero.
+    laid = np.zeros((n, width))
+    laid[:, :K] = outer.T
+    scratch = np.zeros((n, width))
+    chains = scratch.view(np.complex128) if width > 1 else scratch
+    columns = tuple(scratch[:, k] for k in range(K))
+    # One term is its own column; more are added into a result in order.
+    total = columns[0] if K == 1 else np.empty(n)
+    adds = tuple(zip((columns[0],) + (total,) * (K - 2), columns[1:]))
+    return (tuple(zip(inner, columns)), laid, scratch, chains[::-1] if reverse else chains,
+            adds, total)
+
+
+def _sum_terms(direction, xi):
+    """sum_k outer_k * prefix-sum(inner_k * xi) into the direction's result.
+
+    The prefix sums run forward or backward as the direction's chains do; the
+    terms are added in order, as ``sum(axis=0)`` adds rows.
+    """
+    products, outer, scratch, chains, adds, total = direction
+    for factor, column in products:
+        np.multiply(factor, xi, out=column)
+    np.add.accumulate(chains, axis=0, out=chains)
+    np.multiply(outer, scratch, out=scratch)
+    for left, right in adds:
+        np.add(left, right, out=total)
+    return total
+
+
+def rhs(tables, xi, out):
+    """The right-hand side dxi/dt at density xi, written into out (not xi).
+
+    Returns (velocity, loss, boundary_outflow_rate); the two arrays are the
+    tables' result arrays, which the next call overwrites.  Satisfies
+    sum_i xbar_i * out_i * dx_i + boundary_outflow_rate = 0 to roundoff on
+    every admissible state (summation-by-parts identity).
     """
     v = tables.velocity(xi)
     L = tables.loss(xi)
     outflow = tables._outflow
     np.multiply(v, xi, out=outflow)
-    dxi = np.subtract(tables._inflow, outflow)
-    np.divide(dxi, tables.grid.widths, out=dxi)
+    np.subtract(tables._inflow, outflow, out=out)
+    np.divide(out, tables._widths, out=out)
     absorbed = tables._absorbed
     np.multiply(xi, L, out=absorbed)
-    np.subtract(dxi, absorbed, out=dxi)
-    # The outflow F[-1] enters dxi[-1] (L, xi >= 0), so this also catches it.
-    if not _all_finite(dxi, tables):
+    np.subtract(out, absorbed, out=out)
+    # The outflow F[-1] enters out[-1] (L, xi >= 0), so this also catches it.
+    if not _all_finite(out, tables):
         raise NumericalFailureError("non-finite right-hand side")
-    out = float(tables.grid.midpoints[-1] * outflow[-1])
-    return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
+    return v, L, tables._top * float(outflow[-1])
 
 
-def stable_dt(state, parts, cfl, dt_max=math.inf):
+def stable_dt(tables, xi, velocity, loss, cfl, dt_max=math.inf):
     """Positivity-preserving step bound cfl / max_i(v_{i+1/2}/dx_i + L_i).
 
     The maximum runs over the cells that hold mass or lie within two cells
@@ -257,18 +290,17 @@ def stable_dt(state, parts, cfl, dt_max=math.inf):
     empty cell's own rate multiplies zero in the Euler update, so it cannot
     drive the cell negative; the two-cell margin covers the cell a Heun
     predictor fills.  An empty state has no rate; the configured dt_max is
-    returned instead.
+    returned instead.  The rate and the masks go into the tables' buffers.
     """
     if not (0 < cfl <= 1):
         raise InvalidInputError("cfl must lie in (0, 1]")
-    xi = state.xi
-    # occupied[i + 2] = xi_i > 0, behind two empty cells below the grid.
-    occupied = np.zeros(xi.size + 2, dtype=bool)
-    np.greater(xi, 0.0, out=occupied[2:])
-    front = occupied[2:] | occupied[1:-1]
-    front |= occupied[:-2]
-    rate = np.divide(parts.velocity, state.grid.widths)
-    np.add(rate, parts.loss, out=rate)
+    occupied, below, two_below, front = tables._mask
+    np.greater(xi, tables._zeros, out=occupied)
+    np.logical_or(occupied, below, out=front)
+    np.logical_or(front, two_below, out=front)
+    rate = tables._rate
+    np.divide(velocity, tables._widths, out=rate)
+    np.add(rate, loss, out=rate)
     peak = float(np.maximum.reduce(rate, where=front, initial=0.0))
     if peak <= 0.0:
         return dt_max
@@ -293,46 +325,49 @@ def _clamp(grid, xi):
     return created
 
 
-def step(state, tables, dt, first_stage, scheme="euler"):
-    """Advance one explicit step; gel mass grows by the stage-combined outflow.
+def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=math.inf):
+    """Advance the density ``tables.xi`` at time t by one explicit step.
 
-    ``first_stage`` is ``rhs(tables, state.xi)``, which the caller has
-    already evaluated for the step-size bound.  The step takes it over: the
-    Euler update is written into its k1 array, which becomes the new state's
-    density, so the caller must not use k1 afterwards.
+    The step size is the ``stable_dt`` bound at xi, cut to end at t_next.
+    The update is written into the spare half of the density, which becomes
+    ``tables.xi`` once it passes the finiteness test and, if it was clamped,
+    the clamped mass stays within ``budget``.  Returns the new
+    (t, gel_mass, clamped_mass); the gel mass grows by the stage-combined
+    boundary outflow.  A step that raises leaves ``tables.xi`` as it was.
     """
-    if dt < 0 or not math.isfinite(dt):
-        raise InvalidInputError("step size must be finite and >= 0")
-    parts1, k1 = first_stage
-    grid = state.grid
-    xi = state.xi
+    xi, new = tables.xi, tables._spare
     if scheme == "euler":
-        xi_new = np.multiply(k1, dt, out=k1)
-        np.add(xi, xi_new, out=xi_new)
-        gel_inc = dt * parts1.boundary_outflow_rate
+        v, L, rate = rhs(tables, xi, new)
+        dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
+        np.multiply(new, dt, out=new)
+        np.add(xi, new, out=new)
+        gel_inc = dt * rate
     elif scheme == "heun":
-        predictor = np.multiply(k1, dt)
-        np.add(xi, predictor, out=predictor)
+        k1, k2 = tables._k1, tables._k2
+        v, L, rate1 = rhs(tables, xi, k1)
+        dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
+        np.multiply(k1, dt, out=new)
+        np.add(xi, new, out=new)
         # No NaN here (xi and k1 are finite), so the minimum shows a negative cell.
-        if np.minimum.reduce(predictor) < 0:
-            _clamp(grid, predictor)
-        parts2, k2 = rhs(tables, predictor)
-        xi_new = np.add(k1, k2, out=k2)
-        np.multiply(xi_new, 0.5 * dt, out=xi_new)
-        np.add(xi, xi_new, out=xi_new)
-        gel_inc = 0.5 * dt * (parts1.boundary_outflow_rate + parts2.boundary_outflow_rate)
+        if np.minimum.reduce(new) < 0:
+            _clamp(tables.grid, new)
+        _, _, rate2 = rhs(tables, new, k2)
+        np.add(k1, k2, out=new)
+        np.multiply(new, 0.5 * dt, out=new)
+        np.add(xi, new, out=new)
+        gel_inc = 0.5 * dt * (rate1 + rate2)
     else:
         raise InvalidInputError("unknown scheme %r" % (scheme,))
-    if not _all_finite(xi_new, tables):
+    if not _all_finite(new, tables):
         raise NumericalFailureError("non-finite density after step")
-    created = _clamp(grid, xi_new) if np.minimum.reduce(xi_new) < 0 else 0.0
-    return State(
-        t=state.t + dt,
-        xi=xi_new,
-        gel_mass=state.gel_mass + gel_inc,
-        grid=grid,
-        clamped_mass=state.clamped_mass + created,
-    )
+    if np.minimum.reduce(new) < 0:
+        clamped_mass += _clamp(tables.grid, new)
+        if clamped_mass > budget:
+            raise NumericalFailureError(
+                "clamped mass %.3e exceeds budget %.3e (unstable run)" % (clamped_mass, budget)
+            )
+    tables.xi, tables._spare = new, xi
+    return t + dt, gel_mass + gel_inc, clamped_mass
 
 
 @dataclass(eq=False)
@@ -355,14 +390,11 @@ class RunResult:
     tables: KernelTables = None
 
 
-def _on_grid(state, grid):
-    """The state on grid, a grid sharing its first cells; new cells are empty."""
-    if grid is state.grid:
-        return state
-    xi = np.zeros(grid.ncells)
-    m = min(xi.size, state.xi.size)
-    xi[:m] = state.xi[:m]
-    return replace(state, xi=xi, grid=grid)
+def _whole(grid, t, xi, gel_mass, clamped_mass):
+    """A new state on grid, whose first cells hold xi and the rest are empty."""
+    padded = np.zeros(grid.ncells)
+    padded[:xi.size] = xi
+    return State(t=t, xi=padded, gel_mass=gel_mass, grid=grid, clamped_mass=clamped_mass)
 
 
 def _record_times(t_end, cadence):
@@ -382,14 +414,14 @@ def run(config, capture_states=False):
 
     Records the moment series at the configured cadence (always including
     t = 0 and t_end) and is deterministic given the config.  On numerical
-    failure the partial series is returned with the failure marker set.
-    Recorded states and the final state are on the whole grid.
+    failure the partial series is returned with the failure marker set, and
+    the final state is the last step that passed.  Recorded states and the
+    final state are new states on the whole grid.
     """
     cfg = config.resolved()
     grid = cfg.grid.build()
     state = project_initial(grid, cfg.initial).validate()
-    rho0 = state.domain_mass()
-    budget = CLAMP_BUDGET * rho0
+    budget = CLAMP_BUDGET * state.domain_mass()
     series = MomentSeries(
         orders=cfg.moments.orders, thresholds=cfg.moments.truncation_thresholds
     )
@@ -398,52 +430,48 @@ def run(config, capture_states=False):
     def record(st):
         series.append_state(st)
         if states is not None:
-            states.append(st.copy())
+            states.append(st)
 
     record(state)
     time_eps = 1e-12 * max(1.0, cfg.t_end)
+    scheme, cfl, dt_max = cfg.scheme, cfg.cfl, cfg.dt_max
+    t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
     failed, error = False, None
     steps = 0
-    tables = None
+    tables = window = None
     # The active window is cells [0, n), n >= front.  Cells [front - 2, N)
     # are empty: a stage moves the upwind front at most one cell, so front
     # grows by the stage count per step.  n runs up to WINDOW_SLACK ahead.
-    # ``live`` is the state on the window's grid.
+    # ``window`` is the tables of the window, which hold its density.
     N = grid.ncells
     occupied = np.flatnonzero(state.xi)
     front = (occupied[-1] if occupied.size else -1) + 3
     n = min(N, front + WINDOW_SLACK)
-    stages = 2 if cfg.scheme == "heun" else 1
-    live = state
+    stages = 2 if scheme == "heun" else 1
     try:
         tables = KernelTables(grid, cfg.kernel)
         window = tables.prefix(n)
-        live = _on_grid(state, window.grid)
+        window.xi[:] = state.xi[:n]
         for t_next in _record_times(cfg.t_end, cfg.record_cadence):
-            while t_next - live.t > time_eps:
-                parts, k1 = rhs(window, live.xi)
-                dt = stable_dt(live, parts, cfg.cfl, cfg.dt_max)
-                dt = min(dt, t_next - live.t)
-                live = step(live, window, dt, (parts, k1), scheme=cfg.scheme)
+            while t_next - t > time_eps:
+                t, gel, clamped = step(
+                    window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
+                )
                 steps += 1
                 if n < N:
                     front += stages
                     if front > n:
                         n = min(N, front + WINDOW_SLACK)
-                        window = tables.prefix(n)
-                        live = _on_grid(live, window.grid)
-                if live.clamped_mass > budget:
-                    raise NumericalFailureError(
-                        "clamped mass %.3e exceeds budget %.3e (unstable run)"
-                        % (live.clamped_mass, budget)
-                    )
-            live = replace(live, t=t_next)
-            record(_on_grid(live, grid))
+                        grown = tables.prefix(n)
+                        grown.xi[:window.xi.size] = window.xi
+                        window = grown
+            t = t_next
+            record(_whole(grid, t, window.xi, gel, clamped))
     except NumericalFailureError as exc:
-        logger.warning("run failed at t=%.6g: %s", live.t, exc)
+        logger.warning("run failed at t=%.6g: %s", t, exc)
         failed, error = True, str(exc)
-    state = _on_grid(live, grid)
+    final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
     return RunResult(
-        config=cfg, series=series, final_state=state,
+        config=cfg, series=series, final_state=final,
         states=states, failed=failed, error=error, steps=steps, tables=tables,
     )

@@ -1,7 +1,10 @@
-"""Shared reference runs and the acceptance-summary hook."""
+"""Shared reference runs, step helpers and the acceptance-summary hook."""
+import math
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from ohslab import (
@@ -14,7 +17,9 @@ from ohslab import (
     SweepSpec,
     UniformOn,
 )
+from ohslab import solver
 from ohslab.gelation import cutoff_sweep
+from ohslab.grid import State
 from ohslab.solver import run
 
 ACCEPTANCE_RESULTS = []
@@ -31,6 +36,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num, name, passed, detail in sorted(ACCEPTANCE_RESULTS):
         flag = "PASS" if passed else "FAIL"
         terminalreporter.write_line("[%s] %d. %s: %s" % (flag, num, name, detail))
+
+
+class Parts(NamedTuple):
+    """Velocity, loss and boundary outflow rate of one right-hand side."""
+
+    velocity: np.ndarray
+    loss: np.ndarray
+    boundary_outflow_rate: float
+
+
+def stage(tables, xi):
+    """(Parts, dxi/dt) of ``solver.rhs`` at xi, in new arrays."""
+    dxi = np.empty(xi.size)
+    v, L, rate = solver.rhs(tables, xi, dxi)
+    return Parts(v.copy(), L.copy(), rate), dxi
+
+
+def step_state(tables, state, t_next=math.inf, scheme="euler", cfl=1.0, dt_max=math.inf):
+    """One ``solver.step`` from state towards t_next on tables of its grid.
+
+    Loads the state's density into the tables and returns the new state, with
+    a copy of the density; the step size is the step bound, cut to end at
+    t_next.
+    """
+    tables.xi[:] = state.xi
+    t, gel, clamped = solver.step(
+        tables, state.t, t_next, state.gel_mass, state.clamped_mass, scheme, cfl, dt_max
+    )
+    return State(t=t, xi=tables.xi.copy(), gel_mass=gel, grid=state.grid, clamped_mass=clamped)
 
 
 def bagland_config(N, t_end=1.0, cfl=1.0):

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism, verification."""
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,22 @@ def test_check_failed_run_directory_reports_numerical_failure(tmp_path):
     assert main(["--quiet", "check", str(out)]) == 3  # replay fails the same way
     report = json.loads((out / "check_report.json").read_text())
     assert report["replay_failed"] and not report["passed"]
+
+
+def test_check_fails_numerically_on_a_pair_sum_that_overflows(tmp_path):
+    # the run takes no step, but the check's moment quadratures overflow
+    payload = {
+        "kernel": {"kind": "constant", "value": 1e300},
+        "grid": {"kind": "uniform", "R": 8.0, "N": 64},
+        "initial": {"kind": "uniform_on", "a": 0.0, "b": 1.0, "mass": 1e10},
+        "t_end": 0.0,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 0
+        assert main(["--quiet", "check", str(out)]) == 3
 
 
 def test_sweep_contains_per_row_failures(tmp_path):

@@ -124,6 +124,11 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     ("moments", {"truncation_thresholds": [2.0, 2.0]}, "truncation thresholds must be distinct"),
     ("moments", {"truncation_thresholds": [0.5, 1, 1.0]},
      "truncation thresholds must be distinct"),
+    # labels keep six significant digits; 0 and 1 are always recorded
+    ("moments", {"orders": [2, 2.0000001]}, "give the column M2 more than once"),
+    ("moments", {"orders": [1.0000001]}, "give the column M1 more than once"),
+    ("moments", {"truncation_thresholds": [1.0, 1.0000001]},
+     "give the column M1_m1 more than once"),
 ])
 def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
     payload = dict(BASE, **{section: value})

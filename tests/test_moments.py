@@ -342,3 +342,29 @@ def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
     ):
         with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
             replay()
+
+
+def test_moment_residual_takes_the_pair_sums_it_is_handed(powersum_run):
+    sums = pair_sums(powersum_run.states, powersum_run.tables, Power(2))[:, 0]
+    assert moment_residual(powersum_run, 2, sums) == moment_residual(powersum_run, 2)
+    # the interior records' sums are the ones it uses
+    planted = sums.copy()
+    planted[[0, -1]] = np.nan
+    assert moment_residual(powersum_run, 2, planted) == moment_residual(powersum_run, 2)
+
+
+def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
+    import ohslab.moments as moments_mod
+    from ohslab.checks import run_checks
+
+    real, orders = moments_mod.pair_sums, []
+
+    def counted(states, tables, test):
+        if isinstance(test, Power):
+            orders.append(test.r)
+        return real(states, tables, test)
+
+    monkeypatch.setattr(moments_mod, "pair_sums", counted)
+    names = [check.name for check in run_checks(powersum_run).checks]
+    assert "moment_residual" in names
+    assert sorted(orders) == [2, 3, 5]

@@ -12,14 +12,21 @@ The stacked (K, N) drift, loss and strict-lower pair sum are also checked bit
 for bit against per-term loops written here, and the support-aware step
 bound against the positivity it promises on densities with interior gaps.
 """
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohslab import ConstantKernel, MassConservingKernel, PowerSumKernel, ProductKernel
+from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build
 from ohslab.moments import Power, pair_sums
-from ohslab.solver import KernelTables, rhs, stable_dt, step
+from ohslab.solver import KernelTables
+
+from conftest import stage, step_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -138,7 +145,7 @@ def test_moment_pair_sum_matches_dense_sum(case, r):
 @given(cases())
 def test_summation_by_parts_identity_closes(case):
     kernel, grid, xi = case
-    parts, dxi = rhs(KernelTables(grid, kernel), xi)
+    parts, dxi = stage(KernelTables(grid, kernel), xi)
     terms = grid.midpoints * dxi * grid.widths
     residual = abs(np.sum(terms) + parts.boundary_outflow_rate)
     gross = np.sum(np.abs(terms)) + abs(parts.boundary_outflow_rate)
@@ -175,11 +182,8 @@ def test_stacked_pair_sums_equal_the_per_term_loop(case):
 def test_euler_step_at_the_support_aware_bound_stays_nonnegative(case):
     kernel, grid, xi = case
     state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
-    tables = KernelTables(grid, kernel)
-    parts, k1 = rhs(tables, xi)
     # dt_max only matters for the zero kernel, which has no rate at all
-    dt = stable_dt(state, parts, cfl=1.0, dt_max=1.0)
-    out = step(state, tables, dt, (parts, k1))
+    out = step_state(KernelTables(grid, kernel), state, math.inf, cfl=1.0, dt_max=1.0)
     assert np.min(out.xi) >= 0.0
     assert out.clamped_mass <= 1e-14 * state.domain_mass()
 
@@ -205,3 +209,15 @@ def test_pair_sum_equals_the_cumsum_form_for_one_to_four_terms(kernel_case, case
     assert len(tables._terms[0]) == K
     u = grid.midpoints * xi
     assert tables.pair_sum(u, xi) == cumsum_pair_sum(tables, u, xi)
+
+
+@pytest.mark.parametrize("u0, v0", [(1e200, 1e200), (np.inf, 1.0), (np.nan, 1.0), (1.0, -np.inf)])
+def test_a_non_finite_pair_sum_fails_without_a_warning(u0, v0):
+    grid = build("uniform", 4.0, 16)
+    tables = KernelTables(grid, ConstantKernel(1e300))
+    u, v = np.ones(16), np.ones(16)
+    u[-1], v[0] = u0, v0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+            tables.pair_sum(u, v)

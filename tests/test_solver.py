@@ -1,4 +1,5 @@
 """Right-hand-side quadratures, the mass identity, stepping, and full runs."""
+import math
 import tracemalloc
 import warnings
 
@@ -19,9 +20,9 @@ from ohslab import (
 from ohslab.errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.oracle import l1_error
-from ohslab.solver import KernelTables, RhsParts, rhs, run, stable_dt, step
+from ohslab.solver import KernelTables, run, stable_dt
 
-from conftest import bagland_config
+from conftest import bagland_config, stage, step_state
 
 RNG = np.random.default_rng(123)
 
@@ -40,13 +41,19 @@ def random_state(grid, scale=1.0, seed=0):
 
 def state_rhs(state, kernel):
     """The right-hand side at a state, on tables built for its grid."""
-    return rhs(KernelTables(state.grid, kernel), state.xi)
+    return stage(KernelTables(state.grid, kernel), state.xi)
 
 
-def fresh_step(state, kernel, dt, scheme="euler"):
-    """One step from a state, on tables and a first stage built for it."""
+def state_bound(state, kernel, cfl, dt_max=math.inf):
+    """The step bound at a state, on tables built for its grid."""
     tables = KernelTables(state.grid, kernel)
-    return step(state, tables, dt, rhs(tables, state.xi), scheme=scheme)
+    parts, _ = stage(tables, state.xi)
+    return stable_dt(tables, state.xi, parts.velocity, parts.loss, cfl, dt_max)
+
+
+def fresh_step(state, kernel, t_next=math.inf, scheme="euler", cfl=1.0):
+    """One step from a state towards t_next, on tables built for its grid."""
+    return step_state(KernelTables(state.grid, kernel), state, t_next, scheme, cfl)
 
 
 def test_empty_state_rhs_is_zero():
@@ -136,25 +143,23 @@ def test_number_loss_trend_for_block_state():
 
 def test_stable_dt_arithmetic():
     grid = build("uniform", 1.0, 2)  # widths 0.5
-    state = State(t=0.0, xi=np.ones(2), gel_mass=0.0, grid=grid)
-    parts = RhsParts(velocity=np.array([2.0, 0.0]), loss=np.zeros(2), boundary_outflow_rate=0.0)
-    assert stable_dt(state, parts, cfl=0.5) == 0.125
+    tables = KernelTables(grid, ConstantKernel(1.0))
+    velocity = np.array([2.0, 0.0])
+    assert stable_dt(tables, np.ones(2), velocity, np.zeros(2), cfl=0.5) == 0.125
 
 
 def test_stable_dt_empty_state_maps_to_dt_max():
     grid = build("uniform", 1.0, 4)
     state = State(t=0.0, xi=np.zeros(4), gel_mass=0.0, grid=grid)
-    parts, _ = state_rhs(state, ConstantKernel(1.0))
-    assert stable_dt(state, parts, cfl=0.5, dt_max=0.02) == 0.02
+    assert state_bound(state, ConstantKernel(1.0), cfl=0.5, dt_max=0.02) == 0.02
 
 
 def test_stable_dt_scales_inversely_with_density():
     grid = build("uniform", 4.0, 32)
     state = random_state(grid, seed=5)
-    parts, _ = state_rhs(state, PowerSumKernel(1.0, 1.5))
     half = State(t=0.0, xi=0.5 * state.xi, gel_mass=0.0, grid=grid)
-    parts_half, _ = state_rhs(half, PowerSumKernel(1.0, 1.5))
-    assert stable_dt(half, parts_half, 0.5) == 2.0 * stable_dt(state, parts, 0.5)
+    kernel = PowerSumKernel(1.0, 1.5)
+    assert state_bound(half, kernel, 0.5) == 2.0 * state_bound(state, kernel, 0.5)
 
 
 @pytest.mark.parametrize("N", [16, 64, 257])
@@ -165,31 +170,30 @@ def test_stable_dt_constant_kernel_contiguous_support_is_the_global_bound(N, blo
     state.xi[state.xi > 0] *= np.random.default_rng(N).uniform(0.5, 2.0, (state.xi > 0).sum())
     parts, _ = state_rhs(state, ConstantKernel(0.7))
     global_peak = np.max(parts.velocity / grid.widths + parts.loss)
-    assert stable_dt(state, parts, 0.8) == 0.8 / global_peak
+    assert state_bound(state, ConstantKernel(0.7), 0.8) == 0.8 / global_peak
 
 
 def test_stable_dt_ignores_empty_cells_beyond_the_front():
     grid = build("uniform", 4.0, 8)
-    state = State(t=0.0, xi=np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), gel_mass=0.0, grid=grid)
+    tables = KernelTables(grid, ConstantKernel(1.0))
+    xi = np.array([1.0, 0, 0, 0, 0, 0, 0, 0])
     rate = np.arange(1.0, 9.0)
-    parts = RhsParts(velocity=rate * grid.widths, loss=np.zeros(8), boundary_outflow_rate=0.0)
     # cells 0, 1 and 2 count; the larger rates of cells 3-7 multiply zero
-    assert stable_dt(state, parts, cfl=1.0) == 1.0 / 3.0
+    assert stable_dt(tables, xi, rate * grid.widths, np.zeros(8), cfl=1.0) == 1.0 / 3.0
 
 
 def test_stable_dt_rejects_bad_cfl():
     grid = build("uniform", 1.0, 4)
-    state = State(t=0.0, xi=np.zeros(4), gel_mass=0.0, grid=grid)
-    parts, _ = state_rhs(state, ConstantKernel(1.0))
+    tables = KernelTables(grid, ConstantKernel(1.0))
     for cfl in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidInputError):
-            stable_dt(state, parts, cfl)
+            stable_dt(tables, np.zeros(4), np.zeros(4), np.zeros(4), cfl)
 
 
 def test_step_dt_zero_is_identity():
     grid = build("uniform", 4.0, 32)
     state = random_state(grid, seed=2)
-    out = fresh_step(state, ConstantKernel(1.0), 0.0)
+    out = fresh_step(state, ConstantKernel(1.0), t_next=state.t)  # the step is cut to 0
     assert np.array_equal(out.xi, state.xi)
     assert out.t == state.t and out.gel_mass == state.gel_mass
 
@@ -197,7 +201,7 @@ def test_step_dt_zero_is_identity():
 def test_step_empty_state_advances_time_only():
     grid = build("uniform", 4.0, 32)
     state = State(t=0.0, xi=np.zeros(32), gel_mass=0.0, grid=grid)
-    out = fresh_step(state, ConstantKernel(1.0), 0.3)
+    out = fresh_step(state, ConstantKernel(1.0), 0.3)  # no rate: the bound is dt_max
     assert out.t == 0.3
     assert np.array_equal(out.xi, state.xi)
     assert out.gel_mass == 0.0
@@ -206,9 +210,9 @@ def test_step_empty_state_advances_time_only():
 def test_step_conserves_mass_without_outflow():
     grid = build("uniform", 4.0, 256)
     state = project_initial(grid, UniformOn(0.0, 1.0, 1.0))
-    parts, _ = state_rhs(state, ConstantKernel(1.0))
-    dt = stable_dt(state, parts, 0.5)
-    out = fresh_step(state, ConstantKernel(1.0), dt)
+    dt = state_bound(state, ConstantKernel(1.0), 0.5)
+    out = fresh_step(state, ConstantKernel(1.0), cfl=0.5)
+    assert out.t == dt
     assert out.gel_mass == 0.0  # support far from the cutoff
     assert abs(out.domain_mass() - 1.0) <= 1e-12
 
@@ -221,9 +225,7 @@ def test_step_preserves_positivity(scheme, cfl):
     state = random_state(grid, seed=9)
     tables = KernelTables(grid, kernel)
     for _ in range(50):
-        parts, k1 = rhs(tables, state.xi)
-        dt = stable_dt(state, parts, cfl)
-        state = step(state, tables, dt, (parts, k1), scheme=scheme)
+        state = step_state(tables, state, scheme=scheme, cfl=cfl)
     assert np.min(state.xi) >= 0.0
     assert state.clamped_mass <= 1e-12
 
@@ -236,20 +238,20 @@ def test_step_bookkeeping_with_outflow(scheme):
     rho0 = state.domain_mass()
     tables = KernelTables(grid, kernel)
     for _ in range(200):
-        parts, k1 = rhs(tables, state.xi)
-        dt = stable_dt(state, parts, 0.5)
-        state = step(state, tables, dt, (parts, k1), scheme=scheme)
+        state = step_state(tables, state, scheme=scheme, cfl=0.5)
     assert state.gel_mass > 0  # mass has reached the cutoff by now
     assert abs(state.domain_mass() + state.gel_mass - rho0) <= 1e-12 * rho0
 
 
-def test_step_clamps_and_accounts_for_oversized_dt():
+def test_step_clamps_and_accounts_for_oversized_dt(monkeypatch):
     grid = build("uniform", 4.0, 64)
     kernel = PowerSumKernel(1.0, 1.5)
     state = random_state(grid, seed=3)
-    parts, _ = state_rhs(state, kernel)
-    dt = 50.0 * stable_dt(state, parts, 1.0)
-    out = fresh_step(state, kernel, dt)
+    dt = 50.0 * state_bound(state, kernel, 1.0)
+    real_bound = solver.stable_dt
+    monkeypatch.setattr(solver, "stable_dt", lambda *args: 50.0 * real_bound(*args))
+    out = fresh_step(state, kernel)
+    assert out.t == dt
     assert np.min(out.xi) >= 0.0
     assert out.clamped_mass > 0.0
 
@@ -258,7 +260,7 @@ def test_step_rejects_bad_input():
     grid = build("uniform", 4.0, 16)
     state = random_state(grid, seed=1)
     with pytest.raises(InvalidInputError):
-        fresh_step(state, ConstantKernel(1.0), -0.1)
+        fresh_step(state, ConstantKernel(1.0), 0.1, cfl=1.5)
     with pytest.raises(InvalidInputError):
         fresh_step(state, ConstantKernel(1.0), 0.1, scheme="rk4")
 
@@ -399,21 +401,22 @@ def test_run_failure_marker_on_kernel_overflow():
 def test_run_failure_inside_a_short_window_keeps_the_whole_grid(monkeypatch):
     real_step, stepped = solver.step, []
 
-    def fails_at_step_50(state, *args, **kwargs):
+    def fails_at_step_50(tables, *args):
         if len(stepped) == 50:
             raise NumericalFailureError("planted failure")
-        stepped.append(real_step(state, *args, **kwargs))
-        return stepped[-1]
+        t, gel, clamped = real_step(tables, *args)
+        stepped.append((tables.xi.copy(), t, gel))
+        return t, gel, clamped
 
     monkeypatch.setattr(solver, "step", fails_at_step_50)
     result = run(bagland_config(512))
     assert result.failed and result.error == "planted failure"
-    last = stepped[-1]
-    assert last.xi.size < 512  # the window was shorter than the grid
+    xi, t, gel = stepped[-1]
+    assert xi.size < 512  # the window was shorter than the grid
     final = result.final_state
     assert final.grid is result.tables.grid and final.xi.size == 512
-    assert np.array_equal(final.xi[:last.xi.size], last.xi)
-    assert not final.xi[last.xi.size:].any()
-    assert (final.t, final.gel_mass) == (last.t, last.gel_mass)
+    assert np.array_equal(final.xi[:xi.size], xi)
+    assert not final.xi[xi.size:].any()
+    assert (final.t, final.gel_mass) == (t, gel)
     records = result.series.records
     assert 1 < len(records) and records[-1].t <= final.t < 1.0  # partial series retained

@@ -1,18 +1,23 @@
-"""The per-step path against the formulas it replaced, its scratch, its failures.
+"""The per-step path against the formulas it replaced, its buffers, its failures.
 
 ``KernelTables.velocity`` and ``loss``, ``rhs``, ``stable_dt`` and ``step``
-work in preallocated buffers.  The reference below is the straightforward
+work in buffers the tables own.  The reference below is the straightforward
 allocating form of the same sums (``np.cumsum``, ``.sum(axis=0)``,
 ``-(F[1:] - F[:-1]) / dx``, ``np.isfinite(..).all()`` and a mask built with
-``|=``); the properties check that every result is the same bit for bit,
-except the sign of a zero in dxi/dt, which never reaches a state.  The
-scratch is shared between calls, so the tests also check that nothing a call
-returns is overwritten by a later one, and that non-finite input still fails
-with the same error and no warning the reference does not give.
+``|=``), stepping from a state it is handed with a step size it is handed;
+the properties check that every result is the same bit for bit, except the
+sign of a zero in dxi/dt, which never reaches a state.  ``step`` finds its
+own step size with ``stable_dt``, which the tests scale by patching the
+module global ``step`` calls, so a step can also overstep the bound and
+clamp.  The tests also check that non-finite input still fails with the same
+error and no warning the reference does not give, and that a step that fails
+leaves the density it started from.
 
 ``run`` steps only an active window, the grid of a prefix of the cells whose
 top two are empty, with ``KernelTables.prefix``; the window property checks
-that every call on such a window gives the whole grid's result bit for bit.
+that every call on such a window gives the whole grid's result bit for bit,
+and the reference loop that every run, including one that fails, records
+what the reference records.
 """
 import math
 import warnings
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohslab import (
+    CellSpike,
     ConstantKernel,
     GridSpec,
     MassConservingKernel,
@@ -36,7 +42,9 @@ from ohslab import (
 )
 from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build, project_initial
-from ohslab.solver import KernelTables, RhsParts, rhs, stable_dt, step
+from ohslab.solver import KernelTables, rhs, stable_dt
+
+from conftest import Parts, stage, step_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -108,7 +116,7 @@ def reference_rhs(tables, xi):
     if not np.isfinite(dxi).all():
         raise NumericalFailureError("non-finite right-hand side")
     out = float(grid.midpoints[-1] * F[-1])
-    return RhsParts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
+    return Parts(velocity=v, loss=L, boundary_outflow_rate=out), dxi
 
 
 def reference_stable_dt(state, parts, cfl, dt_max=math.inf):
@@ -132,7 +140,7 @@ def reference_clamp(state, xi):
     return np.where(neg, 0.0, xi), created
 
 
-def reference_step(state, tables, dt, first_stage, scheme="euler"):
+def reference_step(state, tables, dt, first_stage, scheme="euler", budget=math.inf):
     parts1, k1 = first_stage
     if scheme == "euler":
         xi_new = state.xi + dt * k1
@@ -145,6 +153,8 @@ def reference_step(state, tables, dt, first_stage, scheme="euler"):
     if not np.isfinite(xi_new).all():
         raise NumericalFailureError("non-finite density after step")
     xi_new, created = reference_clamp(state, xi_new)
+    if state.clamped_mass + created > budget:
+        raise NumericalFailureError("clamped mass exceeds budget")
     return State(
         t=state.t + dt,
         xi=xi_new,
@@ -166,9 +176,20 @@ def assert_same_state(new, old):
     assert same_bits(new.clamped_mass, old.clamped_mass)
 
 
-def copy_stage(stage):
-    parts, k = stage
-    return RhsParts(parts.velocity.copy(), parts.loss.copy(), parts.boundary_outflow_rate), k.copy()
+def scaled_bound(factor):
+    """A context in which ``step`` takes factor times the step bound."""
+    real_bound = solver.stable_dt
+    return mock.patch.object(solver, "stable_dt", lambda *args: factor * real_bound(*args))
+
+
+def stepped(tables, state, factor, scheme, cfl=0.9, dt_max=2.0):
+    """The new state of a step of factor times the bound, or the message of
+    the failure it raises."""
+    try:
+        with scaled_bound(factor):
+            return step_state(tables, state, math.inf, scheme, cfl, dt_max)
+    except NumericalFailureError as exc:
+        return str(exc)
 
 
 @PROPERTY_SETTINGS
@@ -179,7 +200,7 @@ def test_step_path_is_bitwise_the_reference(case, dt_factor, scheme):
     assert same_bits(tables.velocity(xi), ref.velocity(xi))
     assert same_bits(tables.loss(xi), ref.loss(xi))
 
-    parts, dxi = rhs(tables, xi)
+    parts, dxi = stage(tables, xi)
     ref_parts, ref_dxi = reference_rhs(ref, xi)
     assert same_bits(parts.velocity, ref_parts.velocity)
     assert same_bits(parts.loss, ref_parts.loss)
@@ -187,13 +208,12 @@ def test_step_path_is_bitwise_the_reference(case, dt_factor, scheme):
     assert np.array_equal(dxi, ref_dxi)  # only the sign of a zero may differ
 
     state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
-    bound = stable_dt(state, parts, 0.9, dt_max=2.0)
+    bound = stable_dt(tables, xi, parts.velocity, parts.loss, 0.9, dt_max=2.0)
     assert same_bits(bound, reference_stable_dt(state, ref_parts, 0.9, dt_max=2.0))
 
     # a factor above 1 oversteps the bound, so the clamp is exercised too
-    dt = dt_factor * bound
-    old = reference_step(state, ref, dt, (ref_parts, ref_dxi), scheme=scheme)
-    new = step(state, tables, dt, (parts, dxi), scheme=scheme)
+    old = reference_step(state, ref, dt_factor * bound, (ref_parts, ref_dxi), scheme=scheme)
+    new = stepped(tables, state, dt_factor, scheme)
     assert_same_state(new, old)
 
 
@@ -204,14 +224,6 @@ def windows(draw):
     n = draw(st.integers(2, xi.size - 1))
     xi[n - 2:] = 0.0
     return kernel, grid, xi, n
-
-
-def stepped(state, tables, dt, stage, scheme):
-    """The new state of a step, or the message of the failure it raises."""
-    try:
-        return step(state, tables, dt, stage, scheme=scheme)
-    except NumericalFailureError as exc:
-        return str(exc)
 
 
 def no_kernel_calls(kernel):
@@ -232,25 +244,23 @@ def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
         window = tables.prefix(n)
     assert same_bits(window.grid.edges, grid.edges[:n + 1])
     assert tables.prefix(grid.ncells) is tables
-    whole, dxi = copy_stage(rhs(tables, xi))
-    parts, window_dxi = rhs(window, xi[:n])
+    whole, dxi = stage(tables, xi)
+    parts, window_dxi = stage(window, xi[:n])
     assert same_bits(parts.velocity, whole.velocity[:n])
     assert same_bits(parts.loss, whole.loss[:n])
     assert np.array_equal(window_dxi, dxi[:n])  # only the sign of a zero may differ
     assert same_bits(parts.boundary_outflow_rate, 0.0)
     assert same_bits(whole.boundary_outflow_rate, 0.0)
 
-    state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
-    window_state = replace(state, xi=xi[:n].copy(), grid=window.grid)
-    bound = stable_dt(window_state, parts, 0.9, dt_max=2.0)
-    assert same_bits(bound, stable_dt(state, whole, 0.9, dt_max=2.0))
+    bound = stable_dt(window, xi[:n], parts.velocity, parts.loss, 0.9, dt_max=2.0)
+    assert same_bits(bound, stable_dt(tables, xi, whole.velocity, whole.loss, 0.9, dt_max=2.0))
 
     # a factor above 1 oversteps the bound, so the clamp is exercised too
-    dt = dt_factor * bound
-    window_stage = (parts, window_dxi)
+    state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
+    window_state = replace(state, xi=xi[:n].copy(), grid=window.grid)
     for scheme in ("euler", "heun"):
-        old = stepped(state, tables, dt, copy_stage((whole, dxi)), scheme)
-        new = stepped(window_state, window, dt, copy_stage(window_stage), scheme)
+        old = stepped(tables, state, dt_factor, scheme)
+        new = stepped(window, window_state, dt_factor, scheme)
         if isinstance(old, str):
             assert new == old
         else:
@@ -260,60 +270,184 @@ def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
             assert_same_state(replace(new, xi=padded), old)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "heun"])
-@pytest.mark.parametrize("kernel, grid, initial, below_R", [
-    (PowerSumKernel(1.0, 1.5), GridSpec("uniform", 2.0, 64), UniformOn(0.5, 1.0, 1.0), False),
-    (MassConservingKernel(1.0, 1.5, "half_sum", 0.5), GridSpec("geometric", 4.0, 96, q=1.03),
-     UniformOn(0.5, 1.0, 1.0), False),
-    (ConstantKernel(1.0), GridSpec("uniform", 8.0, 128), UniformOn(0.0, 1.0, 1.0), True),
-], ids=["kernel0-grid0", "kernel1-grid1", "support_below_R"])
-def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, below_R, scheme, monkeypatch):
-    cfg = SimConfig(
-        kernel=kernel, grid=grid, initial=initial,
-        t_end=0.5, record_cadence=0.25, scheme=scheme, cfl=0.9,
-    )
-    real_rhs, windows_seen = solver.rhs, []
+def reference_loop(resolved):
+    """(at_record, state) after every step of the reference loop and at every
+    record time, the times ``run`` records at."""
+    state = project_initial(resolved.grid.build(), resolved.initial)
+    ref = ReferenceTables(state.grid, resolved.kernel)
+    budget = solver.CLAMP_BUDGET * state.domain_mass()
+    for t_next in solver._record_times(resolved.t_end, resolved.record_cadence):
+        while t_next - state.t > 1e-12:
+            stage_ = reference_rhs(ref, state.xi)
+            dt = reference_stable_dt(state, stage_[0], resolved.cfl, resolved.dt_max)
+            dt = min(dt, t_next - state.t)
+            state = reference_step(state, ref, dt, stage_, resolved.scheme, budget)
+            yield False, state
+        state.t = t_next
+        yield True, state
+
+
+def reference_records(resolved):
+    return [state for at_record, state in reference_loop(resolved) if at_record]
+
+
+def window_sizes(monkeypatch):
+    """The length of every density ``KernelTables.velocity`` is called on."""
+    real_velocity, sizes = KernelTables.velocity, []
 
     def spy(tables, xi):
-        windows_seen.append(xi.size)
-        return real_rhs(tables, xi)
+        sizes.append(xi.size)
+        return real_velocity(tables, xi)
 
-    monkeypatch.setattr(solver, "rhs", spy)
+    monkeypatch.setattr(KernelTables, "velocity", spy)
+    return sizes
+
+
+#: (kernel, grid, initial, cfl, what the run must show besides matching).
+REFERENCE_RUNS = {
+    "kernel0-grid0": (PowerSumKernel(1.0, 1.5), GridSpec("uniform", 2.0, 64),
+                      UniformOn(0.5, 1.0, 1.0), 0.9, "outflow"),
+    "kernel1-grid1": (MassConservingKernel(1.0, 1.5, "half_sum", 0.5),
+                      GridSpec("geometric", 4.0, 96, q=1.03), UniformOn(0.5, 1.0, 1.0), 0.9,
+                      "outflow"),
+    "support_below_R": (ConstantKernel(1.0), GridSpec("uniform", 8.0, 128),
+                        UniformOn(0.0, 1.0, 1.0), 0.9, "short_window"),
+    "product_1_term": (ProductKernel(0.5), GridSpec("uniform", 4.0, 64),
+                       UniformOn(0.5, 1.0, 1.0), 0.9, "outflow"),
+    "min_3_terms": (MassConservingKernel(1.0, 1.5, "min", 0.5), GridSpec("uniform", 4.0, 64),
+                    UniformOn(0.5, 1.0, 1.0), 0.9, "outflow"),
+    "half_sum_4_terms": (MassConservingKernel(1.0, 2.0, "half_sum", 1.0),
+                         GridSpec("uniform", 4.0, 128), UniformOn(0.5, 1.0, 1.0), 0.9, "outflow"),
+    "window_grows": (ConstantKernel(1.0), GridSpec("uniform", 8.0, 256),
+                     UniformOn(0.0, 1.0, 1.0), 0.9, "grows"),
+    "clamps": (ConstantKernel(1.0), GridSpec("geometric", 2.0, 48, q=1.07), CellSpike(10, 5.0),
+               1.0, "clamps"),
+}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+@pytest.mark.parametrize("kernel, grid, initial, cfl, shows", REFERENCE_RUNS.values(),
+                         ids=REFERENCE_RUNS.keys())
+def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, cfl, shows, scheme,
+                                           monkeypatch):
+    cfg = SimConfig(
+        kernel=kernel, grid=grid, initial=initial,
+        t_end=0.5, record_cadence=0.25, scheme=scheme, cfl=cfl,
+    )
+    sizes = window_sizes(monkeypatch)
+    real_clamp, clamped = solver._clamp, []
+
+    def counted_clamp(grid_, xi):
+        clamped.append(real_clamp(grid_, xi))
+        return clamped[-1]
+
+    monkeypatch.setattr(solver, "_clamp", counted_clamp)
     result = solver.run(cfg, capture_states=True)
     assert not result.failed
-    if below_R:
-        # the support stays far below R, so the run steps a shorter window
-        assert min(windows_seen) < grid.N
-    else:
+    stages = 2 if scheme == "heun" else 1
+    assert len(sizes) == stages * result.steps
+    if shows == "outflow":
         assert result.final_state.gel_mass > 0.0
-    resolved = result.config
-    state = project_initial(resolved.grid.build(), resolved.initial)
-    ref = ReferenceTables(state.grid, kernel)
-    for recorded in result.states[1:]:
-        while recorded.t - state.t > 1e-12:
-            stage = reference_rhs(ref, state.xi)
-            dt = reference_stable_dt(state, stage[0], resolved.cfl, resolved.dt_max)
-            dt = min(dt, recorded.t - state.t)
-            state = reference_step(state, ref, dt, stage, scheme=scheme)
-        state.t = recorded.t
+    elif shows == "short_window":
+        # the support stays far below R, so the run steps a shorter window
+        assert min(sizes) < grid.N
+    elif shows == "grows":
+        assert len(set(sizes)) >= 4 and max(sizes) < grid.N
+    else:
+        assert clamped  # the Euler update, or the Heun predictor, was clamped
+        if scheme == "euler":
+            assert result.final_state.clamped_mass > 0.0
+    records = reference_records(result.config)
+    assert len(records) == len(result.states) - 1
+    for recorded, state in zip(result.states[1:], records):
+        assert_same_state(recorded, state)
+    assert_same_state(result.final_state, records[-1])
+
+
+def poisoned_velocity(monkeypatch, at_call):
+    """Make the at_call-th ``KernelTables.velocity`` result non-finite; returns
+    the density length of every call."""
+    real_velocity, sizes = KernelTables.velocity, []
+
+    def poisoned(tables, xi):
+        sizes.append(xi.size)
+        v = real_velocity(tables, xi)
+        if len(sizes) == at_call:
+            v[0] = math.nan
+        return v
+
+    monkeypatch.setattr(KernelTables, "velocity", poisoned)
+    return sizes
+
+
+@pytest.mark.parametrize("failure, scheme", [
+    ("non_finite", "euler"), ("non_finite", "heun"), ("budget", "euler"),
+])
+def test_a_failed_step_ends_the_run_on_the_last_good_one(failure, scheme, monkeypatch):
+    if failure == "non_finite":
+        # the 40th step's last stage fails: Heun's second, after its first
+        cfg = SimConfig(
+            kernel=PowerSumKernel(1.0, 1.5), grid=GridSpec("uniform", 8.0, 256),
+            initial=UniformOn(0.0, 1.0, 1.0), t_end=0.5, record_cadence=0.05,
+            scheme=scheme, cfl=0.9,
+        )
+        sizes = poisoned_velocity(monkeypatch, 40 * (2 if scheme == "heun" else 1))
+        error = "non-finite right-hand side"
+    else:
+        # the run clamps 7.0, 9.1, 5.9, 10, 14 and 8.6e-16 at steps 2, 5, 8,
+        # 16, 20 and 23, so a budget of 5e-15 fails it at the sixth clamp
+        monkeypatch.setattr(solver, "CLAMP_BUDGET", 1e-15)
+        cfg = SimConfig(
+            kernel=ConstantKernel(1.0), grid=GridSpec("geometric", 4.0, 96, q=1.03),
+            initial=CellSpike(20, 5.0), t_end=0.5, record_cadence=0.04,
+            scheme=scheme, cfl=1.0,
+        )
+        sizes = window_sizes(monkeypatch)
+        error = "exceeds budget"
+    result = solver.run(cfg, capture_states=True)
+    assert result.failed and error in result.error
+    assert 1 < len(result.states) and max(sizes) < cfg.grid.N  # it failed in a short window
+    final = result.final_state
+    assert final.grid is result.tables.grid and final.xi.size == cfg.grid.N
+    taken, last = 0, None
+    try:
+        for at_record, state in reference_loop(result.config):
+            if not at_record:
+                if taken == result.steps:
+                    break  # the step the run failed at
+                taken += 1
+            last = state
+    except NumericalFailureError:
+        assert failure == "budget"  # the reference fails at the same step
+    assert taken == result.steps
+    assert_same_state(final, last)
+    if failure == "budget":
+        assert 0.0 < final.clamped_mass <= solver.CLAMP_BUDGET * result.series.rho0()
+    records = reference_records(replace(result.config, t_end=result.states[-1].t))
+    for recorded, state in zip(result.states[1:], records, strict=True):
         assert_same_state(recorded, state)
 
 
-def test_a_second_rhs_leaves_the_first_results_alone():
+def tables_buffers(tables):
+    """Every array a step or a right-hand side writes."""
+    return [tables.xi, tables._spare, tables._k1, tables._k2, tables._rate, tables._absorbed,
+            tables._outflow, *tables._mask, *tables._drift[2:6:3], *tables._loss[2:6:3]]
+
+
+def test_each_window_owns_its_buffers():
     grid = build("uniform", 4.0, 64)
-    tables = KernelTables(grid, MassConservingKernel(1.0, 2.0, "half_sum", 1.0))
-    rng = np.random.default_rng(4)
-    first = rhs(tables, rng.random(64))
-    kept = copy_stage(first)
-    second = rhs(tables, 3.0 * rng.random(64))
-    for arr, copy, other in zip(
-        (first[0].velocity, first[0].loss, first[1]),
-        (kept[0].velocity, kept[0].loss, kept[1]),
-        (second[0].velocity, second[0].loss, second[1]),
-    ):
-        assert same_bits(arr, copy)
-        assert not np.shares_memory(arr, other)
-    assert first[0].boundary_outflow_rate == kept[0].boundary_outflow_rate
+    kernel = MassConservingKernel(1.0, 2.0, "half_sum", 1.0)
+    tables = KernelTables(grid, kernel)
+    owned = tables_buffers(tables)
+    for other in (KernelTables(grid, kernel), tables.prefix(40)):
+        for mine in owned:
+            assert not any(np.shares_memory(mine, theirs) for theirs in tables_buffers(other))
+    # the drift's and the loss's results live in arrays of their own
+    xi = np.random.default_rng(4).random(64)
+    v, L = tables.velocity(xi), tables.loss(xi)
+    assert not np.shares_memory(v, L)
+    kept = stage(KernelTables(grid, kernel), xi)
+    assert same_bits(v, kept[0].velocity) and same_bits(L, kept[0].loss)
 
 
 def test_heun_keeps_the_first_stage_through_the_second(monkeypatch):
@@ -321,37 +455,44 @@ def test_heun_keeps_the_first_stage_through_the_second(monkeypatch):
     kernel = PowerSumKernel(1.0, 1.5)
     tables = KernelTables(grid, kernel)
     state = State(t=0.0, xi=np.random.default_rng(5).random(64), gel_mass=0.0, grid=grid)
-    stage = rhs(tables, state.xi)
-    kept = copy_stage(stage)
+    kept = stage(KernelTables(grid, kernel), state.xi)
     real_rhs, seen = solver.rhs, []
 
-    def second_stage(tables_, xi):
-        out = real_rhs(tables_, xi)
-        for arr, copy in ((stage[0].velocity, kept[0].velocity),
-                          (stage[0].loss, kept[0].loss), (stage[1], kept[1])):
-            seen.append(same_bits(arr, copy))
-        return out
+    def second_stage(tables_, xi, out):
+        result = real_rhs(tables_, xi, out)
+        if out is tables._k2:
+            seen.append(same_bits(tables._k1, kept[1]))
+        return result
 
     monkeypatch.setattr(solver, "rhs", second_stage)
-    dt = 2.0 * stable_dt(state, stage[0], 1.0)
+    dt = 2.0 * stable_dt(tables, state.xi, kept[0].velocity, kept[0].loss, 1.0)
     assert np.min(state.xi + dt * kept[1]) < 0.0  # oversteps: the predictor is clamped
-    out = step(state, tables, dt, stage, scheme="heun")
-    assert seen == [True, True, True]
-    assert same_bits(stage[1], kept[1])  # Heun writes its update elsewhere
+    with scaled_bound(2.0):
+        out = step_state(tables, state, scheme="heun")
+    assert seen == [True]
     old = reference_step(state, ReferenceTables(grid, kernel), dt, kept, scheme="heun")
     assert_same_state(out, old)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
-def test_step_clamps_the_smallest_negative_cell(scheme):
+def test_step_clamps_the_smallest_negative_cell(scheme, monkeypatch):
     grid = build("uniform", 4.0, 8)
     kernel = ConstantKernel(1.0)
     state = State(t=0.0, xi=np.zeros(8), gel_mass=0.0, grid=grid)
     k1 = np.zeros(8)
     k1[3] = -5e-324  # the smallest subnormal
-    parts = RhsParts(np.zeros(8), np.zeros(8), 0.0)
-    old = reference_step(state, ReferenceTables(grid, kernel), 1.0, copy_stage((parts, k1)), scheme)
-    new = step(state, KernelTables(grid, kernel), 1.0, (parts, k1), scheme=scheme)
+    parts = Parts(np.zeros(8), np.zeros(8), 0.0)
+    old = reference_step(state, ReferenceTables(grid, kernel), 1.0, (parts, k1.copy()), scheme)
+    real_rhs = solver.rhs
+
+    def planted_first_stage(tables, xi, out):
+        result = real_rhs(tables, xi, out)
+        if out is not tables._k2:
+            out[:] = k1
+        return result
+
+    monkeypatch.setattr(solver, "rhs", planted_first_stage)
+    new = step_state(KernelTables(grid, kernel), state, 1.0, scheme)  # no rate: dt = 1
     assert_same_state(new, old)
     assert not np.signbit(new.xi).any()
 
@@ -383,7 +524,7 @@ N_FAIL = 48
 @pytest.mark.parametrize("where", [0, N_FAIL // 2, N_FAIL - 1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("target", ["rhs", "euler-k1", "heun-k1", "euler-xi", "heun-xi"])
-def test_non_finite_input_fails_as_before(target, bad, where):
+def test_non_finite_input_fails_as_before(target, bad, where, monkeypatch):
     grid = build("uniform", 4.0, N_FAIL)
     kernel = MassConservingKernel(1.0, 1.5, "min", 0.5)
     tables, ref = KernelTables(grid, kernel), ReferenceTables(grid, kernel)
@@ -391,23 +532,38 @@ def test_non_finite_input_fails_as_before(target, bad, where):
     poisoned = xi.copy()
     poisoned[where] = bad
     if target == "rhs":
-        new = outcome(lambda: rhs(tables, poisoned))
+        new = outcome(lambda: rhs(tables, poisoned, np.empty(N_FAIL)))
         old = outcome(lambda: reference_rhs(ref, poisoned))
     else:
+        # a step takes its first stage at its own density, so a planted k1
+        # goes in after that stage's own finiteness test
         scheme, planted = target.split("-")
-        stage = rhs(tables, xi)
-        if planted == "k1":
-            stage[1][where] = bad
-            state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
-        else:
-            state = State(t=0.0, xi=poisoned, gel_mass=0.0, grid=grid)
-        old_stage = copy_stage(stage)
-        new = outcome(lambda: step(state, tables, 0.01, stage, scheme=scheme))
-        old = outcome(lambda: reference_step(state, ref, 0.01, old_stage, scheme=scheme))
+        state = State(t=0.0, xi=xi if planted == "k1" else poisoned, gel_mass=0.0, grid=grid)
+        real_rhs = solver.rhs
+
+        def planted_k1(tables_, xi_, out):
+            result = real_rhs(tables_, xi_, out)
+            if planted == "k1" and out is not tables_._k2:
+                out[where] = bad
+            return result
+
+        def reference():
+            stage_ = reference_rhs(ref, state.xi)
+            if planted == "k1":
+                stage_[1][where] = bad
+            return reference_step(state, ref, 0.01, stage_, scheme=scheme)
+
+        monkeypatch.setattr(solver, "rhs", planted_k1)
+        with mock.patch.object(solver, "stable_dt", lambda *args: 0.01):
+            new = outcome(lambda: step_state(tables, state, math.inf, scheme))
+        old = outcome(reference)
+        # the failed step leaves the density it started from
+        assert same_bits(tables.xi, state.xi)
+        monkeypatch.setattr(solver, "rhs", real_rhs)
     assert new[0] == old[0]
     assert new[1] <= old[1]
-    # the failure leaves nothing in the scratch that a later call would see
-    parts, _ = rhs(tables, xi)
+    # the failure leaves nothing in the buffers that a later call would see
+    parts, _ = stage(tables, xi)
     ref_parts, _ = reference_rhs(ref, xi)
     assert same_bits(parts.velocity, ref_parts.velocity)
     assert same_bits(parts.loss, ref_parts.loss)
