@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import checks as checks_mod
 from . import gelation, runio, solver
-from .config import SimConfig, load_config
+from .config import SimConfig, load_config, row_label
 from .errors import InvalidInputError, NumericalFailureError
 
 logger = logging.getLogger(__name__)
@@ -90,7 +90,7 @@ def cmd_sweep(args):
             fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
     runio.write_json(out / "sweep.json", asdict(report))
     for row, (row_cfg, result) in zip(report.rows, runs):
-        row_dir = out / ("R%g" % row.R)
+        row_dir = out / row_label(row.R)
         row_dir.mkdir(exist_ok=True)
         if result is None:
             runio.write_manifest(
@@ -101,6 +101,14 @@ def cmd_sweep(args):
     n_ok = sum(not row.failed for row in report.rows)
     logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(report.rows), out)
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE
+
+
+def _write_unfinished_check(out, error, replay_failed):
+    """Replace any earlier report with that of a check stopped by a numerical failure."""
+    runio.write_json(out / "check_report.json", {
+        "passed": False, "replay_failed": replay_failed, "error": error,
+    })
+    return EXIT_NUMERICAL_FAILURE
 
 
 def cmd_check(args):
@@ -121,11 +129,12 @@ def cmd_check(args):
     result = solver.run(cfg, capture_states=True)
     if result.failed:
         logger.error("replay failed: %s", result.error)
-        runio.write_json(out / "check_report.json", {
-            "passed": False, "replay_failed": True, "error": result.error,
-        })
-        return EXIT_NUMERICAL_FAILURE
-    report = checks_mod.run_checks(result, stored=stored, settings=cfg.check)
+        return _write_unfinished_check(out, result.error, replay_failed=True)
+    try:
+        report = checks_mod.run_checks(result, stored=stored, settings=cfg.check)
+    except NumericalFailureError as exc:
+        logger.error("checks failed numerically: %s", exc)
+        return _write_unfinished_check(out, str(exc), replay_failed=False)
     runio.write_json(out / "check_report.json", report.to_dict())
     for check in report.checks:
         logger.info("check %-24s %s", check.name, check.status.upper())

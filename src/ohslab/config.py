@@ -34,6 +34,19 @@ def moment_labels(orders, thresholds):
     return ["M%g" % r for r in orders] + ["M1_m%g" % m for m in thresholds]
 
 
+def row_label(R):
+    """The directory of the sweep row at cutoff R; ``%g`` keeps six significant
+    digits, so ``SweepSpec`` rejects cutoffs that share one."""
+    return "R%g" % R
+
+
+def _require_distinct(labels, what):
+    """Raise unless every label occurs once; ``what`` names the label's source and kind."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise InvalidInputError("%s %s more than once" % (what, ", ".join(repeated)))
+
+
 def _recorded_orders(orders):
     """The moment orders a run records: the configured ones, 0 and 1, sorted."""
     return tuple(sorted({0.0, 1.0} | {float(r) for r in orders}))
@@ -77,6 +90,7 @@ class SweepSpec:
             raise InvalidInputError("sweep cutoffs must be a non-empty list of finite values > 0")
         if np.any(np.diff(R) <= 0):
             raise InvalidInputError("sweep cutoffs must be strictly increasing")
+        _require_distinct([row_label(r) for r in R], "sweep cutoffs give the row directory")
         dx = self.resolution
         if dx is not None and not (np.isfinite(dx) and dx > 0):
             raise InvalidInputError("sweep resolution must be finite and > 0")
@@ -142,13 +156,10 @@ class SimConfig:
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
         if len(set(thresholds)) < len(thresholds):
             raise InvalidInputError("truncation thresholds must be distinct")
-        labels = moment_labels(_recorded_orders(self.moments.orders), thresholds)
-        repeated = sorted({label for label in labels if labels.count(label) > 1})
-        if repeated:
-            raise InvalidInputError(
-                "moment orders or truncation thresholds give the column %s more than once"
-                % ", ".join(repeated)
-            )
+        _require_distinct(
+            moment_labels(_recorded_orders(self.moments.orders), thresholds),
+            "moment orders or truncation thresholds give the column",
+        )
         self.grid.build()  # surfaces grid errors early
         return self
 

@@ -21,10 +21,6 @@ class InsufficientRecordsError(InvalidInputError):
     """A time-series diagnostic needs more records than were provided."""
 
 
-class WindowEmptyError(CoagulationError):
-    """The fit window of a tail diagnostic contains no usable samples."""
-
-
 class NumericalFailureError(CoagulationError):
     """A computation produced non-finite values or exceeded its error budget."""
 

@@ -1,4 +1,4 @@
-"""Mass-loss detection, the cutoff-scaling experiment, and blow-up/tail bounds.
+"""Mass-loss detection, the cutoff-scaling experiment, and blow-up bounds.
 
 On the truncated domain the only mass sink is the boundary flux through the
 cutoff R, so "gelation" is operationalized as the first time the relative
@@ -20,16 +20,6 @@ sigma = (beta - 1)/(r - 1), and ``comparison_ode_blowup`` the closed-form
 blow-up time of the comparison ODE dQ/dt = c * Q**(sigma + 1); the two agree
 under the identification c = theta1 * rho0**(1 - sigma) * (r - 1) since
 sigma * (r - 1) = beta - 1.
-
-``tail_decay_fit`` fits an exponential to the tail mass above a threshold
-lambda over the window where at least half the initial mass still sits below
-lambda, and reports it next to the reference constant
-
-    C1 = theta1 * rho0 * lambda**(beta - 1) / 2.
-
-The underlying bound is one-sided (the tail at early times is exponentially
-small in the distance to a later reference time), so the fit is a diagnostic,
-never a pass/fail gate on the rate value.
 """
 from __future__ import annotations
 
@@ -41,8 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import solver
-from .errors import CoagulationError, InvalidInputError, WindowEmptyError
-from .moments import truncated_moment
+from .errors import CoagulationError, InvalidInputError
 
 logger = logging.getLogger(__name__)
 
@@ -206,63 +195,3 @@ def comparison_ode_blowup(q0, c, sigma):
     if not sigma > 0:
         raise InvalidInputError("comparison ODE needs sigma > 0")
     return 1.0 / (sigma * c * q0**sigma)
-
-
-@dataclass
-class TailDecayFit:
-    """Exponential fit of the tail mass above a threshold.
-
-    ``rate`` follows the decay convention theta ~ exp(-rate * t) (None when
-    the window holds fewer than two positive samples); ``reference_rate`` is
-    the constant C1 = theta1 * rho0 * lambda**(beta-1) / 2 with theta1 and
-    beta from the kernel's ``growth_bounds()``, None when it has none.
-    """
-
-    lam: float
-    times: np.ndarray
-    theta: np.ndarray
-    rate: float = None
-    reference_rate: float = None
-
-
-def tail_decay_fit(run_result, lam):
-    """Least-squares exponential fit of the tail mass above lam over a run.
-
-    The fit window keeps records where the mass below lam is still at least
-    half the initial mass; raises ``WindowEmptyError`` when no record
-    qualifies.  Within the window only strictly positive tail samples enter
-    the log-linear fit.
-    """
-    series = run_result.series
-    if not series.records:
-        raise InvalidInputError("run has no records")
-    grid_R = run_result.config.grid.R
-    if not (0 < lam < grid_R):
-        raise InvalidInputError("tail threshold must lie inside (0, R)")
-    thresholds = {float(m) for m in series.thresholds}
-    if float(lam) in thresholds:
-        theta = series.tail(float(lam))
-    elif run_result.states is not None:
-        theta = np.array([truncated_moment(s, 1, lam) for s in run_result.states])
-    else:
-        raise InvalidInputError(
-            "tail threshold %g was not recorded and no states were captured" % lam
-        )
-    times = series.times()
-    rho0 = series.rho0()
-    gamma = series.values(1.0) - theta
-    window = gamma >= 0.5 * rho0
-    if not window.any():
-        raise WindowEmptyError(
-            "mass below lambda=%g never reaches half the initial mass" % lam
-        )
-    fit = TailDecayFit(lam=float(lam), times=times[window], theta=theta[window])
-    bounds = run_result.config.kernel.growth_bounds()
-    if bounds is not None:
-        fit.reference_rate = 0.5 * bounds.theta1 * rho0 * lam ** (bounds.beta - 1.0)
-    positive = fit.theta > 0
-    if positive.sum() >= 2:
-        slope = np.polyfit(fit.times[positive], np.log(fit.theta[positive]), 1)[0]
-        fit.rate = float(-slope)
-    return fit
-

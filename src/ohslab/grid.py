@@ -16,7 +16,7 @@ needs the grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,22 +122,6 @@ class State:
     gel_mass: float
     grid: SizeGrid
     clamped_mass: float = 0.0
-
-    def domain_mass(self):
-        """First moment over the domain; the solver's bookkept mass.
-
-        This is the one summation every mass comparison in the package goes
-        through, so equality checks against it are bit-for-bit.
-        """
-        g = self.grid
-        return float(np.sum(g.midpoints * self.xi * g.widths))
-
-    def cell_masses(self):
-        g = self.grid
-        return g.midpoints * self.xi * g.widths
-
-    def copy(self):
-        return replace(self, xi=self.xi.copy())
 
     def validate(self):
         if self.xi.shape != self.grid.midpoints.shape:

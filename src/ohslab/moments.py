@@ -54,7 +54,7 @@ HOLDER_TOL = 1e-12
 
 
 def moment(state, r):
-    """r-th moment of the state; for r = 1 identical to the bookkept mass."""
+    """r-th moment of the state; at r = 1 the domain mass the solver books."""
     g = state.grid
     return float(np.add.reduce((g.power(r) * state.xi) * g.widths))
 
@@ -213,17 +213,13 @@ class Power(_PairTest):
         return self.r * np.asarray(mu, dtype=float) ** (self.r - 1.0)
 
 
-class _CappedTest(_PairTest):
-    """A Lipschitz test function constant from the cap lam on."""
+class CappedIdentity(_PairTest):
+    """Lipschitz test function min(mu, lam); derivative 1 below the cap."""
 
     def __init__(self, lam):
         if not (np.isfinite(lam) and lam > 0):
             raise InvalidInputError("cap must be positive")
         self.lam = float(lam)
-
-
-class CappedIdentity(_CappedTest):
-    """Lipschitz test function min(mu, lam); derivative 1 below the cap."""
 
     def value(self, mu):
         return np.minimum(np.asarray(mu, dtype=float), self.lam)
@@ -234,44 +230,6 @@ class CappedIdentity(_CappedTest):
     def pair_terms(self, mid):
         """varpi1 on pairs nu < mu: -[mu >= lam] * min(nu, lam), 0 below the cap."""
         return ((-1.0, 1.0 - self.deriv(mid), self.value(mid)),)
-
-
-class CappedPower(_CappedTest):
-    """C^1 capped power: mu**r below lam - w, cubic blend to a constant on
-    [lam - w, lam], constant beyond, with blend width w = lam / 10.
-
-    The blend keeps value and slope continuous at lam - w and brings the slope
-    to zero at lam, so varpi' is compactly supported on [0, lam].
-    """
-
-    def __init__(self, r, lam):
-        super().__init__(lam)
-        if r < 1:
-            raise InvalidInputError("capped power needs r >= 1")
-        self.r = float(r)
-        self.w = self.lam / 10.0
-        x0 = self.lam - self.w
-        self._x0 = x0
-        self._f0 = x0**self.r
-        self._f1 = self.r * x0 ** (self.r - 1.0)
-        # cubic f0 + b*(s - s^2 + s^3/3), b = w*f1: slope f1*(1-s)^2, plateau f0 + b/3
-        self._b = self.w * self._f1
-        self._plateau = self._f0 + self._b / 3.0
-
-    def value(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        s = np.clip((mu - self._x0) / self.w, 0.0, 1.0)
-        blend = self._f0 + self._b * (s - s**2 + s**3 / 3.0)
-        return np.where(mu <= self._x0, mu**self.r, np.where(mu >= self.lam, self._plateau, blend))
-
-    def deriv(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        s = np.clip((mu - self._x0) / self.w, 0.0, 1.0)
-        blend = self._f1 * (1.0 - s) ** 2
-        return np.where(
-            mu <= self._x0, self.r * mu ** (self.r - 1.0),
-            np.where(mu >= self.lam, 0.0, blend),
-        )
 
 
 def _require_replay(run):
@@ -312,7 +270,7 @@ def weak_form_residual(run, test):
     gross that ``weak_rhs_quadrature`` gave: |quadrature| for
     ``CappedIdentity``, whose one pair term keeps its sign, and gain + loss,
     the roundoff scale of its two pair sums and an upper bound of the
-    unsigned sum, for ``CappedPower`` and ``Power``.
+    unsigned sum, for ``Power``.
     """
     rhs, gross_rhs = weak_rhs_quadrature(run, test)
     first, at_t = run.states[0], run.states[-1]

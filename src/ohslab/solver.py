@@ -106,7 +106,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .grid import SizeGrid, State, project_initial
-from .moments import MomentSeries
+from .moments import MomentSeries, moment
 
 logger = logging.getLogger(__name__)
 
@@ -421,7 +421,7 @@ def run(config, capture_states=False):
     cfg = config.resolved()
     grid = cfg.grid.build()
     state = project_initial(grid, cfg.initial).validate()
-    budget = CLAMP_BUDGET * state.domain_mass()
+    budget = CLAMP_BUDGET * moment(state, 1)
     series = MomentSeries(
         orders=cfg.moments.orders, thresholds=cfg.moments.truncation_thresholds
     )

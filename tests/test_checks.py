@@ -9,7 +9,7 @@ def per_pair_holder_entry(states):
     worst = {"ratio": 0.0}
     ok = True
     for state in states:
-        if state.domain_mass() == 0.0:
+        if moments.moment(state, 1) == 0.0:
             continue
         for r, beta in checks.HOLDER_PAIRS:
             res = moments.holder_check(state, r, beta)

@@ -414,7 +414,13 @@ def test_check_fails_numerically_on_a_pair_sum_that_overflows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 0
+        # a report left by an earlier check must not outlive the failure
+        (out / "check_report.json").write_text(json.dumps({"passed": True}))
         assert main(["--quiet", "check", str(out)]) == 3
+    report = json.loads((out / "check_report.json").read_text())
+    assert report == {
+        "passed": False, "replay_failed": False, "error": "non-finite pair sum",
+    }
 
 
 def test_sweep_contains_per_row_failures(tmp_path):

@@ -129,6 +129,8 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     ("moments", {"orders": [1.0000001]}, "give the column M1 more than once"),
     ("moments", {"truncation_thresholds": [1.0, 1.0000001]},
      "give the column M1_m1 more than once"),
+    # both rows would write the directory R4
+    ("sweep", {"cutoffs": [4.0, 4.0000001]}, "give the row directory R4 more than once"),
 ])
 def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
     payload = dict(BASE, **{section: value})

@@ -1,5 +1,4 @@
-"""Gel-time detection, cutoff sweep machinery, blow-up and tail diagnostics."""
-import math
+"""Gel-time detection, cutoff sweep machinery and blow-up bounds."""
 import multiprocessing
 import os
 from concurrent.futures import Future
@@ -11,34 +10,32 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ohslab import (
-    ConstantKernel, GridSpec, MomentSpec, PowerSumKernel, SimConfig, SweepSpec, UniformOn,
+    ConstantKernel, GridSpec, PowerSumKernel, SimConfig, SweepSpec, UniformOn,
     gelation,
 )
-from ohslab.errors import InvalidInputError, WindowEmptyError
+from ohslab.errors import InvalidInputError
 from ohslab.gelation import (
     blowup_bound,
     comparison_ode_blowup,
     cutoff_sweep,
     gelation_time,
     row_config,
-    tail_decay_fit,
 )
 from ohslab.moments import MomentRecord, MomentSeries
-from ohslab.solver import RunResult, run
+from ohslab.solver import run
 
 # regression baselines recorded from the deterministic reference run
 POWERSUM_T_LOSS = 0.6019404632279971
-POWERSUM_TAIL_RATE = -67.70058359918485
 
 
-def synthetic_series(times, gel, m1=None, tails=None, thresholds=()):
-    series = MomentSeries(orders=(0.0, 1.0), thresholds=thresholds)
+def synthetic_series(times, gel):
+    series = MomentSeries(orders=(0.0, 1.0), thresholds=())
     for k, t in enumerate(times):
         series.records.append(
             MomentRecord(
                 t=float(t),
-                moments={0.0: 1.0, 1.0: (m1[k] if m1 is not None else 1.0 - gel[k])},
-                tails={m: tails[m][k] for m in thresholds} if tails else {},
+                moments={0.0: 1.0, 1.0: 1.0 - gel[k]},
+                tails={},
                 gel_mass=float(gel[k]),
                 clamped_mass=0.0,
             )
@@ -303,63 +300,3 @@ def test_numerical_ode_diverges_at_predicted_time(params):
     assert sol.t_events[0].size == 1
     t_escape = sol.t_events[0][0]
     assert 0.99 * tstar <= t_escape <= tstar
-
-
-def test_tail_fit_recovers_planted_exponential():
-    times = np.linspace(0.0, 2.0, 41)
-    theta = 1e-3 * np.exp(-3.0 * times)
-    series = synthetic_series(times, np.zeros_like(times), m1=np.ones_like(times),
-                              tails={2.0: theta}, thresholds=(2.0,))
-    cfg = SimConfig(
-        kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 4.0, 16),
-        initial=UniformOn(0.0, 1.0, 1.0), t_end=2.0, record_cadence=0.05,
-    ).resolved()
-    handle = RunResult(config=cfg, series=series, final_state=None, states=None)
-    fit = tail_decay_fit(handle, 2.0)
-    assert fit.rate == pytest.approx(3.0, abs=1e-6)
-    assert fit.reference_rate is None  # constant kernel has no growth parameters
-
-
-def test_tail_fit_zero_tail_reports_no_rate():
-    # few steps, so the numerical front never gets anywhere near lambda
-    cfg = SimConfig(
-        kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 4.0, 64),
-        initial=UniformOn(0.0, 1.0, 1.0), t_end=0.1, record_cadence=0.02,
-        dt_max=0.05, moments=MomentSpec(truncation_thresholds=(3.9,)),
-    )
-    result = run(cfg)
-    fit = tail_decay_fit(result, 3.9)
-    assert np.all(fit.theta == 0.0)
-    assert fit.rate is None
-
-
-def test_tail_fit_window_empty():
-    times = np.linspace(0.0, 1.0, 11)
-    theta = np.full_like(times, 0.9)
-    series = synthetic_series(times, np.zeros_like(times), m1=np.ones_like(times),
-                              tails={2.0: theta}, thresholds=(2.0,))
-    cfg = SimConfig(
-        kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 4.0, 16),
-        initial=UniformOn(0.0, 1.0, 1.0), t_end=1.0, record_cadence=0.1,
-    ).resolved()
-    handle = RunResult(config=cfg, series=series, final_state=None, states=None)
-    with pytest.raises(WindowEmptyError):
-        tail_decay_fit(handle, 2.0)
-
-
-def test_tail_fit_regression_for_powersum(powersum_run):
-    fit = tail_decay_fit(powersum_run, 2.0)
-    assert fit.reference_rate == pytest.approx(0.5 * math.sqrt(2.0), rel=1e-15)
-    assert fit.rate == pytest.approx(POWERSUM_TAIL_RATE, rel=1e-3)
-
-
-def test_tail_fit_threshold_validation(powersum_run):
-    with pytest.raises(InvalidInputError):
-        tail_decay_fit(powersum_run, 4.0)  # not inside (0, R)
-    no_states = RunResult(
-        config=powersum_run.config, series=powersum_run.series,
-        final_state=powersum_run.final_state, states=None,
-    )
-    with pytest.raises(InvalidInputError):
-        tail_decay_fit(no_states, 3.0)  # neither recorded nor replayable
-

@@ -17,7 +17,6 @@ from ohslab.gelation import row_config
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.moments import (
     CappedIdentity,
-    CappedPower,
     MomentSeries,
     Power,
     holder_check,
@@ -51,12 +50,6 @@ def test_zero_state_moments_vanish():
     state = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
     for r in (0.0, 0.5, 1.0, 2.0, 5.0):
         assert moment(state, r) == 0.0
-
-
-def test_moment_one_is_bitwise_domain_mass():
-    state = block_state(N=97, R=3.0)
-    assert moment(state, 1) == state.domain_mass()
-    assert moment(state, 1.0) == state.domain_mass()
 
 
 def test_truncated_moment_limits():
@@ -260,6 +253,12 @@ def test_capped_identity_shape():
     assert test.varpi1(1.5, 0.7) == 0.0
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan"), float("inf")])
+def test_capped_identity_needs_a_positive_finite_cap(cap):
+    with pytest.raises(InvalidInputError, match="cap must be positive"):
+        CappedIdentity(cap)
+
+
 def test_power_is_the_uncapped_moment_test_function():
     test = Power(3)
     mu = np.array([0.5, 2.0, 40.0])
@@ -268,19 +267,6 @@ def test_power_is_the_uncapped_moment_test_function():
     assert test.varpi1(2.0, 0.5) == 0.5 * 12.0 - 0.125  # r*nu*mu^(r-1) - nu^r
     with pytest.raises(InvalidInputError, match="needs r >= 2"):
         Power(1.5)
-
-
-def test_capped_power_is_c1_with_compact_derivative():
-    test = CappedPower(2, 1.0)
-    x0, lam, eps = 1.0 - test.w, 1.0, 1e-7
-    # value and slope continuous at the blend start, slope zero at the cap
-    assert test.value(x0 + eps) == pytest.approx(test.value(x0 - eps), abs=1e-6)
-    assert test.deriv(x0 + eps) == pytest.approx(test.deriv(x0 - eps), abs=1e-5)
-    assert test.deriv(lam - eps) == pytest.approx(0.0, abs=1e-5)
-    assert test.deriv(lam + 0.5) == 0.0
-    assert test.value(lam + 0.5) == test.value(lam)
-    mu = np.linspace(0.0, 0.9, 10)
-    assert np.allclose(test.value(mu), mu**2)
 
 
 def test_weak_residual_zero_at_t0():
@@ -308,7 +294,7 @@ def test_weak_residual_returns_its_quadrature(bagland_runs):
 def test_weak_residual_active_cap(bagland_runs):
     result, _ = bagland_runs[1024]
     assert weak_form_residual(result, CappedIdentity(1.0)).residual <= 0.05
-    assert weak_form_residual(result, CappedPower(2, 1.0)).residual <= 0.05
+    assert weak_form_residual(result, Power(2)).residual <= 0.05
 
 
 def test_weak_residual_shrinks_with_refinement(bagland_runs):

@@ -17,7 +17,6 @@ from ohslab.errors import InvalidInputError
 from ohslab.grid import build, project_initial
 from ohslab.moments import (
     CappedIdentity,
-    CappedPower,
     MomentSeries,
     Power,
     kernel_matrix,
@@ -140,14 +139,11 @@ def _fixture_run(request, fixture):
 
 
 ORACLE_FIXTURES = ["bagland_runs", "powersum_run", "massconserving_run"]
-CAPPED_KINDS = [CappedIdentity, lambda lam: CappedPower(2, lam)]
-TEST_KINDS = pytest.mark.parametrize("make_test", CAPPED_KINDS, ids=["identity", "power"])
 # the moment test function mu**r has no cap, so lam picks its order r = 2 * lam
 # instead; on the N = 1024 Bagland run, Power(2) integrates to 0.663 where
 # CappedIdentity(R/2) integrates to exactly 0
-ALL_KINDS = pytest.mark.parametrize(
-    "make_test", [*CAPPED_KINDS, lambda lam: Power(2.0 * lam)],
-    ids=["identity", "power", "moment"],
+TEST_KINDS = pytest.mark.parametrize(
+    "make_test", [CappedIdentity, lambda lam: Power(2.0 * lam)], ids=["identity", "moment"],
 )
 
 
@@ -157,7 +153,7 @@ def _relative_gap(a, b, internal, gross):
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5])
-@ALL_KINDS
+@TEST_KINDS
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
 def test_brute_force_agrees_with_vectorized_quadrature(request, fixture, make_test, lam):
     result = _fixture_run(request, fixture)
@@ -242,14 +238,15 @@ def test_brute_force_memory_is_bounded_by_its_row_blocks():
     full = project_initial(grid, UniformOn(0.0, 8.0, 1.0))
     states = [replace(full, t=t) for t in (0.0, 0.5, 1.0)]
     kernel = PowerSumKernel(1.0, 1.5)
-    for test in (CappedIdentity(4.0), CappedPower(2, 4.0)):
+    # Power(2)'s pair weight is nonnegative, CappedIdentity's nonpositive
+    for test, sign in ((CappedIdentity(4.0), -1.0), (Power(2), 1.0)):
         tracemalloc.start()
         try:
             value = brute_force_weak_rhs(states, kernel, test)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert value < 0.0
+        assert sign * value > 0.0
         # one dense 4096 x 4096 table alone would take 128 MiB
         assert peak < 40 * 2**20
 
@@ -283,7 +280,7 @@ def _dense_weak_quadrature(run, test):
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])
-@ALL_KINDS
+@TEST_KINDS
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
 def test_pair_sum_quadrature_matches_dense_table(request, fixture, make_test, lam):
     run = request.getfixturevalue(fixture)
@@ -303,7 +300,7 @@ def test_pair_sum_quadrature_matches_dense_table(request, fixture, make_test, la
 
 def test_weak_form_residual_memory_is_linear_in_n():
     handle = _projected_run(4096, np.linspace(0.0, 1.0, 5))
-    for test in (CappedIdentity(1.0), CappedPower(2, 1.0)):
+    for test in (CappedIdentity(1.0), Power(2)):
         tracemalloc.start()
         try:
             weak_form_residual(handle, test)

@@ -19,6 +19,7 @@ from ohslab import (
 )
 from ohslab.errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
+from ohslab.moments import moment
 from ohslab.oracle import l1_error
 from ohslab.solver import KernelTables, run, stable_dt
 
@@ -214,7 +215,7 @@ def test_step_conserves_mass_without_outflow():
     out = fresh_step(state, ConstantKernel(1.0), cfl=0.5)
     assert out.t == dt
     assert out.gel_mass == 0.0  # support far from the cutoff
-    assert abs(out.domain_mass() - 1.0) <= 1e-12
+    assert abs(moment(out, 1) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["euler", "heun"])
@@ -235,12 +236,12 @@ def test_step_bookkeeping_with_outflow(scheme):
     grid = build("uniform", 2.0, 64)
     kernel = PowerSumKernel(1.0, 1.5)
     state = project_initial(grid, UniformOn(0.5, 1.0, 1.0))
-    rho0 = state.domain_mass()
+    rho0 = moment(state, 1)
     tables = KernelTables(grid, kernel)
     for _ in range(200):
         state = step_state(tables, state, scheme=scheme, cfl=0.5)
     assert state.gel_mass > 0  # mass has reached the cutoff by now
-    assert abs(state.domain_mass() + state.gel_mass - rho0) <= 1e-12 * rho0
+    assert abs(moment(state, 1) + state.gel_mass - rho0) <= 1e-12 * rho0
 
 
 def test_step_clamps_and_accounts_for_oversized_dt(monkeypatch):
@@ -342,7 +343,7 @@ def test_run_bookkeeping_all_kernels(bagland_runs, powersum_run, massconserving_
 def test_run_domain_mass_matches_series_bitwise(powersum_run):
     # same summation path: recorded M^1 equals the state's bookkept mass
     for state, record in zip(powersum_run.states, powersum_run.series.records):
-        assert record.moments[1.0] == state.domain_mass()
+        assert record.moments[1.0] == moment(state, 1)
 
 
 def test_run_gel_strictly_increases_once_positive(powersum_run):

@@ -42,6 +42,7 @@ from ohslab import (
 )
 from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build, project_initial
+from ohslab.moments import moment
 from ohslab.solver import KernelTables, rhs, stable_dt
 
 from conftest import Parts, stage, step_state
@@ -275,7 +276,7 @@ def reference_loop(resolved):
     record time, the times ``run`` records at."""
     state = project_initial(resolved.grid.build(), resolved.initial)
     ref = ReferenceTables(state.grid, resolved.kernel)
-    budget = solver.CLAMP_BUDGET * state.domain_mass()
+    budget = solver.CLAMP_BUDGET * moment(state, 1)
     for t_next in solver._record_times(resolved.t_end, resolved.record_cadence):
         while t_next - state.t > 1e-12:
             stage_ = reference_rhs(ref, state.xi)
