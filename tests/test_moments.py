@@ -52,6 +52,16 @@ def test_zero_state_moments_vanish():
         assert moment(state, r) == 0.0
 
 
+def test_moment_one_is_bitwise_domain_mass():
+    # the clamp budget reads moment(state, 1): the first moment summed as
+    # midpoints * xi * widths, in that order
+    state = block_state(N=97, R=3.0)
+    g = state.grid
+    domain_mass = float(np.sum(g.midpoints * state.xi * g.widths))
+    assert moment(state, 1) == domain_mass
+    assert moment(state, 1.0) == domain_mass
+
+
 def test_truncated_moment_limits():
     state = block_state()
     assert truncated_moment(state, 2, 0.0) == moment(state, 2)

@@ -139,11 +139,17 @@ def _fixture_run(request, fixture):
 
 
 ORACLE_FIXTURES = ["bagland_runs", "powersum_run", "massconserving_run"]
-# the moment test function mu**r has no cap, so lam picks its order r = 2 * lam
-# instead; on the N = 1024 Bagland run, Power(2) integrates to 0.663 where
-# CappedIdentity(R/2) integrates to exactly 0
+# the moment test function mu**r has no cap, so lam picks its order instead:
+# r = 2 * lam + 1 for "power" (3 and 5 are the odd orders of the check's sign
+# test) and r = 2 * lam for "moment"; on the N = 1024 Bagland run, Power(2)
+# integrates to 0.663 where CappedIdentity(R/2) integrates to exactly 0
 TEST_KINDS = pytest.mark.parametrize(
-    "make_test", [CappedIdentity, lambda lam: Power(2.0 * lam)], ids=["identity", "moment"],
+    "make_test", [CappedIdentity, lambda lam: Power(2.0 * lam + 1.0)], ids=["identity", "power"],
+)
+ALL_KINDS = pytest.mark.parametrize(
+    "make_test",
+    [CappedIdentity, lambda lam: Power(2.0 * lam + 1.0), lambda lam: Power(2.0 * lam)],
+    ids=["identity", "power", "moment"],
 )
 
 
@@ -153,7 +159,7 @@ def _relative_gap(a, b, internal, gross):
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5])
-@TEST_KINDS
+@ALL_KINDS
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
 def test_brute_force_agrees_with_vectorized_quadrature(request, fixture, make_test, lam):
     result = _fixture_run(request, fixture)
@@ -280,7 +286,7 @@ def _dense_weak_quadrature(run, test):
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])
-@TEST_KINDS
+@ALL_KINDS
 @pytest.mark.parametrize("fixture", ORACLE_FIXTURES)
 def test_pair_sum_quadrature_matches_dense_table(request, fixture, make_test, lam):
     run = request.getfixturevalue(fixture)
