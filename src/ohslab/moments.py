@@ -10,6 +10,16 @@ cached row ``SizeGrid.power(r)``, so a run's records, the replay checks and
 the blow-up table raise the midpoints to each order once per grid; a caller
 of ``holder_check`` on several (r, beta) pairs passes it a mapping
 {order: M^order} and so sums each distinct order once per state.
+
+The replay sums, ``stacked_moments`` and ``pair_sums``, take every record at
+once.  They stack the records' densities in blocks of at most ``BLOCK_BYTES``
+and sum each block with one reduce along its rows, on the shortest prefix of
+the cells that covers every occupied cell and lies on numpy's pairwise
+summation chain (``tree_prefix``): N cells for a moment, N - 1 pairs
+(``KernelTables.prefix``) for a pair sum.  Every cell past such a prefix is
+empty, so each record's sum keeps the bits of its whole-grid ``moment`` or
+``KernelTables.pair_sum``.
+
 On top of these the module checks, against simulated states:
 
 * the Hoelder interpolation bound (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1)
@@ -52,6 +62,12 @@ GROSS_GUARD = 1e-6
 
 HOLDER_TOL = 1e-12
 
+#: Largest block of stacked record densities a replay sum holds at once.  A
+#: pair sum's temporaries are this times the kernel's term count; measured at
+#: N = 1024, a block of 256 KiB or more made them up to twice as slow per
+#: record as one of 64 KiB.
+BLOCK_BYTES = 64 * 1024
+
 
 def moment(state, r):
     """r-th moment of the state; at r = 1 the domain mass the solver books."""
@@ -67,6 +83,61 @@ def truncated_moment(state, r, m):
     if k == g.ncells:
         return 0.0
     return float(np.add.reduce((g.power(r)[k:] * state.xi[k:]) * g.widths[k:]))
+
+
+def tree_prefix(n, m):
+    """The shortest prefix of an n-element row, at least m long, that numpy's
+    ``add.reduce`` sums to the whole row's bits whenever the rest is zero.
+
+    The reduce is pairwise: a row longer than 128 splits at n // 2, rounded
+    down to a multiple of 8, and adds the sums of its two parts, so a length
+    on that chain of splits gives the whole row's sum once the part past it
+    sums to zero.  A row of at most 128 sums into 8 accumulators, element i
+    into accumulator i % 8, so there any multiple of 8 does too; a row under
+    8 is summed as it is.  ``tests/test_moments.py`` pins the rule, so a
+    numpy that sums otherwise fails there first.
+    """
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if half < m:
+            return n
+        n = half
+    return n if n < 8 else min(n, max(8, -(-m // 8) * 8))
+
+
+def _occupied(states):
+    """Cells up to the last one any state holds a nonzero (or NaN) in."""
+    held = np.zeros(states[0].grid.ncells, dtype=bool)
+    for s in states:
+        np.logical_or(held, s.xi, out=held)
+    return int(np.max(np.flatnonzero(held), initial=-1)) + 1
+
+
+def _blocks(count, n):
+    """Slices of ``count`` records, each block of n-cell rows within BLOCK_BYTES."""
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    return [slice(start, start + rows) for start in range(0, count, rows)]
+
+
+def stacked_moments(states, orders):
+    """{r: M^r at every state} for each order r, each the bits of ``moment``.
+
+    The states share one grid.  Each block of stacked densities is one
+    multiply-reduce per order, on the ``tree_prefix`` of N covering every
+    occupied cell; a power row that is not finite keeps the whole grid.
+    """
+    grid = states[0].grid
+    rows = {r: grid.power(r) for r in orders}
+    n = grid.ncells
+    if all(np.all(np.isfinite(row)) for row in rows.values()):
+        n = tree_prefix(n, _occupied(states))
+    widths = grid.widths[:n]
+    sums = {r: np.empty(len(states)) for r in rows}
+    for block in _blocks(len(states), n):
+        xi = np.array([s.xi[:n] for s in states[block]])
+        for r, row in rows.items():
+            sums[r][block] = np.add.reduce((row[:n] * xi) * widths, axis=1)
+    return sums
 
 
 @dataclass
@@ -157,28 +228,44 @@ def kernel_matrix(grid, kernel):
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
 
 
-def _signed_pair_sum(tables, w, terms):
-    """(value, gross) of one state's pair quadrature, w = xi * dx: the pair
-    weight of xbar_j < xbar_i is the sum of sign * u[i] * v[j] over ``terms``,
-    u, v >= 0, and gross adds the terms' pair sums without their signs.
-    """
-    value = gross = 0.0
-    for sign, u, v in terms:
-        part = tables.pair_sum(u * w, v * w)
-        value += sign * part
-        gross += part
-    return value, gross
-
-
 def pair_sums(states, tables, test):
     """(value, gross) of ``test``'s pair quadrature at every state, as a
     (len(states), 2) array: the sum of varpi1 * Lambda * xi * xi * dx * dx
     over pairs nu < mu, O(N) on the states' ``solver.KernelTables``.
+
+    With w = xi * dx, the pair weight of xbar_j < xbar_i is the sum of
+    sign * u[i] * v[j] over the test's ``pair_terms``, u, v >= 0; value adds
+    the terms' pair sums with their signs and gross without.  Each block of
+    stacked records is one ``KernelTables.pair_sum`` per term, on the
+    ``KernelTables.prefix`` of n cells whose n - 1 pairs are the
+    ``tree_prefix`` of the N - 1 pairs that covers every occupied cell and
+    the first empty one above them: the pair with that empty cell reads the
+    whole prefix sum below it, so a non-finite one is not cut off.  A test
+    factor that is not finite keeps the whole grid; the kernel's own
+    factors need no such test, since every built-in kernel's are finite
+    wherever its diagonal is, which the tables checked when built.  A
+    non-finite sum raises ``NumericalFailureError`` and warns of nothing.
     """
-    grid = states[0].grid
-    terms = test.pair_terms(grid.midpoints)
-    return np.array([_signed_pair_sum(tables, state.xi * grid.widths, terms)
-                     for state in states])
+    grid = tables.grid
+    n = grid.ncells
+    factors = [f for _, u, v in test.pair_terms(grid.midpoints) for f in (u, v)]
+    if all(np.all(np.isfinite(f)) for f in factors):
+        n = tree_prefix(n - 1, _occupied(states)) + 1
+        tables = tables.prefix(n)
+    terms = test.pair_terms(tables.grid.midpoints)
+    widths = tables.grid.widths
+    sums = np.empty((len(states), 2))
+    for block in _blocks(len(states), n):
+        w = np.array([s.xi[:n] for s in states[block]]) * widths
+        value = gross = 0.0
+        for sign, u, v in terms:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, v = u * w, v * w
+            part = tables.pair_sum(u, v)
+            value = value + sign * part
+            gross = gross + part
+        sums[block, 0], sums[block, 1] = value, gross
+    return sums
 
 
 class _PairTest:
@@ -307,7 +394,8 @@ def moment_residual(run, r, sums=None):
     if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
     xbar = run.states[0].grid.midpoints[-1]
-    mr = np.array([moment(s, r) + xbar ** (r - 1.0) * s.gel_mass for s in run.states])
+    gel = np.array([s.gel_mass for s in run.states])
+    mr = stacked_moments(run.states, (r,))[r] + xbar ** (r - 1.0) * gel
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
     if sums is None:
         rhs = pair_sums(run.states[1:-1], run.tables, Power(r))[:, 0]

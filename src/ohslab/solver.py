@@ -202,22 +202,25 @@ class KernelTables:
         return _sum_terms(self._loss, xi)
 
     def pair_sum(self, u, v):
-        """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j.
+        """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j, per row.
 
-        An exclusive prefix sum per term; the term totals are added in order.
-        It leaves the buffers alone, so it may run between steps.  A sum that
+        u and v stack rows of N cells along their leading axes; the result
+        has one sum per row.  Each row is an exclusive prefix sum per term,
+        the term totals added in order, and has the bits it has alone.  It
+        leaves the buffers alone, so it may run between steps.  A sum that
         overflows, or meets a non-finite value, raises NumericalFailureError
         and warns of nothing.
         """
         a, b = self._terms
+        u, v = u[..., None, :], v[..., None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.add.reduce(
-                (u * a)[:, 1:] * np.add.accumulate(b * v, axis=1)[:, :-1], axis=1
+                (u * a)[..., 1:] * np.add.accumulate(b * v, axis=-1)[..., :-1], axis=-1
             )
-            total = float(np.add.accumulate(terms)[-1])
-        if not math.isfinite(total):
+            totals = np.add.accumulate(terms, axis=-1)[..., -1]
+        if not np.all(np.isfinite(totals)):
             raise NumericalFailureError("non-finite pair sum")
-        return total
+        return totals
 
 
 def _direction(outer, inner, reverse):

@@ -1,4 +1,4 @@
-"""The check suite's Hoelder entry: each distinct order summed once per record."""
+"""The check suite's Hoelder entry: each distinct order summed once, for every record."""
 import numpy as np
 
 from ohslab import checks, moments
@@ -22,18 +22,25 @@ def per_pair_holder_entry(states):
 
 def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch):
     states = bagland_runs[1024][0].states
-    calls = []
-    moment = moments.moment
+    calls, singles = [], []
+    stacked, moment = moments.stacked_moments, moments.moment
 
-    def counted(state, r):
-        calls.append(r)
+    def counted(states, orders):
+        calls.append((len(states), tuple(orders)))
+        return stacked(states, orders)
+
+    def counted_single(state, r):
+        singles.append(r)
         return moment(state, r)
 
-    monkeypatch.setattr(moments, "moment", counted)
+    monkeypatch.setattr(moments, "stacked_moments", counted)
+    monkeypatch.setattr(moments, "moment", counted_single)
     report = checks.CheckReport()
     checks._check_holder(report, states)
     monkeypatch.undo()
-    assert len(calls) <= 10 * len(states)
+    # one stacked sum of every record per order, and no per-record moment
+    assert calls == [(len(states), checks.HOLDER_ORDERS)] and singles == []
+    assert len(checks.HOLDER_ORDERS) == 9
     (entry,) = report.checks
     assert entry.name == "holder_inequality"
     # bit for bit: the worst ratio and its record compare with ==

@@ -23,6 +23,7 @@ from ohslab.moments import (
     moment,
     moment_residual,
     pair_sums,
+    tree_prefix,
     truncated_moment,
     weak_form_residual,
     weak_rhs_quadrature,
@@ -130,6 +131,52 @@ def test_cached_power_rows_reproduce_the_old_moment_bodies_bitwise(data):
     assert truncated_moment(state, twin, m) == old_truncated_moment(state, twin, m)
     assert grid.power(twin) is row
     assert len(grid._powers) == cached
+
+
+#: Row lengths on both sides of numpy's 128-element pairwise block, odd and even.
+PAIRWISE_LENGTHS = (8, 9, 15, 16, 17, 63, 100, 127, 128, 129, 130, 200, 255, 256, 257,
+                    511, 512, 777, 1023, 1024, 1025, 2047, 2048, 3001, 4096, 4097)
+
+
+def tail_rows(rng, n, k, count):
+    """count random nonnegative rows of n elements, zero from element k on."""
+    rows = np.zeros((count, n))
+    rows[:, :k] = rng.random((count, k)) * 10.0 ** rng.integers(-6, 6, (count, k))
+    return rows
+
+
+@pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
+def test_numpy_sums_a_zero_tail_on_its_tree_prefix_bitwise(n):
+    # the rule the replay sums stand on: when this fails, numpy's summation changed
+    rng = np.random.default_rng(n)
+    for k in sorted({0, 1, 7, 8, 9, n // 2, n // 2 + 1, n - 1, n,
+                     *rng.integers(0, n + 1, 12).tolist()} - {n + 1}):
+        p = tree_prefix(n, k)
+        assert k <= p <= n and (p == n or p % 8 == 0)
+        rows = tail_rows(rng, n, k, 5)
+        for row in rows:
+            assert np.add.reduce(row[:p]).tobytes() == np.add.reduce(row).tobytes()
+        stacked = np.add.reduce(rows[:, :p], axis=1)
+        assert stacked.tobytes() == np.add.reduce(rows, axis=1).tobytes()
+        assert stacked.tobytes() == np.array([np.add.reduce(row) for row in rows]).tobytes()
+
+
+def test_a_prefix_off_the_tree_chain_changes_the_bits():
+    # the negative control: the pinned rule is not true of every prefix
+    rng = np.random.default_rng(1)
+    rows = tail_rows(rng, 1024, 329, 40)
+    assert tree_prefix(1024, 329) == 512 and tree_prefix(1023, 329) == 504
+    for p in (329, 336, 640):  # the support, a multiple of 8, a longer cut
+        cut = np.add.reduce(rows[:, :p], axis=1)
+        assert cut.tobytes() != np.add.reduce(rows, axis=1).tobytes()
+
+
+def test_tree_prefix_walks_the_split_chain():
+    assert [tree_prefix(1024, m) for m in (0, 8, 9, 120, 121, 128, 129, 256, 257, 513)] == [
+        8, 8, 16, 120, 128, 128, 256, 256, 512, 1024]
+    assert [tree_prefix(1023, m) for m in (120, 121, 248, 249, 504, 505)] == [
+        120, 248, 248, 504, 504, 1023]
+    assert [tree_prefix(n, 0) for n in (1, 5, 7, 8, 100, 129)] == [1, 5, 7, 8, 8, 8]
 
 
 def test_power_rows_are_read_only_and_r1_is_the_midpoints():
@@ -351,16 +398,27 @@ def test_moment_residual_takes_the_pair_sums_it_is_handed(powersum_run):
 
 def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
     import ohslab.moments as moments_mod
-    from ohslab.checks import run_checks
+    from ohslab.checks import HOLDER_ORDERS, run_checks
 
+    records = len(powersum_run.states)
     real, orders = moments_mod.pair_sums, []
+    stacked, stacked_orders = moments_mod.stacked_moments, []
 
     def counted(states, tables, test):
+        assert len(states) == records  # every record in one call
         if isinstance(test, Power):
             orders.append(test.r)
         return real(states, tables, test)
 
+    def counted_moments(states, orders):
+        assert len(states) == records
+        stacked_orders.append(tuple(orders))
+        return stacked(states, orders)
+
     monkeypatch.setattr(moments_mod, "pair_sums", counted)
+    monkeypatch.setattr(moments_mod, "stacked_moments", counted_moments)
     names = [check.name for check in run_checks(powersum_run).checks]
     assert "moment_residual" in names
     assert sorted(orders) == [2, 3, 5]
+    # the Hoelder orders once, then the residual's M^2 once
+    assert stacked_orders == [HOLDER_ORDERS, (2,)]

@@ -11,9 +11,12 @@ relative precision is lost whatever the summation order.
 The stacked (K, N) drift, loss and strict-lower pair sum are also checked bit
 for bit against per-term loops written here, and the support-aware step
 bound against the positivity it promises on densities with interior gaps.
+The replay sums over every record at once, blocked and cut to a tree prefix,
+are checked bit for bit against the per-record whole-grid sums they replace.
 """
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 from ohslab import ConstantKernel, MassConservingKernel, PowerSumKernel, ProductKernel
 from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build
-from ohslab.moments import Power, moment, pair_sums
+from ohslab import moments
+from ohslab.moments import CappedIdentity, Power, moment, pair_sums, stacked_moments, tree_prefix
 from ohslab.solver import KernelTables
 
 from conftest import stage, step_state
@@ -221,3 +225,154 @@ def test_a_non_finite_pair_sum_fails_without_a_warning(u0, v0):
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
             tables.pair_sum(u, v)
+
+
+def per_record_pair_sums(states, tables, test):
+    """The (value, gross) rows of one whole-grid pair sum per record and term."""
+    grid = states[0].grid
+    terms = test.pair_terms(grid.midpoints)
+    rows = []
+    for state in states:
+        w = state.xi * grid.widths
+        value = gross = 0.0
+        for sign, u, v in terms:
+            with np.errstate(over="ignore", invalid="ignore"):
+                part = float(tables.pair_sum(u * w, v * w))
+            value += sign * part
+            gross += part
+        rows.append((value, gross))
+    return np.array(rows)
+
+
+def chain(n):
+    """The lengths a prefix of an n-element row may cut to: its tree prefixes."""
+    return sorted({tree_prefix(n, m) for m in range(n + 1)})
+
+
+@st.composite
+def replays(draw):
+    """A kernel of every kind, 1 to 4 terms, its tables, records on one grid
+    whose last occupied cell ends a random cut, a tree-prefix cut or one cell
+    past it, and a block size that puts 1 to 4 records in a block."""
+    kernel = draw(st.sampled_from([
+        ConstantKernel(1.5), PowerSumKernel(1.0, 1.5),
+        MassConservingKernel(1.0, 1.5, "min", 0.5), MassConservingKernel(1.0, 2.0, "half_sum", 0.5),
+        ProductKernel(0.5),
+    ]))
+    R, N = draw(st.floats(0.5, 20.0)), draw(st.integers(2, 600))
+    if draw(st.booleans()):
+        grid = build("uniform", R, N)
+    else:
+        grid = build("geometric", R, N, draw(st.floats(1.001, 1.01)))
+    ends = [p + d for p in chain(N) + chain(N - 1) for d in (0, 1) if p + d <= N]
+    end = draw(st.one_of(st.integers(0, N), st.sampled_from(ends)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for k in range(draw(st.integers(1, 9))):
+        xi = np.zeros(N)
+        top = end if k == 0 else int(rng.integers(0, end + 1))  # record 0 reaches the end
+        xi[:top] = rng.random(top) * (rng.random(top) < 0.8)
+        if top and k == 0:
+            xi[top - 1] = 1.0
+        states.append(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid))
+    # a block holds 1 to 4 records of the cut, so the record counts cross block ends
+    block_bytes = 8 * N * draw(st.integers(1, 4))
+    return KernelTables(grid, kernel), states, block_bytes
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(replays(), st.one_of(st.builds(Power, st.floats(2.0, 5.0)),
+                            st.builds(CappedIdentity, st.floats(0.05, 20.0))))
+def test_blocked_prefix_pair_sums_equal_the_per_record_whole_grid_sums(replay, test):
+    tables, states, block_bytes = replay
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        sums = pair_sums(states, tables, test)
+    assert bits(sums) == bits(per_record_pair_sums(states, tables, test))
+
+
+@PROPERTY_SETTINGS
+@given(replays())
+def test_blocked_prefix_moments_equal_the_per_record_whole_grid_moments(replay):
+    _, states, block_bytes = replay
+    orders = (1, 2, 2.5, 3.0, 6)
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        sums = stacked_moments(states, orders)
+    assert list(sums) == list(orders)
+    for r in orders:
+        assert bits(sums[r]) == bits([moment(state, r) for state in states])
+
+
+@PROPERTY_SETTINGS
+@given(replays(), st.sampled_from([np.inf, -np.inf, np.nan, 1e200]), st.data())
+def test_a_non_finite_record_in_any_block_fails_the_pair_sums_without_a_warning(
+        replay, bad, data):
+    tables, states, block_bytes = replay
+    grid = states[0].grid
+    k = data.draw(st.integers(0, len(states) - 1))
+    cell = data.draw(st.integers(0, grid.ncells - 1))
+    states[k].xi[cell] = bad
+    if bad == 1e200:  # overflows only when it meets a pair: a second cell of it
+        states[k].xi[data.draw(st.integers(0, grid.ncells - 1).filter(lambda c: c != cell))] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+            per_record_pair_sums(states, tables, Power(2))
+        with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+            with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+                pair_sums(states, tables, Power(2))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 65])
+def test_pair_sums_cross_the_module_block_at_its_own_size(extra):
+    # the bagland replay's cut: occupied cells end at 329 of 1024, so 505 cells
+    grid = build("uniform", 8.0, 1024)
+    tables = KernelTables(grid, PowerSumKernel(1.0, 1.5))
+    rows = moments.BLOCK_BYTES // (8 * 505)
+    rng = np.random.default_rng(rows + extra)
+    states = []
+    for _ in range(rows + extra):
+        xi = np.zeros(1024)
+        xi[:329] = rng.random(329)
+        states.append(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid))
+    assert bits(pair_sums(states, tables, Power(3))) == bits(
+        per_record_pair_sums(states, tables, Power(3)))
+    assert bits(stacked_moments(states, (2,))[2]) == bits([moment(s, 2) for s in states])
+
+
+def test_a_prefix_sum_that_overflows_on_the_last_occupied_cell_still_fails():
+    # cell 96 ends the support and 96 is a tree prefix of the 199 pairs; its
+    # loss-term prefix sum overflows there, but only the pair with the empty
+    # cell 97 above it reads that total, so the cut must keep cell 97
+    grid = build("uniform", 400.0, 200)
+    xi = np.zeros(200)
+    xi[:96] = 1e-3
+    xi[96] = 5e303 / grid.widths[96]
+    state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
+    tables = KernelTables(grid, ConstantKernel(1.0))
+    assert tree_prefix(199, 96) == 96 and tree_prefix(199, 97) == 199
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sums in (per_record_pair_sums, pair_sums):
+            with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+                sums([state], tables, Power(2))
+
+
+def test_a_factor_row_that_overflows_past_the_support_keeps_the_whole_grid():
+    # midpoints**5 overflows near the cutoff, where every record is empty:
+    # inf * 0 there makes the whole-grid sums NaN, and a cut would hide it
+    grid = build("uniform", 1e62, 64)
+    xi = np.zeros(64)
+    xi[:3] = 1e-120
+    state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
+    tables = KernelTables(grid, ConstantKernel(1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(grid.power(5)[-1])
+        for sums in (per_record_pair_sums, pair_sums):
+            with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+                sums([state], tables, Power(5))
+        assert math.isnan(moment(state, 5))
+        assert bits(stacked_moments([state], (5,))[5]) == bits([moment(state, 5)])
