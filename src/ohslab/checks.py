@@ -90,37 +90,38 @@ def _check_certification(report, kernel, params):
     report.add("certification", cert.passed, cert.to_dict())
 
 
-def _check_holder(report, states):
+def _check_holder(report, states, sums):
+    """Add the Hoelder entry from ``sums``, the stacked HOLDER_ORDERS moments."""
     # Python floats, as ``moments.moment`` gives, so the bound's powers keep their bits
-    sums = {q: row.tolist() for q, row in moments.stacked_moments(states, HOLDER_ORDERS).items()}
+    sums = {q: sums[q].tolist() for q in HOLDER_ORDERS}
+    m1 = sums[1]
+    pairs = [(r, beta, (beta - 1.0) / (r - 1.0), sums[r], sums[r + beta - 1.0])
+             for r, beta in HOLDER_PAIRS]
     worst = {"ratio": 0.0}
     ok = True
     for k, state in enumerate(states):
-        values = {q: sums[q][k] for q in HOLDER_ORDERS}
-        if values[1] == 0.0:  # the inequality reads 0 <= 0
+        if m1[k] == 0.0:  # the inequality reads 0 <= 0
             continue
-        for r, beta in HOLDER_PAIRS:
-            res = moments.holder_check(values, r, beta)
-            ok = ok and res.satisfied
-            ratio = res.lhs / res.rhs if res.rhs > 0 else np.inf
+        for r, beta, sigma, mr, mq in pairs:
+            lhs, rhs, satisfied = moments.holder_sides(m1[k], mr[k], mq[k], sigma)
+            ok = ok and satisfied
+            ratio = lhs / rhs if rhs > 0 else np.inf
             if ratio > worst["ratio"]:
                 worst = {"ratio": float(ratio), "t": state.t, "r": r, "beta": beta}
     report.add("holder_inequality", ok, {"pairs": list(HOLDER_PAIRS), "worst": worst})
 
 
-def _check_moment_rhs_sign(report, states, tables):
-    """Add the sign check; returns {order: its pair sums at every record}."""
-    sums = {r: moments.pair_sums(states, tables, moments.Power(r))[:, 0] for r in SIGN_ORDERS}
-    values = np.array(list(sums.values()))
+def _check_moment_rhs_sign(report, sums):
+    """Add the sign check of the pair sums of each SIGN_ORDERS order."""
+    values = np.array([sums[r][:, 0] for r in SIGN_ORDERS])
     ok = bool(np.all(values >= -SIGN_SLACK * np.maximum(1.0, np.abs(values))))
     least = min(0.0, float(np.min(values)))
     report.add("moment_rhs_sign", ok, {"orders": list(SIGN_ORDERS), "min_value": least})
-    return sums
 
 
-def _check_moment_residual(report, result, tol, sums):
+def _check_moment_residual(report, result, tol, sums, values):
     try:
-        residual = moments.moment_residual(result, 2, sums)
+        residual = moments.moment_residual(result, 2, sums, values)
     except InvalidInputError as exc:  # too few records, non-uniform cadence
         report.add("moment_residual", True, {"reason": str(exc)}, skip=True)
         return
@@ -129,17 +130,15 @@ def _check_moment_residual(report, result, tol, sums):
     })
 
 
-def _check_weak_form(report, result, tol):
-    grid_R = result.config.grid.R
-    test = moments.CappedIdentity(grid_R / 2.0)
-    residual, internal, gross = moments.weak_form_residual(result, test)
+def _check_weak_form(report, result, tol, test, sums):
+    residual, internal, gross = moments.weak_form_residual(result, test, sums)
     brute = oracle.brute_force_weak_rhs(result.states, result.config.kernel, test)
     agree = abs(internal - brute) / max(
         abs(internal), abs(brute), moments.GROSS_GUARD * gross, moments.EPS_FLOOR
     )
     ok = residual <= tol and agree <= WEAK_AGREEMENT_RTOL
     report.add("weak_form_residual", ok, {
-        "cap": grid_R / 2.0, "t": float(result.series.times()[-1]), "residual": residual,
+        "cap": test.lam, "t": float(result.series.times()[-1]), "residual": residual,
         "tolerance": tol, "oracle_agreement": agree,
         "agreement_tolerance": WEAK_AGREEMENT_RTOL,
     })
@@ -196,9 +195,15 @@ def run_checks(result, stored=None, settings=None):
     if stored is not None:
         _check_stored_csv(report, series, stored)
     _check_certification(report, result.config.kernel, settings.certification)
-    _check_holder(report, result.states)
-    sums = _check_moment_rhs_sign(report, result.states, result.tables)
-    _check_moment_residual(report, result, settings.moment_residual_tol, sums[2])
-    _check_weak_form(report, result, settings.weak_residual_tol)
+    # every replay sum once: the moments, then all four tests' pair sums
+    values = moments.stacked_moments(result.states, HOLDER_ORDERS)
+    _check_holder(report, result.states, values)
+    weak_test = moments.CappedIdentity(result.config.grid.R / 2.0)
+    tests = [moments.Power(r) for r in SIGN_ORDERS] + [weak_test]
+    *power_sums, weak_sums = moments.pair_sums(result.states, result.tables, tests)
+    sums = dict(zip(SIGN_ORDERS, power_sums))
+    _check_moment_rhs_sign(report, sums)
+    _check_moment_residual(report, result, settings.moment_residual_tol, sums[2][:, 0], values[2])
+    _check_weak_form(report, result, settings.weak_residual_tol, weak_test, weak_sums)
     _check_blowup_bounds(report, result)
     return report

@@ -21,6 +21,7 @@ bit for bit from its artifacts alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import asdict
@@ -145,7 +146,9 @@ def cmd_check(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ohslab",
         description="Truncated-domain coagulation solver and diagnostics runner.",
@@ -174,10 +177,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig is a no-op once the root logger has a handler, so the
+    # level is set apart, on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
     except InvalidInputError as exc:

@@ -7,18 +7,22 @@ The r-th moment of a state is the midpoint quadrature
 and the truncated moment M_m^r restricts the sum to cells with xbar_i >= m,
 a suffix of the cells.  Each is one multiply-reduce against the grid's
 cached row ``SizeGrid.power(r)``, so a run's records, the replay checks and
-the blow-up table raise the midpoints to each order once per grid; a caller
-of ``holder_check`` on several (r, beta) pairs passes it a mapping
-{order: M^order} and so sums each distinct order once per state.
+the blow-up table raise the midpoints to each order once per grid.
 
 The replay sums, ``stacked_moments`` and ``pair_sums``, take every record at
-once.  They stack the records' densities in blocks of at most ``BLOCK_BYTES``
-and sum each block with one reduce along its rows, on the shortest prefix of
-the cells that covers every occupied cell and lies on numpy's pairwise
-summation chain (``tree_prefix``): N cells for a moment, N - 1 pairs
-(``KernelTables.prefix``) for a pair sum.  Every cell past such a prefix is
-empty, so each record's sum keeps the bits of its whole-grid ``moment`` or
-``KernelTables.pair_sum``.
+once, and each call takes every order or test its caller needs: ``check``
+makes one moment pass and one pair-sum pass.  They stack the records'
+densities in blocks of at most ``BLOCK_BYTES`` and sum each block with one
+reduce along its rows, on the shortest prefix of the cells that covers every
+occupied cell and lies on numpy's pairwise summation chain (``tree_prefix``):
+N cells for a moment, N - 1 pairs for a pair sum, whose kernel factor rows
+``KernelTables.pair_sum`` slices to that prefix.  Every cell past such a
+prefix is empty, so each record's sum keeps the bits of its whole-grid
+``moment`` or ``KernelTables.pair_sum``.  The occupied extent is found once
+per call, and the terms of a call's tests that share a v factor share its
+prefix sums: the gain terms of every ``Power`` order read the midpoints.
+The Hoelder bound of ``holder_check`` is ``holder_sides``, which a caller
+holding stacked moments runs on them one record at a time.
 
 On top of these the module checks, against simulated states:
 
@@ -40,9 +44,8 @@ two near-zero sides do not read as order-one residuals.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +108,9 @@ def tree_prefix(n, m):
     return n if n < 8 else min(n, max(8, -(-m // 8) * 8))
 
 
-def _occupied(states):
-    """Cells up to the last one any state holds a nonzero (or NaN) in."""
-    held = np.zeros(states[0].grid.ncells, dtype=bool)
+def _occupied(states, n):
+    """Cells up to the last one any state on n cells holds a nonzero (or NaN) in."""
+    held = np.zeros(n, dtype=bool)
     for s in states:
         np.logical_or(held, s.xi, out=held)
     return int(np.max(np.flatnonzero(held), initial=-1)) + 1
@@ -130,7 +133,7 @@ def stacked_moments(states, orders):
     rows = {r: grid.power(r) for r in orders}
     n = grid.ncells
     if all(np.all(np.isfinite(row)) for row in rows.values()):
-        n = tree_prefix(n, _occupied(states))
+        n = tree_prefix(n, _occupied(states, n))
     widths = grid.widths[:n]
     sums = {r: np.empty(len(states)) for r in rows}
     for block in _blocks(len(states), n):
@@ -204,22 +207,29 @@ def holder_check(state, r, beta):
 
     With sigma = (beta-1)/(r-1) the bound reads
     (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1); equality holds exactly
-    for a monodisperse (single occupied cell) state.  ``state`` is a
-    ``grid.State`` or a mapping {order: M^order} holding the three orders, so
-    a caller checking several pairs on one state sums each order once.
+    for a monodisperse (single occupied cell) state.
     """
     if r < 2:
         raise InvalidInputError("holder check needs r >= 2")
     if beta <= 1:
         raise InvalidInputError("holder check needs beta > 1")
-    M = state.__getitem__ if isinstance(state, Mapping) else partial(moment, state)
-    m1 = M(1)
+    sigma = (beta - 1.0) / (r - 1.0)
+    return HolderResult(*holder_sides(
+        moment(state, 1), moment(state, r), moment(state, r + beta - 1.0), sigma))
+
+
+def holder_sides(m1, mr, mq, sigma):
+    """(lhs, rhs, satisfied) of the Hoelder bound from M^1, M^r and
+    M^q = M^(r+beta-1), with sigma = (beta - 1)/(r - 1).
+
+    The moments are Python floats: numpy's array ``**`` differs from Python's
+    in the last bit for some arguments, so a caller holding stacked moments
+    passes them here one record at a time, as ``tolist()`` gives them.
+    """
     if m1 <= 0:
         raise DegenerateStateError("holder check needs positive mass")
-    sigma = (beta - 1.0) / (r - 1.0)
-    lhs = M(r) ** (sigma + 1.0) * m1 ** (-sigma)
-    rhs = M(r + beta - 1.0)
-    return HolderResult(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs * (1.0 + HOLDER_TOL))
+    lhs = mr ** (sigma + 1.0) * m1 ** (-sigma)
+    return lhs, mq, lhs <= mq * (1.0 + HOLDER_TOL)
 
 
 def kernel_matrix(grid, kernel):
@@ -228,43 +238,55 @@ def kernel_matrix(grid, kernel):
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
 
 
-def pair_sums(states, tables, test):
-    """(value, gross) of ``test``'s pair quadrature at every state, as a
-    (len(states), 2) array: the sum of varpi1 * Lambda * xi * xi * dx * dx
-    over pairs nu < mu, O(N) on the states' ``solver.KernelTables``.
+def pair_sums(states, tables, tests):
+    """(value, gross) of each test's pair quadrature at every state: one
+    (len(states), 2) array per test, in the order of ``tests``, each row the
+    sum of varpi1 * Lambda * xi * xi * dx * dx over pairs nu < mu, O(N) on
+    the states' ``solver.KernelTables``.
 
     With w = xi * dx, the pair weight of xbar_j < xbar_i is the sum of
     sign * u[i] * v[j] over the test's ``pair_terms``, u, v >= 0; value adds
     the terms' pair sums with their signs and gross without.  Each block of
-    stacked records is one ``KernelTables.pair_sum`` per term, on the
-    ``KernelTables.prefix`` of n cells whose n - 1 pairs are the
-    ``tree_prefix`` of the N - 1 pairs that covers every occupied cell and
-    the first empty one above them: the pair with that empty cell reads the
-    whole prefix sum below it, so a non-finite one is not cut off.  A test
-    factor that is not finite keeps the whole grid; the kernel's own
-    factors need no such test, since every built-in kernel's are finite
-    wherever its diagonal is, which the tables checked when built.  A
-    non-finite sum raises ``NumericalFailureError`` and warns of nothing.
+    stacked records is one ``KernelTables.pair_sum`` per distinct v factor
+    among all the tests' terms, the u factors that share it stacked, so the
+    gain terms of several ``Power`` orders, whose v is the midpoints, share
+    one prefix sum.  The sums run on the first n cells, whose n - 1 pairs
+    are the ``tree_prefix`` of the N - 1 pairs that covers every occupied
+    cell and the first empty one above them: the pair with that empty cell
+    reads the whole prefix sum below it, so a non-finite one is not cut off.
+    A factor of any test that is not finite keeps the whole grid for every
+    test; the kernel's own factors need no such test, since every built-in
+    kernel's are finite wherever its diagonal is, which the tables checked
+    when built.  Each test's sums keep the bits of its whole-grid sums, and
+    a non-finite sum of any test raises ``NumericalFailureError`` and warns
+    of nothing.
     """
     grid = tables.grid
     n = grid.ncells
-    factors = [f for _, u, v in test.pair_terms(grid.midpoints) for f in (u, v)]
-    if all(np.all(np.isfinite(f)) for f in factors):
-        n = tree_prefix(n - 1, _occupied(states)) + 1
-        tables = tables.prefix(n)
-    terms = test.pair_terms(tables.grid.midpoints)
-    widths = tables.grid.widths
-    sums = np.empty((len(states), 2))
+    terms = [test.pair_terms(grid.midpoints) for test in tests]
+    if all(np.all(np.isfinite(f)) for each in terms for _, u, v in each for f in (u, v)):
+        n = tree_prefix(n - 1, _occupied(states, n)) + 1
+    # each distinct v factor, by identity, with the u factors of the terms
+    # that read it, stacked in the order the tests' terms come
+    shared = {}
+    for _, u, v in itertools.chain.from_iterable(terms):
+        shared.setdefault(id(v), (v, []))[1].append(np.broadcast_to(u, v.shape))
+    shared = {key: (v[:n], np.array(us)[:, None, :n]) for key, (v, us) in shared.items()}
+    widths = grid.widths[:n]
+    sums = [np.empty((len(states), 2)) for _ in terms]
     for block in _blocks(len(states), n):
         w = np.array([s.xi[:n] for s in states[block]]) * widths
-        value = gross = 0.0
-        for sign, u, v in terms:
+        parts = {}
+        for key, (v, us) in shared.items():
             with np.errstate(over="ignore", invalid="ignore"):
-                u, v = u * w, v * w
-            part = tables.pair_sum(u, v)
-            value = value + sign * part
-            gross = gross + part
-        sums[block, 0], sums[block, 1] = value, gross
+                parts[key] = iter(tables.pair_sum(us * w, v * w))
+        for out, each in zip(sums, terms):
+            value = gross = 0.0
+            for sign, _, v in each:
+                part = next(parts[id(v)])
+                value = value + sign * part
+                gross = gross + part
+            out[block, 0], out[block, 1] = value, gross
     return sums
 
 
@@ -325,15 +347,17 @@ def _require_replay(run):
         raise InvalidInputError("run was recorded without state snapshots or kernel tables")
 
 
-def weak_rhs_quadrature(run, test):
+def weak_rhs_quadrature(run, test, sums=None):
     """Time-integrated pair quadrature of the weak form over the whole replay.
 
     The ``pair_sums`` of every record, integrated in time with the trapezoid
-    rule over the recorded cadence; 0 on a one-record run.  Returns
-    (value, gross).
+    rule over the recorded cadence; 0 on a one-record run.  ``sums``, when
+    given, are those pair sums, ``pair_sums(run.states, run.tables,
+    [test])[0]``.  Returns (value, gross).
     """
     _require_replay(run)
-    sums = pair_sums(run.states, run.tables, test)
+    if sums is None:
+        (sums,) = pair_sums(run.states, run.tables, [test])
     times = run.series.times()
     return float(np.trapezoid(sums[:, 0], times)), float(np.trapezoid(sums[:, 1], times))
 
@@ -344,7 +368,7 @@ class WeakFormResult(NamedTuple):
     gross: float
 
 
-def weak_form_residual(run, test):
+def weak_form_residual(run, test, sums=None):
     """Relative mismatch of the two sides of the weak identity at the last record.
 
     Left side: integral of varpi against xi(t) - xi(0), plus the boundary
@@ -357,9 +381,10 @@ def weak_form_residual(run, test):
     gross that ``weak_rhs_quadrature`` gave: |quadrature| for
     ``CappedIdentity``, whose one pair term keeps its sign, and gain + loss,
     the roundoff scale of its two pair sums and an upper bound of the
-    unsigned sum, for ``Power``.
+    unsigned sum, for ``Power``.  ``sums``, when given, are the test's pair
+    sums at every record, which ``weak_rhs_quadrature`` then integrates.
     """
-    rhs, gross_rhs = weak_rhs_quadrature(run, test)
+    rhs, gross_rhs = weak_rhs_quadrature(run, test, sums)
     first, at_t = run.states[0], run.states[-1]
     g = first.grid
     phi = test.value(g.midpoints)
@@ -373,7 +398,7 @@ def weak_form_residual(run, test):
     return WeakFormResult(residual=abs(lhs - rhs) / denom, quadrature=rhs, gross=gross_rhs)
 
 
-def moment_residual(run, r, sums=None):
+def moment_residual(run, r, sums=None, values=None):
     """Max relative defect of the recorded M^r evolution against its quadrature.
 
     Uses a centered difference over uniformly spaced records and the pair
@@ -382,9 +407,10 @@ def moment_residual(run, r, sums=None):
     xbar_{N-1}, the last midpoint: the M^r the boundary flux carries out in
     a step is xbar**(r-1) times that step's gel increment, so the boundary
     term is exact and what remains is the first-order consistency error of
-    the quadrature.  ``sums``, when given, are the quadratures at every
-    record, ``pair_sums(run.states, run.tables, Power(r))[:, 0]``, which a
-    caller that has them need not sum again.
+    the quadrature.  ``sums`` and ``values``, when given, are the
+    quadratures and the moments at every record, ``pair_sums(run.states,
+    run.tables, [Power(r)])[0][:, 0]`` and ``stacked_moments(run.states,
+    (r,))[r]``, which a caller that has them need not sum again.
     """
     _require_replay(run)
     times = run.series.times()
@@ -395,11 +421,12 @@ def moment_residual(run, r, sums=None):
         raise InvalidInputError("moment residual needs records at uniform cadence")
     xbar = run.states[0].grid.midpoints[-1]
     gel = np.array([s.gel_mass for s in run.states])
-    mr = stacked_moments(run.states, (r,))[r] + xbar ** (r - 1.0) * gel
+    if values is None:
+        values = stacked_moments(run.states, (r,))[r]
+    mr = values + xbar ** (r - 1.0) * gel
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
     if sums is None:
-        rhs = pair_sums(run.states[1:-1], run.tables, Power(r))[:, 0]
+        rhs = pair_sums(run.states[1:-1], run.tables, [Power(r)])[0][:, 0]
     else:
         rhs = np.asarray(sums)[1:-1]
     return float(np.max(np.abs(rate - rhs) / np.maximum(np.abs(rhs), EPS_FLOOR)))
-

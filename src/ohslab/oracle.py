@@ -106,9 +106,13 @@ def brute_force_weak_rhs(states, kernel, test):
     if len(states) < 2:
         return 0.0
     grid = states[0].grid
-    if any(not np.array_equal(st.grid.edges, grid.edges) for st in states[1:]):
+    if any(st.grid is not grid and not np.array_equal(st.grid.edges, grid.edges)
+           for st in states[1:]):
         raise InvalidInputError("brute-force weak form needs every record on one grid")
-    n = max(int(np.max(np.flatnonzero(st.xi), initial=-1)) + 1 for st in states)
+    held = np.zeros(grid.ncells, dtype=bool)
+    for st in states:
+        np.logical_or(held, st.xi, out=held)
+    n = int(np.max(np.flatnonzero(held), initial=-1)) + 1
     if n < 2:
         return 0.0
     mid = grid.midpoints[:n]

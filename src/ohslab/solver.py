@@ -204,14 +204,17 @@ class KernelTables:
     def pair_sum(self, u, v):
         """sum over pairs j < i of u_i * Lambda(xbar_i, xbar_j) * v_j, per row.
 
-        u and v stack rows of N cells along their leading axes; the result
-        has one sum per row.  Each row is an exclusive prefix sum per term,
-        the term totals added in order, and has the bits it has alone.  It
+        u and v stack rows of the first n <= N cells along leading axes that
+        broadcast against each other; the result has one sum per row.  Each
+        row is an exclusive prefix sum of v per term, the term totals added
+        in order, and has the bits it has alone.  The prefix sums run once
+        per row of v, so rows of u stacked against one v share them.  It
         leaves the buffers alone, so it may run between steps.  A sum that
         overflows, or meets a non-finite value, raises NumericalFailureError
         and warns of nothing.
         """
-        a, b = self._terms
+        n = np.shape(v)[-1]
+        a, b = (f[:, :n] for f in self._terms)
         u, v = u[..., None, :], v[..., None, :]
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.add.reduce(

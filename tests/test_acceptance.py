@@ -81,7 +81,7 @@ def test_criterion_3_holder_and_sign_suite(bagland_runs, powersum_run, massconse
                 if res.rhs > 0:
                     worst_ratio = max(worst_ratio, res.lhs / res.rhs)
         for r in (2, 3, 5):
-            for value in pair_sums(result.states, result.tables, Power(r))[:, 0]:
+            for value in pair_sums(result.states, result.tables, [Power(r)])[0][:, 0]:
                 ok = ok and value >= -1e-14 * max(1.0, abs(value))
                 least_rhs = min(least_rhs, value)
     record_criterion(
@@ -97,7 +97,7 @@ def test_criterion_4_moment_evolution_residual(bagland_runs):
     residual = moment_residual(result, 2)
     states = result.states
     times = result.series.times()
-    rhs0 = pair_sums(states[:1], result.tables, Power(2))[0, 0]
+    rhs0 = pair_sums(states[:1], result.tables, [Power(2)])[0][0, 0]
     m2 = [moment(states[k], 2) for k in (0, 2)]
     diff0 = (m2[1] - m2[0]) / (times[2] - times[0])
     target = 2.0 / 3.0

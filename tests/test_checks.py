@@ -23,7 +23,7 @@ def per_pair_holder_entry(states):
 def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch):
     states = bagland_runs[1024][0].states
     calls, singles = [], []
-    stacked, moment = moments.stacked_moments, moments.moment
+    stacked, moment, holder = moments.stacked_moments, moments.moment, moments.holder_check
 
     def counted(states, orders):
         calls.append((len(states), tuple(orders)))
@@ -33,12 +33,18 @@ def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch)
         singles.append(r)
         return moment(state, r)
 
+    def counted_holder(state, r, beta):
+        singles.append((r, beta))
+        return holder(state, r, beta)
+
     monkeypatch.setattr(moments, "stacked_moments", counted)
     monkeypatch.setattr(moments, "moment", counted_single)
+    monkeypatch.setattr(moments, "holder_check", counted_holder)
     report = checks.CheckReport()
-    checks._check_holder(report, states)
+    checks._check_holder(report, states, moments.stacked_moments(states, checks.HOLDER_ORDERS))
     monkeypatch.undo()
-    # one stacked sum of every record per order, and no per-record moment
+    # one stacked sum of every record per order, no per-record moment and
+    # no per-record, per-pair holder_check
     assert calls == [(len(states), checks.HOLDER_ORDERS)] and singles == []
     assert len(checks.HOLDER_ORDERS) == 9
     (entry,) = report.checks

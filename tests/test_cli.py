@@ -1,11 +1,13 @@
 """Command-line interface: artifacts, exit codes, determinism, verification."""
 import json
+import logging
 import warnings
 from pathlib import Path
 
 import pytest
 
 from ohslab import ConstantKernel, solver
+from ohslab import cli
 from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.errors import InvalidInputError
@@ -41,6 +43,22 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def test_the_log_level_follows_each_call_on_one_parser(tmp_path):
+    # once the root logger has a handler, basicConfig alone sets no level
+    root = logging.getLogger()
+    saved = root.level
+    cli.build_parser.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    try:
+        for quiet, level in ((True, logging.WARNING), (False, logging.INFO),
+                             (True, logging.WARNING)):
+            assert main(["--quiet"] * quiet + ["simulate", missing]) == 2
+            assert root.level == level
+        assert cli.build_parser.cache_info().misses == 1
+    finally:
+        root.setLevel(saved)
 
 
 def test_simulate_writes_artifacts_and_tracks_oracle(tmp_path):

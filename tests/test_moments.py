@@ -229,9 +229,9 @@ def test_moment_rhs_trivial_cases():
     grid = build("uniform", 4.0, 16)
     tables = KernelTables(grid, ConstantKernel(1.0))
     zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
-    assert pair_sums([zero], tables, Power(2))[0, 0] == 0.0
+    assert pair_sums([zero], tables, [Power(2)])[0][0, 0] == 0.0
     spike = project_initial(grid, CellSpike(0, 1.0))
-    assert pair_sums([spike], tables, Power(2))[0, 0] == 0.0  # no ordered pairs
+    assert pair_sums([spike], tables, [Power(2)])[0][0, 0] == 0.0  # no ordered pairs
 
 
 def test_moment_rhs_converges_to_analytic_value():
@@ -239,7 +239,7 @@ def test_moment_rhs_converges_to_analytic_value():
     errors = []
     for N in (256, 512, 1024):
         state = block_state(N=N)
-        value = pair_sums([state], KernelTables(state.grid, ConstantKernel(1.0)), Power(2))[0, 0]
+        value = pair_sums([state], KernelTables(state.grid, ConstantKernel(1.0)), [Power(2)])[0][0, 0]
         errors.append(abs(value - 2.0 / 3.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.01
@@ -252,7 +252,7 @@ def test_moment_rhs_nonnegative_on_random_states():
     for r in (2, 3, 5):
         for _ in range(10):
             state = State(t=0.0, xi=rng.random(48), gel_mass=0.0, grid=grid)
-            assert pair_sums([state], tables, Power(r))[0, 0] >= 0.0
+            assert pair_sums([state], tables, [Power(r)])[0][0, 0] >= 0.0
 
 
 def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
@@ -388,7 +388,7 @@ def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
 
 
 def test_moment_residual_takes_the_pair_sums_it_is_handed(powersum_run):
-    sums = pair_sums(powersum_run.states, powersum_run.tables, Power(2))[:, 0]
+    sums = pair_sums(powersum_run.states, powersum_run.tables, [Power(2)])[0][:, 0]
     assert moment_residual(powersum_run, 2, sums) == moment_residual(powersum_run, 2)
     # the interior records' sums are the ones it uses
     planted = sums.copy()
@@ -401,14 +401,14 @@ def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
     from ohslab.checks import HOLDER_ORDERS, run_checks
 
     records = len(powersum_run.states)
-    real, orders = moments_mod.pair_sums, []
+    real, pair_calls = moments_mod.pair_sums, []
     stacked, stacked_orders = moments_mod.stacked_moments, []
 
-    def counted(states, tables, test):
+    def counted(states, tables, tests):
         assert len(states) == records  # every record in one call
-        if isinstance(test, Power):
-            orders.append(test.r)
-        return real(states, tables, test)
+        pair_calls.append([(type(test).__name__, getattr(test, "r", getattr(test, "lam", None)))
+                           for test in tests])
+        return real(states, tables, tests)
 
     def counted_moments(states, orders):
         assert len(states) == records
@@ -418,7 +418,10 @@ def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
     monkeypatch.setattr(moments_mod, "pair_sums", counted)
     monkeypatch.setattr(moments_mod, "stacked_moments", counted_moments)
     names = [check.name for check in run_checks(powersum_run).checks]
-    assert "moment_residual" in names
-    assert sorted(orders) == [2, 3, 5]
-    # the Hoelder orders once, then the residual's M^2 once
-    assert stacked_orders == [HOLDER_ORDERS, (2,)]
+    assert {"holder_inequality", "moment_rhs_sign", "moment_residual",
+            "weak_form_residual"} <= set(names)
+    # one moment pass, whose M^2 the residual reads too, and one pair-sum
+    # pass carrying the sign orders and the weak form's capped identity
+    assert stacked_orders == [HOLDER_ORDERS]
+    assert pair_calls == [[("Power", 2), ("Power", 3), ("Power", 5),
+                           ("CappedIdentity", powersum_run.config.grid.R / 2.0)]]

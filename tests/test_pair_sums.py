@@ -12,7 +12,8 @@ The stacked (K, N) drift, loss and strict-lower pair sum are also checked bit
 for bit against per-term loops written here, and the support-aware step
 bound against the positivity it promises on densities with interior gaps.
 The replay sums over every record at once, blocked and cut to a tree prefix,
-are checked bit for bit against the per-record whole-grid sums they replace.
+several tests in one call, are checked bit for bit against the per-record
+whole-grid sums they replace.
 """
 import math
 import warnings
@@ -138,7 +139,7 @@ def test_moment_pair_sum_matches_dense_sum(case, r):
     w = xi * grid.widths
     expected = w @ np.tril(omega * dense_table(grid, kernel), k=-1) @ w
     tables = KernelTables(grid, kernel)
-    value = pair_sums([State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)], tables, Power(r))[0, 0]
+    value = pair_sums([State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)], tables, [Power(r)])[0][0, 0]
     assert value >= 0.0
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
     for u, v in ((r * mid ** (r - 1.0) * w, mid * w), (w, mid**r * w)):
@@ -290,8 +291,59 @@ def bits(values):
 def test_blocked_prefix_pair_sums_equal_the_per_record_whole_grid_sums(replay, test):
     tables, states, block_bytes = replay
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
-        sums = pair_sums(states, tables, test)
+        (sums,) = pair_sums(states, tables, [test])
     assert bits(sums) == bits(per_record_pair_sums(states, tables, test))
+
+
+class UnreadInfinity(Power):
+    """Power(r) with its gain's u factor infinite in cell 0, which no pair
+    nu < mu reads as mu: the sums are finite, the factor is not."""
+
+    def pair_terms(self, mid):
+        (sign, u, v), loss = super().pair_terms(mid)
+        u = u.copy()
+        u[0] = np.inf
+        return (sign, u, v), loss
+
+
+pair_tests = st.one_of(
+    st.builds(Power, st.sampled_from([2, 2.5, 3, 5])),
+    st.builds(CappedIdentity, st.floats(0.05, 20.0)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(replays(), st.lists(pair_tests, min_size=1, max_size=5), st.booleans())
+def test_multi_test_pair_sums_equal_each_tests_per_record_whole_grid_sums(
+        replay, tests, unread_infinity):
+    # Power orders share the gain's v factor, the midpoints; a test with a
+    # factor that is not finite keeps the whole grid for every test
+    tables, states, block_bytes = replay
+    if unread_infinity:
+        tests.insert(len(tests) // 2, UnreadInfinity(3))
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        sums = pair_sums(states, tables, tests)
+    assert len(sums) == len(tests)
+    for test, each in zip(tests, sums):
+        assert each.shape == (len(states), 2)
+        assert bits(each) == bits(per_record_pair_sums(states, tables, test))
+
+
+def test_pair_sums_of_no_records_are_empty():
+    tables = KernelTables(build("uniform", 4.0, 16), ConstantKernel(1.0))
+    sums = pair_sums([], tables, [Power(2), CappedIdentity(1.0)])
+    assert [each.shape for each in sums] == [(0, 2), (0, 2)]
+
+
+@PROPERTY_SETTINGS
+@given(replays(), st.data())
+def test_pair_sum_on_short_rows_equals_the_prefix_tables(replay, data):
+    tables, states, _ = replay
+    N = tables.grid.ncells
+    n = data.draw(st.integers(2, N)) if N > 2 else N
+    w = np.array([s.xi[:n] for s in states]) * tables.grid.widths[:n]
+    u = tables.grid.midpoints[:n] * w
+    assert bits(tables.pair_sum(u, w)) == bits(tables.prefix(n).pair_sum(u, w))
 
 
 @PROPERTY_SETTINGS
@@ -323,7 +375,7 @@ def test_a_non_finite_record_in_any_block_fails_the_pair_sums_without_a_warning(
             per_record_pair_sums(states, tables, Power(2))
         with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
             with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-                pair_sums(states, tables, Power(2))
+                pair_sums(states, tables, [Power(2)])
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 65])
@@ -338,7 +390,7 @@ def test_pair_sums_cross_the_module_block_at_its_own_size(extra):
         xi = np.zeros(1024)
         xi[:329] = rng.random(329)
         states.append(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid))
-    assert bits(pair_sums(states, tables, Power(3))) == bits(
+    assert bits(pair_sums(states, tables, [Power(3)])[0]) == bits(
         per_record_pair_sums(states, tables, Power(3)))
     assert bits(stacked_moments(states, (2,))[2]) == bits([moment(s, 2) for s in states])
 
@@ -356,9 +408,10 @@ def test_a_prefix_sum_that_overflows_on_the_last_occupied_cell_still_fails():
     assert tree_prefix(199, 96) == 96 and tree_prefix(199, 97) == 199
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for sums in (per_record_pair_sums, pair_sums):
-            with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-                sums([state], tables, Power(2))
+        with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+            per_record_pair_sums([state], tables, Power(2))
+        with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+            pair_sums([state], tables, [Power(2)])
 
 
 def test_a_factor_row_that_overflows_past_the_support_keeps_the_whole_grid():
@@ -371,8 +424,10 @@ def test_a_factor_row_that_overflows_past_the_support_keeps_the_whole_grid():
     tables = KernelTables(grid, ConstantKernel(1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(grid.power(5)[-1])
-        for sums in (per_record_pair_sums, pair_sums):
+        with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
+            per_record_pair_sums([state], tables, Power(5))
+        for tests in ([Power(5)], [CappedIdentity(1.0), Power(2), Power(5)]):
             with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-                sums([state], tables, Power(5))
+                pair_sums([state], tables, tests)
         assert math.isnan(moment(state, 5))
         assert bits(stacked_moments([state], (5,))[5]) == bits([moment(state, 5)])
