@@ -23,6 +23,7 @@ HOLDER_PAIRS = ((2, 1.5), (2, 2.0), (3, 1.5), (3, 2.0), (5, 1.5), (5, 2.0))
 HOLDER_ORDERS = tuple(sorted({1, *(q for r, beta in HOLDER_PAIRS for q in (r, r + beta - 1.0))}))
 SIGN_ORDERS = (2, 3, 5)
 SIGN_SLACK = 1e-14
+#: Orders of the blow-up table, each an r of HOLDER_PAIRS, so the moment pass holds it.
 BLOWUP_ORDERS = (2, 3, 5)
 BLOWUP_CONSISTENCY_RTOL = 1e-12
 WEAK_AGREEMENT_RTOL = 1e-10
@@ -51,8 +52,8 @@ class CheckReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _check_bookkeeping(report, m1, gel):
-    rho0 = m1[0] + gel[0]
+def _check_bookkeeping(report, series):
+    m1, gel, rho0 = series.values(1.0), series.gel(), series.rho0()
     drift = np.abs(m1 + gel - rho0) / rho0
     monotone = bool(np.all(np.diff(gel) >= 0)) if gel.size > 1 else True
     ok = bool(np.max(drift) <= BOOKKEEPING_RTOL) and monotone
@@ -90,24 +91,9 @@ def _check_certification(report, kernel, params):
     report.add("certification", cert.passed, cert.to_dict())
 
 
-def _check_holder(report, states, sums):
+def _check_holder(report, times, sums):
     """Add the Hoelder entry from ``sums``, the stacked HOLDER_ORDERS moments."""
-    # Python floats, as ``moments.moment`` gives, so the bound's powers keep their bits
-    sums = {q: sums[q].tolist() for q in HOLDER_ORDERS}
-    m1 = sums[1]
-    pairs = [(r, beta, (beta - 1.0) / (r - 1.0), sums[r], sums[r + beta - 1.0])
-             for r, beta in HOLDER_PAIRS]
-    worst = {"ratio": 0.0}
-    ok = True
-    for k, state in enumerate(states):
-        if m1[k] == 0.0:  # the inequality reads 0 <= 0
-            continue
-        for r, beta, sigma, mr, mq in pairs:
-            lhs, rhs, satisfied = moments.holder_sides(m1[k], mr[k], mq[k], sigma)
-            ok = ok and satisfied
-            ratio = lhs / rhs if rhs > 0 else np.inf
-            if ratio > worst["ratio"]:
-                worst = {"ratio": float(ratio), "t": state.t, "r": r, "beta": beta}
+    ok, worst = moments.holder_check(sums, times, HOLDER_PAIRS)
     report.add("holder_inequality", ok, {"pairs": list(HOLDER_PAIRS), "worst": worst})
 
 
@@ -133,9 +119,7 @@ def _check_moment_residual(report, result, tol, sums, values):
 def _check_weak_form(report, result, tol, test, sums):
     residual, internal, gross = moments.weak_form_residual(result, test, sums)
     brute = oracle.brute_force_weak_rhs(result.states, result.config.kernel, test)
-    agree = abs(internal - brute) / max(
-        abs(internal), abs(brute), moments.GROSS_GUARD * gross, moments.EPS_FLOOR
-    )
+    agree = moments.relative_gap(internal, brute, gross)
     ok = residual <= tol and agree <= WEAK_AGREEMENT_RTOL
     report.add("weak_form_residual", ok, {
         "cap": test.lam, "t": float(result.series.times()[-1]), "residual": residual,
@@ -144,7 +128,8 @@ def _check_weak_form(report, result, tol, test, sums):
     })
 
 
-def _check_blowup_bounds(report, result):
+def _check_blowup_bounds(report, result, values):
+    """Add the blow-up table from ``values``, the moment pass, at the first record."""
     bounds = result.config.kernel.growth_bounds()
     if bounds is None:
         report.add("blowup_bounds", True, {
@@ -157,7 +142,7 @@ def _check_blowup_bounds(report, result):
     table = []
     ok = True
     for r in BLOWUP_ORDERS:
-        value = moments.moment(first, r)
+        value = float(values[r][0])
         if value <= 0:
             continue
         bound = gelation.blowup_bound(r, first.t, value, theta1, beta, rho0)
@@ -180,7 +165,8 @@ def run_checks(result, stored=None, settings=None):
     Parameters
     ----------
     result : solver.RunResult
-        Replay with captured states.
+        Replay with captured states and kernel tables; without them it
+        raises ``InvalidInputError``.
     stored : dict, optional
         Columns of a stored moments.csv; when given, they are compared with
         the replay's, column by column (detects edited artifacts).
@@ -188,16 +174,18 @@ def run_checks(result, stored=None, settings=None):
         The config's "check" section: certification constants and residual
         tolerances; defaults apply when omitted.
     """
+    if not result.states or result.tables is None:
+        raise InvalidInputError("run was recorded without state snapshots or kernel tables")
     settings = settings or CheckSpec()
     report = CheckReport()
     series = result.series
-    _check_bookkeeping(report, series.values(1.0), series.gel())
+    _check_bookkeeping(report, series)
     if stored is not None:
         _check_stored_csv(report, series, stored)
     _check_certification(report, result.config.kernel, settings.certification)
     # every replay sum once: the moments, then all four tests' pair sums
     values = moments.stacked_moments(result.states, HOLDER_ORDERS)
-    _check_holder(report, result.states, values)
+    _check_holder(report, series.times(), values)
     weak_test = moments.CappedIdentity(result.config.grid.R / 2.0)
     tests = [moments.Power(r) for r in SIGN_ORDERS] + [weak_test]
     *power_sums, weak_sums = moments.pair_sums(result.states, result.tables, tests)
@@ -205,5 +193,5 @@ def run_checks(result, stored=None, settings=None):
     _check_moment_rhs_sign(report, sums)
     _check_moment_residual(report, result, settings.moment_residual_tol, sums[2][:, 0], values[2])
     _check_weak_form(report, result, settings.weak_residual_tol, weak_test, weak_sums)
-    _check_blowup_bounds(report, result)
+    _check_blowup_bounds(report, result, values)
     return report

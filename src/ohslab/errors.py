@@ -13,10 +13,6 @@ class SupportOutsideDomainError(InvalidInputError):
     """An initial condition places mass outside the truncated domain [0, R]."""
 
 
-class DegenerateStateError(InvalidInputError):
-    """An operation requires a state with positive mass."""
-
-
 class InsufficientRecordsError(InvalidInputError):
     """A time-series diagnostic needs more records than were provided."""
 

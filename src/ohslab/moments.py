@@ -21,13 +21,13 @@ prefix is empty, so each record's sum keeps the bits of its whole-grid
 ``moment`` or ``KernelTables.pair_sum``.  The occupied extent is found once
 per call, and the terms of a call's tests that share a v factor share its
 prefix sums: the gain terms of every ``Power`` order read the midpoints.
-The Hoelder bound of ``holder_check`` is ``holder_sides``, which a caller
-holding stacked moments runs on them one record at a time.
 
-On top of these the module checks, against simulated states:
+Every replay diagnostic takes those sums as required arguments and sums
+nothing itself.  On them the module checks, against simulated states:
 
 * the Hoelder interpolation bound (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1)
-  with sigma = (beta - 1)/(r - 1), which holds for every nonnegative density;
+  with sigma = (beta - 1)/(r - 1), which holds for every nonnegative density
+  (``holder_check``, on a moment pass);
 * the weak-form identity with a test function varpi, whose right side sums
   varpi1(mu, nu) = nu * varpi'(mu) - varpi(nu) against Lambda over ordered
   pairs nu < mu, in O(N) on the run's ``solver.KernelTables`` (``pair_sums``);
@@ -38,9 +38,10 @@ Both identities carry the boundary term of the mass that crossed the cutoff,
 taken from the bookkept gel mass at the last midpoint xbar_{N-1}.
 
 Relative residuals divide by max(|lhs|, |rhs|) floored at ``EPS_FLOOR``; the
-weak-form residual additionally floors the denominator at a small fraction of
-the gross quadrature magnitude so that roundoff-level cancellations of
-two near-zero sides do not read as order-one residuals.
+weak-form residual and the oracle agreement (``relative_gap``) additionally
+floor the denominator at a small fraction of the gross quadrature magnitude
+so that roundoff-level cancellations of two near-zero sides do not read as
+order-one residuals.
 """
 from __future__ import annotations
 
@@ -50,11 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateStateError,
-    InsufficientRecordsError,
-    InvalidInputError,
-)
+from .errors import InsufficientRecordsError, InvalidInputError, NumericalFailureError
 
 #: Absolute floor in relative residuals (avoids 0/0 on empty states).
 EPS_FLOOR = 1e-30
@@ -127,13 +124,16 @@ def stacked_moments(states, orders):
 
     The states share one grid.  Each block of stacked densities is one
     multiply-reduce per order, on the ``tree_prefix`` of N covering every
-    occupied cell; a power row that is not finite keeps the whole grid.
+    occupied cell.  A power row that overflows makes every state's moment
+    non-finite, whatever its density, so it raises ``NumericalFailureError``
+    and warns of nothing.
     """
     grid = states[0].grid
-    rows = {r: grid.power(r) for r in orders}
-    n = grid.ncells
-    if all(np.all(np.isfinite(row)) for row in rows.values()):
-        n = tree_prefix(n, _occupied(states, n))
+    with np.errstate(over="ignore"):
+        rows = {r: grid.power(r) for r in orders}
+    if not all(np.all(np.isfinite(row)) for row in rows.values()):
+        raise NumericalFailureError("non-finite moment")
+    n = tree_prefix(grid.ncells, _occupied(states, grid.ncells))
     widths = grid.widths[:n]
     sums = {r: np.empty(len(states)) for r in rows}
     for block in _blocks(len(states), n):
@@ -196,40 +196,41 @@ class MomentSeries:
         return first.moments[1.0] + first.gel_mass
 
 
-class HolderResult(NamedTuple):
-    lhs: float
-    rhs: float
-    satisfied: bool
+def holder_check(sums, times, pairs):
+    """(ok, worst) of the interpolation inequality between M^1, M^r and
+    M^(r+beta-1) for each (r, beta) of ``pairs`` at every record.
 
-
-def holder_check(state, r, beta):
-    """Evaluate the interpolation inequality between M^1, M^r and M^(r+beta-1).
-
-    With sigma = (beta-1)/(r-1) the bound reads
-    (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1); equality holds exactly
-    for a monodisperse (single occupied cell) state.
+    ``sums`` is a moment pass, ``stacked_moments`` of every order the pairs
+    read, and ``times`` the records' times.  With sigma = (beta-1)/(r-1) the
+    bound reads (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1) up to
+    ``HOLDER_TOL``; equality holds exactly for a monodisperse (single
+    occupied cell) state.  A record whose M^1 is 0 is skipped: its domain
+    holds no mass and the bound reads 0 <= 0.  ``worst`` is the largest
+    lhs/rhs with its record's time and pair, ``{"ratio": 0.0}`` when every
+    record is skipped.  The moments are taken as Python floats, as
+    ``moment`` gives them, since numpy's array ``**`` differs from Python's
+    in the last bit for some arguments.
     """
-    if r < 2:
-        raise InvalidInputError("holder check needs r >= 2")
-    if beta <= 1:
-        raise InvalidInputError("holder check needs beta > 1")
-    sigma = (beta - 1.0) / (r - 1.0)
-    return HolderResult(*holder_sides(
-        moment(state, 1), moment(state, r), moment(state, r + beta - 1.0), sigma))
-
-
-def holder_sides(m1, mr, mq, sigma):
-    """(lhs, rhs, satisfied) of the Hoelder bound from M^1, M^r and
-    M^q = M^(r+beta-1), with sigma = (beta - 1)/(r - 1).
-
-    The moments are Python floats: numpy's array ``**`` differs from Python's
-    in the last bit for some arguments, so a caller holding stacked moments
-    passes them here one record at a time, as ``tolist()`` gives them.
-    """
-    if m1 <= 0:
-        raise DegenerateStateError("holder check needs positive mass")
-    lhs = mr ** (sigma + 1.0) * m1 ** (-sigma)
-    return lhs, mq, lhs <= mq * (1.0 + HOLDER_TOL)
+    for r, beta in pairs:
+        if r < 2:
+            raise InvalidInputError("holder check needs r >= 2")
+        if beta <= 1:
+            raise InvalidInputError("holder check needs beta > 1")
+    m1 = sums[1].tolist()
+    sides = [(r, beta, (beta - 1.0) / (r - 1.0), sums[r].tolist(), sums[r + beta - 1.0].tolist())
+             for r, beta in pairs]
+    worst = {"ratio": 0.0}
+    ok = True
+    for k, t in enumerate(np.asarray(times, dtype=float).tolist()):
+        if m1[k] == 0.0:
+            continue
+        for r, beta, sigma, mr, mq in sides:
+            lhs, rhs = mr[k] ** (sigma + 1.0) * m1[k] ** (-sigma), mq[k]
+            ok = ok and lhs <= rhs * (1.0 + HOLDER_TOL)
+            ratio = lhs / rhs if rhs > 0 else np.inf
+            if ratio > worst["ratio"]:
+                worst = {"ratio": float(ratio), "t": t, "r": r, "beta": beta}
+    return ok, worst
 
 
 def kernel_matrix(grid, kernel):
@@ -263,7 +264,8 @@ def pair_sums(states, tables, tests):
     """
     grid = tables.grid
     n = grid.ncells
-    terms = [test.pair_terms(grid.midpoints) for test in tests]
+    with np.errstate(over="ignore"):
+        terms = [test.pair_terms(grid.midpoints) for test in tests]
     if all(np.all(np.isfinite(f)) for each in terms for _, u, v in each for f in (u, v)):
         n = tree_prefix(n - 1, _occupied(states, n)) + 1
     # each distinct v factor, by identity, with the u factors of the terms
@@ -341,23 +343,20 @@ class CappedIdentity(_PairTest):
         return ((-1.0, 1.0 - self.deriv(mid), self.value(mid)),)
 
 
-def _require_replay(run):
-    """Raise unless the run carries the state snapshots and kernel tables replays sum on."""
-    if not run.states or run.tables is None:
-        raise InvalidInputError("run was recorded without state snapshots or kernel tables")
+def relative_gap(a, b, gross):
+    """|a - b| over the larger of |a| and |b|, floored at ``GROSS_GUARD`` times
+    ``gross``, the magnitude roundoff in a and b scales with, and at
+    ``EPS_FLOOR``."""
+    return abs(a - b) / max(abs(a), abs(b), GROSS_GUARD * gross, EPS_FLOOR)
 
 
-def weak_rhs_quadrature(run, test, sums=None):
+def weak_rhs_quadrature(run, sums):
     """Time-integrated pair quadrature of the weak form over the whole replay.
 
-    The ``pair_sums`` of every record, integrated in time with the trapezoid
-    rule over the recorded cadence; 0 on a one-record run.  ``sums``, when
-    given, are those pair sums, ``pair_sums(run.states, run.tables,
-    [test])[0]``.  Returns (value, gross).
+    ``sums`` are one test's ``pair_sums`` at every record of the run, which
+    this integrates in time with the trapezoid rule over the recorded
+    cadence; 0 on a one-record run.  Returns (value, gross).
     """
-    _require_replay(run)
-    if sums is None:
-        (sums,) = pair_sums(run.states, run.tables, [test])
     times = run.series.times()
     return float(np.trapezoid(sums[:, 0], times)), float(np.trapezoid(sums[:, 1], times))
 
@@ -368,23 +367,22 @@ class WeakFormResult(NamedTuple):
     gross: float
 
 
-def weak_form_residual(run, test, sums=None):
+def weak_form_residual(run, test, sums):
     """Relative mismatch of the two sides of the weak identity at the last record.
 
     Left side: integral of varpi against xi(t) - xi(0), plus the boundary
     term varpi(xbar) / xbar * (gel(t) - gel(0)) with xbar = xbar_{N-1}, the
     last midpoint: the solver books the mass leaving through the cutoff as
     gel, and gel mass g leaves as g / xbar particles of size xbar.  Right
-    side: the time-integrated pair quadrature.  The denominator is the larger
-    side, floored at ``GROSS_GUARD`` times the gross quadrature magnitude and
-    at ``EPS_FLOOR`` absolutely.  Returns the residual with the quadrature and
-    gross that ``weak_rhs_quadrature`` gave: |quadrature| for
-    ``CappedIdentity``, whose one pair term keeps its sign, and gain + loss,
-    the roundoff scale of its two pair sums and an upper bound of the
-    unsigned sum, for ``Power``.  ``sums``, when given, are the test's pair
-    sums at every record, which ``weak_rhs_quadrature`` then integrates.
+    side: the time-integrated pair quadrature of ``sums``, the test's
+    ``pair_sums`` at every record.  The residual is their ``relative_gap``,
+    against the larger gross magnitude of the two sides.  Returns the
+    residual with the quadrature and gross that ``weak_rhs_quadrature``
+    gave: |quadrature| for ``CappedIdentity``, whose one pair term keeps its
+    sign, and gain + loss, the roundoff scale of its two pair sums and an
+    upper bound of the unsigned sum, for ``Power``.
     """
-    rhs, gross_rhs = weak_rhs_quadrature(run, test, sums)
+    rhs, gross_rhs = weak_rhs_quadrature(run, sums)
     first, at_t = run.states[0], run.states[-1]
     g = first.grid
     phi = test.value(g.midpoints)
@@ -394,25 +392,23 @@ def weak_form_residual(run, test, sums=None):
     gross_lhs = float(
         np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths)
     ) + abs(boundary)
-    denom = max(abs(lhs), abs(rhs), GROSS_GUARD * max(gross_lhs, gross_rhs), EPS_FLOOR)
-    return WeakFormResult(residual=abs(lhs - rhs) / denom, quadrature=rhs, gross=gross_rhs)
+    return WeakFormResult(residual=relative_gap(lhs, rhs, max(gross_lhs, gross_rhs)),
+                          quadrature=rhs, gross=gross_rhs)
 
 
-def moment_residual(run, r, sums=None, values=None):
+def moment_residual(run, r, sums, values):
     """Max relative defect of the recorded M^r evolution against its quadrature.
 
-    Uses a centered difference over uniformly spaced records and the pair
-    quadrature at each interior record; requires at least 3 records.  The
-    differenced quantity is M^r + xbar**(r-1) * gel_mass with xbar =
-    xbar_{N-1}, the last midpoint: the M^r the boundary flux carries out in
-    a step is xbar**(r-1) times that step's gel increment, so the boundary
-    term is exact and what remains is the first-order consistency error of
-    the quadrature.  ``sums`` and ``values``, when given, are the
-    quadratures and the moments at every record, ``pair_sums(run.states,
-    run.tables, [Power(r)])[0][:, 0]`` and ``stacked_moments(run.states,
-    (r,))[r]``, which a caller that has them need not sum again.
+    ``sums`` and ``values`` are the quadrature and the moment at every
+    record: ``pair_sums(run.states, run.tables, [Power(r)])[0][:, 0]`` and
+    ``stacked_moments(run.states, (r,))[r]``.  Uses a centered difference
+    over uniformly spaced records and the quadrature at each interior
+    record; requires at least 3 records.  The differenced quantity is
+    M^r + xbar**(r-1) * gel_mass with xbar = xbar_{N-1}, the last midpoint:
+    the M^r the boundary flux carries out in a step is xbar**(r-1) times
+    that step's gel increment, so the boundary term is exact and what
+    remains is the first-order consistency error of the quadrature.
     """
-    _require_replay(run)
     times = run.series.times()
     if times.size < 3:
         raise InsufficientRecordsError("moment residual needs at least 3 records")
@@ -420,13 +416,7 @@ def moment_residual(run, r, sums=None, values=None):
     if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
     xbar = run.states[0].grid.midpoints[-1]
-    gel = np.array([s.gel_mass for s in run.states])
-    if values is None:
-        values = stacked_moments(run.states, (r,))[r]
-    mr = values + xbar ** (r - 1.0) * gel
+    mr = values + xbar ** (r - 1.0) * run.series.gel()
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
-    if sums is None:
-        rhs = pair_sums(run.states[1:-1], run.tables, [Power(r)])[0][:, 0]
-    else:
-        rhs = np.asarray(sums)[1:-1]
+    rhs = sums[1:-1]
     return float(np.max(np.abs(rate - rhs) / np.maximum(np.abs(rhs), EPS_FLOOR)))

@@ -20,12 +20,11 @@ accumulation order with the O(N) path it cross-checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import UniformOn, project_initial
 
 #: Byte budget of one row block of the oracle's pair table.
 _BLOCK_BYTES = 4 * 2**20
@@ -76,16 +75,6 @@ def l1_error(state, sol):
     """
     avg = sol.cell_averages(state.grid, state.t)
     return float(np.sum(np.abs(state.xi - avg) * state.grid.widths))
-
-
-def project_state(sol, grid, t):
-    """Mass-exact projection of the explicit solution onto a grid at time t.
-
-    The growing support must still fit inside the cutoff.
-    """
-    s = sol.support_end(t)
-    state = project_initial(grid, UniformOn(a=0.0, b=s, mass=sol.M))
-    return replace(state, t=float(t))
 
 
 def brute_force_weak_rhs(states, kernel, test):

@@ -20,6 +20,7 @@ from ohslab import (
 from ohslab import solver
 from ohslab.gelation import cutoff_sweep
 from ohslab.grid import State
+from ohslab.moments import HOLDER_TOL, Power, moment, moment_residual, pair_sums, stacked_moments
 from ohslab.solver import run
 
 ACCEPTANCE_RESULTS = []
@@ -65,6 +66,27 @@ def step_state(tables, state, t_next=math.inf, scheme="euler", cfl=1.0, dt_max=m
         tables, state.t, t_next, state.gel_mass, state.clamped_mass, scheme, cfl, dt_max
     )
     return State(t=t, xi=tables.xi.copy(), gel_mass=gel, grid=state.grid, clamped_mass=clamped)
+
+
+def replay_sums(run, test):
+    """One test's pair sums at every record of a replay, as ``check`` hands
+    them to the weak-form diagnostics."""
+    return pair_sums(run.states, run.tables, [test])[0]
+
+
+def replay_moment_residual(run, r):
+    """``moment_residual`` of a replay on the quadratures and moments it is handed in ``check``."""
+    return moment_residual(run, r, replay_sums(run, Power(r))[:, 0],
+                           stacked_moments(run.states, (r,))[r])
+
+
+def holder_sides(state, r, beta):
+    """(lhs, rhs, satisfied) of the Hoelder bound at one state, from its whole-grid
+    ``moment``s: the reference the moment pass's suite is held to."""
+    sigma = (beta - 1.0) / (r - 1.0)
+    lhs = moment(state, r) ** (sigma + 1.0) * moment(state, 1) ** (-sigma)
+    rhs = moment(state, r + beta - 1.0)
+    return lhs, rhs, lhs <= rhs * (1.0 + HOLDER_TOL)
 
 
 def bagland_config(N, t_end=1.0, cfl=1.0):

@@ -1,10 +1,13 @@
-"""The calls the benchmark's tracer counts, pinned on one Euler and one Heun run.
+"""The calls the benchmark's tracer counts, pinned on one Euler and one Heun
+run and on one ``check``.
 
 ``bench/tracer.py`` wraps package callables by name and counts a step per
 ``solver.step`` call and a matvec per ``KernelTables.velocity`` or ``loss``
 call.  Its self-test reads ``solver.matvecs == 2 * solver.steps`` on an Euler
 run, so a change that renames one of those callables, or calls them other
-than once per step and once per stage, fails here first.
+than once per step and once per stage, fails here first.  On the ``check``
+side each diagnostic it wraps must be called once per check, so that its
+span's time is the diagnostic's and not 0.
 """
 import importlib
 import importlib.util
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from ohslab import GridSpec, MassConservingKernel, PowerSumKernel, SimConfig, UniformOn, solver
+from ohslab import checks, moments, oracle
 from ohslab.solver import KernelTables
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -84,3 +88,13 @@ def test_the_tracer_counts_the_steps_and_matvecs_a_run_takes(scheme, stages):
     assert metrics["solver.steps"] == result.steps > 0
     assert metrics["solver.matvecs"] == 2 * stages * result.steps
     assert sum(span.name == "solver.stable_dt" for span in tr.spans) == result.steps
+
+
+def test_check_calls_each_diagnostic_the_tracer_wraps_once(powersum_run, monkeypatch):
+    counts = {}
+    for name in ("holder_check", "moment_residual", "weak_form_residual", "weak_rhs_quadrature"):
+        counted(monkeypatch, moments, name, counts)
+    counted(monkeypatch, oracle, "brute_force_weak_rhs", counts)
+    checks.run_checks(powersum_run)
+    assert counts == {"holder_check": 1, "moment_residual": 1, "weak_form_residual": 1,
+                      "weak_rhs_quadrature": 1, "brute_force_weak_rhs": 1}

@@ -441,6 +441,29 @@ def test_check_fails_numerically_on_a_pair_sum_that_overflows(tmp_path):
     }
 
 
+@pytest.mark.parametrize("R", [1e55, 1e62])
+def test_check_fails_numerically_on_a_moment_that_overflows(tmp_path, R):
+    # midpoints**6, the Hoelder suite's top order, overflows on either grid:
+    # at R = 1e55 on occupied cells, where M^6 would read inf and pass the
+    # bound, at R = 1e62 also on empty ones, where it would read NaN
+    payload = {
+        "kernel": {"kind": "constant", "value": 1.0},
+        "grid": {"kind": "uniform", "R": R, "N": 64},
+        "initial": {"kind": "uniform_on", "a": 0.0, "b": 1e55, "mass": 1.0},
+        "t_end": 0.1,
+        "record_cadence": 0.01,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "check", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "check_report.json").read_text())
+    assert report == {
+        "passed": False, "replay_failed": False, "error": "non-finite moment",
+    }
+
+
 def test_sweep_contains_per_row_failures(tmp_path):
     # the spike cell only exists on the finer grid of the larger cutoff, so
     # the first row fails while the second still lands

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import replay_moment_residual, replay_sums
+
 from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, load_config
-from ohslab.errors import (
-    DegenerateStateError,
-    InsufficientRecordsError,
-    InvalidInputError,
-)
+from ohslab.checks import run_checks
+from ohslab.errors import InsufficientRecordsError, InvalidInputError
 from ohslab.gelation import row_config
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.moments import (
@@ -23,6 +22,7 @@ from ohslab.moments import (
     moment,
     moment_residual,
     pair_sums,
+    stacked_moments,
     tree_prefix,
     truncated_moment,
     weak_form_residual,
@@ -187,21 +187,28 @@ def test_power_rows_are_read_only_and_r1_is_the_midpoints():
             grid.power(r)[0] = 0.0
 
 
+def holder_pass(state, pairs):
+    """(ok, worst, moments) of ``holder_check`` on a one-record moment pass of state."""
+    sums = stacked_moments([state], {1, *(q for r, beta in pairs for q in (r, r + beta - 1.0))})
+    return (*holder_check(sums, [state.t], pairs), sums)
+
+
 def test_holder_equality_for_point_mass():
     grid = build("uniform", 8.0, 16)
     state = project_initial(grid, CellSpike(5, 1.3))
-    res = holder_check(state, 3, 2.0)
-    assert res.satisfied
-    assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
+    ok, worst, _ = holder_pass(state, [(3, 2.0)])
+    assert ok
+    assert worst["ratio"] == pytest.approx(1.0, rel=1e-12)  # lhs == rhs
 
 
 def test_holder_block_values():
     state = block_state()
-    res = holder_check(state, 2, 2.0)
+    ok, worst, sums = holder_pass(state, [(2, 2.0)])
     # sigma = 1: lhs = (M^2)^2 / M^1 = 4/9, rhs = M^3 = 1/2
-    assert res.lhs == pytest.approx(4.0 / 9.0, abs=1e-3)
-    assert res.rhs == pytest.approx(0.5, abs=1e-3)
-    assert res.satisfied
+    rhs = sums[3][0]
+    assert worst["ratio"] * rhs == pytest.approx(4.0 / 9.0, abs=1e-3)
+    assert rhs == pytest.approx(0.5, abs=1e-3)
+    assert ok
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -211,18 +218,18 @@ def test_holder_holds_on_random_states(r, beta):
     rng = np.random.default_rng(17)
     for _ in range(20):
         state = State(t=0.0, xi=rng.random(64), gel_mass=0.0, grid=grid)
-        assert holder_check(state, r, beta).satisfied
+        assert holder_pass(state, [(r, beta)])[0]
 
 
 def test_holder_validation():
     state = block_state(N=16)
     with pytest.raises(InvalidInputError):
-        holder_check(state, 1.5, 2.0)
+        holder_pass(state, [(1.5, 2.0)])
     with pytest.raises(InvalidInputError):
-        holder_check(state, 2, 1.0)
+        holder_pass(state, [(2, 1.0)])
+    # a record with no mass in the domain is skipped: the bound reads 0 <= 0
     empty = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=state.grid)
-    with pytest.raises(DegenerateStateError):
-        holder_check(empty, 2, 2.0)
+    assert holder_pass(empty, [(2, 2.0)])[:2] == (True, {"ratio": 0.0})
 
 
 def test_moment_rhs_trivial_cases():
@@ -269,7 +276,7 @@ def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
 
 def test_moment_residual_small_for_reference_run(bagland_runs):
     result, _ = bagland_runs[1024]
-    assert moment_residual(result, 2) <= 0.05
+    assert replay_moment_residual(result, 2) <= 0.05
 
 
 def test_moment_residual_zero_for_empty_states():
@@ -286,19 +293,19 @@ def test_moment_residual_zero_for_empty_states():
         config=cfg.resolved(), series=series, final_state=states[-1], states=states,
         tables=KernelTables(grid, cfg.kernel),
     )
-    assert moment_residual(handle, 2) == 0.0
+    assert replay_moment_residual(handle, 2) == 0.0
 
 
 def test_moment_residual_does_not_grow_under_refinement():
-    coarse = moment_residual(small_run(N=128, cadence=0.05), 2)
-    fine = moment_residual(small_run(N=256, cadence=0.025), 2)
+    coarse = replay_moment_residual(small_run(N=128, cadence=0.05), 2)
+    fine = replay_moment_residual(small_run(N=256, cadence=0.025), 2)
     assert fine <= coarse
 
 
 def test_moment_residual_requires_enough_uniform_records():
     result = small_run(N=64, t_end=0.02, cadence=0.02)  # two records only
     with pytest.raises(InsufficientRecordsError):
-        moment_residual(result, 2)
+        replay_moment_residual(result, 2)
 
 
 def test_capped_identity_shape():
@@ -329,47 +336,53 @@ def test_power_is_the_uncapped_moment_test_function():
 def test_weak_residual_zero_at_t0():
     result = small_run(t_end=0.0)  # one record, at t = 0
     assert len(result.states) == 1
-    assert weak_form_residual(result, CappedIdentity(1.0)).residual == 0.0
+    test = CappedIdentity(1.0)
+    assert weak_form_residual(result, test, replay_sums(result, test)).residual == 0.0
 
 
 def test_weak_residual_mass_test_function_nullifies(bagland_runs):
     # cap above the support: the boundary term cancels the domain mass change
     result, _ = bagland_runs[512]
-    residual = weak_form_residual(result, CappedIdentity(result.config.grid.R)).residual
-    assert residual <= 1e-6
-    value, _ = weak_rhs_quadrature(result, CappedIdentity(result.config.grid.R))
+    test = CappedIdentity(result.config.grid.R)
+    sums = replay_sums(result, test)
+    assert weak_form_residual(result, test, sums).residual <= 1e-6
+    value, _ = weak_rhs_quadrature(result, sums)
     assert value == 0.0
 
 
 def test_weak_residual_returns_its_quadrature(bagland_runs):
     result, _ = bagland_runs[256]
-    res = weak_form_residual(result, CappedIdentity(1.0))
-    assert (res.quadrature, res.gross) == weak_rhs_quadrature(result, CappedIdentity(1.0))
+    test = CappedIdentity(1.0)
+    sums = replay_sums(result, test)
+    res = weak_form_residual(result, test, sums)
+    assert (res.quadrature, res.gross) == weak_rhs_quadrature(result, sums)
     assert res.residual > 0.0
 
 
 def test_weak_residual_active_cap(bagland_runs):
     result, _ = bagland_runs[1024]
-    assert weak_form_residual(result, CappedIdentity(1.0)).residual <= 0.05
-    assert weak_form_residual(result, Power(2)).residual <= 0.05
+    for test in (CappedIdentity(1.0), Power(2)):
+        assert weak_form_residual(result, test, replay_sums(result, test)).residual <= 0.05
 
 
 def test_weak_residual_shrinks_with_refinement(bagland_runs):
-    coarse = weak_form_residual(bagland_runs[256][0], CappedIdentity(1.0)).residual
-    fine = weak_form_residual(bagland_runs[1024][0], CappedIdentity(1.0)).residual
+    test = CappedIdentity(1.0)
+    coarse, fine = (weak_form_residual(result, test, replay_sums(result, test)).residual
+                    for result in (bagland_runs[256][0], bagland_runs[1024][0]))
     assert fine < coarse
 
 
 def test_weak_residual_carries_the_boundary_outflow(powersum_run):
     series = powersum_run.series
     assert series.gel()[-1] / series.rho0() > 0.6
-    assert weak_form_residual(powersum_run, CappedIdentity(2.0)).residual <= 0.05
+    test = CappedIdentity(2.0)
+    assert weak_form_residual(powersum_run, test, replay_sums(powersum_run, test)).residual <= 0.05
 
 
 def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config():
     cfg = load_config(ROOT / "configs" / "gelation_sweep.json")
     coarse, fine = (
-        moment_residual(run(row_config(cfg, cfg.grid.R, N), capture_states=True), 2)
+        replay_moment_residual(run(row_config(cfg, cfg.grid.R, N), capture_states=True), 2)
         for N in (128, 256)
     )
     assert fine <= 0.6 * coarse
@@ -378,27 +391,30 @@ def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config()
 @pytest.mark.parametrize("missing", ["states", "tables"])
 def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
     stripped = replace(powersum_run, **{missing: None})
-    for replay in (
-        lambda: weak_rhs_quadrature(stripped, CappedIdentity(2.0)),
-        lambda: weak_form_residual(stripped, CappedIdentity(2.0)),
-        lambda: moment_residual(stripped, 2),
-    ):
-        with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
-            replay()
+    with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
+        run_checks(stripped)
 
 
 def test_moment_residual_takes_the_pair_sums_it_is_handed(powersum_run):
-    sums = pair_sums(powersum_run.states, powersum_run.tables, [Power(2)])[0][:, 0]
-    assert moment_residual(powersum_run, 2, sums) == moment_residual(powersum_run, 2)
+    states = powersum_run.states
+    sums = pair_sums(states, powersum_run.tables, [Power(2)])[0][:, 0]
+    values = stacked_moments(states, (2,))[2]
+    residual = moment_residual(powersum_run, 2, sums, values)
+    # the passes' sums are the per-record ones, bit for bit
+    per_record = [pair_sums([s], powersum_run.tables, [Power(2)])[0][0, 0] for s in states]
+    assert residual == moment_residual(powersum_run, 2, np.array(per_record),
+                                       np.array([moment(s, 2) for s in states]))
     # the interior records' sums are the ones it uses
     planted = sums.copy()
     planted[[0, -1]] = np.nan
-    assert moment_residual(powersum_run, 2, planted) == moment_residual(powersum_run, 2)
+    assert moment_residual(powersum_run, 2, planted, values) == residual
+    planted[len(states) // 2] = np.nan
+    assert np.isnan(moment_residual(powersum_run, 2, planted, values))
 
 
 def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
     import ohslab.moments as moments_mod
-    from ohslab.checks import HOLDER_ORDERS, run_checks
+    from ohslab.checks import HOLDER_ORDERS
 
     records = len(powersum_run.states)
     real, pair_calls = moments_mod.pair_sums, []

@@ -3,7 +3,8 @@
 A definition passes when the package names it somewhere (an ``ast.Name`` or
 ``ast.Attribute``), when ``ohslab.__all__`` exports it, or when a benchmark
 script under ``bench/`` mentions it.  Code that only tests call fails: it
-is deleted, not kept for its tests.
+is deleted, not kept for its tests: a reference only tests use lives in the
+test that uses it.
 """
 import ast
 import re
@@ -13,10 +14,6 @@ import ohslab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ohslab"
-
-#: Kept on purpose without a caller: the reference projection that
-#: tests/test_oracle.py builds on.
-ALLOWED = {("oracle", "project_state")}
 
 
 def _definitions(tree):
@@ -46,8 +43,5 @@ def test_every_module_level_definition_has_a_use():
         for module, tree in trees.items()
         for name in _definitions(tree)
         if name not in used and name not in ohslab.__all__ and name not in bench_words
-        and (module, name) not in ALLOWED
     ]
     assert unused == []
-    # an allow-list entry goes with the definition it names
-    assert all(name in _definitions(trees[module]) for module, name in ALLOWED)
