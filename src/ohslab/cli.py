@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import checks as checks_mod
 from . import gelation, runio, solver
-from .config import SimConfig, load_config, row_label
+from .config import SimConfig, load_config
 from .errors import InvalidInputError, NumericalFailureError
 
 logger = logging.getLogger(__name__)
@@ -41,34 +41,14 @@ EXIT_NUMERICAL_FAILURE = 3
 
 
 def _out_dir(args, default):
-    out = Path(args.out) if args.out else Path(default)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError("cannot use %s as output directory: %s" % (out, exc)) from exc
-    return out
-
-
-def _write_run_artifacts(out, result):
-    runio.write_moments_csv(out / "moments.csv", result.series)
-    runio.write_final_state_json(out / "final_state.json", result.final_state)
-    runio.write_manifest(
-        out / "manifest.json",
-        result.config,
-        status="failed" if result.failed else "ok",
-        error=result.error,
-        extra={
-            "outputs": ["moments.csv", "final_state.json"],
-            "grid_edges": result.final_state.grid.edges,
-        },
-    )
+    return runio.make_dir(args.out or default)
 
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
     out = _out_dir(args, Path(args.config).with_suffix(""))
     result = solver.run(cfg)
-    _write_run_artifacts(out, result)
+    runio.write_run(out, result)
     if result.failed:
         logger.error("run failed: %s (partial outputs in %s)", result.error, out)
         return EXIT_NUMERICAL_FAILURE
@@ -82,7 +62,7 @@ def cmd_sweep(args):
         raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
     # The output directory is checked before any row runs.
     out = _out_dir(args, Path(args.config).with_suffix(""))
-    report, runs = gelation.cutoff_sweep(cfg, workers=args.workers)
+    report = gelation.cutoff_sweep(cfg, out, workers=args.workers)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in report.rows:
@@ -90,15 +70,6 @@ def cmd_sweep(args):
             gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
             fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
     runio.write_json(out / "sweep.json", asdict(report))
-    for row, (row_cfg, result) in zip(report.rows, runs):
-        row_dir = out / row_label(row.R)
-        row_dir.mkdir(exist_ok=True)
-        if result is None:
-            runio.write_manifest(
-                row_dir / "manifest.json", row_cfg, status="failed", error=row.error
-            )
-        else:
-            _write_run_artifacts(row_dir, result)
     n_ok = sum(not row.failed for row in report.rows)
     logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(report.rows), out)
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE

@@ -156,11 +156,16 @@ class SimConfig:
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
         if len(set(thresholds)) < len(thresholds):
             raise InvalidInputError("truncation thresholds must be distinct")
+        orders = _recorded_orders(self.moments.orders)
         _require_distinct(
-            moment_labels(_recorded_orders(self.moments.orders), thresholds),
+            moment_labels(orders, thresholds),
             "moment orders or truncation thresholds give the column",
         )
-        self.grid.build()  # surfaces grid errors early
+        grid = self.grid.build()  # surfaces grid errors early
+        with np.errstate(over="ignore"):
+            for r in orders:
+                if not np.all(np.isfinite(grid.power(r))):
+                    raise InvalidInputError("moment order %g overflows on this grid" % r)
         return self
 
     def resolved(self):

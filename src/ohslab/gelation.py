@@ -8,9 +8,9 @@ boundary mass loss exceeds a threshold epsilon (default 1e-2):
 
 linearly interpolated between bracketing records.  ``cutoff_sweep`` reruns a
 config over the cutoffs of its "sweep" section at fixed resolution (N scaled
-proportionally to R) and tabulates t_loss(R) with the config's one threshold
-epsilon; the table documents how the loss time scales with the cutoff, which
-is the truncated-domain stand-in for statements about the untruncated problem.
+with R); each row's worker writes the row's run directory and returns only its
+SweepRow.  The table of t_loss(R) at the config's one threshold epsilon is the
+truncated-domain stand-in for statements about the untruncated problem.
 
 ``blowup_bound`` evaluates the finite-time bound
 
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import solver
+from . import runio, solver
+from .config import row_label
 from .errors import CoagulationError, InvalidInputError
 
 logger = logging.getLogger(__name__)
@@ -85,22 +86,24 @@ def row_config(base_config, R, N):
     return replace(base_config, grid=grid, sweep=None)
 
 
-def _failed_row(cfg, exc):
-    """A failed row carrying the error text, with no run."""
+def _failed_row(cfg, row_dir, exc):
+    """A failed row carrying the error text; its directory gets only a failed manifest."""
     error = str(exc)
     if not isinstance(exc, CoagulationError):
         error = "%s: %s" % (type(exc).__name__, error)
-    return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error), None
+    runio.write_manifest(row_dir / "manifest.json", cfg, status="failed", error=error)
+    return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error)
 
 
-def _run_row(cfg):
+def _run_row(job):
     """Worker for one sweep row; module-level so process pools can pickle it.
 
-    Returns (row, RunResult); t_loss uses the row config's epsilon.  Any
-    row-level failure (invalid row config, numerical breakdown, memory
-    exhaustion or any other exception) is contained in a failed row with no
-    result, so the other rows still report.
+    Runs a (row config, row directory) job, writes the directory as ``simulate``
+    does and returns only the SweepRow; t_loss uses the row config's epsilon.
+    Any row-level failure (invalid row config, numerical breakdown, memory
+    exhaustion or any other exception) is contained in a failed row.
     """
+    cfg, row_dir = job
     try:
         result = solver.run(cfg)
         row = SweepRow(
@@ -110,15 +113,16 @@ def _run_row(cfg):
         if result.series.records:
             row.t_loss = gelation_time(result.series, cfg.epsilon)
             row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
+        runio.write_run(row_dir, result)
     except CoagulationError as exc:
-        return _failed_row(cfg, exc)
+        return _failed_row(cfg, row_dir, exc)
     except Exception as exc:
         logger.error("sweep row R=%s raised", cfg.grid.R, exc_info=True)
-        return _failed_row(cfg, exc)
-    return row, result
+        return _failed_row(cfg, row_dir, exc)
+    return row
 
 
-def cutoff_sweep(config, workers=None):
+def cutoff_sweep(config, out, workers=None):
     """Rerun a config over the cutoffs of its sweep section at fixed resolution.
 
     Parameters
@@ -129,6 +133,8 @@ def cutoff_sweep(config, workers=None):
         the base grid's R / N; its ``epsilon`` is the gel-fraction threshold
         of every row.  A config without a sweep section raises
         ``InvalidInputError``.
+    out : Path
+        Gets each row's run directory ``row_label(R)``, all made before any row runs.
     workers : int, optional
         Process count for concurrent rows (default: cpu count); <= 1 runs
         serially.  Rows are independent simulations; failures are recorded
@@ -136,37 +142,34 @@ def cutoff_sweep(config, workers=None):
 
     Returns
     -------
-    (GelationReport, list)
-        The report (rows sorted by R) and, per row, (row config, RunResult):
-        each row is an ordinary run of its ``row_config``, and the result is
-        None for a row that raised.
+    GelationReport
+        One row per cutoff, sorted by R.
     """
     if config.sweep is None:
         raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
     base = config.resolved()
     resolution = base.sweep.resolution or base.grid.R / base.grid.N
-    jobs = [row_config(base, R, max(2, int(round(R / resolution)))) for R in base.sweep.cutoffs]
+    configs = [row_config(base, R, max(2, int(round(R / resolution)))) for R in base.sweep.cutoffs]
+    jobs = [(cfg, runio.make_dir(out / row_label(cfg.grid.R))) for cfg in configs]
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(jobs)))
     if workers == 1:
-        results = [_run_row(cfg) for cfg in jobs]
+        rows = [_run_row(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_row, cfg) for cfg in jobs]
-            results = []
-            for cfg, future in zip(jobs, futures):
+            futures = [pool.submit(_run_row, job) for job in jobs]
+            rows = []
+            for (cfg, row_dir), future in zip(jobs, futures):
                 try:
-                    results.append(future.result())
+                    rows.append(future.result())
                 except Exception as exc:  # a crashed worker: BrokenProcessPool
                     logger.error("sweep row R=%s lost its worker", cfg.grid.R, exc_info=True)
-                    results.append(_failed_row(cfg, exc))
-    report = GelationReport(epsilon=base.epsilon)
-    for row, _ in results:
+                    rows.append(_failed_row(cfg, row_dir, exc))
+    for row in rows:
         if row.failed:
             logger.warning("sweep row R=%g failed: %s", row.R, row.error)
-        report.rows.append(row)
-    return report, [(cfg, result) for cfg, (_, result) in zip(jobs, results)]
+    return GelationReport(epsilon=base.epsilon, rows=rows)
 
 
 def blowup_bound(r, delta, moment_value, theta1, beta, rho0):

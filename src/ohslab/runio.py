@@ -115,6 +115,22 @@ def write_manifest(path, config, status="ok", error=None, extra=None):
     _dump_json(path, payload)
 
 
+def write_run(out, result):
+    """Write a run's directory: moments.csv, final_state.json and, last, manifest.json."""
+    write_moments_csv(out / "moments.csv", result.series)
+    write_final_state_json(out / "final_state.json", result.final_state)
+    write_manifest(
+        out / "manifest.json",
+        result.config,
+        status="failed" if result.failed else "ok",
+        error=result.error,
+        extra={
+            "outputs": ["moments.csv", "final_state.json"],
+            "grid_edges": result.final_state.grid.edges,
+        },
+    )
+
+
 def read_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,6 +142,16 @@ def read_manifest(path):
     if not isinstance(manifest, dict):
         raise InvalidInputError("manifest %s is not a JSON object" % path)
     return manifest
+
+
+def make_dir(path):
+    """Make the output directory ``path`` and its parents, or raise InvalidInputError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError("cannot use %s as output directory: %s" % (path, exc)) from exc
+    return path
 
 
 def write_json(path, payload):

@@ -141,7 +141,9 @@ class KernelTables:
     on this grid, and its spare half; the stage derivatives k1 and k2; the
     edge fluxes with the zero inflow at size 0 in front; and the step bound's
     rate and masks.  The buffers make a table unsafe to share between
-    threads: every run builds its own.
+    threads: every run builds its own.  They are also views of one another,
+    and pickling copies each view apart, so a pickled table computes wrong
+    ``velocity`` and ``loss`` sums: no table may cross a process.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so

@@ -161,7 +161,7 @@ def massconserving_run():
 
 
 @pytest.fixture(scope="session")
-def gelation_sweep():
+def gelation_sweep(tmp_path_factory):
     """Cutoff-scaling experiment at fixed resolution, four workers."""
     base = SimConfig(
         kernel=PowerSumKernel(1.0, 1.5),
@@ -173,5 +173,5 @@ def gelation_sweep():
     )
     t0 = time.perf_counter()
     sweep = SweepSpec((4.0, 8.0, 16.0, 32.0), resolution=1.0 / 32.0)
-    report, _ = cutoff_sweep(replace(base, sweep=sweep), workers=4)
+    report = cutoff_sweep(replace(base, sweep=sweep), tmp_path_factory.mktemp("sweep"), workers=4)
     return report, time.perf_counter() - t0

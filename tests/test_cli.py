@@ -169,6 +169,22 @@ def test_sweep_requires_cutoffs(tmp_path):
     assert not (tmp_path / "empty").exists()
 
 
+def test_sweep_tree_is_the_same_at_one_and_two_workers(tmp_path):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("workers" + workers)
+        assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", workers]) == 0
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(trees[0]) == [
+        "R2/final_state.json", "R2/manifest.json", "R2/moments.csv",
+        "R3/final_state.json", "R3/manifest.json", "R3/moments.csv",
+        "sweep.csv", "sweep.json",
+    ]
+    assert trees[0] == trees[1]
+
+
 def series_from_csv(path):
     """The t, M1 and gel_mass columns of a stored moments.csv as a MomentSeries."""
     data = read_moments_csv(path)
@@ -341,6 +357,39 @@ def test_unusable_out_path_is_invalid_input(tmp_path, command, monkeypatch):
         assert main(["--quiet", command[0], str(cfg), "--out", str(out), *command[1:]]) == 2
     assert blocker.read_text() == "not a directory"
     assert runs == []  # the output directory is refused before any run
+
+
+def test_unmakeable_row_directory_is_invalid_input(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "R3").write_text("not a directory")
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda *args, **kwargs: runs.append(args))
+    assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+    assert (out / "R3").read_text() == "not a directory"
+    assert runs == []  # every row directory is made before any row runs
+
+
+def test_moment_order_that_overflows_on_the_grid_is_invalid_input(tmp_path):
+    # midpoints**6 overflows on the occupied cells of this grid
+    payload = {
+        "kernel": {"kind": "constant", "value": 1.0},
+        "grid": {"kind": "uniform", "R": 1e55, "N": 64},
+        "initial": {"kind": "uniform_on", "a": 0.0, "b": 1e55, "mass": 1.0},
+        "t_end": 0.1,
+        "record_cadence": 0.01,
+        "moments": {"orders": [0, 1, 2, 6]},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="moment order 6 overflows on this grid"):
+            SimConfig.from_dict(payload)
+        for command in ("simulate", "sweep", "check"):
+            assert main(["--quiet", command, str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_check_certification_failure_for_constant_kernel(tmp_path):

@@ -1,6 +1,7 @@
 """Gel-time detection, cutoff sweep machinery and blow-up bounds."""
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -15,6 +16,7 @@ from ohslab import (
 )
 from ohslab.errors import InvalidInputError
 from ohslab.gelation import (
+    SweepRow,
     blowup_bound,
     comparison_ode_blowup,
     cutoff_sweep,
@@ -22,6 +24,7 @@ from ohslab.gelation import (
     row_config,
 )
 from ohslab.moments import MomentRecord, MomentSeries
+from ohslab.runio import read_manifest
 from ohslab.solver import run
 
 # regression baselines recorded from the deterministic reference run
@@ -79,16 +82,18 @@ def constant_base(t_end=1.0):
     )
 
 
-def test_sweep_constant_kernel_never_reaches_cutoffs():
+def test_sweep_constant_kernel_never_reaches_cutoffs(tmp_path):
     # explicit-solution support stays in [0, M*(1+t_end)] = [0, 2]
-    report, artifacts = cutoff_sweep(
-        replace(constant_base(), sweep=SweepSpec((4.0, 8.0))), workers=1
+    report = cutoff_sweep(
+        replace(constant_base(), sweep=SweepSpec((4.0, 8.0))), tmp_path, workers=1
     )
     assert [row.R for row in report.rows] == [4.0, 8.0]
     assert all(row.t_loss is None for row in report.rows)
     # upwind leakage beyond the support is at roundoff scale
     assert all(row.gel_fraction_final <= 1e-12 for row in report.rows)
-    assert len(artifacts) == 2
+    for name in ("R4", "R8"):
+        assert read_manifest(tmp_path / name / "manifest.json")["status"] == "ok"
+        assert (tmp_path / name / "moments.csv").exists()
 
 
 def test_sweep_spec_rejects_empty_cutoffs():
@@ -96,16 +101,17 @@ def test_sweep_spec_rejects_empty_cutoffs():
         SweepSpec(cutoffs=())
 
 
-def test_sweep_requires_increasing_cutoffs():
+def test_sweep_requires_increasing_cutoffs(tmp_path):
     with pytest.raises(InvalidInputError):
-        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((4.0, 4.0))))
+        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((4.0, 4.0))), tmp_path)
     with pytest.raises(InvalidInputError):
-        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((8.0, 4.0))))
+        cutoff_sweep(replace(constant_base(), sweep=SweepSpec((8.0, 4.0))), tmp_path)
 
 
-def test_sweep_requires_a_sweep_section():
+def test_sweep_requires_a_sweep_section(tmp_path):
     with pytest.raises(InvalidInputError, match="'sweep' section"):
-        cutoff_sweep(constant_base(), workers=1)
+        cutoff_sweep(constant_base(), tmp_path, workers=1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def powersum_base():
@@ -115,10 +121,10 @@ def powersum_base():
     )
 
 
-def test_sweep_row_replicates_direct_run():
+def test_sweep_row_replicates_direct_run(tmp_path):
     base = powersum_base()
-    report, _ = cutoff_sweep(
-        replace(base, sweep=SweepSpec((2.0, 3.0), resolution=1.0 / 16.0)), workers=1
+    report = cutoff_sweep(
+        replace(base, sweep=SweepSpec((2.0, 3.0), resolution=1.0 / 16.0)), tmp_path, workers=1
     )
     direct = run(base)  # R = 2, N = 32 equals the first row's configuration
     assert report.rows[0].N == 32
@@ -126,10 +132,11 @@ def test_sweep_row_replicates_direct_run():
     assert report.rows[0].steps == direct.steps > 0
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_parallel_matches_serial(tmp_path):
     base = powersum_base()
-    serial, _ = cutoff_sweep(replace(base, sweep=SweepSpec((2.0, 3.0))), workers=1)
-    parallel, _ = cutoff_sweep(replace(base, sweep=SweepSpec((2.0, 3.0))), workers=2)
+    sweep = SweepSpec((2.0, 3.0))
+    serial = cutoff_sweep(replace(base, sweep=sweep), tmp_path / "serial", workers=1)
+    parallel = cutoff_sweep(replace(base, sweep=sweep), tmp_path / "parallel", workers=2)
     for a, b in zip(serial.rows, parallel.rows):
         assert (a.R, a.N, a.t_loss, a.gel_fraction_final) == (b.R, b.N, b.t_loss, b.gel_fraction_final)
 
@@ -150,20 +157,33 @@ def raise_foreign_errors(R):
     raise MemoryError() if R == 3.0 else RuntimeError("boom")
 
 
-def test_sweep_serial_contains_non_coagulation_errors(monkeypatch):
+def assert_only_a_failed_manifest(row_dir, error):
+    """The directory of a row that raised or lost its worker: a failed manifest, no run."""
+    assert sorted(p.name for p in row_dir.iterdir()) == ["manifest.json"]
+    manifest = read_manifest(row_dir / "manifest.json")
+    assert (manifest["status"], manifest["error"]) == ("failed", error)
+
+
+def test_sweep_serial_contains_non_coagulation_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(raise_foreign_errors))
-    report, runs = cutoff_sweep(
-        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), workers=1
+    report = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), tmp_path, workers=1
     )
     assert [row.failed for row in report.rows] == [False, True, True]
     assert report.rows[0].t_loss is not None and report.rows[0].steps > 0
     assert report.rows[1].error == "MemoryError: "
     assert report.rows[2].error == "RuntimeError: boom"
-    assert report.rows[1].steps is None and runs[1][1] is None
+    assert report.rows[1].steps is None
+    assert_only_a_failed_manifest(tmp_path / "R3", "MemoryError: ")
+    assert (tmp_path / "R2" / "moments.csv").exists()
 
 
 class CrashingPool:
-    """Stands in for ProcessPoolExecutor; the worker of the R = 3 row dies."""
+    """Stands in for ProcessPoolExecutor; the worker of the R = 3 row dies.
+
+    Every other result crosses a process boundary as a pool's would: through
+    pickle, as a SweepRow under 1 KiB.
+    """
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -176,21 +196,26 @@ class CrashingPool:
 
     def submit(self, fn, job):
         future = Future()
-        if job.grid.R == 3.0:
+        if job[0].grid.R == 3.0:
             future.set_exception(BrokenProcessPool("worker terminated abruptly"))
         else:
-            future.set_result(fn(job))
+            sent = pickle.dumps(fn(job))
+            assert len(sent) < 1024
+            result = pickle.loads(sent)
+            assert isinstance(result, SweepRow)
+            future.set_result(result)
         return future
 
 
-def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
+def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation, "ProcessPoolExecutor", CrashingPool)
-    report, runs = cutoff_sweep(
-        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), workers=3
+    report = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), tmp_path, workers=3
     )
     assert [row.failed for row in report.rows] == [False, True, False]
-    assert report.rows[1].error == "BrokenProcessPool: worker terminated abruptly"
-    assert runs[1][1] is None
+    error = "BrokenProcessPool: worker terminated abruptly"
+    assert report.rows[1].error == error
+    assert_only_a_failed_manifest(tmp_path / "R3", error)
     assert all(row.t_loss is not None for row in (report.rows[0], report.rows[2]))
 
 
@@ -198,9 +223,11 @@ def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(monkeypatch):
     multiprocessing.get_start_method() != "fork",
     reason="the crashing solver.run reaches the workers only through fork",
 )
-def test_sweep_pool_survives_a_worker_that_exits(monkeypatch):
+def test_sweep_pool_survives_a_worker_that_exits(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(lambda R: os._exit(1)))
-    report, _ = cutoff_sweep(replace(powersum_base(), sweep=SweepSpec((2.0, 3.0))), workers=2)
+    report = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 3.0))), tmp_path, workers=2
+    )
     assert [row.R for row in report.rows] == [2.0, 3.0]
     assert report.rows[1].failed
     assert report.rows[1].error.startswith("BrokenProcessPool: ")
@@ -215,9 +242,10 @@ def test_row_config_moves_the_grid_and_drops_the_sweep():
     assert (cfg.kernel, cfg.initial, cfg.t_end) == (base.kernel, base.initial, base.t_end)
 
 
-def test_sweep_scales_cell_count_with_cutoff():
-    report, _ = cutoff_sweep(
-        replace(powersum_base(), sweep=SweepSpec((2.0, 4.0), resolution=1.0 / 16.0)), workers=1
+def test_sweep_scales_cell_count_with_cutoff(tmp_path):
+    report = cutoff_sweep(
+        replace(powersum_base(), sweep=SweepSpec((2.0, 4.0), resolution=1.0 / 16.0)),
+        tmp_path, workers=1,
     )
     assert [row.N for row in report.rows] == [32, 64]
 
