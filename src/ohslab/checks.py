@@ -159,24 +159,22 @@ def _check_blowup_bounds(report, result, values):
     })
 
 
-def run_checks(result, stored=None, settings=None):
+def run_checks(result, stored=None):
     """Run the full verification suite against a replayed run.
 
     Parameters
     ----------
     result : solver.RunResult
         Replay with captured states and kernel tables; without them it
-        raises ``InvalidInputError``.
+        raises ``InvalidInputError``.  Its config's "check" section gives the
+        certification constants and residual tolerances, defaults without one.
     stored : dict, optional
         Columns of a stored moments.csv; when given, they are compared with
         the replay's, column by column (detects edited artifacts).
-    settings : config.CheckSpec, optional
-        The config's "check" section: certification constants and residual
-        tolerances; defaults apply when omitted.
     """
     if not result.states or result.tables is None:
         raise InvalidInputError("run was recorded without state snapshots or kernel tables")
-    settings = settings or CheckSpec()
+    settings = result.config.check or CheckSpec()
     report = CheckReport()
     series = result.series
     _check_bookkeeping(report, series)

@@ -9,14 +9,16 @@ Subcommands
     Cutoff-scaling experiment from the config's "sweep" section; writes
     sweep.csv, sweep.json and one run directory per cutoff, as ``simulate``
     writes it for the row's config (a row that raised gets only a failed
-    manifest).
+    manifest).  A row whose config is invalid is invalid input: nothing is
+    written.
 ``check <run-dir-or-config.json>``
     Replay a run (from its manifest or a fresh config) and run the
     verification suite; writes check_report.json.
 
 Exit codes: 0 ok, 1 check failure, 2 invalid input, 3 numerical failure.
-The manifest records the fully resolved config, so any run can be reproduced
-bit for bit from its artifacts alone.
+Each command checks its config when it loads it, before it makes any output
+directory.  The manifest records the config with every default explicit, so
+any run can be reproduced bit for bit from its artifacts alone.
 """
 from __future__ import annotations
 
@@ -40,13 +42,9 @@ EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
-def _out_dir(args, default):
-    return runio.make_dir(args.out or default)
-
-
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    out = _out_dir(args, Path(args.config).with_suffix(""))
+    out = runio.make_dir(args.out or Path(args.config).with_suffix(""))
     result = solver.run(cfg)
     runio.write_run(out, result)
     if result.failed:
@@ -57,12 +55,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    if cfg.sweep is None:
-        raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
-    # The output directory is checked before any row runs.
-    out = _out_dir(args, Path(args.config).with_suffix(""))
-    report = gelation.cutoff_sweep(cfg, out, workers=args.workers)
+    out = Path(args.out or Path(args.config).with_suffix(""))
+    report = gelation.cutoff_sweep(load_config(args.config), out, workers=args.workers)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in report.rows:
@@ -94,16 +88,16 @@ def cmd_check(args):
         csv_path = target / "moments.csv"
         if csv_path.exists():
             stored = runio.read_moments_csv(csv_path)
-        out = _out_dir(args, target)
+        out = runio.make_dir(args.out or target)
     else:
         cfg = load_config(target)
-        out = _out_dir(args, target.with_suffix(""))
+        out = runio.make_dir(args.out or target.with_suffix(""))
     result = solver.run(cfg, capture_states=True)
     if result.failed:
         logger.error("replay failed: %s", result.error)
         return _write_unfinished_check(out, result.error, replay_failed=True)
     try:
-        report = checks_mod.run_checks(result, stored=stored, settings=cfg.check)
+        report = checks_mod.run_checks(result, stored=stored)
     except NumericalFailureError as exc:
         logger.error("checks failed numerically: %s", exc)
         return _write_unfinished_check(out, str(exc), replay_failed=False)

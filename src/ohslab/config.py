@@ -2,17 +2,20 @@
 
 A run is fully determined by its config; there is no random state anywhere in
 the package, so identical configs reproduce identical outputs bit for bit.
-The resolved config (all defaults filled in) is what run manifests store.
 
 Every config section is a frozen dataclass whose fields are the section's
 JSON keys, with their defaults.  ``from_section`` reads any of them from a
 JSON mapping and ``to_section`` writes it back, so each key is declared once.
+Each section checks its values when it is built, and ``SimConfig`` also fills
+in the defaults that depend on other keys, so every config object is valid
+and resolved: the code that runs it checks nothing again, and run manifests
+store it as it is.
 """
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -28,8 +31,7 @@ def moment_labels(orders, thresholds):
     """The moments.csv labels of the moment columns and the tail columns.
 
     ``%g`` keeps six significant digits, so orders or thresholds that differ
-    only beyond them get the same label; ``SimConfig.validate`` rejects
-    those.
+    only beyond them get the same label; ``SimConfig`` rejects those.
     """
     return ["M%g" % r for r in orders] + ["M1_m%g" % m for m in thresholds]
 
@@ -119,7 +121,11 @@ class SimConfig:
     """Everything a run needs; seed-free and fully deterministic.
 
     The fields are the top-level config keys, in the order manifests write
-    them.
+    them.  Building one raises InvalidInputError on a bad value, a moment
+    column that repeats a label or a grid that cannot be built, and makes
+    every default explicit: ``record_cadence`` and ``dt_max`` from ``t_end``,
+    and the recorded moment orders (the configured ones, 0 and 1, sorted).
+    ``dataclasses.replace`` keeps them; replace one with None to fill it anew.
     """
 
     kernel: Kernel
@@ -135,7 +141,7 @@ class SimConfig:
     sweep: SweepSpec = None
     check: CheckSpec = None
 
-    def validate(self):
+    def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise InvalidInputError("t_end must be finite and >= 0")
         if not (0 < self.cfl <= 1):
@@ -150,7 +156,7 @@ class SimConfig:
             raise InvalidInputError("dt_max must be positive")
         if not np.all(np.isfinite(self.moments.orders)):
             raise InvalidInputError("moment orders must be finite")
-        thresholds = self.moments.truncation_thresholds
+        thresholds = tuple(float(m) for m in self.moments.truncation_thresholds)
         for m in thresholds:
             if not (0 <= m <= self.grid.R):
                 raise InvalidInputError("truncation threshold %g outside [0, R]" % m)
@@ -166,22 +172,13 @@ class SimConfig:
             for r in orders:
                 if not np.all(np.isfinite(grid.power(r))):
                     raise InvalidInputError("moment order %g overflows on this grid" % r)
-        return self
-
-    def resolved(self):
-        """Copy with every default made explicit (what manifests record)."""
-        self.validate()
-        cadence = self.record_cadence
-        if cadence is None:
-            cadence = self.t_end / 100.0 if self.t_end > 0 else 1.0
-        dt_max = self.dt_max
-        if dt_max is None:
-            dt_max = 1e-2 * self.t_end if self.t_end > 0 else 1.0
-        moments = MomentSpec(
-            orders=_recorded_orders(self.moments.orders),
-            truncation_thresholds=tuple(float(m) for m in self.moments.truncation_thresholds),
-        )
-        return replace(self, record_cadence=cadence, dt_max=dt_max, moments=moments)
+        # the defaults, made explicit (what manifests record)
+        t_end = self.t_end
+        if self.record_cadence is None:
+            object.__setattr__(self, "record_cadence", t_end / 100.0 if t_end > 0 else 1.0)
+        if self.dt_max is None:
+            object.__setattr__(self, "dt_max", 1e-2 * t_end if t_end > 0 else 1.0)
+        object.__setattr__(self, "moments", MomentSpec(orders, thresholds))
 
     def to_dict(self):
         """The config's JSON mapping, as manifests store it."""
@@ -189,8 +186,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, cfg):
-        """Read and validate a config from its JSON mapping."""
-        return from_section(cls, cfg, None).validate()
+        """Read a config from its JSON mapping."""
+        return from_section(cls, cfg, None)
 
 
 def _number(value):

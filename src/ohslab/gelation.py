@@ -81,9 +81,13 @@ class GelationReport:
 
 
 def row_config(base_config, R, N):
-    """The sweep row's config: the base config on an (R, N) grid, no sweep."""
+    """The sweep row's config: the base config on an (R, N) grid, no sweep;
+    an invalid one raises InvalidInputError naming the row."""
     grid = replace(base_config.grid, R=float(R), N=int(N))
-    return replace(base_config, grid=grid, sweep=None)
+    try:
+        return replace(base_config, grid=grid, sweep=None)
+    except InvalidInputError as exc:
+        raise InvalidInputError("sweep row %s: %s" % (row_label(R), exc)) from exc
 
 
 def _failed_row(cfg, row_dir, exc):
@@ -100,8 +104,8 @@ def _run_row(job):
 
     Runs a (row config, row directory) job, writes the directory as ``simulate``
     does and returns only the SweepRow; t_loss uses the row config's epsilon.
-    Any row-level failure (invalid row config, numerical breakdown, memory
-    exhaustion or any other exception) is contained in a failed row.
+    Any exception the row raises while it runs (numerical breakdown, memory
+    exhaustion or any other) is contained in a failed row.
     """
     cfg, row_dir = job
     try:
@@ -132,9 +136,10 @@ def cutoff_sweep(config, out, workers=None):
         cell width dx held fixed across rows (N = round(R / dx)), by default
         the base grid's R / N; its ``epsilon`` is the gel-fraction threshold
         of every row.  A config without a sweep section raises
-        ``InvalidInputError``.
+        ``InvalidInputError``, and so does a row whose config is invalid.
     out : Path
-        Gets each row's run directory ``row_label(R)``, all made before any row runs.
+        Gets each row's run directory ``row_label(R)``, parents included; every
+        row config is checked and every directory made before any row runs.
     workers : int, optional
         Process count for concurrent rows (default: cpu count); <= 1 runs
         serially.  Rows are independent simulations; failures are recorded
@@ -147,9 +152,8 @@ def cutoff_sweep(config, out, workers=None):
     """
     if config.sweep is None:
         raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
-    base = config.resolved()
-    resolution = base.sweep.resolution or base.grid.R / base.grid.N
-    configs = [row_config(base, R, max(2, int(round(R / resolution)))) for R in base.sweep.cutoffs]
+    resolution = config.sweep.resolution or config.grid.R / config.grid.N
+    configs = [row_config(config, R, max(2, round(R / resolution))) for R in config.sweep.cutoffs]
     jobs = [(cfg, runio.make_dir(out / row_label(cfg.grid.R))) for cfg in configs]
     if workers is None:
         workers = os.cpu_count() or 1
@@ -169,7 +173,7 @@ def cutoff_sweep(config, out, workers=None):
     for row in rows:
         if row.failed:
             logger.warning("sweep row R=%g failed: %s", row.R, row.error)
-    return GelationReport(epsilon=base.epsilon, rows=rows)
+    return GelationReport(epsilon=config.epsilon, rows=rows)
 
 
 def blowup_bound(r, delta, moment_value, theta1, beta, rho0):

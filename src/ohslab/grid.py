@@ -84,6 +84,8 @@ def build(kind, R, N, q=None):
     q : float, optional
         Width ratio for geometric grids, > 1, and for no other kind.  The
         first width is chosen so the geometric sum of widths equals R.
+
+    A grid whose arrays numpy cannot allocate raises InvalidInputError.
     """
     if q is not None and kind != "geometric":
         raise InvalidInputError("grid ratio q applies only to a geometric grid")
@@ -92,6 +94,15 @@ def build(kind, R, N, q=None):
     N = int(N)
     if N < 2:
         raise InvalidInputError("grid needs N >= 2 cells")
+    try:
+        return _build(kind, R, N, q)
+    except MemoryError as exc:
+        raise InvalidInputError(
+            "grid of N = %d cells does not fit in memory: %s" % (N, exc)
+        ) from exc
+
+
+def _build(kind, R, N, q):
     if kind == "uniform":
         return SizeGrid(np.linspace(0.0, R, N + 1))
     if kind == "geometric":

@@ -104,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import NumericalFailureError
 from .grid import SizeGrid, State, project_initial
 from .moments import MomentSeries, moment
 
@@ -142,8 +142,9 @@ class KernelTables:
     edge fluxes with the zero inflow at size 0 in front; and the step bound's
     rate and masks.  The buffers make a table unsafe to share between
     threads: every run builds its own.  They are also views of one another,
-    and pickling copies each view apart, so a pickled table computes wrong
-    ``velocity`` and ``loss`` sums: no table may cross a process.
+    which a pickle or a deep copy would copy apart into a table that computes
+    wrong ``velocity`` and ``loss`` sums, so both raise TypeError: a table
+    never crosses a process, and is built where it is used.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -182,6 +183,12 @@ class KernelTables:
         # occupied[i + 2] = xi_i > 0, behind two cells below the grid that stay empty.
         occupied = np.zeros(n + 2, dtype=bool)
         self._mask = (occupied[2:], occupied[1:-1], occupied[:-2], np.empty(n, dtype=bool))
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError(
+            "KernelTables cannot be pickled or copied: its buffers are views of one "
+            "another, which a copy would tear apart; build the tables where they are used"
+        )
 
     def prefix(self, n):
         """The tables of the grid of the first n cells; these tables at n = N.
@@ -300,8 +307,6 @@ def stable_dt(tables, xi, velocity, loss, cfl, dt_max=math.inf):
     predictor fills.  An empty state has no rate; the configured dt_max is
     returned instead.  The rate and the masks go into the tables' buffers.
     """
-    if not (0 < cfl <= 1):
-        raise InvalidInputError("cfl must lie in (0, 1]")
     occupied, below, two_below, front = tables._mask
     np.greater(xi, tables._zeros, out=occupied)
     np.logical_or(occupied, below, out=front)
@@ -350,7 +355,7 @@ def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=
         np.multiply(new, dt, out=new)
         np.add(xi, new, out=new)
         gel_inc = dt * rate
-    elif scheme == "heun":
+    else:  # heun
         k1, k2 = tables._k1, tables._k2
         v, L, rate1 = rhs(tables, xi, k1)
         dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
@@ -364,8 +369,6 @@ def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=
         np.multiply(new, 0.5 * dt, out=new)
         np.add(xi, new, out=new)
         gel_inc = 0.5 * dt * (rate1 + rate2)
-    else:
-        raise InvalidInputError("unknown scheme %r" % (scheme,))
     if not _all_finite(new, tables):
         raise NumericalFailureError("non-finite density after step")
     if np.minimum.reduce(new) < 0:
@@ -424,14 +427,15 @@ def run(config, capture_states=False):
     t = 0 and t_end) and is deterministic given the config.  On numerical
     failure the partial series is returned with the failure marker set, and
     the final state is the last step that passed.  Recorded states and the
-    final state are new states on the whole grid.
+    final state are new states on the whole grid.  A ``SimConfig`` checked
+    its values when it was built, so neither ``run`` nor ``step`` checks them
+    again; the config given is the result's ``config``.
     """
-    cfg = config.resolved()
-    grid = cfg.grid.build()
-    state = project_initial(grid, cfg.initial).validate()
+    grid = config.grid.build()
+    state = project_initial(grid, config.initial).validate()
     budget = CLAMP_BUDGET * moment(state, 1)
     series = MomentSeries(
-        orders=cfg.moments.orders, thresholds=cfg.moments.truncation_thresholds
+        orders=config.moments.orders, thresholds=config.moments.truncation_thresholds
     )
     states = [] if capture_states else None
 
@@ -441,8 +445,8 @@ def run(config, capture_states=False):
             states.append(st)
 
     record(state)
-    time_eps = 1e-12 * max(1.0, cfg.t_end)
-    scheme, cfl, dt_max = cfg.scheme, cfg.cfl, cfg.dt_max
+    time_eps = 1e-12 * max(1.0, config.t_end)
+    scheme, cfl, dt_max = config.scheme, config.cfl, config.dt_max
     t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
     failed, error = False, None
     steps = 0
@@ -457,10 +461,10 @@ def run(config, capture_states=False):
     n = min(N, front + WINDOW_SLACK)
     stages = 2 if scheme == "heun" else 1
     try:
-        tables = KernelTables(grid, cfg.kernel)
+        tables = KernelTables(grid, config.kernel)
         window = tables.prefix(n)
         window.xi[:] = state.xi[:n]
-        for t_next in _record_times(cfg.t_end, cfg.record_cadence):
+        for t_next in _record_times(config.t_end, config.record_cadence):
             while t_next - t > time_eps:
                 t, gel, clamped = step(
                     window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
@@ -480,6 +484,6 @@ def run(config, capture_states=False):
         failed, error = True, str(exc)
     final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
     return RunResult(
-        config=cfg, series=series, final_state=final,
+        config=config, series=series, final_state=final,
         states=states, failed=failed, error=error, steps=steps, tables=tables,
     )

@@ -371,6 +371,20 @@ def test_unmakeable_row_directory_is_invalid_input(tmp_path, monkeypatch):
     assert runs == []  # every row directory is made before any row runs
 
 
+def test_sweep_row_with_an_invalid_config_is_invalid_input(tmp_path, caplog):
+    # the threshold 6 lies inside the base grid [0, 8] but outside row R4's
+    payload = dict(BAGLAND, grid={"kind": "uniform", "R": 8.0, "N": 64},
+                   moments={"truncation_thresholds": [6.0]}, sweep={"cutoffs": [4.0, 8.0]})
+    SimConfig.from_dict(payload)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    for workers in ("1", "2"):
+        caplog.clear()
+        assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        assert "sweep row R4: truncation threshold 6 outside [0, R]" in caplog.text
+        assert not out.exists()
+
+
 def test_moment_order_that_overflows_on_the_grid_is_invalid_input(tmp_path):
     # midpoints**6 overflows on the occupied cells of this grid
     payload = {

@@ -1,12 +1,13 @@
 """Config parsing: unknown keys are rejected, per section, with exit code 2."""
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ohslab.cli import main
-from ohslab.config import SimConfig
+from ohslab.config import MomentSpec, SimConfig
 from ohslab.errors import InvalidInputError
 from ohslab.kernels import CertificationParams
 from ohslab.runio import read_manifest
@@ -131,6 +132,19 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
      "give the column M1_m1 more than once"),
     # both rows would write the directory R4
     ("sweep", {"cutoffs": [4.0, 4.0000001]}, "give the row directory R4 more than once"),
+    # numpy refuses 7.11 PiB before it allocates anything
+    ("grid", {"kind": "uniform", "R": 2.0, "N": 10**15}, "does not fit in memory"),
+    ("grid", {"kind": "geometric", "R": 2.0, "N": 10**15, "q": 1.0 + 1e-15},
+     "does not fit in memory"),
+    # top-level keys
+    ("cfl", 0.0, "cfl must lie in (0, 1]"),
+    ("cfl", 1.5, "cfl must lie in (0, 1]"),
+    ("scheme", "rk4", "scheme must be one of ('euler', 'heun')"),
+    ("t_end", -1.0, "t_end must be finite and >= 0"),
+    ("epsilon", 0.0, "gelation threshold epsilon must lie in (0, 1)"),
+    ("epsilon", 1.0, "gelation threshold epsilon must lie in (0, 1)"),
+    ("dt_max", 0.0, "dt_max must be positive"),
+    ("record_cadence", 0.0, "record cadence must be positive"),
 ])
 def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
     payload = dict(BASE, **{section: value})
@@ -159,6 +173,25 @@ def test_bad_check_tolerance_exits_with_invalid_input_before_replay(tmp_path, ch
     path.write_text(json.dumps(payload))
     assert main(["--quiet", "check", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_sim_config_checks_itself_when_built():
+    cfg = SimConfig.from_dict(BASE)
+    with pytest.raises(InvalidInputError, match=re.escape("cfl must lie in (0, 1]")):
+        SimConfig(kernel=cfg.kernel, grid=cfg.grid, initial=cfg.initial, t_end=1.0, cfl=1.5)
+    with pytest.raises(InvalidInputError, match="truncation threshold 3 outside"):
+        replace(cfg, grid=replace(cfg.grid, R=2.0), moments=MomentSpec((2.0,), (3.0,)))
+
+
+def test_sim_config_fills_in_its_defaults_when_built():
+    cfg = SimConfig.from_dict(dict(BASE, t_end=2.0, record_cadence=None))
+    assert (cfg.record_cadence, cfg.dt_max) == (0.02, 0.02)
+    assert cfg.moments == MomentSpec((0.0, 1.0, 2.0), (1.0,))
+    zero = SimConfig.from_dict(dict(BASE, t_end=0, record_cadence=None))
+    assert (zero.record_cadence, zero.dt_max) == (1.0, 1.0)
+    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    longer = replace(cfg, t_end=4.0, record_cadence=None)
+    assert (longer.record_cadence, longer.dt_max) == (0.04, 0.02)  # dt_max is kept
 
 
 def test_integral_numbers_load_as_int_and_float():

@@ -290,7 +290,7 @@ def test_moment_residual_zero_for_empty_states():
     for s in states:
         series.append_state(s)
     handle = RunResult(
-        config=cfg.resolved(), series=series, final_state=states[-1], states=states,
+        config=cfg, series=series, final_state=states[-1], states=states,
         tables=KernelTables(grid, cfg.kernel),
     )
     assert replay_moment_residual(handle, 2) == 0.0

@@ -110,7 +110,7 @@ def _projected_run(N, times, lam_cfg=None):
         kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 8.0, N),
         initial=UniformOn(0.0, 1.0, 1.0), t_end=float(times[-1]),
         record_cadence=float(times[1] - times[0]),
-    ).resolved()
+    )
     states = [project_state(sol, grid, t) for t in times]
     series = MomentSeries(orders=(0.0, 1.0), thresholds=())
     for s in states:

@@ -1,5 +1,7 @@
 """Right-hand-side quadratures, the mass identity, stepping, and full runs."""
+import copy
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -17,7 +19,7 @@ from ohslab import (
     UniformOn,
     solver,
 )
-from ohslab.errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
+from ohslab.errors import EvaluationOverflowError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.moments import moment
 from ohslab.oracle import l1_error
@@ -119,6 +121,14 @@ def test_kernel_tables_overflow_raises_without_warning():
             KernelTables(grid, ProductKernel(200.0))
 
 
+def test_kernel_tables_refuse_to_pickle_or_copy():
+    # a pickled copy used to come back with velocity off by 68.7 and loss by 11.9
+    tables = KernelTables(build("uniform", 4.0, 64), PowerSumKernel(1.0, 1.5))
+    for copy_of in (pickle.dumps, copy.deepcopy):
+        with pytest.raises(TypeError, match="views of one another"):
+            copy_of(tables)
+
+
 def test_tables_and_rhs_memory_is_linear_in_cells():
     # dense N x N tables at N = 8192 would take about 1.5 GB
     grid = build("uniform", 8.0, 8192)
@@ -181,14 +191,6 @@ def test_stable_dt_ignores_empty_cells_beyond_the_front():
     rate = np.arange(1.0, 9.0)
     # cells 0, 1 and 2 count; the larger rates of cells 3-7 multiply zero
     assert stable_dt(tables, xi, rate * grid.widths, np.zeros(8), cfl=1.0) == 1.0 / 3.0
-
-
-def test_stable_dt_rejects_bad_cfl():
-    grid = build("uniform", 1.0, 4)
-    tables = KernelTables(grid, ConstantKernel(1.0))
-    for cfl in (0.0, -0.5, 1.5):
-        with pytest.raises(InvalidInputError):
-            stable_dt(tables, np.zeros(4), np.zeros(4), np.zeros(4), cfl)
 
 
 def test_step_dt_zero_is_identity():
@@ -257,15 +259,6 @@ def test_step_clamps_and_accounts_for_oversized_dt(monkeypatch):
     assert out.clamped_mass > 0.0
 
 
-def test_step_rejects_bad_input():
-    grid = build("uniform", 4.0, 16)
-    state = random_state(grid, seed=1)
-    with pytest.raises(InvalidInputError):
-        fresh_step(state, ConstantKernel(1.0), 0.1, cfl=1.5)
-    with pytest.raises(InvalidInputError):
-        fresh_step(state, ConstantKernel(1.0), 0.1, scheme="rk4")
-
-
 def base_config(**kw):
     defaults = dict(
         kernel=ConstantKernel(1.0),
@@ -289,6 +282,12 @@ def test_run_counts_its_steps(monkeypatch):
     monkeypatch.setattr(solver, "step", counted)
     result = run(base_config())
     assert result.steps == len(calls) >= 4  # at least one step per record
+
+
+def test_run_uses_the_config_it_is_given():
+    cfg = base_config(record_cadence=None)
+    assert cfg.record_cadence == 0.01  # filled in when built
+    assert run(cfg).config is cfg
 
 
 def test_run_zero_horizon_single_record():
