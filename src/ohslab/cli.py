@@ -17,8 +17,11 @@ Subcommands
 
 Exit codes: 0 ok, 1 check failure, 2 invalid input, 3 numerical failure.
 Each command checks its config when it loads it, before it makes any output
-directory.  The manifest records the config with every default explicit, so
-any run can be reproduced bit for bit from its artifacts alone.
+directory; ``simulate`` and ``check`` also project the initial data onto the
+grid first, so data that does not fit it makes no directory either (a sweep
+row whose data does not fit its grid fails alone).  The manifest records
+the config with every default explicit, so any run can be reproduced bit
+for bit from its artifacts alone.
 """
 from __future__ import annotations
 
@@ -44,8 +47,9 @@ EXIT_NUMERICAL_FAILURE = 3
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
+    state = solver.initial_state(cfg)
     out = runio.make_dir(args.out or Path(args.config).with_suffix(""))
-    result = solver.run(cfg)
+    result = solver.run(cfg, state=state)
     runio.write_run(out, result)
     if result.failed:
         logger.error("run failed: %s (partial outputs in %s)", result.error, out)
@@ -88,11 +92,13 @@ def cmd_check(args):
         csv_path = target / "moments.csv"
         if csv_path.exists():
             stored = runio.read_moments_csv(csv_path)
-        out = runio.make_dir(args.out or target)
+        default_out = target
     else:
         cfg = load_config(target)
-        out = runio.make_dir(args.out or target.with_suffix(""))
-    result = solver.run(cfg, capture_states=True)
+        default_out = target.with_suffix("")
+    state = solver.initial_state(cfg)
+    out = runio.make_dir(args.out or default_out)
+    result = solver.run(cfg, capture_states=True, state=state)
     if result.failed:
         logger.error("replay failed: %s", result.error)
         return _write_unfinished_check(out, result.error, replay_failed=True)

@@ -108,7 +108,11 @@ def _build(kind, R, N, q):
     if kind == "geometric":
         if q is None or not (np.isfinite(q) and q > 1):
             raise InvalidInputError("geometric grid needs ratio q > 1")
-        total = q**N - 1.0
+        try:
+            with np.errstate(over="ignore"):  # a numpy float overflows to inf
+                total = q**N - 1.0
+        except OverflowError:  # a Python float raises
+            total = np.inf
         if not np.isfinite(total):
             raise InvalidInputError("geometric grid overflows: reduce N or q")
         w0 = R * (q - 1.0) / total

@@ -117,6 +117,11 @@ CLAMP_BUDGET = 1e-8
 #: rebuilt once per this many cells of front motion instead of every step.
 WINDOW_SLACK = 32
 
+#: Cells of one ddot of the finiteness test, at most: OpenBLAS runs a ddot of
+#: up to 10,000 elements on the calling thread and threads one of 10,001 or
+#: more, whose idle worker then spins for about 0.1 s of CPU.
+_DOT_CELLS = 10_000
+
 
 class KernelTables:
     """Separable kernel factors for one (grid, kernel) pair, built once per run,
@@ -324,9 +329,14 @@ def _all_finite(x, tables):
     """One exact pass: x . 0 sums 0 * x_i, which is NaN iff x_i is not finite.
 
     Unlike ``np.dot``, ``np.vdot`` raises no "invalid value" warning on an
-    infinity.
+    infinity.  A window of more than ``_DOT_CELLS`` cells is summed in slices
+    of that many, so that OpenBLAS runs every ddot on the calling thread.
     """
-    return not math.isnan(np.vdot(x, tables._zeros))
+    zeros = tables._zeros
+    if x.size <= _DOT_CELLS:
+        return not math.isnan(np.vdot(x, zeros))
+    return not any(math.isnan(np.vdot(x[i:i + _DOT_CELLS], zeros[i:i + _DOT_CELLS]))
+                   for i in range(0, x.size, _DOT_CELLS))
 
 
 def _clamp(grid, xi):
@@ -420,7 +430,13 @@ def _record_times(t_end, cadence):
     return times
 
 
-def run(config, capture_states=False):
+def initial_state(config):
+    """The config's t = 0 state, projected onto a newly built grid of its grid
+    section; initial data that does not fit that grid raises InvalidInputError."""
+    return project_initial(config.grid.build(), config.initial).validate()
+
+
+def run(config, capture_states=False, state=None):
     """Integrate a config from t = 0 to t_end with adaptive stable steps.
 
     Records the moment series at the configured cadence (always including
@@ -429,10 +445,13 @@ def run(config, capture_states=False):
     the final state is the last step that passed.  Recorded states and the
     final state are new states on the whole grid.  A ``SimConfig`` checked
     its values when it was built, so neither ``run`` nor ``step`` checks them
-    again; the config given is the result's ``config``.
+    again; the config given is the result's ``config``.  ``state`` is the
+    config's ``initial_state``, which a caller that has it already passes
+    in; it is made here when not given.
     """
-    grid = config.grid.build()
-    state = project_initial(grid, config.initial).validate()
+    if state is None:
+        state = initial_state(config)
+    grid = state.grid
     budget = CLAMP_BUDGET * moment(state, 1)
     series = MomentSeries(
         orders=config.moments.orders, thresholds=config.moments.truncation_thresholds

@@ -385,6 +385,26 @@ def test_sweep_row_with_an_invalid_config_is_invalid_input(tmp_path, caplog):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("initial", [
+    {"kind": "uniform_on", "a": 0.0, "b": 9.0, "mass": 1.0},  # b > R = 8
+    {"kind": "cell_spike", "index": 512, "mass": 1.0},  # N = 512 cells
+])
+def test_initial_data_outside_the_grid_makes_no_directory(tmp_path, initial):
+    cfg = write_config(tmp_path, dict(BAGLAND, initial=initial))
+    run_dir = tmp_path / "run"
+    assert main(["--quiet", "simulate", str(write_config(tmp_path, BAGLAND, "ok.json")),
+                 "--out", str(run_dir)]) == 0
+    manifest = read_manifest(run_dir / "manifest.json")
+    manifest["config"]["initial"] = initial
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    for command in (["simulate", str(cfg)], ["check", str(cfg)], ["check", str(run_dir)]):
+        assert main(["--quiet", *command, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert main(["--quiet", "simulate", str(cfg)]) == 2
+    assert not (tmp_path / "config").exists()  # the default output directory
+
+
 def test_moment_order_that_overflows_on_the_grid_is_invalid_input(tmp_path):
     # midpoints**6 overflows on the occupied cells of this grid
     payload = {

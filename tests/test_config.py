@@ -136,6 +136,9 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     ("grid", {"kind": "uniform", "R": 2.0, "N": 10**15}, "does not fit in memory"),
     ("grid", {"kind": "geometric", "R": 2.0, "N": 10**15, "q": 1.0 + 1e-15},
      "does not fit in memory"),
+    # 2.0**2000 overflows a float
+    ("grid", {"kind": "geometric", "R": 8.0, "N": 2000, "q": 2.0},
+     "geometric grid overflows: reduce N or q"),
     # top-level keys
     ("cfl", 0.0, "cfl must lie in (0, 1]"),
     ("cfl", 1.5, "cfl must lie in (0, 1]"),

@@ -50,6 +50,13 @@ def test_build_validation():
         build("chebyshev", 1.0, 4)
 
 
+@pytest.mark.parametrize("q", [2.0, np.float64(2.0)])
+def test_geometric_grid_that_overflows_is_invalid_input(q):
+    # 2**2000 overflows a float: a Python float raises, numpy's reads inf
+    with pytest.raises(InvalidInputError, match="geometric grid overflows: reduce N or q"):
+        build("geometric", 8.0, 2000, q=q)
+
+
 def test_rebuild_from_edges_is_bitwise_identical():
     grid = build("geometric", 5.0, 40, q=1.3)
     clone = SizeGrid(grid.edges.copy())

@@ -250,6 +250,30 @@ def test_brute_force_row_blocks_sum_to_one_table(bagland_runs, monkeypatch):
     assert abs(blocked - reference) <= 1e-13 * abs(reference)
 
 
+@pytest.mark.parametrize("madds", [16, 64, 2**18])
+@pytest.mark.parametrize("m, k, p", [(2, 3, 1), (3, 9, 2), (5, 40, 7), (101, 67, 66)])
+def test_contract_is_one_matmul_in_bounded_chunks(monkeypatch, madds, m, k, p):
+    rng = np.random.default_rng(0)
+    lead = k - p - 1  # column j of a row block starting at cell k - p is zero past lead + j
+    x, w = rng.random((m, k)), np.tril(rng.random((p, k)), k=lead).T
+    whole = x @ w
+    matmul, shapes = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        shapes.append((*a.shape, b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "_MATMUL_MADDS", madds)
+    monkeypatch.setattr(np, "matmul", spy)
+    out = np.full((m, p), np.nan)
+    oracle._contract(x, w, out, lead)
+    np.testing.assert_allclose(out, whole, rtol=1e-13)
+    assert max(rows * inner * cols for rows, inner, cols in shapes) <= madds
+    # never one record against one block row: that would be a ddot
+    assert min(rows for rows, _, _ in shapes) >= 2
+    assert min(cols for _, _, cols in shapes) >= min(p, 2)
+
+
 def test_brute_force_memory_is_bounded_by_its_row_blocks():
     grid = build("uniform", 8.0, 4096)
     full = project_initial(grid, UniformOn(0.0, 8.0, 1.0))
