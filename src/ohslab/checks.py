@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import gelation, kernels, moments, oracle, runio
+from . import gelation, kernels, moments, oracle
 from .config import CheckSpec
 from .errors import InvalidInputError
 
@@ -66,14 +66,13 @@ def _check_bookkeeping(report, series):
 
 def _check_stored_csv(report, series, stored):
     """The stored moments.csv is the replay's: same header, rows and values."""
-    columns = runio.moment_columns(series)
-    header_ok = list(stored) == [label for label, _ in columns]
-    rows_ok = header_ok and len(stored["t"]) == len(series.records)
+    header_ok = list(stored) == series.labels
+    rows_ok = header_ok and len(stored["t"]) == len(series.rows)
     mismatch = None
     if rows_ok:  # each column relative to its largest magnitude; np.max keeps a NaN
         mismatch = float(np.max([np.max(np.abs(stored[label] - values))
                                  / max(float(np.max(np.abs(values))), moments.EPS_FLOOR)
-                                 for label, values in columns]))
+                                 for label, values in series.columns().items()]))
     report.add("stored_moments_csv", rows_ok and mismatch <= BOOKKEEPING_RTOL, {
         "header_matches": header_ok, "rows_match": rows_ok,
         "max_rel_mismatch": mismatch, "tolerance": BOOKKEEPING_RTOL,

@@ -54,19 +54,14 @@ def cmd_simulate(args):
     if result.failed:
         logger.error("run failed: %s (partial outputs in %s)", result.error, out)
         return EXIT_NUMERICAL_FAILURE
-    logger.info("run complete: %d records -> %s", len(result.series.records), out)
+    logger.info("run complete: %d records -> %s", len(result.series.rows), out)
     return EXIT_OK
 
 
 def cmd_sweep(args):
     out = Path(args.out or Path(args.config).with_suffix(""))
     report = gelation.cutoff_sweep(load_config(args.config), out, workers=args.workers)
-    with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("R,N,t_loss,gel_fraction_final\n")
-        for row in report.rows:
-            t_loss = "" if row.t_loss is None else "%.17g" % row.t_loss
-            gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
-            fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
+    runio.write_sweep_csv(out / "sweep.csv", report.rows)
     runio.write_json(out / "sweep.json", asdict(report))
     n_ok = sum(not row.failed for row in report.rows)
     logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(report.rows), out)

@@ -9,7 +9,9 @@ JSON mapping and ``to_section`` writes it back, so each key is declared once.
 Each section checks its values when it is built, and ``SimConfig`` also fills
 in the defaults that depend on other keys, so every config object is valid
 and resolved: the code that runs it checks nothing again, and run manifests
-store it as it is.
+store it as it is.  Among its checks, ``SimConfig`` rejects moment orders or
+thresholds whose moments.csv columns, ``moments.moment_labels``, would share
+a label.
 """
 from __future__ import annotations
 
@@ -23,17 +25,9 @@ from . import grid as grid_mod
 from .errors import InvalidInputError
 from .grid import INITIAL_KINDS, InitialCondition
 from .kernels import KERNEL_KINDS, CertificationParams, Kernel
+from .moments import moment_labels
 
 SCHEMES = ("euler", "heun")
-
-
-def moment_labels(orders, thresholds):
-    """The moments.csv labels of the moment columns and the tail columns.
-
-    ``%g`` keeps six significant digits, so orders or thresholds that differ
-    only beyond them get the same label; ``SimConfig`` rejects those.
-    """
-    return ["M%g" % r for r in orders] + ["M1_m%g" % m for m in thresholds]
 
 
 def row_label(R):

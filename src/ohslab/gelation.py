@@ -91,11 +91,15 @@ def row_config(base_config, R, N):
 
 
 def _failed_row(cfg, row_dir, exc):
-    """A failed row carrying the error text; its directory gets only a failed manifest."""
+    """A failed row carrying the error text; its directory gets only a failed
+    manifest, when that can be written."""
     error = str(exc)
     if not isinstance(exc, CoagulationError):
         error = "%s: %s" % (type(exc).__name__, error)
-    runio.write_manifest(row_dir / "manifest.json", cfg, status="failed", error=error)
+    try:
+        runio.write_manifest(row_dir / "manifest.json", cfg, status="failed", error=error)
+    except InvalidInputError as write_error:
+        logger.error("sweep row R=%s: %s", cfg.grid.R, write_error)
     return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error)
 
 
@@ -114,7 +118,7 @@ def _run_row(job):
             R=cfg.grid.R, N=cfg.grid.N,
             failed=result.failed, error=result.error, steps=result.steps,
         )
-        if result.series.records:
+        if result.series.rows:
             row.t_loss = gelation_time(result.series, cfg.epsilon)
             row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
         runio.write_run(row_dir, result)

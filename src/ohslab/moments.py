@@ -9,6 +9,11 @@ a suffix of the cells.  Each is one multiply-reduce against the grid's
 cached row ``SizeGrid.power(r)``, so a run's records, the replay checks and
 the blow-up table raise the midpoints to each order once per grid.
 
+A run's ``MomentSeries`` is its moments table, the one that moments.csv
+holds: the ``moment_labels`` between ``t`` and the gel and clamped masses,
+and one row of floats per record, which ``columns()`` gives as the
+``{label: column}`` that ``runio.read_moments_csv`` reads back.
+
 The replay sums, ``stacked_moments`` and ``pair_sums``, take every record at
 once, and each call takes every order or test its caller needs: ``check``
 makes one moment pass and one pair-sum pass.  They stack the records'
@@ -143,57 +148,70 @@ def stacked_moments(states, orders):
     return sums
 
 
-@dataclass
-class MomentRecord:
-    t: float
-    moments: dict
-    tails: dict
-    gel_mass: float
-    clamped_mass: float
+def moment_labels(orders, thresholds):
+    """The moments.csv labels of the moment columns and the tail columns.
+
+    ``%g`` keeps six significant digits, so orders or thresholds that differ
+    only beyond them get the same label; ``SimConfig`` rejects those.
+    """
+    return ["M%g" % r for r in orders] + ["M1_m%g" % m for m in thresholds]
 
 
 @dataclass
 class MomentSeries:
-    """Time-indexed moment records of one run.
+    """The moments table of one run: the rows moments.csv holds.
 
-    ``tails`` holds the first-moment tail M_m^1 for each configured
-    threshold m (the quantity the tail diagnostics consume).
+    ``labels`` are the columns: the time ``t``, M^r for each recorded order,
+    the first-moment tail M_m^1 for each threshold m (the quantity the tail
+    diagnostics consume), ``gel_mass`` and ``clamped_mass``.  ``rows`` holds
+    one row of Python floats per record, in that order.
     """
 
     orders: tuple
     thresholds: tuple
-    records: list = field(default_factory=list)
+    labels: list = field(init=False)
+    rows: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.labels = ["t", *moment_labels(self.orders, self.thresholds),
+                       "gel_mass", "clamped_mass"]
 
     def append_state(self, state):
-        self.records.append(
-            MomentRecord(
-                t=state.t,
-                moments={r: moment(state, r) for r in self.orders},
-                tails={m: truncated_moment(state, 1, m) for m in self.thresholds},
-                gel_mass=state.gel_mass,
-                clamped_mass=state.clamped_mass,
-            )
-        )
+        self.rows.append([
+            float(state.t),
+            *(moment(state, r) for r in self.orders),
+            *(truncated_moment(state, 1, m) for m in self.thresholds),
+            float(state.gel_mass),
+            float(state.clamped_mass),
+        ])
+
+    def columns(self):
+        """{label: column}, as ``runio.read_moments_csv`` reads the written table."""
+        data = np.array(self.rows, dtype=float).reshape(len(self.rows), len(self.labels))
+        return {label: data[:, k] for k, label in enumerate(self.labels)}
+
+    def _column(self, k):
+        return np.array([row[k] for row in self.rows])
 
     def times(self):
-        return np.array([rec.t for rec in self.records])
+        return self._column(0)
 
     def values(self, r):
-        return np.array([rec.moments[r] for rec in self.records])
+        return self._column(1 + self.orders.index(r))
 
     def tail(self, m):
-        return np.array([rec.tails[m] for rec in self.records])
+        return self._column(1 + len(self.orders) + self.thresholds.index(m))
 
     def gel(self):
-        return np.array([rec.gel_mass for rec in self.records])
+        return self._column(-2)
 
     def clamped(self):
-        return np.array([rec.clamped_mass for rec in self.records])
+        return self._column(-1)
 
     def rho0(self):
         """Initial total mass (domain plus gel at the first record)."""
-        first = self.records[0]
-        return first.moments[1.0] + first.gel_mass
+        first = self.rows[0]
+        return first[1 + self.orders.index(1.0)] + first[-2]
 
 
 def holder_check(sums, times, pairs):

@@ -2,6 +2,10 @@
 
 CSV files use '.' decimals, no thousands separators, and 17 significant
 digits, so identical configs produce bit-identical, diff-able outputs.
+moments.csv is a ``MomentSeries`` written as it stands, its ``labels`` and
+then its ``rows``, so reading it back gives the series' ``columns()``.
+Every writer writes into a directory that exists already, and a file that
+cannot be written raises InvalidInputError naming its path.
 
 JSON files are the bytes of ``json.dump(payload, indent=2)`` and a newline.
 The indenting encoder runs in pure Python, so a top-level value that is a
@@ -12,6 +16,7 @@ indented line, which is the same text.  Every other value is
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -19,33 +24,26 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import moment_labels
 from .errors import InvalidInputError
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
-
-
-def moment_columns(series):
-    """Ordered (label, values) columns of a moment series."""
-    values = [series.values(r) for r in series.orders]
-    values += [series.tail(m) for m in series.thresholds]
-    return [
-        ("t", series.times()),
-        *zip(moment_labels(series.orders, series.thresholds), values),
-        ("gel_mass", series.gel()),
-        ("clamped_mass", series.clamped()),
-    ]
+@contextlib.contextmanager
+def _writing(path):
+    """``path`` opened for writing text as it is given, line ends untranslated;
+    an OSError while it is opened or written raises InvalidInputError naming it."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def write_moments_csv(path, series):
-    cols = moment_columns(series)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write the series' table: its labels, then one line per row."""
+    with _writing(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow([label for label, _ in cols])
-        for k in range(len(series.records)):
-            writer.writerow([_fmt(values[k]) for _, values in cols])
+        writer.writerow(series.labels)
+        writer.writerows(["%.17g" % x for x in row] for row in series.rows)
 
 
 def read_moments_csv(path):
@@ -87,7 +85,7 @@ def _dump_json(path, payload):
         text = "{\n  %s\n}\n" % items
     else:
         text = "{}\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(text)
 
 
@@ -155,5 +153,16 @@ def make_dir(path):
 
 
 def write_json(path, payload):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    """Write a report into a directory that exists already."""
     _dump_json(path, payload)
+
+
+def write_sweep_csv(path, rows):
+    """Write the sweep table: R, N, t_loss and the final gel fraction of each
+    row, a value the row lacks left empty."""
+    with _writing(path) as fh:
+        fh.write("R,N,t_loss,gel_fraction_final\n")
+        for row in rows:
+            t_loss = "" if row.t_loss is None else "%.17g" % row.t_loss
+            gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
+            fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))

@@ -23,6 +23,9 @@ from ohslab.grid import State
 from ohslab.moments import HOLDER_TOL, Power, moment, moment_residual, pair_sums, stacked_moments
 from ohslab.solver import run
 
+#: ``tests/test_warnings.py`` runs small pytest sessions in subprocesses.
+pytest_plugins = ["pytester"]
+
 ACCEPTANCE_RESULTS = []
 
 

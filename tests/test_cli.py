@@ -12,7 +12,7 @@ from ohslab.cli import main
 from ohslab.config import SimConfig
 from ohslab.errors import InvalidInputError
 from ohslab.gelation import gelation_time
-from ohslab.moments import MomentRecord, MomentSeries
+from ohslab.moments import MomentSeries
 from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
 from ohslab.solver import run
 
@@ -128,6 +128,21 @@ def test_manifest_round_trip_reproduces_csv(tmp_path):
     assert (tmp_path / "replay.csv").read_bytes() == (out / "moments.csv").read_bytes()
 
 
+def test_the_series_columns_are_the_moments_csv_simulate_writes(tmp_path):
+    payload = dict(BAGLAND, grid={"kind": "uniform", "R": 8.0, "N": 64},
+                   moments={"orders": [2.5, 0, 3], "truncation_thresholds": [2.0, 0.5]})
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 0
+    columns = run(SimConfig.from_dict(payload)).series.columns()
+    stored = read_moments_csv(out / "moments.csv")
+    assert list(columns) == list(stored) == [
+        "t", "M0", "M1", "M2.5", "M3", "M1_m2", "M1_m0.5", "gel_mass", "clamped_mass",
+    ]
+    for label, values in columns.items():
+        assert values.tobytes() == stored[label].tobytes(), label
+
+
 def test_sweep_writes_table_and_row_directories(tmp_path):
     cfg = write_config(tmp_path, POWERSUM_SWEEP)
     out = tmp_path / "sweep"
@@ -189,9 +204,8 @@ def series_from_csv(path):
     """The t, M1 and gel_mass columns of a stored moments.csv as a MomentSeries."""
     data = read_moments_csv(path)
     series = MomentSeries(orders=(1.0,), thresholds=())
-    series.records = [
-        MomentRecord(t=t, moments={1.0: m1}, tails={}, gel_mass=gel, clamped_mass=0.0)
-        for t, m1, gel in zip(data["t"], data["M1"], data["gel_mass"])
+    series.rows = [
+        [t, m1, gel, 0.0] for t, m1, gel in zip(data["t"], data["M1"], data["gel_mass"])
     ]
     return series
 
@@ -369,6 +383,31 @@ def test_unmakeable_row_directory_is_invalid_input(tmp_path, monkeypatch):
     assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 2
     assert (out / "R3").read_text() == "not a directory"
     assert runs == []  # every row directory is made before any row runs
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["simulate"], "moments.csv"),
+    (["check"], "check_report.json"),
+    (["sweep", "--workers", "1"], "sweep.csv"),
+], ids=["simulate", "check", "sweep"])
+def test_an_unwritable_artifact_is_invalid_input(tmp_path, caplog, command, artifact):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main(["--quiet", command[0], str(cfg), "--out", str(out), *command[1:]]) == 2
+    assert str(out / artifact) in caplog.text
+    assert not any(record.exc_info for record in caplog.records)
+
+
+@pytest.mark.parametrize("artifact", ["moments.csv", "manifest.json"])
+def test_a_sweep_row_that_cannot_be_written_is_a_failed_row(tmp_path, artifact):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    (out / "R2" / artifact).mkdir(parents=True)
+    assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    report = json.loads((out / "sweep.json").read_text())
+    assert [row["failed"] for row in report["rows"]] == [True, False]
+    assert str(out / "R2" / artifact) in report["rows"][0]["error"]
 
 
 def test_sweep_row_with_an_invalid_config_is_invalid_input(tmp_path, caplog):

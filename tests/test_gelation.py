@@ -23,7 +23,7 @@ from ohslab.gelation import (
     gelation_time,
     row_config,
 )
-from ohslab.moments import MomentRecord, MomentSeries
+from ohslab.moments import MomentSeries
 from ohslab.runio import read_manifest
 from ohslab.solver import run
 
@@ -34,15 +34,8 @@ POWERSUM_T_LOSS = 0.6019404632279971
 def synthetic_series(times, gel):
     series = MomentSeries(orders=(0.0, 1.0), thresholds=())
     for k, t in enumerate(times):
-        series.records.append(
-            MomentRecord(
-                t=float(t),
-                moments={0.0: 1.0, 1.0: 1.0 - gel[k]},
-                tails={},
-                gel_mass=float(gel[k]),
-                clamped_mass=0.0,
-            )
-        )
+        # t, M0, M1, gel_mass, clamped_mass
+        series.rows.append([float(t), 1.0, 1.0 - gel[k], float(gel[k]), 0.0])
     return series
 
 

@@ -292,8 +292,8 @@ def test_run_uses_the_config_it_is_given():
 
 def test_run_zero_horizon_single_record():
     result = run(base_config(t_end=0.0))
-    assert len(result.series.records) == 1
-    assert result.series.records[0].t == 0.0
+    assert len(result.series.rows) == 1
+    assert result.series.rows[0][0] == 0.0  # the t column
     assert not result.failed
 
 
@@ -341,8 +341,9 @@ def test_run_bookkeeping_all_kernels(bagland_runs, powersum_run, massconserving_
 
 def test_run_domain_mass_matches_series_bitwise(powersum_run):
     # same summation path: recorded M^1 equals the state's bookkept mass
-    for state, record in zip(powersum_run.states, powersum_run.series.records):
-        assert record.moments[1.0] == moment(state, 1)
+    m1 = powersum_run.series.labels.index("M1")
+    for state, row in zip(powersum_run.states, powersum_run.series.rows):
+        assert row[m1] == moment(state, 1)
 
 
 def test_run_gel_strictly_increases_once_positive(powersum_run):
@@ -395,7 +396,7 @@ def test_run_failure_marker_on_kernel_overflow():
     result = run(cfg)
     assert result.failed
     assert result.error
-    assert len(result.series.records) == 1  # partial series retained
+    assert len(result.series.rows) == 1  # partial series retained
 
 
 def test_run_failure_inside_a_short_window_keeps_the_whole_grid(monkeypatch):
@@ -418,5 +419,5 @@ def test_run_failure_inside_a_short_window_keeps_the_whole_grid(monkeypatch):
     assert np.array_equal(final.xi[:xi.size], xi)
     assert not final.xi[xi.size:].any()
     assert (final.t, final.gel_mass) == (t, gel)
-    records = result.series.records
-    assert 1 < len(records) and records[-1].t <= final.t < 1.0  # partial series retained
+    rows = result.series.rows
+    assert 1 < len(rows) and rows[-1][0] <= final.t < 1.0  # partial series retained
