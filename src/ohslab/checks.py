@@ -3,7 +3,7 @@
 Each check reports pass/fail/skip with details; the command exits nonzero if
 any check fails.  The suite covers the discrete mass bookkeeping, every
 column of a stored moments.csv against the replay (catches tampering), kernel
-certification, the Hoelder inequality on every recorded state, the sign and
+certification, the Hoelder inequality on every record, the sign and
 evolution residual of the higher moments, the weak-form residual with its
 independent brute-force cross-check, and the blow-up bound table.
 """
@@ -117,7 +117,8 @@ def _check_moment_residual(report, result, tol, sums, values):
 
 def _check_weak_form(report, result, tol, test, sums):
     residual, internal, gross = moments.weak_form_residual(result, test, sums)
-    brute = oracle.brute_force_weak_rhs(result.states, result.config.kernel, test)
+    brute = oracle.brute_force_weak_rhs(result.tables.grid, result.series.times(),
+                                        result.densities, result.config.kernel, test)
     agree = moments.relative_gap(internal, brute, gross)
     ok = residual <= tol and agree <= WEAK_AGREEMENT_RTOL
     report.add("weak_form_residual", ok, {
@@ -136,7 +137,7 @@ def _check_blowup_bounds(report, result, values):
         }, skip=True)
         return
     theta1, beta = bounds.theta1, bounds.beta
-    first = result.states[0]
+    delta = result.series.rows[0][0]
     rho0 = result.series.rho0()
     table = []
     ok = True
@@ -144,14 +145,14 @@ def _check_blowup_bounds(report, result, values):
         value = float(values[r][0])
         if value <= 0:
             continue
-        bound = gelation.blowup_bound(r, first.t, value, theta1, beta, rho0)
+        bound = gelation.blowup_bound(r, delta, value, theta1, beta, rho0)
         sigma = (beta - 1.0) / (r - 1.0)
         tstar = gelation.comparison_ode_blowup(
             value, theta1 * rho0 ** (1.0 - sigma) * (r - 1.0), sigma
         )
-        mismatch = abs((bound - first.t) - tstar) / tstar
+        mismatch = abs((bound - delta) - tstar) / tstar
         ok = ok and mismatch <= BLOWUP_CONSISTENCY_RTOL
-        table.append({"r": float(r), "delta": first.t, "moment_value": value, "bound": bound})
+        table.append({"r": float(r), "delta": delta, "moment_value": value, "bound": bound})
     report.add("blowup_bounds", ok, {
         "table": table,
         "consistency_tolerance": BLOWUP_CONSISTENCY_RTOL,
@@ -164,15 +165,15 @@ def run_checks(result, stored=None):
     Parameters
     ----------
     result : solver.RunResult
-        Replay with captured states and kernel tables; without them it
+        Replay with captured densities and kernel tables; without either it
         raises ``InvalidInputError``.  Its config's "check" section gives the
         certification constants and residual tolerances, defaults without one.
     stored : dict, optional
         Columns of a stored moments.csv; when given, they are compared with
         the replay's, column by column (detects edited artifacts).
     """
-    if not result.states or result.tables is None:
-        raise InvalidInputError("run was recorded without state snapshots or kernel tables")
+    if result.densities is None or result.tables is None:
+        raise InvalidInputError("run was recorded without densities or kernel tables")
     settings = result.config.check or CheckSpec()
     report = CheckReport()
     series = result.series
@@ -181,11 +182,11 @@ def run_checks(result, stored=None):
         _check_stored_csv(report, series, stored)
     _check_certification(report, result.config.kernel, settings.certification)
     # every replay sum once: the moments, then all four tests' pair sums
-    values = moments.stacked_moments(result.states, HOLDER_ORDERS)
+    values = moments.stacked_moments(result.tables.grid, result.densities, HOLDER_ORDERS)
     _check_holder(report, series.times(), values)
     weak_test = moments.CappedIdentity(result.config.grid.R / 2.0)
     tests = [moments.Power(r) for r in SIGN_ORDERS] + [weak_test]
-    *power_sums, weak_sums = moments.pair_sums(result.states, result.tables, tests)
+    *power_sums, weak_sums = moments.pair_sums(result.densities, result.tables, tests)
     sums = dict(zip(SIGN_ORDERS, power_sums))
     _check_moment_rhs_sign(report, sums)
     _check_moment_residual(report, result, settings.moment_residual_tol, sums[2][:, 0], values[2])

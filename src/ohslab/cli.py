@@ -13,7 +13,8 @@ Subcommands
     written.
 ``check <run-dir-or-config.json>``
     Replay a run (from its manifest or a fresh config) and run the
-    verification suite; writes check_report.json.
+    verification suite; writes check_report.json.  A moments.csv the run's
+    manifest lists is compared with the replay, and must be there.
 
 Exit codes: 0 ok, 1 check failure, 2 invalid input, 3 numerical failure.
 Each command checks its config when it loads it, before it makes any output
@@ -85,7 +86,8 @@ def cmd_check(args):
             raise InvalidInputError("manifest in %s has no config" % target)
         cfg = SimConfig.from_dict(manifest["config"])
         csv_path = target / "moments.csv"
-        if csv_path.exists():
+        outputs = manifest.get("outputs")
+        if csv_path.exists() or isinstance(outputs, list) and "moments.csv" in outputs:
             stored = runio.read_moments_csv(csv_path)
         default_out = target
     else:
@@ -93,7 +95,7 @@ def cmd_check(args):
         default_out = target.with_suffix("")
     state = solver.initial_state(cfg)
     out = runio.make_dir(args.out or default_out)
-    result = solver.run(cfg, capture_states=True, state=state)
+    result = solver.run(cfg, capture_densities=True, state=state)
     if result.failed:
         logger.error("replay failed: %s", result.error)
         return _write_unfinished_check(out, result.error, replay_failed=True)

@@ -23,6 +23,7 @@ sigma * (r - 1) = beta - 1.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -91,11 +92,14 @@ def row_config(base_config, R, N):
 
 
 def _failed_row(cfg, row_dir, exc):
-    """A failed row carrying the error text; its directory gets only a failed
-    manifest, when that can be written."""
+    """A failed row carrying the error text; of its run files the directory
+    keeps only a failed manifest, when that can be written."""
     error = str(exc)
     if not isinstance(exc, CoagulationError):
         error = "%s: %s" % (type(exc).__name__, error)
+    for name in ("moments.csv", "final_state.json"):
+        with contextlib.suppress(OSError):  # a directory in the file's place, say
+            (row_dir / name).unlink(missing_ok=True)
     try:
         runio.write_manifest(row_dir / "manifest.json", cfg, status="failed", error=error)
     except InvalidInputError as write_error:

@@ -15,17 +15,18 @@ and one row of floats per record, which ``columns()`` gives as the
 ``{label: column}`` that ``runio.read_moments_csv`` reads back.
 
 The replay sums, ``stacked_moments`` and ``pair_sums``, take every record at
-once, and each call takes every order or test its caller needs: ``check``
-makes one moment pass and one pair-sum pass.  They stack the records'
-densities in blocks of at most ``BLOCK_BYTES`` and sum each block with one
-reduce along its rows, on the shortest prefix of the cells that covers every
-occupied cell and lies on numpy's pairwise summation chain (``tree_prefix``):
-N cells for a moment, N - 1 pairs for a pair sum, whose kernel factor rows
-``KernelTables.pair_sum`` slices to that prefix.  Every cell past such a
-prefix is empty, so each record's sum keeps the bits of its whole-grid
-``moment`` or ``KernelTables.pair_sum``.  The occupied extent is found once
-per call, and the terms of a call's tests that share a v factor share its
-prefix sums: the gain terms of every ``Power`` order read the midpoints.
+once, as a run's ``densities``, one row per record, and each call takes
+every order or test its caller needs: ``check`` makes one moment pass and
+one pair-sum pass.  They read the rows in blocks of at most ``BLOCK_BYTES``
+and sum each block with one reduce along its rows, on the shortest prefix of
+the cells that covers every occupied cell and lies on numpy's pairwise
+summation chain (``tree_prefix``): N cells for a moment, N - 1 pairs for a
+pair sum, whose kernel factor rows ``KernelTables.pair_sum`` slices to that
+prefix.  Every cell past such a prefix is empty, so each record's sum keeps
+the bits of its whole-grid ``moment`` or ``KernelTables.pair_sum``.  The
+occupied extent is found once per call, and the terms of a call's tests that
+share a v factor share its prefix sums: the gain terms of every ``Power``
+order read the midpoints.
 
 Every replay diagnostic takes those sums as required arguments and sums
 nothing itself.  On them the module checks, against simulated states:
@@ -110,12 +111,9 @@ def tree_prefix(n, m):
     return n if n < 8 else min(n, max(8, -(-m // 8) * 8))
 
 
-def _occupied(states, n):
-    """Cells up to the last one any state on n cells holds a nonzero (or NaN) in."""
-    held = np.zeros(n, dtype=bool)
-    for s in states:
-        np.logical_or(held, s.xi, out=held)
-    return int(np.max(np.flatnonzero(held), initial=-1)) + 1
+def _occupied(densities):
+    """Cells up to the last one any record holds a nonzero (or NaN) in."""
+    return int(np.max(np.flatnonzero(np.any(densities, axis=0)), initial=-1)) + 1
 
 
 def _blocks(count, n):
@@ -124,25 +122,24 @@ def _blocks(count, n):
     return [slice(start, start + rows) for start in range(0, count, rows)]
 
 
-def stacked_moments(states, orders):
-    """{r: M^r at every state} for each order r, each the bits of ``moment``.
+def stacked_moments(grid, densities, orders):
+    """{r: M^r at every record} for each order r, each the bits of ``moment``.
 
-    The states share one grid.  Each block of stacked densities is one
-    multiply-reduce per order, on the ``tree_prefix`` of N covering every
-    occupied cell.  A power row that overflows makes every state's moment
+    ``densities`` has one row per record on ``grid``.  Each block of rows is
+    one multiply-reduce per order, on the ``tree_prefix`` of N covering every
+    occupied cell.  A power row that overflows makes every record's moment
     non-finite, whatever its density, so it raises ``NumericalFailureError``
     and warns of nothing.
     """
-    grid = states[0].grid
     with np.errstate(over="ignore"):
         rows = {r: grid.power(r) for r in orders}
     if not all(np.all(np.isfinite(row)) for row in rows.values()):
         raise NumericalFailureError("non-finite moment")
-    n = tree_prefix(grid.ncells, _occupied(states, grid.ncells))
+    n = tree_prefix(grid.ncells, _occupied(densities))
     widths = grid.widths[:n]
-    sums = {r: np.empty(len(states)) for r in rows}
-    for block in _blocks(len(states), n):
-        xi = np.array([s.xi[:n] for s in states[block]])
+    sums = {r: np.empty(len(densities)) for r in rows}
+    for block in _blocks(len(densities), n):
+        xi = densities[block, :n]
         for r, row in rows.items():
             sums[r][block] = np.add.reduce((row[:n] * xi) * widths, axis=1)
     return sums
@@ -199,14 +196,8 @@ class MomentSeries:
     def values(self, r):
         return self._column(1 + self.orders.index(r))
 
-    def tail(self, m):
-        return self._column(1 + len(self.orders) + self.thresholds.index(m))
-
     def gel(self):
         return self._column(-2)
-
-    def clamped(self):
-        return self._column(-1)
 
     def rho0(self):
         """Initial total mass (domain plus gel at the first record)."""
@@ -257,11 +248,11 @@ def kernel_matrix(grid, kernel):
     return np.asarray(kernel.eval(mid[:, None], mid[None, :]), dtype=float)
 
 
-def pair_sums(states, tables, tests):
-    """(value, gross) of each test's pair quadrature at every state: one
-    (len(states), 2) array per test, in the order of ``tests``, each row the
-    sum of varpi1 * Lambda * xi * xi * dx * dx over pairs nu < mu, O(N) on
-    the states' ``solver.KernelTables``.
+def pair_sums(densities, tables, tests):
+    """(value, gross) of each test's pair quadrature at every record: one
+    (len(densities), 2) array per test, in the order of ``tests``, each row
+    the sum of varpi1 * Lambda * xi * xi * dx * dx over pairs nu < mu, O(N)
+    on the run's ``solver.KernelTables``; ``densities`` has a row per record.
 
     With w = xi * dx, the pair weight of xbar_j < xbar_i is the sum of
     sign * u[i] * v[j] over the test's ``pair_terms``, u, v >= 0; value adds
@@ -285,7 +276,7 @@ def pair_sums(states, tables, tests):
     with np.errstate(over="ignore"):
         terms = [test.pair_terms(grid.midpoints) for test in tests]
     if all(np.all(np.isfinite(f)) for each in terms for _, u, v in each for f in (u, v)):
-        n = tree_prefix(n - 1, _occupied(states, n)) + 1
+        n = tree_prefix(n - 1, _occupied(densities)) + 1
     # each distinct v factor, by identity, with the u factors of the terms
     # that read it, stacked in the order the tests' terms come
     shared = {}
@@ -293,9 +284,9 @@ def pair_sums(states, tables, tests):
         shared.setdefault(id(v), (v, []))[1].append(np.broadcast_to(u, v.shape))
     shared = {key: (v[:n], np.array(us)[:, None, :n]) for key, (v, us) in shared.items()}
     widths = grid.widths[:n]
-    sums = [np.empty((len(states), 2)) for _ in terms]
-    for block in _blocks(len(states), n):
-        w = np.array([s.xi[:n] for s in states[block]]) * widths
+    sums = [np.empty((len(densities), 2)) for _ in terms]
+    for block in _blocks(len(densities), n):
+        w = densities[block, :n] * widths
         parts = {}
         for key, (v, us) in shared.items():
             with np.errstate(over="ignore", invalid="ignore"):
@@ -401,14 +392,15 @@ def weak_form_residual(run, test, sums):
     upper bound of the unsigned sum, for ``Power``.
     """
     rhs, gross_rhs = weak_rhs_quadrature(run, sums)
-    first, at_t = run.states[0], run.states[-1]
-    g = first.grid
+    first, at_t = run.densities[0], run.densities[-1]
+    gel = run.series.gel()
+    g = run.tables.grid
     phi = test.value(g.midpoints)
     xbar = g.midpoints[-1]
-    boundary = float(phi[-1] / xbar * (at_t.gel_mass - first.gel_mass))
-    lhs = float(np.sum(phi * (at_t.xi - first.xi) * g.widths)) + boundary
+    boundary = float(phi[-1] / xbar * (gel[-1] - gel[0]))
+    lhs = float(np.sum(phi * (at_t - first) * g.widths)) + boundary
     gross_lhs = float(
-        np.sum(np.abs(phi) * (np.abs(at_t.xi) + np.abs(first.xi)) * g.widths)
+        np.sum(np.abs(phi) * (np.abs(at_t) + np.abs(first)) * g.widths)
     ) + abs(boundary)
     return WeakFormResult(residual=relative_gap(lhs, rhs, max(gross_lhs, gross_rhs)),
                           quadrature=rhs, gross=gross_rhs)
@@ -418,10 +410,10 @@ def moment_residual(run, r, sums, values):
     """Max relative defect of the recorded M^r evolution against its quadrature.
 
     ``sums`` and ``values`` are the quadrature and the moment at every
-    record: ``pair_sums(run.states, run.tables, [Power(r)])[0][:, 0]`` and
-    ``stacked_moments(run.states, (r,))[r]``.  Uses a centered difference
-    over uniformly spaced records and the quadrature at each interior
-    record; requires at least 3 records.  The differenced quantity is
+    record: ``pair_sums(run.densities, run.tables, [Power(r)])[0][:, 0]`` and
+    ``stacked_moments(run.tables.grid, run.densities, (r,))[r]``.  Uses a
+    centered difference over uniformly spaced records and the quadrature at
+    each interior record; requires at least 3 records.  The differenced quantity is
     M^r + xbar**(r-1) * gel_mass with xbar = xbar_{N-1}, the last midpoint:
     the M^r the boundary flux carries out in a step is xbar**(r-1) times
     that step's gel increment, so the boundary term is exact and what
@@ -433,7 +425,7 @@ def moment_residual(run, r, sums, values):
     steps = np.diff(times)
     if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
-    xbar = run.states[0].grid.midpoints[-1]
+    xbar = run.tables.grid.midpoints[-1]
     mr = values + xbar ** (r - 1.0) * run.series.gel()
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
     rhs = sums[1:-1]

@@ -15,7 +15,8 @@ so M^1 = M for all t and M^0 = 2 / (1 + t).
 ``brute_force_weak_rhs`` re-evaluates the weak-form pair quadrature densely:
 it builds the strict-lower pair table from fresh ``kernel.eval`` and
 ``varpi1`` calls on raw midpoints, once per call and in row blocks, and sums
-every record against it.  It shares no tables, separable factors or
+every row of a run's ``densities``, one per record, against it.  It finds
+the occupied cells itself and shares no tables, separable factors or
 accumulation order with the O(N) path it cross-checks.  Its matmuls are
 small enough that OpenBLAS runs each on the calling thread: a threaded one
 leaves a worker spinning after it returns, burning a second core, and in a
@@ -88,8 +89,10 @@ def l1_error(state, sol):
     return float(np.sum(np.abs(state.xi - avg) * state.grid.widths))
 
 
-def brute_force_weak_rhs(states, kernel, test):
-    """Densely summed weak-form right side over recorded states.
+def brute_force_weak_rhs(grid, times, densities, kernel, test):
+    """Densely summed weak-form right side over the records of a run.
+
+    ``densities`` has one row per record on ``grid``, taken at ``times``.
 
     Builds the strict-lower pair table
     ``W[i, j] = test.varpi1(mid_i, mid_j) * kernel.eval(mid_i, mid_j)``
@@ -99,37 +102,28 @@ def brute_force_weak_rhs(states, kernel, test):
     every record ``x = xi * dx`` is summed against each block, as
     ``x @ W @ x``, by matmuls of at most ``_MATMUL_MADDS`` multiply-adds
     (``_contract``), each one OpenBLAS runs on the calling thread.  The time
-    integral uses the trapezoid rule over the records' own times.  Serves as
-    the independent oracle for the weak-form quadrature of
+    integral uses the trapezoid rule over ``times``.  Serves as the
+    independent oracle for the weak-form quadrature of
     ``moments.weak_rhs_quadrature``.
-
-    Every record must share one grid; mixed grids raise ``InvalidInputError``.
     """
-    if len(states) < 2:
+    if len(densities) < 2:
         return 0.0
-    grid = states[0].grid
-    if any(st.grid is not grid and not np.array_equal(st.grid.edges, grid.edges)
-           for st in states[1:]):
-        raise InvalidInputError("brute-force weak form needs every record on one grid")
-    held = np.zeros(grid.ncells, dtype=bool)
-    for st in states:
-        np.logical_or(held, st.xi, out=held)
-    n = int(np.max(np.flatnonzero(held), initial=-1)) + 1
+    n = int(np.max(np.flatnonzero(np.any(densities, axis=0)), initial=-1)) + 1
     if n < 2:
         return 0.0
     mid = grid.midpoints[:n]
-    X = np.array([st.xi[:n] for st in states]) * grid.widths[:n]
-    sums = np.zeros(len(states))
+    X = densities[:, :n] * grid.widths[:n]
+    sums = np.zeros(len(densities))
     rows = max(1, _BLOCK_BYTES // (8 * n))
     for a in range(1, n, rows):
         b = min(a + rows, n)
         mu, nu = mid[a:b, None], mid[None, :b]
         # block row r is cell a + r, so tril with k = a - 1 keeps exactly j < i
         block = np.tril(test.varpi1(mu, nu) * kernel.eval(mu, nu), k=a - 1)
-        out = np.empty((len(states), b - a))
+        out = np.empty((len(densities), b - a))
         _contract(X[:, :b], block.T, out, a - 1)
         sums += np.sum(out * X[:, a:b], axis=1)
-    return float(np.trapezoid(sums, [st.t for st in states]))
+    return float(np.trapezoid(sums, times))
 
 
 def _contract(x, w, out, lead):

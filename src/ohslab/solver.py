@@ -51,9 +51,10 @@ inflow set once; the step bound's rate and masks.  One ``step`` call is one
 whole time step: the stage right-hand side(s), the step bound, the update,
 the finiteness and clamp tests and the clamp budget.  Only the step's times
 and the gel and clamped masses are new Python floats; a ``State`` is built
-only at records.  The buffers make a ``KernelTables`` unsafe to share
-between threads: each run, and so each sweep row in its worker, builds its
-own.
+only at records, and a captured record's density is copied into its row of
+one array that ``run`` allocates once.  The buffers make a ``KernelTables``
+unsafe to share between threads: each run, and so each sweep row in its
+worker, builds its own.
 
 The Euler update of cell i is
 
@@ -395,16 +396,16 @@ def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=
 class RunResult:
     """A completed (or partially completed) run and its replay data.
 
-    ``states`` holds per-record snapshots when the run was asked to capture
-    them; the diagnostics that replay the weak form and moment evolution
-    consume this handle and its ``tables``.  ``steps`` counts the time steps
-    taken.
+    ``densities`` holds, when the run was asked to capture them, the
+    whole-grid density of each record of ``series``: row k is record k.
+    The diagnostics that replay the weak form and moment evolution read it
+    and ``tables``.  ``steps`` counts the time steps taken.
     """
 
     config: object
     series: MomentSeries
     final_state: State
-    states: list = None
+    densities: np.ndarray = None
     failed: bool = False
     error: str = None
     steps: int = 0
@@ -436,18 +437,20 @@ def initial_state(config):
     return project_initial(config.grid.build(), config.initial).validate()
 
 
-def run(config, capture_states=False, state=None):
+def run(config, capture_densities=False, state=None):
     """Integrate a config from t = 0 to t_end with adaptive stable steps.
 
     Records the moment series at the configured cadence (always including
     t = 0 and t_end) and is deterministic given the config.  On numerical
     failure the partial series is returned with the failure marker set, and
-    the final state is the last step that passed.  Recorded states and the
-    final state are new states on the whole grid.  A ``SimConfig`` checked
-    its values when it was built, so neither ``run`` nor ``step`` checks them
-    again; the config given is the result's ``config``.  ``state`` is the
-    config's ``initial_state``, which a caller that has it already passes
-    in; it is made here when not given.
+    the final state is the last step that passed, a new state on the whole
+    grid.  With ``capture_densities`` the result's ``densities`` holds the
+    whole-grid density of every record, a row each, in one array allocated
+    once for every record the run may make; a failed run returns the rows
+    it recorded.  A ``SimConfig`` checked its values when it was built, so
+    neither ``run`` nor ``step`` checks them again; the config given is the
+    result's ``config``.  ``state`` is the config's ``initial_state``, which
+    a caller that has it already passes in; it is made here when not given.
     """
     if state is None:
         state = initial_state(config)
@@ -456,12 +459,13 @@ def run(config, capture_states=False, state=None):
     series = MomentSeries(
         orders=config.moments.orders, thresholds=config.moments.truncation_thresholds
     )
-    states = [] if capture_states else None
+    record_times = _record_times(config.t_end, config.record_cadence)
+    densities = np.empty((len(record_times) + 1, grid.ncells)) if capture_densities else None
 
     def record(st):
+        if densities is not None:
+            densities[len(series.rows)] = st.xi
         series.append_state(st)
-        if states is not None:
-            states.append(st)
 
     record(state)
     time_eps = 1e-12 * max(1.0, config.t_end)
@@ -483,7 +487,7 @@ def run(config, capture_states=False, state=None):
         tables = KernelTables(grid, config.kernel)
         window = tables.prefix(n)
         window.xi[:] = state.xi[:n]
-        for t_next in _record_times(config.t_end, config.record_cadence):
+        for t_next in record_times:
             while t_next - t > time_eps:
                 t, gel, clamped = step(
                     window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
@@ -503,6 +507,7 @@ def run(config, capture_states=False, state=None):
         failed, error = True, str(exc)
     final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
     return RunResult(
-        config=config, series=series, final_state=final,
-        states=states, failed=failed, error=error, steps=steps, tables=tables,
+        config=config, series=series, final_state=final, failed=failed, error=error,
+        densities=densities if densities is None else densities[:len(series.rows)],
+        steps=steps, tables=tables,
     )

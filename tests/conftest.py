@@ -71,16 +71,24 @@ def step_state(tables, state, t_next=math.inf, scheme="euler", cfl=1.0, dt_max=m
     return State(t=t, xi=tables.xi.copy(), gel_mass=gel, grid=state.grid, clamped_mass=clamped)
 
 
+def records(run):
+    """The records of a replay as states: row k of its densities, with the
+    time and the gel and clamped masses of row k of its series."""
+    grid = run.final_state.grid
+    return [State(t=row[0], xi=xi, gel_mass=row[-2], grid=grid, clamped_mass=row[-1])
+            for row, xi in zip(run.series.rows, run.densities, strict=True)]
+
+
 def replay_sums(run, test):
     """One test's pair sums at every record of a replay, as ``check`` hands
     them to the weak-form diagnostics."""
-    return pair_sums(run.states, run.tables, [test])[0]
+    return pair_sums(run.densities, run.tables, [test])[0]
 
 
 def replay_moment_residual(run, r):
     """``moment_residual`` of a replay on the quadratures and moments it is handed in ``check``."""
     return moment_residual(run, r, replay_sums(run, Power(r))[:, 0],
-                           stacked_moments(run.states, (r,))[r])
+                           stacked_moments(run.tables.grid, run.densities, (r,))[r])
 
 
 def holder_sides(state, r, beta):
@@ -116,7 +124,7 @@ def bagland_runs():
     out = {}
     for N in (256, 512, 1024):
         t0 = time.perf_counter()
-        result = run(bagland_config(N), capture_states=True)
+        result = run(bagland_config(N), capture_densities=True)
         elapsed = time.perf_counter() - t0
         assert not result.failed
         out[N] = (result, elapsed)
@@ -126,7 +134,7 @@ def bagland_runs():
 @pytest.fixture(scope="session")
 def bagland_t2():
     """Constant-kernel run to t = 2 (support grows to [0, 3])."""
-    result = run(bagland_config(512, t_end=2.0), capture_states=True)
+    result = run(bagland_config(512, t_end=2.0), capture_densities=True)
     assert not result.failed
     return result
 
@@ -142,7 +150,7 @@ def powersum_run():
         record_cadence=0.01,
         moments=MomentSpec(truncation_thresholds=(2.0,)),
     )
-    result = run(cfg, capture_states=True)
+    result = run(cfg, capture_densities=True)
     assert not result.failed
     return result
 
@@ -158,7 +166,7 @@ def massconserving_run():
         record_cadence=0.01,
         moments=MomentSpec(truncation_thresholds=(2.0,)),
     )
-    result = run(cfg, capture_states=True)
+    result = run(cfg, capture_densities=True)
     assert not result.failed
     return result
 

@@ -1,7 +1,7 @@
 """The check suite's Hoelder entry: each distinct order summed once, for every record."""
 import numpy as np
 
-from conftest import holder_sides
+from conftest import holder_sides, records
 
 from ohslab import checks, moments
 
@@ -24,13 +24,13 @@ def per_pair_holder_entry(states):
 
 def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch):
     result = bagland_runs[1024][0]
-    states = result.states
+    states = records(result)
     calls, singles, suites = [], [], []
     stacked, moment, holder = moments.stacked_moments, moments.moment, moments.holder_check
 
-    def counted(states, orders):
-        calls.append((len(states), tuple(orders)))
-        return stacked(states, orders)
+    def counted(grid, densities, orders):
+        calls.append((len(densities), tuple(orders)))
+        return stacked(grid, densities, orders)
 
     def counted_single(state, r):
         singles.append(r)
@@ -45,7 +45,8 @@ def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch)
     monkeypatch.setattr(moments, "holder_check", counted_holder)
     report = checks.CheckReport()
     checks._check_holder(report, result.series.times(),
-                         moments.stacked_moments(states, checks.HOLDER_ORDERS))
+                         moments.stacked_moments(result.tables.grid, result.densities,
+                                                 checks.HOLDER_ORDERS))
     monkeypatch.undo()
     # one stacked sum of every record per order, no per-record moment, and
     # one holder_check over the whole pass

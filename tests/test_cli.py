@@ -13,7 +13,7 @@ from ohslab.config import SimConfig
 from ohslab.errors import InvalidInputError
 from ohslab.gelation import gelation_time
 from ohslab.moments import MomentSeries
-from ohslab.runio import read_manifest, read_moments_csv, write_moments_csv
+from ohslab.runio import read_manifest, read_moments_csv, write_manifest, write_moments_csv
 from ohslab.solver import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -337,6 +337,25 @@ def test_check_rejects_a_stored_csv_row_with_a_missing_cell(checked_run_dir, tmp
     assert not (tampered / "check_report.json").exists()
 
 
+def test_check_needs_the_moments_csv_its_manifest_lists(checked_run_dir, tmp_path, caplog):
+    run_dir = _copy_run_dir(checked_run_dir, tmp_path / "run", lambda lines: lines)
+    assert "moments.csv" in read_manifest(run_dir / "manifest.json")["outputs"]
+    (run_dir / "moments.csv").unlink()
+    assert main(["--quiet", "check", str(run_dir)]) == 2
+    assert "cannot read %s" % (run_dir / "moments.csv") in caplog.text
+    assert not (run_dir / "check_report.json").exists()
+
+
+def test_check_of_a_failed_row_manifest_has_no_stored_csv_to_compare(checked_run_dir, tmp_path):
+    # a failed sweep row's manifest lists no outputs and its directory holds no csv
+    cfg = SimConfig.from_dict(read_manifest(checked_run_dir / "manifest.json")["config"])
+    write_manifest(tmp_path / "manifest.json", cfg, status="failed", error="planted")
+    assert main(["--quiet", "check", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["passed"]
+    assert "stored_moments_csv" not in [c["name"] for c in report["checks"]]
+
+
 def test_check_passes_on_a_run_whose_domain_empties(tmp_path):
     # the one spike sits in the last cell, so the first step books it all as gel
     payload = {
@@ -408,6 +427,9 @@ def test_a_sweep_row_that_cannot_be_written_is_a_failed_row(tmp_path, artifact):
     report = json.loads((out / "sweep.json").read_text())
     assert [row["failed"] for row in report["rows"]] == [True, False]
     assert str(out / "R2" / artifact) in report["rows"][0]["error"]
+    # the row keeps only what write_run could not replace: no run file of it
+    assert not (out / "R2" / "moments.csv").is_file()
+    assert not (out / "R2" / "final_state.json").exists()
 
 
 def test_sweep_row_with_an_invalid_config_is_invalid_input(tmp_path, caplog):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import replay_moment_residual, replay_sums
+from conftest import records, replay_moment_residual, replay_sums
 
 from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, load_config
 from ohslab.checks import run_checks
@@ -189,7 +189,8 @@ def test_power_rows_are_read_only_and_r1_is_the_midpoints():
 
 def holder_pass(state, pairs):
     """(ok, worst, moments) of ``holder_check`` on a one-record moment pass of state."""
-    sums = stacked_moments([state], {1, *(q for r, beta in pairs for q in (r, r + beta - 1.0))})
+    orders = {1, *(q for r, beta in pairs for q in (r, r + beta - 1.0))}
+    sums = stacked_moments(state.grid, state.xi[None], orders)
     return (*holder_check(sums, [state.t], pairs), sums)
 
 
@@ -236,9 +237,9 @@ def test_moment_rhs_trivial_cases():
     grid = build("uniform", 4.0, 16)
     tables = KernelTables(grid, ConstantKernel(1.0))
     zero = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
-    assert pair_sums([zero], tables, [Power(2)])[0][0, 0] == 0.0
+    assert pair_sums(zero.xi[None], tables, [Power(2)])[0][0, 0] == 0.0
     spike = project_initial(grid, CellSpike(0, 1.0))
-    assert pair_sums([spike], tables, [Power(2)])[0][0, 0] == 0.0  # no ordered pairs
+    assert pair_sums(spike.xi[None], tables, [Power(2)])[0][0, 0] == 0.0  # no ordered pairs
 
 
 def test_moment_rhs_converges_to_analytic_value():
@@ -246,7 +247,8 @@ def test_moment_rhs_converges_to_analytic_value():
     errors = []
     for N in (256, 512, 1024):
         state = block_state(N=N)
-        value = pair_sums([state], KernelTables(state.grid, ConstantKernel(1.0)), [Power(2)])[0][0, 0]
+        tables = KernelTables(state.grid, ConstantKernel(1.0))
+        value = pair_sums(state.xi[None], tables, [Power(2)])[0][0, 0]
         errors.append(abs(value - 2.0 / 3.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 0.01
@@ -259,7 +261,7 @@ def test_moment_rhs_nonnegative_on_random_states():
     for r in (2, 3, 5):
         for _ in range(10):
             state = State(t=0.0, xi=rng.random(48), gel_mass=0.0, grid=grid)
-            assert pair_sums([state], tables, [Power(r)])[0][0, 0] >= 0.0
+            assert pair_sums(state.xi[None], tables, [Power(r)])[0][0, 0] >= 0.0
 
 
 def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
@@ -271,7 +273,7 @@ def small_run(N=128, t_end=0.5, cadence=0.02, kernel=None):
         cfl=1.0,
         record_cadence=cadence,
     )
-    return run(cfg, capture_states=True)
+    return run(cfg, capture_densities=True)
 
 
 def test_moment_residual_small_for_reference_run(bagland_runs):
@@ -290,8 +292,8 @@ def test_moment_residual_zero_for_empty_states():
     for s in states:
         series.append_state(s)
     handle = RunResult(
-        config=cfg, series=series, final_state=states[-1], states=states,
-        tables=KernelTables(grid, cfg.kernel),
+        config=cfg, series=series, final_state=states[-1],
+        densities=np.array([s.xi for s in states]), tables=KernelTables(grid, cfg.kernel),
     )
     assert replay_moment_residual(handle, 2) == 0.0
 
@@ -335,7 +337,7 @@ def test_power_is_the_uncapped_moment_test_function():
 
 def test_weak_residual_zero_at_t0():
     result = small_run(t_end=0.0)  # one record, at t = 0
-    assert len(result.states) == 1
+    assert len(result.densities) == 1
     test = CappedIdentity(1.0)
     assert weak_form_residual(result, test, replay_sums(result, test)).residual == 0.0
 
@@ -382,33 +384,34 @@ def test_weak_residual_carries_the_boundary_outflow(powersum_run):
 def test_moment_residual_with_boundary_term_is_first_order_on_the_sweep_config():
     cfg = load_config(ROOT / "configs" / "gelation_sweep.json")
     coarse, fine = (
-        replay_moment_residual(run(row_config(cfg, cfg.grid.R, N), capture_states=True), 2)
+        replay_moment_residual(run(row_config(cfg, cfg.grid.R, N), capture_densities=True), 2)
         for N in (128, 256)
     )
     assert fine <= 0.6 * coarse
 
 
-@pytest.mark.parametrize("missing", ["states", "tables"])
-def test_replay_diagnostics_need_states_and_tables(powersum_run, missing):
+@pytest.mark.parametrize("missing", ["densities", "tables"])
+def test_replay_diagnostics_need_densities_and_tables(powersum_run, missing):
     stripped = replace(powersum_run, **{missing: None})
-    with pytest.raises(InvalidInputError, match="state snapshots or kernel tables"):
+    with pytest.raises(InvalidInputError, match="densities or kernel tables"):
         run_checks(stripped)
 
 
 def test_moment_residual_takes_the_pair_sums_it_is_handed(powersum_run):
-    states = powersum_run.states
-    sums = pair_sums(states, powersum_run.tables, [Power(2)])[0][:, 0]
-    values = stacked_moments(states, (2,))[2]
+    densities = powersum_run.densities
+    sums = pair_sums(densities, powersum_run.tables, [Power(2)])[0][:, 0]
+    values = stacked_moments(powersum_run.tables.grid, densities, (2,))[2]
     residual = moment_residual(powersum_run, 2, sums, values)
     # the passes' sums are the per-record ones, bit for bit
-    per_record = [pair_sums([s], powersum_run.tables, [Power(2)])[0][0, 0] for s in states]
+    per_record = [pair_sums(xi[None], powersum_run.tables, [Power(2)])[0][0, 0]
+                  for xi in densities]
     assert residual == moment_residual(powersum_run, 2, np.array(per_record),
-                                       np.array([moment(s, 2) for s in states]))
+                                       np.array([moment(s, 2) for s in records(powersum_run)]))
     # the interior records' sums are the ones it uses
     planted = sums.copy()
     planted[[0, -1]] = np.nan
     assert moment_residual(powersum_run, 2, planted, values) == residual
-    planted[len(states) // 2] = np.nan
+    planted[len(densities) // 2] = np.nan
     assert np.isnan(moment_residual(powersum_run, 2, planted, values))
 
 
@@ -416,20 +419,20 @@ def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
     import ohslab.moments as moments_mod
     from ohslab.checks import HOLDER_ORDERS
 
-    records = len(powersum_run.states)
+    count = len(powersum_run.densities)
     real, pair_calls = moments_mod.pair_sums, []
     stacked, stacked_orders = moments_mod.stacked_moments, []
 
-    def counted(states, tables, tests):
-        assert len(states) == records  # every record in one call
+    def counted(densities, tables, tests):
+        assert len(densities) == count  # every record in one call
         pair_calls.append([(type(test).__name__, getattr(test, "r", getattr(test, "lam", None)))
                            for test in tests])
-        return real(states, tables, tests)
+        return real(densities, tables, tests)
 
-    def counted_moments(states, orders):
-        assert len(states) == records
+    def counted_moments(grid, densities, orders):
+        assert len(densities) == count
         stacked_orders.append(tuple(orders))
-        return stacked(states, orders)
+        return stacked(grid, densities, orders)
 
     monkeypatch.setattr(moments_mod, "pair_sums", counted)
     monkeypatch.setattr(moments_mod, "stacked_moments", counted_moments)

@@ -116,32 +116,32 @@ def _projected_run(N, times, lam_cfg=None):
     for s in states:
         series.append_state(s)
     return RunResult(
-        config=cfg, series=series, final_state=states[-1], states=states,
-        tables=KernelTables(grid, cfg.kernel),
+        config=cfg, series=series, final_state=states[-1],
+        densities=np.array([s.xi for s in states]), tables=KernelTables(grid, cfg.kernel),
     )
+
+
+def brute(run, test, kernel=None):
+    """``brute_force_weak_rhs`` over every record of a run."""
+    return brute_force_weak_rhs(run.tables.grid, run.series.times(), run.densities,
+                                kernel or run.config.kernel, test)
 
 
 def test_brute_force_trivial_cases(bagland_runs):
     result, _ = bagland_runs[256]
-    kernel = result.config.kernel
     # single record: empty time integral
-    assert brute_force_weak_rhs(result.states[:1], kernel, CappedIdentity(1.0)) == 0.0
+    assert brute_force_weak_rhs(result.tables.grid, result.series.times()[:1],
+                                result.densities[:1], result.config.kernel,
+                                CappedIdentity(1.0)) == 0.0
     # cap at or above the cutoff: every pair weight vanishes identically
-    assert brute_force_weak_rhs(result.states, kernel, CappedIdentity(8.0)) == 0.0
+    assert brute(result, CappedIdentity(8.0)) == 0.0
 
 
 def test_brute_force_all_zero_records(bagland_runs):
     result, _ = bagland_runs[256]
-    zero = [replace(st, xi=np.zeros_like(st.xi)) for st in result.states[:5]]
-    assert brute_force_weak_rhs(zero, result.config.kernel, CappedIdentity(1.0)) == 0.0
-
-
-def test_brute_force_rejects_mixed_grids(bagland_runs):
-    coarse, _ = bagland_runs[256]
-    fine, _ = bagland_runs[512]
-    with pytest.raises(InvalidInputError):
-        brute_force_weak_rhs([coarse.states[0], fine.states[1]], coarse.config.kernel,
-                             CappedIdentity(1.0))
+    zero = np.zeros_like(result.densities[:5])
+    assert brute_force_weak_rhs(result.tables.grid, result.series.times()[:5], zero,
+                                result.config.kernel, CappedIdentity(1.0)) == 0.0
 
 
 def _fixture_run(request, fixture):
@@ -176,19 +176,17 @@ def test_brute_force_agrees_with_vectorized_quadrature(request, fixture, make_te
     result = _fixture_run(request, fixture)
     test = make_test(lam)
     internal, gross = weak_rhs_quadrature(result, replay_sums(result, test))
-    brute = brute_force_weak_rhs(result.states, result.config.kernel, test)
-    assert _relative_gap(internal, brute, internal, gross) <= 1e-10
+    assert _relative_gap(internal, brute(result, test), internal, gross) <= 1e-10
 
 
-def _per_row_reference(states, kernel, test):
+def _per_row_reference(run, kernel, test):
     """The oracle as a per-row loop: one kernel call per occupied row per record."""
-    if len(states) < 2:
+    if len(run.densities) < 2:
         return 0.0
-    times = np.array([st.t for st in states])
-    sums = np.empty(len(states))
-    for k, st in enumerate(states):
-        grid = st.grid
-        mid, dx, xi = grid.midpoints, grid.widths, st.xi
+    grid = run.tables.grid
+    sums = np.empty(len(run.densities))
+    for k, xi in enumerate(run.densities):
+        mid, dx = grid.midpoints, grid.widths
         total = 0.0
         for i in range(1, grid.ncells):
             if xi[i] == 0.0:
@@ -201,7 +199,7 @@ def _per_row_reference(states, kernel, test):
             )
             total += float(np.sum(terms))
         sums[k] = total
-    return float(np.trapezoid(sums, times))
+    return float(np.trapezoid(sums, run.series.times()))
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])
@@ -211,10 +209,9 @@ def test_brute_force_matches_per_row_reference(request, fixture, make_test, lam)
     result = _fixture_run(request, fixture)
     test = make_test(lam)
     internal, gross = weak_rhs_quadrature(result, replay_sums(result, test))
-    reference = _per_row_reference(result.states, result.config.kernel, test)
-    brute = brute_force_weak_rhs(result.states, result.config.kernel, test)
+    reference = _per_row_reference(result, result.config.kernel, test)
     assert reference != 0.0
-    assert _relative_gap(reference, brute, internal, gross) <= 1e-13
+    assert _relative_gap(reference, brute(result, test), internal, gross) <= 1e-13
 
 
 class _CountingKernel:
@@ -232,21 +229,21 @@ class _CountingKernel:
 def test_brute_force_builds_its_table_once(bagland_runs):
     result, _ = bagland_runs[256]
     kernel = _CountingKernel(result.config.kernel)
-    brute_force_weak_rhs(result.states, kernel, CappedIdentity(1.0))
+    brute(result, CappedIdentity(1.0), kernel)
     assert kernel.calls == 1
 
 
 def test_brute_force_row_blocks_sum_to_one_table(bagland_runs, monkeypatch):
     result, _ = bagland_runs[256]
     test = CappedIdentity(1.0)
-    whole = brute_force_weak_rhs(result.states, result.config.kernel, test)
-    occupied = max(int(np.flatnonzero(st.xi)[-1]) + 1 for st in result.states)
+    whole = brute(result, test)
+    occupied = max(int(np.flatnonzero(xi)[-1]) + 1 for xi in result.densities)
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", 8 * occupied * 5)  # five rows a block
     kernel = _CountingKernel(result.config.kernel)
-    blocked = brute_force_weak_rhs(result.states, kernel, test)
+    blocked = brute(result, test, kernel)
     assert kernel.calls == -(-(occupied - 1) // 5)
     assert abs(blocked - whole) <= 1e-13 * abs(whole)
-    reference = _per_row_reference(result.states, result.config.kernel, test)
+    reference = _per_row_reference(result, result.config.kernel, test)
     assert abs(blocked - reference) <= 1e-13 * abs(reference)
 
 
@@ -277,13 +274,13 @@ def test_contract_is_one_matmul_in_bounded_chunks(monkeypatch, madds, m, k, p):
 def test_brute_force_memory_is_bounded_by_its_row_blocks():
     grid = build("uniform", 8.0, 4096)
     full = project_initial(grid, UniformOn(0.0, 8.0, 1.0))
-    states = [replace(full, t=t) for t in (0.0, 0.5, 1.0)]
+    densities = np.array([full.xi] * 3)
     kernel = PowerSumKernel(1.0, 1.5)
     # Power(2)'s pair weight is nonnegative, CappedIdentity's nonpositive
     for test, sign in ((CappedIdentity(4.0), -1.0), (Power(2), 1.0)):
         tracemalloc.start()
         try:
-            value = brute_force_weak_rhs(states, kernel, test)
+            value = brute_force_weak_rhs(grid, (0.0, 0.5, 1.0), densities, kernel, test)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,14 +304,14 @@ def test_projected_solution_satisfies_weak_form_under_refinement(capsys):
 
 def _dense_weak_quadrature(run, test):
     """The weak-form quadrature over all records, summed on a dense pair table."""
-    grid = run.states[0].grid
+    grid = run.tables.grid
     mid = grid.midpoints
     K = kernel_matrix(grid, run.config.kernel)
     terms = np.tril(test.varpi1(mid[:, None], mid[None, :]) * K, k=-1)
     terms_abs = np.abs(terms)
     sums, gross = [], []
-    for state in run.states:
-        w = state.xi * grid.widths
+    for xi in run.densities:
+        w = xi * grid.widths
         sums.append(w @ (terms @ w))
         gross.append(w @ (terms_abs @ w))
     times = run.series.times()

@@ -139,7 +139,7 @@ def test_moment_pair_sum_matches_dense_sum(case, r):
     w = xi * grid.widths
     expected = w @ np.tril(omega * dense_table(grid, kernel), k=-1) @ w
     tables = KernelTables(grid, kernel)
-    value = pair_sums([State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)], tables, [Power(r)])[0][0, 0]
+    value = pair_sums(xi[None], tables, [Power(r)])[0][0, 0]
     assert value >= 0.0
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
     for u, v in ((r * mid ** (r - 1.0) * w, mid * w), (w, mid**r * w)):
@@ -228,13 +228,13 @@ def test_a_non_finite_pair_sum_fails_without_a_warning(u0, v0):
             tables.pair_sum(u, v)
 
 
-def per_record_pair_sums(states, tables, test):
+def per_record_pair_sums(densities, tables, test):
     """The (value, gross) rows of one whole-grid pair sum per record and term."""
-    grid = states[0].grid
+    grid = tables.grid
     terms = test.pair_terms(grid.midpoints)
     rows = []
-    for state in states:
-        w = state.xi * grid.widths
+    for xi in densities:
+        w = xi * grid.widths
         value = gross = 0.0
         for sign, u, v in terms:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -243,6 +243,11 @@ def per_record_pair_sums(states, tables, test):
             gross += part
         rows.append((value, gross))
     return np.array(rows)
+
+
+def per_record_moments(grid, densities, r):
+    """The whole-grid ``moment`` of each record."""
+    return [moment(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid), r) for xi in densities]
 
 
 def chain(n):
@@ -268,17 +273,15 @@ def replays(draw):
     ends = [p + d for p in chain(N) + chain(N - 1) for d in (0, 1) if p + d <= N]
     end = draw(st.one_of(st.integers(0, N), st.sampled_from(ends)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    states = []
-    for k in range(draw(st.integers(1, 9))):
-        xi = np.zeros(N)
+    densities = np.zeros((draw(st.integers(1, 9)), N))
+    for k, xi in enumerate(densities):
         top = end if k == 0 else int(rng.integers(0, end + 1))  # record 0 reaches the end
         xi[:top] = rng.random(top) * (rng.random(top) < 0.8)
         if top and k == 0:
             xi[top - 1] = 1.0
-        states.append(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid))
     # a block holds 1 to 4 records of the cut, so the record counts cross block ends
     block_bytes = 8 * N * draw(st.integers(1, 4))
-    return KernelTables(grid, kernel), states, block_bytes
+    return KernelTables(grid, kernel), densities, block_bytes
 
 
 def bits(values):
@@ -289,10 +292,10 @@ def bits(values):
 @given(replays(), st.one_of(st.builds(Power, st.floats(2.0, 5.0)),
                             st.builds(CappedIdentity, st.floats(0.05, 20.0))))
 def test_blocked_prefix_pair_sums_equal_the_per_record_whole_grid_sums(replay, test):
-    tables, states, block_bytes = replay
+    tables, densities, block_bytes = replay
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
-        (sums,) = pair_sums(states, tables, [test])
-    assert bits(sums) == bits(per_record_pair_sums(states, tables, test))
+        (sums,) = pair_sums(densities, tables, [test])
+    assert bits(sums) == bits(per_record_pair_sums(densities, tables, test))
 
 
 class UnreadInfinity(Power):
@@ -318,30 +321,30 @@ def test_multi_test_pair_sums_equal_each_tests_per_record_whole_grid_sums(
         replay, tests, unread_infinity):
     # Power orders share the gain's v factor, the midpoints; a test with a
     # factor that is not finite keeps the whole grid for every test
-    tables, states, block_bytes = replay
+    tables, densities, block_bytes = replay
     if unread_infinity:
         tests.insert(len(tests) // 2, UnreadInfinity(3))
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
-        sums = pair_sums(states, tables, tests)
+        sums = pair_sums(densities, tables, tests)
     assert len(sums) == len(tests)
     for test, each in zip(tests, sums):
-        assert each.shape == (len(states), 2)
-        assert bits(each) == bits(per_record_pair_sums(states, tables, test))
+        assert each.shape == (len(densities), 2)
+        assert bits(each) == bits(per_record_pair_sums(densities, tables, test))
 
 
 def test_pair_sums_of_no_records_are_empty():
     tables = KernelTables(build("uniform", 4.0, 16), ConstantKernel(1.0))
-    sums = pair_sums([], tables, [Power(2), CappedIdentity(1.0)])
+    sums = pair_sums(np.empty((0, 16)), tables, [Power(2), CappedIdentity(1.0)])
     assert [each.shape for each in sums] == [(0, 2), (0, 2)]
 
 
 @PROPERTY_SETTINGS
 @given(replays(), st.data())
 def test_pair_sum_on_short_rows_equals_the_prefix_tables(replay, data):
-    tables, states, _ = replay
+    tables, densities, _ = replay
     N = tables.grid.ncells
     n = data.draw(st.integers(2, N)) if N > 2 else N
-    w = np.array([s.xi[:n] for s in states]) * tables.grid.widths[:n]
+    w = densities[:, :n] * tables.grid.widths[:n]
     u = tables.grid.midpoints[:n] * w
     assert bits(tables.pair_sum(u, w)) == bits(tables.prefix(n).pair_sum(u, w))
 
@@ -349,33 +352,33 @@ def test_pair_sum_on_short_rows_equals_the_prefix_tables(replay, data):
 @PROPERTY_SETTINGS
 @given(replays())
 def test_blocked_prefix_moments_equal_the_per_record_whole_grid_moments(replay):
-    _, states, block_bytes = replay
+    tables, densities, block_bytes = replay
     orders = (1, 2, 2.5, 3.0, 6)
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
-        sums = stacked_moments(states, orders)
+        sums = stacked_moments(tables.grid, densities, orders)
     assert list(sums) == list(orders)
     for r in orders:
-        assert bits(sums[r]) == bits([moment(state, r) for state in states])
+        assert bits(sums[r]) == bits(per_record_moments(tables.grid, densities, r))
 
 
 @PROPERTY_SETTINGS
 @given(replays(), st.sampled_from([np.inf, -np.inf, np.nan, 1e200]), st.data())
 def test_a_non_finite_record_in_any_block_fails_the_pair_sums_without_a_warning(
         replay, bad, data):
-    tables, states, block_bytes = replay
-    grid = states[0].grid
-    k = data.draw(st.integers(0, len(states) - 1))
+    tables, densities, block_bytes = replay
+    grid = tables.grid
+    k = data.draw(st.integers(0, len(densities) - 1))
     cell = data.draw(st.integers(0, grid.ncells - 1))
-    states[k].xi[cell] = bad
+    densities[k, cell] = bad
     if bad == 1e200:  # overflows only when it meets a pair: a second cell of it
-        states[k].xi[data.draw(st.integers(0, grid.ncells - 1).filter(lambda c: c != cell))] = bad
+        densities[k, data.draw(st.integers(0, grid.ncells - 1).filter(lambda c: c != cell))] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-            per_record_pair_sums(states, tables, Power(2))
+            per_record_pair_sums(densities, tables, Power(2))
         with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
             with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-                pair_sums(states, tables, [Power(2)])
+                pair_sums(densities, tables, [Power(2)])
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 65])
@@ -385,14 +388,13 @@ def test_pair_sums_cross_the_module_block_at_its_own_size(extra):
     tables = KernelTables(grid, PowerSumKernel(1.0, 1.5))
     rows = moments.BLOCK_BYTES // (8 * 505)
     rng = np.random.default_rng(rows + extra)
-    states = []
-    for _ in range(rows + extra):
-        xi = np.zeros(1024)
+    densities = np.zeros((rows + extra, 1024))
+    for xi in densities:
         xi[:329] = rng.random(329)
-        states.append(State(t=0.0, xi=xi, gel_mass=0.0, grid=grid))
-    assert bits(pair_sums(states, tables, [Power(3)])[0]) == bits(
-        per_record_pair_sums(states, tables, Power(3)))
-    assert bits(stacked_moments(states, (2,))[2]) == bits([moment(s, 2) for s in states])
+    assert bits(pair_sums(densities, tables, [Power(3)])[0]) == bits(
+        per_record_pair_sums(densities, tables, Power(3)))
+    assert bits(stacked_moments(grid, densities, (2,))[2]) == bits(
+        per_record_moments(grid, densities, 2))
 
 
 def test_a_prefix_sum_that_overflows_on_the_last_occupied_cell_still_fails():
@@ -403,15 +405,14 @@ def test_a_prefix_sum_that_overflows_on_the_last_occupied_cell_still_fails():
     xi = np.zeros(200)
     xi[:96] = 1e-3
     xi[96] = 5e303 / grid.widths[96]
-    state = State(t=0.0, xi=xi, gel_mass=0.0, grid=grid)
     tables = KernelTables(grid, ConstantKernel(1.0))
     assert tree_prefix(199, 96) == 96 and tree_prefix(199, 97) == 199
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-            per_record_pair_sums([state], tables, Power(2))
+            per_record_pair_sums(xi[None], tables, Power(2))
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-            pair_sums([state], tables, [Power(2)])
+            pair_sums(xi[None], tables, [Power(2)])
 
 
 def test_a_factor_row_that_overflows_past_the_support_keeps_the_whole_grid():
@@ -426,14 +427,14 @@ def test_a_factor_row_that_overflows_past_the_support_keeps_the_whole_grid():
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(grid.power(5)[-1])
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-            per_record_pair_sums([state], tables, Power(5))
+            per_record_pair_sums(xi[None], tables, Power(5))
         for tests in ([Power(5)], [CappedIdentity(1.0), Power(2), Power(5)]):
             with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-                pair_sums([state], tables, tests)
+                pair_sums(xi[None], tables, tests)
         assert math.isnan(moment(state, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="non-finite moment"):
-            stacked_moments([state], (2, 5))
+            stacked_moments(grid, xi[None], (2, 5))
         with pytest.raises(NumericalFailureError, match="non-finite pair sum"):
-            pair_sums([state], tables, [Power(5)])
+            pair_sums(xi[None], tables, [Power(5)])

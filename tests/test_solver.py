@@ -25,7 +25,7 @@ from ohslab.moments import moment
 from ohslab.oracle import l1_error
 from ohslab.solver import KernelTables, run, stable_dt
 
-from conftest import bagland_config, stage, step_state
+from conftest import bagland_config, records, stage, step_state
 
 RNG = np.random.default_rng(123)
 
@@ -342,7 +342,7 @@ def test_run_bookkeeping_all_kernels(bagland_runs, powersum_run, massconserving_
 def test_run_domain_mass_matches_series_bitwise(powersum_run):
     # same summation path: recorded M^1 equals the state's bookkept mass
     m1 = powersum_run.series.labels.index("M1")
-    for state, row in zip(powersum_run.states, powersum_run.series.rows):
+    for state, row in zip(records(powersum_run), powersum_run.series.rows):
         assert row[m1] == moment(state, 1)
 
 
@@ -355,14 +355,14 @@ def test_run_gel_strictly_increases_once_positive(powersum_run):
 
 
 def test_run_tail_mass_appears_beyond_initial_support(bagland_t2):
-    tail = bagland_t2.series.tail(2.0)
+    tail = bagland_t2.series.columns()["M1_m2"]
     assert tail[0] == 0.0
     assert tail[-1] > 0.0
 
 
 def test_run_positivity_of_all_recorded_states(bagland_runs):
-    for state in bagland_runs[256][0].states:
-        assert np.min(state.xi) >= 0.0
+    for xi in bagland_runs[256][0].densities:
+        assert np.min(xi) >= 0.0
 
 
 def test_run_heun_bookkeeping():
@@ -397,6 +397,26 @@ def test_run_failure_marker_on_kernel_overflow():
     assert result.failed
     assert result.error
     assert len(result.series.rows) == 1  # partial series retained
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["completed", "overflow"])
+def test_run_captures_one_density_row_per_series_row(overflow):
+    # the overflow config fails when its tables are built, after the t = 0 record
+    cfg = base_config()
+    if overflow:
+        cfg = base_config(kernel=ProductKernel(200.0), grid=GridSpec("uniform", 1000.0, 8),
+                          initial=UniformOn(0.0, 500.0, 1.0))
+    result = run(cfg, capture_densities=True)
+    assert result.failed == overflow
+    rows = result.series.rows
+    assert result.densities.shape == (len(rows), cfg.grid.N)
+    m1, m2 = (result.series.labels.index(label) for label in ("M1", "M2"))
+    grid = result.final_state.grid
+    for xi, row in zip(result.densities, rows, strict=True):
+        state = State(t=row[0], xi=xi, gel_mass=row[-2], grid=grid)
+        recorded = np.array([row[m1], row[m2]])
+        assert np.array([moment(state, 1), moment(state, 2)]).tobytes() == recorded.tobytes()
+    assert result.densities[-1].tobytes() == result.final_state.xi.tobytes()
 
 
 def test_run_failure_inside_a_short_window_keeps_the_whole_grid(monkeypatch):

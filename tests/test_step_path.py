@@ -45,7 +45,7 @@ from ohslab.grid import State, build, project_initial
 from ohslab.moments import moment
 from ohslab.solver import KernelTables, rhs, stable_dt
 
-from conftest import Parts, stage, step_state
+from conftest import Parts, records, stage, step_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -343,7 +343,7 @@ def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, cfl, shows, sc
         return clamped[-1]
 
     monkeypatch.setattr(solver, "_clamp", counted_clamp)
-    result = solver.run(cfg, capture_states=True)
+    result = solver.run(cfg, capture_densities=True)
     assert not result.failed
     stages = 2 if scheme == "heun" else 1
     assert len(sizes) == stages * result.steps
@@ -358,11 +358,11 @@ def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, cfl, shows, sc
         assert clamped  # the Euler update, or the Heun predictor, was clamped
         if scheme == "euler":
             assert result.final_state.clamped_mass > 0.0
-    records = reference_records(result.config)
-    assert len(records) == len(result.states) - 1
-    for recorded, state in zip(result.states[1:], records):
+    reference = reference_records(result.config)
+    assert len(reference) == len(result.densities) - 1
+    for recorded, state in zip(records(result)[1:], reference):
         assert_same_state(recorded, state)
-    assert_same_state(result.final_state, records[-1])
+    assert_same_state(result.final_state, reference[-1])
 
 
 def poisoned_velocity(monkeypatch, at_call):
@@ -405,9 +405,9 @@ def test_a_failed_step_ends_the_run_on_the_last_good_one(failure, scheme, monkey
         )
         sizes = window_sizes(monkeypatch)
         error = "exceeds budget"
-    result = solver.run(cfg, capture_states=True)
+    result = solver.run(cfg, capture_densities=True)
     assert result.failed and error in result.error
-    assert 1 < len(result.states) and max(sizes) < cfg.grid.N  # it failed in a short window
+    assert 1 < len(result.densities) and max(sizes) < cfg.grid.N  # it failed in a short window
     final = result.final_state
     assert final.grid is result.tables.grid and final.xi.size == cfg.grid.N
     taken, last = 0, None
@@ -424,8 +424,8 @@ def test_a_failed_step_ends_the_run_on_the_last_good_one(failure, scheme, monkey
     assert_same_state(final, last)
     if failure == "budget":
         assert 0.0 < final.clamped_mass <= solver.CLAMP_BUDGET * result.series.rho0()
-    records = reference_records(replace(result.config, t_end=result.states[-1].t))
-    for recorded, state in zip(result.states[1:], records, strict=True):
+    reference = reference_records(replace(result.config, t_end=result.series.rows[-1][0]))
+    for recorded, state in zip(records(result)[1:], reference, strict=True):
         assert_same_state(recorded, state)
 
 
