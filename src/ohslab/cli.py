@@ -23,6 +23,11 @@ grid first, so data that does not fit it makes no directory either (a sweep
 row whose data does not fit its grid fails alone).  The manifest records
 the config with every default explicit, so any run can be reproduced bit
 for bit from its artifacts alone.
+
+Each command imports only what it runs: ``simulate`` loads the solver and
+the artifact writers, ``check`` adds the verification suite, and ``sweep``
+the cutoff experiment, whose process pool loads only when more than one
+worker runs the rows.
 """
 from __future__ import annotations
 
@@ -33,8 +38,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import checks as checks_mod
-from . import gelation, runio, solver
+from . import runio, solver
 from .config import SimConfig, load_config
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -60,6 +64,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    from . import gelation  # deferred: simulate and check need no sweep code
+
     out = Path(args.out or Path(args.config).with_suffix(""))
     report = gelation.cutoff_sweep(load_config(args.config), out, workers=args.workers)
     runio.write_sweep_csv(out / "sweep.csv", report.rows)
@@ -99,8 +105,10 @@ def cmd_check(args):
     if result.failed:
         logger.error("replay failed: %s", result.error)
         return _write_unfinished_check(out, result.error, replay_failed=True)
+    from . import checks  # deferred: simulate and sweep need no check suite
+
     try:
-        report = checks_mod.run_checks(result, stored=stored)
+        report = checks.run_checks(result, stored=stored)
     except NumericalFailureError as exc:
         logger.error("checks failed numerically: %s", exc)
         return _write_unfinished_check(out, str(exc), replay_failed=False)

@@ -9,8 +9,11 @@ boundary mass loss exceeds a threshold epsilon (default 1e-2):
 linearly interpolated between bracketing records.  ``cutoff_sweep`` reruns a
 config over the cutoffs of its "sweep" section at fixed resolution (N scaled
 with R); each row's worker writes the row's run directory and returns only its
-SweepRow.  The table of t_loss(R) at the config's one threshold epsilon is the
-truncated-domain stand-in for statements about the untruncated problem.
+SweepRow.  A serial sweep runs its rows in the calling process and never loads
+the process pool (``multiprocessing`` and the modules behind it); only rows
+run concurrently import it.  The table of t_loss(R) at the config's one
+threshold epsilon is the truncated-domain stand-in for statements about the
+untruncated problem.
 
 ``blowup_bound`` evaluates the finite-time bound
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # loads its process pool on first use, never in a serial sweep
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,10 +172,10 @@ def cutoff_sweep(config, out, workers=None):
     if workers == 1:
         rows = [_run_row(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_row, job) for job in jobs]
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = [pool.submit(_run_row, job) for job in jobs]
             rows = []
-            for (cfg, row_dir), future in zip(jobs, futures):
+            for (cfg, row_dir), future in zip(jobs, pending):
                 try:
                     rows.append(future.result())
                 except Exception as exc:  # a crashed worker: BrokenProcessPool

@@ -68,6 +68,12 @@ GROSS_GUARD = 1e-6
 
 HOLDER_TOL = 1e-12
 
+#: The smallest normal float: a moment below it has underflowed.
+FLOAT_TINY = float(np.finfo(float).tiny)
+
+#: Relative spread of record intervals ``moment_residual`` takes as uniform.
+CADENCE_RTOL = 1e-9
+
 #: Largest block of stacked record densities a replay sum holds at once.  A
 #: pair sum's temporaries are this times the kernel's term count; measured at
 #: N = 1024, a block of 256 KiB or more made them up to twice as slow per
@@ -214,11 +220,14 @@ def holder_check(sums, times, pairs):
     bound reads (M^r)^(sigma+1) * (M^1)^(-sigma) <= M^(r+beta-1) up to
     ``HOLDER_TOL``; equality holds exactly for a monodisperse (single
     occupied cell) state.  A record whose M^1 is 0 is skipped: its domain
-    holds no mass and the bound reads 0 <= 0.  ``worst`` is the largest
-    lhs/rhs with its record's time and pair, ``{"ratio": 0.0}`` when every
-    record is skipped.  The moments are taken as Python floats, as
+    holds no mass and the bound reads 0 <= 0.  So is a pair whose
+    M^(r+beta-1) lies below the smallest normal float: that sum has lost its
+    digits, and the lhs it bounds is smaller still.  ``worst`` is the
+    largest lhs/rhs with its record's time and pair, ``{"ratio": 0.0}`` when
+    every record is skipped.  The moments are taken as Python floats, as
     ``moment`` gives them, since numpy's array ``**`` differs from Python's
-    in the last bit for some arguments.
+    in the last bit for some arguments; a power past the float range is
+    taken as M^r scaled by M^1 first.
     """
     for r, beta in pairs:
         if r < 2:
@@ -234,9 +243,14 @@ def holder_check(sums, times, pairs):
         if m1[k] == 0.0:
             continue
         for r, beta, sigma, mr, mq in sides:
-            lhs, rhs = mr[k] ** (sigma + 1.0) * m1[k] ** (-sigma), mq[k]
-            ok = ok and lhs <= rhs * (1.0 + HOLDER_TOL)
-            ratio = lhs / rhs if rhs > 0 else np.inf
+            if mq[k] < FLOAT_TINY:
+                continue
+            try:
+                lhs = mr[k] ** (sigma + 1.0) * m1[k] ** (-sigma)
+            except OverflowError:  # a power past the float range
+                lhs = mr[k] * (mr[k] / m1[k]) ** sigma
+            ok = ok and lhs <= mq[k] * (1.0 + HOLDER_TOL)
+            ratio = lhs / mq[k]
             if ratio > worst["ratio"]:
                 worst = {"ratio": float(ratio), "t": t, "r": r, "beta": beta}
     return ok, worst
@@ -413,20 +427,28 @@ def moment_residual(run, r, sums, values):
     record: ``pair_sums(run.densities, run.tables, [Power(r)])[0][:, 0]`` and
     ``stacked_moments(run.tables.grid, run.densities, (r,))[r]``.  Uses a
     centered difference over uniformly spaced records and the quadrature at
-    each interior record; requires at least 3 records.  The differenced quantity is
+    each interior record; requires at least 3 records.  A ``t_end`` off the
+    record cadence ends the series with a shorter interval, whose last record
+    is left out; any other uneven spacing raises InvalidInputError.
+
+    The differenced quantity is
     M^r + xbar**(r-1) * gel_mass with xbar = xbar_{N-1}, the last midpoint:
     the M^r the boundary flux carries out in a step is xbar**(r-1) times
     that step's gel increment, so the boundary term is exact and what
     remains is the first-order consistency error of the quadrature.
     """
     times = run.series.times()
-    if times.size < 3:
-        raise InsufficientRecordsError("moment residual needs at least 3 records")
     steps = np.diff(times)
-    if np.max(np.abs(steps - steps.mean())) > 1e-9 * steps.mean():
+    if steps.size > 1 and steps[-1] < steps[0] * (1.0 - CADENCE_RTOL):
+        steps = steps[:-1]
+    n = steps.size + 1
+    if n < 3:
+        raise InsufficientRecordsError("moment residual needs at least 3 records")
+    if np.max(np.abs(steps - steps.mean())) > CADENCE_RTOL * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
+    times, values, sums = times[:n], values[:n], sums[:n]
     xbar = run.tables.grid.midpoints[-1]
-    mr = values + xbar ** (r - 1.0) * run.series.gel()
+    mr = values + xbar ** (r - 1.0) * run.series.gel()[:n]
     rate = (mr[2:] - mr[:-2]) / (times[2:] - times[:-2])
     rhs = sums[1:-1]
     return float(np.max(np.abs(rate - rhs) / np.maximum(np.abs(rhs), EPS_FLOOR)))

@@ -1,4 +1,5 @@
 """Shared reference runs, step helpers and the acceptance-summary hook."""
+import json
 import math
 import time
 from dataclasses import replace
@@ -89,6 +90,14 @@ def replay_moment_residual(run, r):
     """``moment_residual`` of a replay on the quadratures and moments it is handed in ``check``."""
     return moment_residual(run, r, replay_sums(run, Power(r))[:, 0],
                            stacked_moments(run.tables.grid, run.densities, (r,))[r])
+
+
+def strict_json(path):
+    """The JSON file at path, read as strict parsers read it: NaN and Infinity,
+    which ``json`` writes and reads by default but JSON has not, raise."""
+    def refuse(token):
+        raise ValueError("%s holds %s, which is not JSON" % (path, token))
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def holder_sides(state, r, beta):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json
+
 from ohslab import ConstantKernel, solver
 from ohslab import cli
 from ohslab.cli import main
@@ -307,6 +309,18 @@ def test_check_detects_one_tampered_value_in_any_column(
     report = json.loads((tampered / "check_report.json").read_text())
     failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
     assert failing == ["stored_moments_csv"]  # the replay itself is sound
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_check_writes_a_non_finite_mismatch_as_null(checked_run_dir, tmp_path, cell):
+    edit = _edit_middle_row("M2", lambda value: cell)
+    tampered = _copy_run_dir(checked_run_dir, tmp_path / "tampered", edit)
+    assert main(["--quiet", "check", str(tampered)]) == 1
+    report = strict_json(tampered / "check_report.json")
+    stored = next(c for c in report["checks"] if c["name"] == "stored_moments_csv")
+    assert stored["status"] == "fail"
+    assert stored["details"]["rows_match"] is True
+    assert stored["details"]["max_rel_mismatch"] is None
 
 
 @pytest.mark.parametrize("edit, header_matches", [

@@ -1,0 +1,113 @@
+"""Small random configs through the command line: ``simulate``, then ``check``.
+
+Each example writes a config drawn over every kernel and ``psi``, both grid
+kinds, all three initial kinds (a spike in the last cell and a table with an
+empty interval among them), Euler and Heun, and a record cadence that need
+not divide ``t_end``; ``N``, ``R`` and ``t_end`` stay small so the run is
+short.  Whatever the config, the commands exit with a documented code,
+raise nothing and leak no warning, a finished run's moments conserve mass,
+and every JSON file written is strict JSON.
+"""
+import json
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import strict_json
+
+from ohslab.cli import main
+from ohslab.runio import read_moments_csv
+
+positive = st.floats(0.1, 2.0)
+
+kernels = st.one_of(
+    st.builds(lambda value: {"kind": "constant", "value": value}, st.floats(0.0, 2.0)),
+    st.builds(lambda theta1, beta: {"kind": "power_sum", "theta1": theta1, "beta": beta},
+              positive, st.floats(0.5, 2.0)),
+    st.builds(lambda theta1, beta, psi, K: {"kind": "mass_conserving", "theta1": theta1,
+                                            "beta": beta, "psi": psi, "K": K},
+              positive, st.floats(1.1, 2.0), st.sampled_from(["zero", "half_sum", "min"]),
+              positive),
+    st.builds(lambda exponent: {"kind": "product", "exponent": exponent},
+              st.floats(-0.5, 1.5)),
+)
+
+
+@st.composite
+def initials(draw, R, N):
+    kind = draw(st.sampled_from(["uniform_on", "cell_spike", "table"]))
+    if kind == "uniform_on":
+        a = draw(st.floats(0.0, 0.5 * R))
+        return {"kind": kind, "a": a, "b": draw(st.floats(a + 0.05 * R, R)),
+                "mass": draw(positive)}
+    if kind == "cell_spike":
+        index = draw(st.one_of(st.just(N - 1), st.integers(0, N - 1)))
+        return {"kind": kind, "index": index, "mass": draw(positive)}
+    cuts = draw(st.lists(st.floats(0.0, R), min_size=4, max_size=6, unique=True))
+    values = draw(st.lists(st.floats(0.0, 2.0), min_size=len(cuts) - 1,
+                           max_size=len(cuts) - 1))
+    values[len(values) // 2] = 0.0  # an empty interval between the outer ones
+    values[0] = draw(positive)
+    return {"kind": kind, "edges": sorted(cuts), "values": values}
+
+
+@st.composite
+def configs(draw):
+    R = draw(st.floats(1.0, 8.0))
+    N = draw(st.integers(2, 48))
+    grid = {"kind": "uniform", "R": R, "N": N}
+    if draw(st.booleans()):
+        grid.update(kind="geometric", q=draw(st.floats(1.01, 1.3)))
+    t_end = draw(st.floats(0.01, 0.2))
+    return {
+        "kernel": draw(kernels),
+        "grid": grid,
+        "initial": draw(initials(R, N)),
+        "t_end": t_end,
+        "cfl": draw(st.floats(0.2, 1.0)),
+        "record_cadence": t_end / draw(st.one_of(st.integers(1, 10), st.floats(1.0, 10.0))),
+        "scheme": draw(st.sampled_from(["euler", "heun"])),
+    }
+
+
+#: A table whose mass sits on [0, 1.6e-155]: its M^1 of 1.2e-310 is subnormal, so
+#: 1 / M^1 overflows in the Hoelder entry and 1 / M^r in the blow-up table.
+TINY_MASS = {
+    "grid": {"kind": "uniform", "R": 1.0, "N": 2},
+    "initial": {"kind": "table", "edges": [0.0, 1.5634983569473714e-155, 1.0],
+                "values": [1.0, 0.0]},
+    "t_end": 0.125, "cfl": 1.0, "record_cadence": 0.125, "scheme": "euler",
+}
+
+#: A mass of 1e160 that an idle kernel leaves in place: (M^2)^2 overflows in
+#: the Hoelder entry.
+BIG_MASS = {
+    "kernel": {"kind": "constant", "value": 0.0},
+    "grid": {"kind": "uniform", "R": 8.0, "N": 16},
+    "initial": {"kind": "uniform_on", "a": 0.0, "b": 1.0, "mass": 1e160},
+    "t_end": 0.1, "record_cadence": 0.01,
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(configs())
+@example(dict(TINY_MASS, kernel={"kind": "constant", "value": 0.0}))
+@example(dict(TINY_MASS, kernel={"kind": "power_sum", "theta1": 1.0, "beta": 2.0}))
+@example(BIG_MASS)
+def test_simulate_then_check_any_small_config(tmp_path_factory, cfg):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, out = tmp / "config.json", tmp / "run"
+    path.write_text(json.dumps(cfg))
+    simulated = main(["--quiet", "simulate", str(path), "--out", str(out)])
+    assert simulated in (0, 2, 3)
+    if simulated == 0:
+        columns = read_moments_csv(out / "moments.csv")
+        assert all(np.all(np.isfinite(values)) for values in columns.values())
+        rho0 = columns["M1"][0] + columns["gel_mass"][0]
+        drift = np.abs(columns["M1"] + columns["gel_mass"] - rho0)
+        assert np.max(drift) <= 1e-10 * rho0
+    target = out if out.is_dir() else path
+    assert main(["--quiet", "check", str(target), "--out", str(out)]) in (0, 1, 2, 3)
+    for written in tmp.rglob("*.json"):
+        strict_json(written)

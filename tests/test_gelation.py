@@ -201,7 +201,7 @@ class CrashingPool:
 
 
 def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(gelation, "ProcessPoolExecutor", CrashingPool)
+    monkeypatch.setattr(gelation.futures, "ProcessPoolExecutor", CrashingPool)
     report = cutoff_sweep(
         replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), tmp_path, workers=3
     )

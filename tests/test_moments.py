@@ -281,21 +281,44 @@ def test_moment_residual_small_for_reference_run(bagland_runs):
     assert replay_moment_residual(result, 2) <= 0.05
 
 
-def test_moment_residual_zero_for_empty_states():
+def empty_replay(times):
+    """A replay of empty states recorded at the given times."""
     grid = build("uniform", 4.0, 16)
     cfg = SimConfig(
         kernel=ConstantKernel(1.0), grid=GridSpec("uniform", 4.0, 16),
-        initial=UniformOn(0.0, 1.0, 1.0), t_end=1.0, record_cadence=0.5,
+        initial=UniformOn(0.0, 1.0, 1.0), t_end=times[-1], record_cadence=0.5,
     )
-    states = [State(t=0.5 * k, xi=np.zeros(16), gel_mass=0.0, grid=grid) for k in range(3)]
+    states = [State(t=t, xi=np.zeros(16), gel_mass=0.0, grid=grid) for t in times]
     series = MomentSeries(orders=(0.0, 1.0, 2.0), thresholds=())
     for s in states:
         series.append_state(s)
-    handle = RunResult(
+    return RunResult(
         config=cfg, series=series, final_state=states[-1],
         densities=np.array([s.xi for s in states]), tables=KernelTables(grid, cfg.kernel),
     )
-    assert replay_moment_residual(handle, 2) == 0.0
+
+
+def test_moment_residual_zero_for_empty_states():
+    assert replay_moment_residual(empty_replay([0.0, 0.5, 1.0]), 2) == 0.0
+
+
+def test_moment_residual_leaves_out_a_short_last_interval():
+    on_cadence = small_run(N=64, t_end=0.1, cadence=0.01)
+    off_cadence = small_run(N=64, t_end=0.105, cadence=0.01)
+    residual = replay_moment_residual(off_cadence, 2)
+    assert residual == pytest.approx(replay_moment_residual(on_cadence, 2), rel=1e-3)
+    entry = next(c for c in run_checks(off_cadence).checks if c.name == "moment_residual")
+    assert (entry.status, entry.details["residual"]) == ("fail", residual)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.5, 0.7, 1.0, 1.2],  # uneven before the short last interval
+    [0.0, 0.5, 1.0, 1.7],  # a longer last interval
+    [0.0, 0.3, 0.8, 1.3],  # a shorter first interval
+], ids=["interior", "long_last", "short_first"])
+def test_moment_residual_refuses_other_uneven_records(times):
+    with pytest.raises(InvalidInputError, match="records at uniform cadence"):
+        replay_moment_residual(empty_replay(times), 2)
 
 
 def test_moment_residual_does_not_grow_under_refinement():
