@@ -29,6 +29,11 @@ from .moments import moment_labels
 
 SCHEMES = ("euler", "heun")
 
+#: Most records a run may make, t_end / record_cadence: each record costs at
+#: least one step and one moments.csv row, and ``check`` holds records x N
+#: floats.
+MAX_RECORDS = 100_000
+
 
 def row_label(R):
     """The directory of the sweep row at cutoff R; ``%g`` keeps six significant
@@ -172,6 +177,9 @@ class SimConfig:
             object.__setattr__(self, "record_cadence", t_end / 100.0 if t_end > 0 else 1.0)
         if self.dt_max is None:
             object.__setattr__(self, "dt_max", 1e-2 * t_end if t_end > 0 else 1.0)
+        if not t_end / self.record_cadence <= MAX_RECORDS:
+            raise InvalidInputError("t_end / record_cadence = %g records exceeds %d"
+                                    % (t_end / self.record_cadence, MAX_RECORDS))
         object.__setattr__(self, "moments", MomentSpec(orders, thresholds))
 
     def to_dict(self):

@@ -164,14 +164,24 @@ class UniformOn:
             raise InvalidInputError("uniform_on needs 0 <= a < b")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise InvalidInputError("initial mass must be positive")
+        if not np.isfinite(self.density()):
+            raise InvalidInputError(
+                "uniform_on mass %g on [%g, %g] needs a density past the float range"
+                % (self.mass, self.a, self.b)
+            )
+
+    def density(self):
+        """The density: the mass over the integral of mu on [a, b], inf where
+        that integral underflows to 0."""
+        span = 0.5 * (self.b**2 - self.a**2)
+        return self.mass / span if span > 0 else np.inf
 
     def cell_masses(self, grid):
         if self.b > grid.cutoff:
             raise SupportOutsideDomainError(
                 "uniform_on support [%g, %g] exceeds cutoff R=%g" % (self.a, self.b, grid.cutoff)
             )
-        density = 2.0 * self.mass / (self.b**2 - self.a**2)
-        return _table_masses(grid, (self.a, self.b), (density,))
+        return _table_masses(grid, (self.a, self.b), (self.density(),))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ The r-th moment of a state is the midpoint quadrature
     M^r = sum_i xbar_i**r * xi_i * dx_i,
 
 and the truncated moment M_m^r restricts the sum to cells with xbar_i >= m,
-a suffix of the cells.  Each is one multiply-reduce against the grid's
-cached row ``SizeGrid.power(r)``, so a run's records, the replay checks and
-the blow-up table raise the midpoints to each order once per grid.
+a suffix of the cells.  One row sum, ``_moment_sums``, sums every moment a
+run records and ``check`` replays: one multiply-reduce against the grid's
+cached row ``SizeGrid.power(r)`` on the ``tree_prefix`` (below) of the cells
+that covers every occupied one, the run's active window at a record.
 
 A run's ``MomentSeries`` is its moments table, the one that moments.csv
 holds: the ``moment_labels`` between ``t`` and the gel and clamped masses,
@@ -23,10 +24,9 @@ the cells that covers every occupied cell and lies on numpy's pairwise
 summation chain (``tree_prefix``): N cells for a moment, N - 1 pairs for a
 pair sum, whose kernel factor rows ``KernelTables.pair_sum`` slices to that
 prefix.  Every cell past such a prefix is empty, so each record's sum keeps
-the bits of its whole-grid ``moment`` or ``KernelTables.pair_sum``.  The
-occupied extent is found once per call, and the terms of a call's tests that
-share a v factor share its prefix sums: the gain terms of every ``Power``
-order read the midpoints.
+the bits of its sum over the whole grid.  The occupied extent is found once
+per call, and the terms of a call's tests that share a v factor share its
+prefix sums: the gain terms of every ``Power`` order read the midpoints.
 
 Every replay diagnostic takes those sums as required arguments and sums
 nothing itself.  On them the module checks, against simulated states:
@@ -81,22 +81,6 @@ CADENCE_RTOL = 1e-9
 BLOCK_BYTES = 64 * 1024
 
 
-def moment(state, r):
-    """r-th moment of the state; at r = 1 the domain mass the solver books."""
-    g = state.grid
-    return float(np.add.reduce((g.power(r) * state.xi) * g.widths))
-
-
-def truncated_moment(state, r, m):
-    """Moment restricted to cells with midpoint >= m, the suffix from
-    k = searchsorted(midpoints, m); 0.0 when no midpoint reaches m."""
-    g = state.grid
-    k = int(np.searchsorted(g.midpoints, m))
-    if k == g.ncells:
-        return 0.0
-    return float(np.add.reduce((g.power(r)[k:] * state.xi[k:]) * g.widths[k:]))
-
-
 def tree_prefix(n, m):
     """The shortest prefix of an n-element row, at least m long, that numpy's
     ``add.reduce`` sums to the whole row's bits whenever the rest is zero.
@@ -128,8 +112,17 @@ def _blocks(count, n):
     return [slice(start, start + rows) for start in range(0, count, rows)]
 
 
+def _moment_sums(grid, power, densities, start, extent):
+    """sum of power * xi * widths over the cells from ``start`` on, for each
+    whole-grid row xi of ``densities``, whose cells from ``extent`` on are
+    empty: the cells [start, start + tree_prefix(N - start, extent - start)),
+    with the bits of the sum over every cell from ``start``."""
+    cells = slice(start, start + tree_prefix(grid.ncells - start, extent - start))
+    return np.add.reduce((power[cells] * densities[..., cells]) * grid.widths[cells], axis=-1)
+
+
 def stacked_moments(grid, densities, orders):
-    """{r: M^r at every record} for each order r, each the bits of ``moment``.
+    """{r: M^r at every record} for each order r, each the bits of a whole-grid sum.
 
     ``densities`` has one row per record on ``grid``.  Each block of rows is
     one multiply-reduce per order, on the ``tree_prefix`` of N covering every
@@ -141,13 +134,11 @@ def stacked_moments(grid, densities, orders):
         rows = {r: grid.power(r) for r in orders}
     if not all(np.all(np.isfinite(row)) for row in rows.values()):
         raise NumericalFailureError("non-finite moment")
-    n = tree_prefix(grid.ncells, _occupied(densities))
-    widths = grid.widths[:n]
+    extent = _occupied(densities)
     sums = {r: np.empty(len(densities)) for r in rows}
-    for block in _blocks(len(densities), n):
-        xi = densities[block, :n]
+    for block in _blocks(len(densities), tree_prefix(grid.ncells, extent)):
         for r, row in rows.items():
-            sums[r][block] = np.add.reduce((row[:n] * xi) * widths, axis=1)
+            sums[r][block] = _moment_sums(grid, row, densities[block], 0, extent)
     return sums
 
 
@@ -179,13 +170,15 @@ class MomentSeries:
         self.labels = ["t", *moment_labels(self.orders, self.thresholds),
                        "gel_mass", "clamped_mass"]
 
-    def append_state(self, state):
+    def append_state(self, grid, t, xi, extent, gel_mass, clamped_mass):
+        """Append the record at time t of the whole-grid density xi, whose cells
+        from ``extent`` on are empty: its moments, tails and masses."""
+        tails = np.searchsorted(grid.midpoints, self.thresholds).tolist()
         self.rows.append([
-            float(state.t),
-            *(moment(state, r) for r in self.orders),
-            *(truncated_moment(state, 1, m) for m in self.thresholds),
-            float(state.gel_mass),
-            float(state.clamped_mass),
+            float(t),
+            *(float(_moment_sums(grid, grid.power(r), xi, 0, extent)) for r in self.orders),
+            *(float(_moment_sums(grid, grid.midpoints, xi, k, extent)) for k in tails),
+            float(gel_mass), float(clamped_mass),
         ])
 
     def columns(self):

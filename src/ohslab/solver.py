@@ -50,9 +50,10 @@ direction's prefix-sum scratch and result; the edge fluxes with their zero
 inflow set once; the step bound's rate and masks.  One ``step`` call is one
 whole time step: the stage right-hand side(s), the step bound, the update,
 the finiteness and clamp tests and the clamp budget.  Only the step's times
-and the gel and clamped masses are new Python floats; a ``State`` is built
-only at records, and a captured record's density is copied into its row of
-one array that ``run`` allocates once.  The buffers make a ``KernelTables``
+and the gel and clamped masses are new Python floats.  A record copies the
+window's density into a whole-grid row that ``run`` allocates once, its row
+of the captured densities or one row that every record reuses, and builds
+no ``State``.  The buffers make a ``KernelTables``
 unsafe to share between threads: each run, and so each sweep row in its
 worker, builds its own.
 
@@ -87,15 +88,17 @@ cells above adds only +0.0; the flux out of the window's top cell, and with
 it the boundary outflow, is 0.0; and the whole grid's update above the
 window is exactly 0.0.  Every result is therefore the whole grid's bit for
 bit, and a step costs O(n), not O(N).  Only ``run`` knows of the window: it
-copies the density into a grown window's buffer and pads it back to N cells
-at every record; ``rhs``, ``stable_dt`` and ``step`` work on whole arrays of
-the tables they are given.
+copies the density into a grown window's buffer, and a record's moments sum
+its row only as far as the window reaches; ``rhs``, ``stable_dt`` and
+``step`` work on whole arrays of the tables they are given.
 
 Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
 times the initial mass, which separates roundoff from genuine instability.
 A step that fails, by that budget or by a non-finite value, is not taken:
-the run ends on the last step that passed.
+the run ends on the last step that passed.  ``run`` turns numpy's overflow
+and invalid-value warnings off around the steps of each record interval, so
+a value that overflows fails the step's finiteness test and warns of nothing.
 """
 from __future__ import annotations
 
@@ -107,7 +110,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .grid import SizeGrid, State, project_initial
-from .moments import MomentSeries, moment
+from .moments import MomentSeries
 
 logger = logging.getLogger(__name__)
 
@@ -455,19 +458,19 @@ def run(config, capture_densities=False, state=None):
     if state is None:
         state = initial_state(config)
     grid = state.grid
-    budget = CLAMP_BUDGET * moment(state, 1)
     series = MomentSeries(
         orders=config.moments.orders, thresholds=config.moments.truncation_thresholds
     )
     record_times = _record_times(config.t_end, config.record_cadence)
-    densities = np.empty((len(record_times) + 1, grid.ncells)) if capture_densities else None
+    # a record's row: its captured one, else one row every record reuses;
+    # its cells past the window stay zero, as the window only grows
+    densities = np.zeros((len(record_times) + 1 if capture_densities else 1, grid.ncells))
 
-    def record(st):
-        if densities is not None:
-            densities[len(series.rows)] = st.xi
-        series.append_state(st)
+    def record(t, xi, gel, clamped):
+        row = densities[len(series.rows) if capture_densities else 0]
+        row[:xi.size] = xi
+        series.append_state(grid, t, row, xi.size, gel, clamped)
 
-    record(state)
     time_eps = 1e-12 * max(1.0, config.t_end)
     scheme, cfl, dt_max = config.scheme, config.cfl, config.dt_max
     t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
@@ -483,31 +486,34 @@ def run(config, capture_densities=False, state=None):
     front = (occupied[-1] if occupied.size else -1) + 3
     n = min(N, front + WINDOW_SLACK)
     stages = 2 if scheme == "heun" else 1
+    record(t, state.xi[:n], gel, clamped)
+    budget = CLAMP_BUDGET * series.rows[0][series.labels.index("M1")]
     try:
         tables = KernelTables(grid, config.kernel)
         window = tables.prefix(n)
         window.xi[:] = state.xi[:n]
         for t_next in record_times:
-            while t_next - t > time_eps:
-                t, gel, clamped = step(
-                    window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
-                )
-                steps += 1
-                if n < N:
-                    front += stages
-                    if front > n:
-                        n = min(N, front + WINDOW_SLACK)
-                        grown = tables.prefix(n)
-                        grown.xi[:window.xi.size] = window.xi
-                        window = grown
+            with np.errstate(over="ignore", invalid="ignore"):
+                while t_next - t > time_eps:
+                    t, gel, clamped = step(
+                        window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
+                    )
+                    steps += 1
+                    if n < N:
+                        front += stages
+                        if front > n:
+                            n = min(N, front + WINDOW_SLACK)
+                            grown = tables.prefix(n)
+                            grown.xi[:window.xi.size] = window.xi
+                            window = grown
             t = t_next
-            record(_whole(grid, t, window.xi, gel, clamped))
+            record(t, window.xi, gel, clamped)
     except NumericalFailureError as exc:
         logger.warning("run failed at t=%.6g: %s", t, exc)
         failed, error = True, str(exc)
     final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
     return RunResult(
         config=config, series=series, final_state=final, failed=failed, error=error,
-        densities=densities if densities is None else densities[:len(series.rows)],
+        densities=densities[:len(series.rows)] if capture_densities else None,
         steps=steps, tables=tables,
     )

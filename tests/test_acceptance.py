@@ -16,6 +16,7 @@ import numpy as np
 
 from conftest import (
     holder_sides,
+    moment,
     record_criterion,
     records,
     replay_moment_residual,
@@ -29,7 +30,6 @@ from ohslab.moments import (
     EPS_FLOOR,
     GROSS_GUARD,
     Power,
-    moment,
     pair_sums,
     weak_form_residual,
 )

@@ -1,6 +1,6 @@
 """Every artifact the commands write keeps its bytes.
 
-The test writes the artifacts of four small commands and compares the
+The test writes the artifacts of six small commands and compares the
 sha256 of each file with the digest recorded here.  A change that alters an
 artifact on purpose updates its digest below and names the file in
 CHANGES.md; any other change must leave every digest as it is.
@@ -24,6 +24,12 @@ HEUN_GEOMETRIC = {
     "scheme": "heun",
 }
 
+#: The same run recording more orders and tails that start off the summation
+#: chain: one inside the initial support, one above it and one at the cutoff.
+HEUN_TAILS = dict(HEUN_GEOMETRIC, moments={
+    "orders": [0, 1, 2, 2.5, 5], "truncation_thresholds": [0.75, 1.5, 16],
+})
+
 #: {path under the output root: sha256 of its bytes}
 DIGESTS = {
     "bagland/check_report.json":
@@ -40,6 +46,14 @@ DIGESTS = {
         "a1ce86513a50ca60dbe0e490ff4c914b50e9e84dea6b98e36ecc1e9f22fefbce",
     "heun/moments.csv":
         "6e869a5a12277fc6ef9132d61f34fbac76dc447d01baddb9308bda556284c1de",
+    "heun_tails/check_report.json":
+        "55152dfaef3512f9622d3e41c5a87a4bbd38aed0fad8ab102fe009b5c411b93d",
+    "heun_tails/final_state.json":
+        "3cdfa342b86fb777ec094e79c0fcdee4c6d6a6f4003cfb64ad5d7381b538cb0f",
+    "heun_tails/manifest.json":
+        "6e7f190b3543deade50992197c1454469f247ad8dd60ecc72b04cda9fbc0ba90",
+    "heun_tails/moments.csv":
+        "df7f520c2d2e8279d126dec8df772ffcb41d6f85a1c3ba91fb64152ffd298bc4",
     "sweep/R16/final_state.json":
         "f1f3f0f1848dbc0bcab98d587da92cc8a7476c7b9988db86905d0a1115731b3a",
     "sweep/R16/manifest.json":
@@ -71,7 +85,8 @@ DIGESTS = {
 }
 
 #: The exit code of each command of ``write_artifacts``, by its name there.
-EXIT_CODES = {"bagland": 0, "bagland_check": 1, "sweep": 0, "heun": 0}
+EXIT_CODES = {"bagland": 0, "bagland_check": 1, "sweep": 0, "heun": 0,
+              "heun_tails": 0, "heun_tails_check": 1}
 
 
 def shipped(name, **changes):
@@ -88,6 +103,7 @@ def write_artifacts(root):
         "bagland": shipped("bagland.json", grid={"N": 256}),
         "sweep": shipped("gelation_sweep.json", sweep={"resolution": 0.125}),
         "heun": HEUN_GEOMETRIC,
+        "heun_tails": HEUN_TAILS,
     }
     for name, cfg in configs.items():
         (root / (name + ".json")).write_text(json.dumps(cfg), encoding="utf-8")
@@ -97,6 +113,9 @@ def write_artifacts(root):
         "sweep": ["sweep", str(root / "sweep.json"), "--out", str(root / "sweep"),
                   "--workers", "1"],
         "heun": ["simulate", str(root / "heun.json"), "--out", str(root / "heun")],
+        "heun_tails": ["simulate", str(root / "heun_tails.json"),
+                       "--out", str(root / "heun_tails")],
+        "heun_tails_check": ["check", str(root / "heun_tails")],
     }
     return {name: main(["--quiet", *argv]) for name, argv in commands.items()}
 

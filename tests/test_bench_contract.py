@@ -2,10 +2,12 @@
 run and on one ``check``.
 
 ``bench/tracer.py`` wraps package callables by name and counts a step per
-``solver.step`` call and a matvec per ``KernelTables.velocity`` or ``loss``
-call.  Its self-test reads ``solver.matvecs == 2 * solver.steps`` on an Euler
-run, so a change that renames one of those callables, or calls them other
-than once per step and once per stage, fails here first.  On the ``check``
+``solver.step`` call, a matvec per ``KernelTables.velocity`` or ``loss``
+call and a record per ``MomentSeries.append_state`` call, whose spans its
+``moments.records`` and ``moments.append_state_s`` read.  Its self-test reads
+``solver.matvecs == 2 * solver.steps`` on an Euler run, so a change that
+renames one of those callables, or calls them other than once per step,
+once per stage and once per series row, fails here first.  On the ``check``
 side each diagnostic it wraps must be called once per check, so that its
 span's time is the diagnostic's and not 0.
 """
@@ -17,6 +19,7 @@ import pytest
 
 from ohslab import GridSpec, MassConservingKernel, PowerSumKernel, SimConfig, UniformOn, solver
 from ohslab import checks, moments, oracle
+from ohslab.moments import MomentSeries
 from ohslab.solver import KernelTables
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -63,10 +66,11 @@ def test_one_step_call_per_step_and_one_velocity_and_loss_per_stage(
     counted(monkeypatch, solver, "step", counts)
     counted(monkeypatch, KernelTables, "velocity", counts)
     counted(monkeypatch, KernelTables, "loss", counts)
+    counted(monkeypatch, MomentSeries, "append_state", counts)
     result = solver.run(cfg)
     assert not result.failed and result.steps > 0
     assert counts == {"step": result.steps, "velocity": result.steps * stages,
-                      "loss": result.steps * stages}
+                      "loss": result.steps * stages, "append_state": len(result.series.rows)}
 
 
 @pytest.mark.parametrize("scheme, stages", [("euler", 1), ("heun", 2)])
@@ -87,6 +91,8 @@ def test_the_tracer_counts_the_steps_and_matvecs_a_run_takes(scheme, stages):
     assert metrics["solver.runs"] == 1
     assert metrics["solver.steps"] == result.steps > 0
     assert metrics["solver.matvecs"] == 2 * stages * result.steps
+    assert metrics["moments.records"] == len(result.series.rows) == 11
+    assert metrics["moments.append_state_s"] > 0
     assert sum(span.name == "solver.stable_dt" for span in tr.spans) == result.steps
 
 

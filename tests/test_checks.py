@@ -1,7 +1,7 @@
 """The check suite's Hoelder entry: each distinct order summed once, for every record."""
 import numpy as np
 
-from conftest import holder_sides, records
+from conftest import holder_sides, moment, records
 
 from ohslab import checks, moments
 
@@ -11,7 +11,7 @@ def per_pair_holder_entry(states):
     worst = {"ratio": 0.0}
     ok = True
     for state in states:
-        if moments.moment(state, 1) == 0.0:
+        if moment(state, 1) == 0.0:
             continue
         for r, beta in checks.HOLDER_PAIRS:
             lhs, rhs, satisfied = holder_sides(state, r, beta)
@@ -25,32 +25,34 @@ def per_pair_holder_entry(states):
 def test_holder_suite_sums_each_order_once_per_record(bagland_runs, monkeypatch):
     result = bagland_runs[1024][0]
     states = records(result)
-    calls, singles, suites = [], [], []
-    stacked, moment, holder = moments.stacked_moments, moments.moment, moments.holder_check
+    calls, blocks, suites = [], [], []
+    stacked, row_sums, holder = moments.stacked_moments, moments._moment_sums, moments.holder_check
 
     def counted(grid, densities, orders):
         calls.append((len(densities), tuple(orders)))
         return stacked(grid, densities, orders)
 
-    def counted_single(state, r):
-        singles.append(r)
-        return moment(state, r)
+    def counted_rows(grid, power, densities, start, extent):
+        blocks.append(len(densities))
+        return row_sums(grid, power, densities, start, extent)
 
     def counted_holder(sums, times, pairs):
         suites.append(tuple(pairs))
         return holder(sums, times, pairs)
 
     monkeypatch.setattr(moments, "stacked_moments", counted)
-    monkeypatch.setattr(moments, "moment", counted_single)
+    monkeypatch.setattr(moments, "_moment_sums", counted_rows)
     monkeypatch.setattr(moments, "holder_check", counted_holder)
     report = checks.CheckReport()
     checks._check_holder(report, result.series.times(),
                          moments.stacked_moments(result.tables.grid, result.densities,
                                                  checks.HOLDER_ORDERS))
     monkeypatch.undo()
-    # one stacked sum of every record per order, no per-record moment, and
-    # one holder_check over the whole pass
-    assert calls == [(len(states), checks.HOLDER_ORDERS)] and singles == []
+    # one stacked sum of every record per order, whose row sums each take a
+    # block of records, and one holder_check over the whole pass
+    assert calls == [(len(states), checks.HOLDER_ORDERS)]
+    assert sum(blocks) == len(states) * len(checks.HOLDER_ORDERS)
+    assert len(blocks) < len(states)
     assert suites == [checks.HOLDER_PAIRS]
     assert len(checks.HOLDER_ORDERS) == 9
     (entry,) = report.checks

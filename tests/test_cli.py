@@ -501,6 +501,44 @@ def test_moment_order_that_overflows_on_the_grid_is_invalid_input(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("b, mass, code", [(1.0, 1e308, 2), (1e-170, 1.0, 2), (2.0, 1e308, 0)])
+def test_a_uniform_density_past_the_float_range_is_invalid_input(tmp_path, b, mass, code):
+    # a mass of 1e308 on [0, 1] needs a density of 2e308, and on [0, 1e-170],
+    # where b**2 underflows to 0, any mass an infinite one; on [0, 2] a mass
+    # of 1e308 needs 5e307, which the run records with no step (t_end 0),
+    # its M^2 left out
+    payload = dict(BAGLAND, initial={"kind": "uniform_on", "a": 0.0, "b": b, "mass": mass},
+                   t_end=0.0, moments={"orders": [0, 1]})
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == code
+    if code == 2:
+        with pytest.raises(InvalidInputError, match="needs a density past the float range"):
+            SimConfig.from_dict(payload)
+        assert not out.exists()
+    else:
+        assert read_moments_csv(out / "moments.csv")["M1"][0] == pytest.approx(1e308, rel=1e-12)
+
+
+@pytest.mark.parametrize("cadence", [5e-324, 1e-200, 1.0 / (2 * 100_000)])
+def test_a_record_count_past_the_bound_is_invalid_input(tmp_path, monkeypatch, cadence):
+    def never(t_end, cadence):
+        raise AssertionError("the record times were built")
+
+    monkeypatch.setattr(solver, "_record_times", never)
+    cfg = write_config(tmp_path, dict(BAGLAND, record_cadence=cadence))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("simulate", "sweep", "check"):
+            assert main(["--quiet", command, str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(InvalidInputError, match="records exceeds 100000"):
+        SimConfig.from_dict(dict(BAGLAND, record_cadence=cadence))
+
+
 def test_check_certification_failure_for_constant_kernel(tmp_path):
     payload = dict(BAGLAND, grid={"kind": "uniform", "R": 4.0, "N": 128})
     payload["check"] = {
@@ -575,6 +613,26 @@ def test_check_failed_run_directory_reports_numerical_failure(tmp_path):
     assert main(["--quiet", "check", str(out)]) == 3  # replay fails the same way
     report = json.loads((out / "check_report.json").read_text())
     assert report["replay_failed"] and not report["passed"]
+
+
+def test_a_step_that_overflows_exits_3_and_warns_of_nothing(tmp_path):
+    # the drift times a density of 2e300 overflows in the first right-hand
+    # side, which the step's finiteness test turns into the run's failure
+    payload = {
+        "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.5},
+        "grid": {"kind": "uniform", "R": 8.0, "N": 16},
+        "initial": {"kind": "uniform_on", "a": 0.0, "b": 1.0, "mass": 1e300},
+        "t_end": 1.0,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 3
+        assert main(["--quiet", "check", str(cfg), "--out", str(out)]) == 3
+    assert strict_json(out / "check_report.json") == {
+        "passed": False, "replay_failed": True, "error": "non-finite right-hand side",
+    }
 
 
 def test_check_fails_numerically_on_a_pair_sum_that_overflows(tmp_path):

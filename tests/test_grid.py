@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conftest import moment
+
 from ohslab.config import from_section, to_section
 from ohslab.errors import InvalidInputError, SupportOutsideDomainError
 from ohslab.grid import (
@@ -13,7 +15,6 @@ from ohslab.grid import (
     build,
     project_initial,
 )
-from ohslab.moments import moment
 
 
 def test_uniform_edges_exact():

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import records, replay_moment_residual, replay_sums
+from conftest import moment, records, replay_moment_residual, replay_sums, truncated_moment
 
-from ohslab import ConstantKernel, GridSpec, PowerSumKernel, SimConfig, UniformOn, load_config
+from ohslab import (
+    ConstantKernel,
+    GridSpec,
+    MomentSpec,
+    PowerSumKernel,
+    SimConfig,
+    UniformOn,
+    load_config,
+)
 from ohslab.checks import run_checks
 from ohslab.errors import InsufficientRecordsError, InvalidInputError
 from ohslab.gelation import row_config
@@ -19,12 +27,10 @@ from ohslab.moments import (
     MomentSeries,
     Power,
     holder_check,
-    moment,
     moment_residual,
     pair_sums,
     stacked_moments,
     tree_prefix,
-    truncated_moment,
     weak_form_residual,
     weak_rhs_quadrature,
 )
@@ -38,37 +44,54 @@ def block_state(N=400, R=4.0):
     return project_initial(grid, UniformOn(0.0, 1.0, 1.0))
 
 
+def recorded(state, orders=(0.0, 1.0, 2.0), thresholds=()):
+    """{label: value} of the record ``MomentSeries.append_state`` makes of a
+    state, told that its cells past the last nonzero one are empty."""
+    series = MomentSeries(orders=orders, thresholds=thresholds)
+    g = state.grid
+    extent = int(np.max(np.flatnonzero(state.xi), initial=-1)) + 1
+    series.append_state(g, state.t, state.xi, extent, state.gel_mass, state.clamped_mass)
+    return dict(zip(series.labels, series.rows[0]))
+
+
 def test_block_moments_match_analytic_values():
     state = block_state()
-    assert moment(state, 1) == pytest.approx(1.0, abs=1e-12)
-    assert moment(state, 0) == pytest.approx(2.0, abs=1e-12)
+    row = recorded(state)
+    assert moment(state, 1) == row["M1"] == pytest.approx(1.0, abs=1e-12)
+    assert moment(state, 0) == row["M0"] == pytest.approx(2.0, abs=1e-12)
     # integral of 2 mu^2 over [0, 1] carries the midpoint-rule defect only
-    assert moment(state, 2) == pytest.approx(2.0 / 3.0, abs=1e-4)
+    assert moment(state, 2) == row["M2"] == pytest.approx(2.0 / 3.0, abs=1e-4)
 
 
 def test_zero_state_moments_vanish():
     grid = build("uniform", 4.0, 16)
     state = State(t=0.0, xi=np.zeros(16), gel_mass=0.0, grid=grid)
+    row = recorded(state, (0.0, 0.5, 1.0, 2.0, 5.0), (0.0, 2.0, 4.0))
+    assert row == dict.fromkeys(row, 0.0)
     for r in (0.0, 0.5, 1.0, 2.0, 5.0):
         assert moment(state, r) == 0.0
 
 
 def test_moment_one_is_bitwise_domain_mass():
-    # the clamp budget reads moment(state, 1): the first moment summed as
-    # midpoints * xi * widths, in that order
+    # the clamp budget reads the first record's M1: the first moment summed
+    # as midpoints * xi * widths, in that order
     state = block_state(N=97, R=3.0)
     g = state.grid
     domain_mass = float(np.sum(g.midpoints * state.xi * g.widths))
+    assert recorded(state)["M1"] == domain_mass
     assert moment(state, 1) == domain_mass
     assert moment(state, 1.0) == domain_mass
 
 
 def test_truncated_moment_limits():
     state = block_state()
+    row = recorded(state, (0.0, 1.0), (0.0, 0.5, state.grid.cutoff))
+    assert row["M1_m0"] == row["M1"] == moment(state, 1)
+    assert row["M1_m4"] == 0.0
+    # integral of 2 mu over [0.5, 1] = 0.75; threshold aligned with a cell face
+    assert row["M1_m0.5"] == truncated_moment(state, 1, 0.5) == pytest.approx(0.75, abs=1e-12)
     assert truncated_moment(state, 2, 0.0) == moment(state, 2)
     assert truncated_moment(state, 2, state.grid.cutoff) == 0.0
-    # integral of 2 mu over [0.5, 1] = 0.75; threshold aligned with a cell face
-    assert truncated_moment(state, 1, 0.5) == pytest.approx(0.75, abs=1e-12)
 
 
 def old_moment(state, r):
@@ -126,11 +149,51 @@ def test_cached_power_rows_reproduce_the_old_moment_bodies_bitwise(data):
     m = data.draw(thresholds(grid))
     assert moment(state, r) == old_moment(state, r)
     assert truncated_moment(state, r, m) == old_truncated_moment(state, r, m)
+    # the record sums the whole-grid row only as far as its last nonzero cell
+    row = recorded(state, (0.0, 1.0, float(r)), (float(m),))
+    assert row["M%g" % r] == old_moment(state, r)
+    assert row["M1_m%g" % m] == old_truncated_moment(state, 1, m)
     row, cached = grid.power(r), len(grid._powers)
     assert moment(state, twin) == old_moment(state, twin)
     assert truncated_moment(state, twin, m) == old_truncated_moment(state, twin, m)
     assert grid.power(twin) is row
     assert len(grid._powers) == cached
+
+
+@st.composite
+def tail_runs(draw):
+    """A short run on a uniform or geometric grid from data on [a, b], with
+    tails from below the support (a / 2), inside it and above it."""
+    R, N = 8.0, draw(st.integers(8, 300))
+    if draw(st.booleans()):
+        grid = GridSpec("uniform", R, N)
+    else:
+        grid = GridSpec("geometric", R, N, q=draw(st.floats(1.001, 1.03)))
+    b = draw(st.floats(0.5, 0.9 * R))
+    a = draw(st.floats(0.0, b / 2))
+    t_end = draw(st.floats(0.05, 0.5))
+    return SimConfig(
+        kernel=draw(st.sampled_from([ConstantKernel(1.0), PowerSumKernel(1.0, 1.5)])),
+        grid=grid, initial=UniformOn(a, b, 1.0), t_end=t_end, cfl=1.0,
+        record_cadence=t_end / draw(st.integers(1, 8)),
+        scheme=draw(st.sampled_from(["euler", "heun"])),
+        moments=MomentSpec(
+            orders=(0.0, 1.0, 2.0, 2.5, 5.0, draw(st.sampled_from([0.5, 3.0, 3.7]))),
+            truncation_thresholds=(a / 2, (a + b) / 2, (b + R) / 2, R),
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(tail_runs())
+def test_every_recorded_moment_is_the_whole_row_or_suffix_sum_of_its_density(cfg):
+    result = run(cfg, capture_densities=True)
+    grid = result.final_state.grid
+    orders, tails = cfg.moments.orders, cfg.moments.truncation_thresholds
+    for row, xi in zip(result.series.rows, result.densities, strict=True):
+        state = State(t=row[0], xi=xi, gel_mass=row[-2], grid=grid)
+        whole = [moment(state, r) for r in orders] + [truncated_moment(state, 1, m) for m in tails]
+        assert np.array(row[1:-2]).tobytes() == np.array(whole).tobytes()
 
 
 #: Row lengths on both sides of numpy's 128-element pairwise block, odd and even.
@@ -291,7 +354,7 @@ def empty_replay(times):
     states = [State(t=t, xi=np.zeros(16), gel_mass=0.0, grid=grid) for t in times]
     series = MomentSeries(orders=(0.0, 1.0, 2.0), thresholds=())
     for s in states:
-        series.append_state(s)
+        series.append_state(grid, s.t, s.xi, 0, s.gel_mass, s.clamped_mass)
     return RunResult(
         config=cfg, series=series, final_state=states[-1],
         densities=np.array([s.xi for s in states]), tables=KernelTables(grid, cfg.kernel),

@@ -114,7 +114,7 @@ def _projected_run(N, times, lam_cfg=None):
     states = [project_state(sol, grid, t) for t in times]
     series = MomentSeries(orders=(0.0, 1.0), thresholds=())
     for s in states:
-        series.append_state(s)
+        series.append_state(grid, s.t, s.xi, N, s.gel_mass, s.clamped_mass)
     return RunResult(
         config=cfg, series=series, final_state=states[-1],
         densities=np.array([s.xi for s in states]), tables=KernelTables(grid, cfg.kernel),

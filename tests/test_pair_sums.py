@@ -28,10 +28,10 @@ from ohslab import ConstantKernel, MassConservingKernel, PowerSumKernel, Product
 from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build
 from ohslab import moments
-from ohslab.moments import CappedIdentity, Power, moment, pair_sums, stacked_moments, tree_prefix
+from ohslab.moments import CappedIdentity, Power, pair_sums, stacked_moments, tree_prefix
 from ohslab.solver import KernelTables
 
-from conftest import stage, step_state
+from conftest import moment, stage, step_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 

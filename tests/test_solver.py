@@ -21,11 +21,10 @@ from ohslab import (
 )
 from ohslab.errors import EvaluationOverflowError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
-from ohslab.moments import moment
 from ohslab.oracle import l1_error
 from ohslab.solver import KernelTables, run, stable_dt
 
-from conftest import bagland_config, records, stage, step_state
+from conftest import bagland_config, moment, records, stage, step_state
 
 RNG = np.random.default_rng(123)
 

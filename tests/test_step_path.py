@@ -42,10 +42,9 @@ from ohslab import (
 )
 from ohslab.errors import NumericalFailureError
 from ohslab.grid import State, build, project_initial
-from ohslab.moments import moment
 from ohslab.solver import KernelTables, rhs, stable_dt
 
-from conftest import Parts, records, stage, step_state
+from conftest import Parts, moment, records, stage, step_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
