@@ -125,9 +125,8 @@ def _run_row(job):
             R=cfg.grid.R, N=cfg.grid.N,
             failed=result.failed, error=result.error, steps=result.steps,
         )
-        if result.series.rows:
-            row.t_loss = gelation_time(result.series, cfg.epsilon)
-            row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
+        row.t_loss = gelation_time(result.series, cfg.epsilon)
+        row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
         runio.write_run(row_dir, result)
     except CoagulationError as exc:
         return _failed_row(cfg, row_dir, exc)

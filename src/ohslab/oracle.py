@@ -55,15 +55,6 @@ class BaglandSolution:
     def support_end(self, t):
         return self.M * (1.0 + t)
 
-    def density(self, mu, t):
-        """Density at size mu and time t >= 0."""
-        mu = np.asarray(mu, dtype=float)
-        value = 2.0 / (self.M * (1.0 + t) ** 2)
-        out = np.where(mu <= self.support_end(t), value, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
     def moment(self, r, t):
         """Closed-form r-th moment at time t."""
         if r < 0:

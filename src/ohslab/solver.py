@@ -96,9 +96,10 @@ Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
 times the initial mass, which separates roundoff from genuine instability.
 A step that fails, by that budget or by a non-finite value, is not taken:
-the run ends on the last step that passed.  ``run`` turns numpy's overflow
-and invalid-value warnings off around the steps of each record interval, so
-a value that overflows fails the step's finiteness test and warns of nothing.
+the run ends on the last step that passed, and so does a record that is not
+finite, after its row is appended.  ``run`` turns numpy's overflow and
+invalid-value warnings off once, from its t = 0 record to its last, so a
+value that overflows fails a finiteness test and warns of nothing.
 """
 from __future__ import annotations
 
@@ -356,33 +357,29 @@ def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=
     """Advance the density ``tables.xi`` at time t by one explicit step.
 
     The step size is the ``stable_dt`` bound at xi, cut to end at t_next.
-    The update is written into the spare half of the density, which becomes
-    ``tables.xi`` once it passes the finiteness test and, if it was clamped,
-    the clamped mass stays within ``budget``.  Returns the new
-    (t, gel_mass, clamped_mass); the gel mass grows by the stage-combined
-    boundary outflow.  A step that raises leaves ``tables.xi`` as it was.
+    Both schemes take the Euler update as their first stage; Heun then clamps
+    it, takes k2 there and averages the stages.  The update is written into
+    the spare half of the density, which becomes ``tables.xi`` once it passes
+    the finiteness test and, if it was clamped, the clamped mass stays within
+    ``budget``.  Returns the new (t, gel_mass, clamped_mass); the gel mass
+    grows by the stage-combined boundary outflow.  A step that raises leaves
+    ``tables.xi`` as it was; it runs inside the one float-error scope of ``run``.
     """
-    xi, new = tables.xi, tables._spare
-    if scheme == "euler":
-        v, L, rate = rhs(tables, xi, new)
-        dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
-        np.multiply(new, dt, out=new)
-        np.add(xi, new, out=new)
-        gel_inc = dt * rate
-    else:  # heun
-        k1, k2 = tables._k1, tables._k2
-        v, L, rate1 = rhs(tables, xi, k1)
-        dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
-        np.multiply(k1, dt, out=new)
-        np.add(xi, new, out=new)
+    xi, new, k1 = tables.xi, tables._spare, tables._k1
+    v, L, rate = rhs(tables, xi, k1)
+    dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
+    np.multiply(k1, dt, out=new)
+    np.add(xi, new, out=new)
+    gel_inc = dt * rate
+    if scheme == "heun":
         # No NaN here (xi and k1 are finite), so the minimum shows a negative cell.
         if np.minimum.reduce(new) < 0:
             _clamp(tables.grid, new)
-        _, _, rate2 = rhs(tables, new, k2)
-        np.add(k1, k2, out=new)
+        _, _, rate2 = rhs(tables, new, tables._k2)
+        np.add(k1, tables._k2, out=new)
         np.multiply(new, 0.5 * dt, out=new)
         np.add(xi, new, out=new)
-        gel_inc = 0.5 * dt * (rate1 + rate2)
+        gel_inc = 0.5 * dt * (rate + rate2)
     if not _all_finite(new, tables):
         raise NumericalFailureError("non-finite density after step")
     if np.minimum.reduce(new) < 0:
@@ -409,10 +406,13 @@ class RunResult:
     series: MomentSeries
     final_state: State
     densities: np.ndarray = None
-    failed: bool = False
     error: str = None
     steps: int = 0
     tables: KernelTables = None
+
+    @property
+    def failed(self):
+        return self.error is not None
 
 
 def _whole(grid, t, xi, gel_mass, clamped_mass):
@@ -470,12 +470,13 @@ def run(config, capture_densities=False, state=None):
         row = densities[len(series.rows) if capture_densities else 0]
         row[:xi.size] = xi
         series.append_state(grid, t, row, xi.size, gel, clamped)
+        if not all(map(math.isfinite, series.rows[-1])):
+            raise NumericalFailureError("non-finite moment")
 
     time_eps = 1e-12 * max(1.0, config.t_end)
     scheme, cfl, dt_max = config.scheme, config.cfl, config.dt_max
     t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
-    failed, error = False, None
-    steps = 0
+    error, steps = None, 0
     tables = window = None
     # The active window is cells [0, n), n >= front.  Cells [front - 2, N)
     # are empty: a stage moves the upwind front at most one cell, so front
@@ -486,14 +487,14 @@ def run(config, capture_densities=False, state=None):
     front = (occupied[-1] if occupied.size else -1) + 3
     n = min(N, front + WINDOW_SLACK)
     stages = 2 if scheme == "heun" else 1
-    record(t, state.xi[:n], gel, clamped)
-    budget = CLAMP_BUDGET * series.rows[0][series.labels.index("M1")]
-    try:
-        tables = KernelTables(grid, config.kernel)
-        window = tables.prefix(n)
-        window.xi[:] = state.xi[:n]
-        for t_next in record_times:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            record(t, state.xi[:n], gel, clamped)
+            budget = CLAMP_BUDGET * series.rows[0][series.labels.index("M1")]
+            tables = KernelTables(grid, config.kernel)
+            window = tables.prefix(n)
+            window.xi[:] = state.xi[:n]
+            for t_next in record_times:
                 while t_next - t > time_eps:
                     t, gel, clamped = step(
                         window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
@@ -506,14 +507,14 @@ def run(config, capture_densities=False, state=None):
                             grown = tables.prefix(n)
                             grown.xi[:window.xi.size] = window.xi
                             window = grown
-            t = t_next
-            record(t, window.xi, gel, clamped)
-    except NumericalFailureError as exc:
-        logger.warning("run failed at t=%.6g: %s", t, exc)
-        failed, error = True, str(exc)
+                t = t_next
+                record(t, window.xi, gel, clamped)
+        except NumericalFailureError as exc:
+            logger.warning("run failed at t=%.6g: %s", t, exc)
+            error = str(exc)
     final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
     return RunResult(
-        config=config, series=series, final_state=final, failed=failed, error=error,
+        config=config, series=series, final_state=final, error=error,
         densities=densities[:len(series.rows)] if capture_densities else None,
         steps=steps, tables=tables,
     )

@@ -1,6 +1,7 @@
 """Every artifact the commands write keeps its bytes.
 
-The test writes the artifacts of six small commands and compares the
+The test writes the artifacts of seven small commands, one of them a run
+that fails, and compares the
 sha256 of each file with the digest recorded here.  A change that alters an
 artifact on purpose updates its digest below and names the file in
 CHANGES.md; any other change must leave every digest as it is.
@@ -30,6 +31,15 @@ HEUN_TAILS = dict(HEUN_GEOMETRIC, moments={
     "orders": [0, 1, 2, 2.5, 5], "truncation_thresholds": [0.75, 1.5, 16],
 })
 
+#: A run whose t = 0 record overflows: M2 of a mass of 5e307 on [7, 8].  It
+#: fails there with "non-finite moment" (exit 3), its one row recorded.
+OVERFLOW = {
+    "kernel": {"kind": "constant", "value": 0.0},
+    "grid": {"kind": "uniform", "R": 8.0, "N": 16},
+    "initial": {"kind": "uniform_on", "a": 7.0, "b": 8.0, "mass": 5e307},
+    "t_end": 1.0,
+}
+
 #: {path under the output root: sha256 of its bytes}
 DIGESTS = {
     "bagland/check_report.json":
@@ -54,6 +64,12 @@ DIGESTS = {
         "6e7f190b3543deade50992197c1454469f247ad8dd60ecc72b04cda9fbc0ba90",
     "heun_tails/moments.csv":
         "df7f520c2d2e8279d126dec8df772ffcb41d6f85a1c3ba91fb64152ffd298bc4",
+    "overflow/final_state.json":
+        "e89dc3dd6e7e9ab5d05c1065d3d7567152acd36a955c59c7a93a417d7f797c61",
+    "overflow/manifest.json":
+        "00d50c99a14d6ff2ee49ee7aad8a94a8ee69ac93d1891b37d195bb1728dae7ee",
+    "overflow/moments.csv":
+        "825b8ac62a638ae2dab7db4a3cf6273d43aa6f4a6c0fb6be3a5218bb2b9411a6",
     "sweep/R16/final_state.json":
         "f1f3f0f1848dbc0bcab98d587da92cc8a7476c7b9988db86905d0a1115731b3a",
     "sweep/R16/manifest.json":
@@ -86,7 +102,7 @@ DIGESTS = {
 
 #: The exit code of each command of ``write_artifacts``, by its name there.
 EXIT_CODES = {"bagland": 0, "bagland_check": 1, "sweep": 0, "heun": 0,
-              "heun_tails": 0, "heun_tails_check": 1}
+              "heun_tails": 0, "heun_tails_check": 1, "overflow": 3}
 
 
 def shipped(name, **changes):
@@ -104,6 +120,7 @@ def write_artifacts(root):
         "sweep": shipped("gelation_sweep.json", sweep={"resolution": 0.125}),
         "heun": HEUN_GEOMETRIC,
         "heun_tails": HEUN_TAILS,
+        "overflow": OVERFLOW,
     }
     for name, cfg in configs.items():
         (root / (name + ".json")).write_text(json.dumps(cfg), encoding="utf-8")
@@ -116,6 +133,7 @@ def write_artifacts(root):
         "heun_tails": ["simulate", str(root / "heun_tails.json"),
                        "--out", str(root / "heun_tails")],
         "heun_tails_check": ["check", str(root / "heun_tails")],
+        "overflow": ["simulate", str(root / "overflow.json"), "--out", str(root / "overflow")],
     }
     return {name: main(["--quiet", *argv]) for name, argv in commands.items()}
 

@@ -360,6 +360,48 @@ def test_check_needs_the_moments_csv_its_manifest_lists(checked_run_dir, tmp_pat
     assert not (run_dir / "check_report.json").exists()
 
 
+def _edit_file(name, edit):
+    """A run directory edit that passes the text of its file ``name`` through ``edit``."""
+    def apply(run_dir):
+        path = run_dir / name
+        path.write_text(edit(path.read_text()))
+    return apply
+
+
+def _edit_config(edit):
+    """A run directory edit that passes its manifest's config through ``edit``."""
+    def config(text):
+        manifest = json.loads(text)
+        edit(manifest["config"])
+        return json.dumps(manifest)
+    return _edit_file("manifest.json", config)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_edit_file("moments.csv", lambda text: ""), "{csv} is empty"),
+    (_edit_file("moments.csv", lambda text: text.replace("\n0,", "\nzero,", 1)),
+     "{csv} has non-numeric cells"),
+    (_edit_file("moments.csv", lambda text: text.splitlines()[0] + "\n"),
+     "{csv} has no data rows"),
+    (lambda run_dir: (run_dir / "manifest.json").unlink(), "cannot read manifest {manifest}"),
+    (_edit_file("manifest.json", lambda text: "{"), "manifest {manifest} is not valid JSON"),
+    (_edit_file("manifest.json", lambda text: json.dumps({"status": "ok"})),
+     "manifest in {run_dir} has no config"),
+    (_edit_config(lambda config: config["grid"].pop("R")), "grid needs both 'R' and 'N'"),
+    (_edit_config(lambda config: config["grid"].pop("N")), "grid needs both 'R' and 'N'"),
+], ids=["empty_csv", "non_numeric_cell", "header_only_csv", "missing_manifest",
+        "manifest_not_json", "manifest_without_config", "grid_without_R", "grid_without_N"])
+def test_check_of_an_invalid_run_directory_is_invalid_input(
+        checked_run_dir, tmp_path, caplog, spoil, message):
+    run_dir = _copy_run_dir(checked_run_dir, tmp_path / "run", lambda lines: lines)
+    spoil(run_dir)
+    out = tmp_path / "report"
+    assert main(["--quiet", "check", str(run_dir), "--out", str(out)]) == 2
+    assert message.format(run_dir=run_dir, csv=run_dir / "moments.csv",
+                          manifest=run_dir / "manifest.json") in caplog.text
+    assert not out.exists() and not (run_dir / "check_report.json").exists()
+
+
 def test_check_of_a_failed_row_manifest_has_no_stored_csv_to_compare(checked_run_dir, tmp_path):
     # a failed sweep row's manifest lists no outputs and its directory holds no csv
     cfg = SimConfig.from_dict(read_manifest(checked_run_dir / "manifest.json")["config"])
@@ -632,6 +674,30 @@ def test_a_step_that_overflows_exits_3_and_warns_of_nothing(tmp_path):
         assert main(["--quiet", "check", str(cfg), "--out", str(out)]) == 3
     assert strict_json(out / "check_report.json") == {
         "passed": False, "replay_failed": True, "error": "non-finite right-hand side",
+    }
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-300], ids=["idle", "tiny"])
+def test_a_record_that_overflows_exits_3_and_warns_of_nothing(tmp_path, value):
+    # M2 of a mass of 5e307 on [7, 8] passes the float range at the t = 0
+    # record, which the record's finiteness test turns into the run's failure
+    payload = {
+        "kernel": {"kind": "constant", "value": value},
+        "grid": {"kind": "uniform", "R": 8.0, "N": 16},
+        "initial": {"kind": "uniform_on", "a": 7.0, "b": 8.0, "mass": 5e307},
+        "t_end": 1.0,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "simulate", str(cfg), "--out", str(out)]) == 3
+        rows = (out / "moments.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[3] == "inf"
+        assert read_manifest(out / "manifest.json")["error"] == "non-finite moment"
+        assert main(["--quiet", "check", str(cfg), "--out", str(out)]) == 3
+    assert strict_json(out / "check_report.json") == {
+        "passed": False, "replay_failed": True, "error": "non-finite moment",
     }
 
 

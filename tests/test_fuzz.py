@@ -6,6 +6,7 @@ empty interval among them), Euler and Heun, and a record cadence that need
 not divide ``t_end``; ``N``, ``R`` and ``t_end`` stay small so the run is
 short.  Whatever the config, the commands exit with a documented code,
 raise nothing and leak no warning, a finished run's moments conserve mass,
+a failed run's only non-finite row is its last and its replay fails too,
 and every JSON file written is strict JSON.
 """
 import json
@@ -90,11 +91,22 @@ BIG_MASS = {
 }
 
 
+#: A mass of 5e307 on [7, 8], whose M^2 passes the float range at the t = 0
+#: record: the run fails there, under an idle kernel or a tiny one alike.
+HUGE_M2 = {
+    "grid": {"kind": "uniform", "R": 8.0, "N": 16},
+    "initial": {"kind": "uniform_on", "a": 7.0, "b": 8.0, "mass": 5e307},
+    "t_end": 1.0,
+}
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(configs())
 @example(dict(TINY_MASS, kernel={"kind": "constant", "value": 0.0}))
 @example(dict(TINY_MASS, kernel={"kind": "power_sum", "theta1": 1.0, "beta": 2.0}))
 @example(BIG_MASS)
+@example(dict(HUGE_M2, kernel={"kind": "constant", "value": 0.0}))
+@example(dict(HUGE_M2, kernel={"kind": "constant", "value": 1e-300}))
 def test_simulate_then_check_any_small_config(tmp_path_factory, cfg):
     tmp = tmp_path_factory.mktemp("fuzz")
     path, out = tmp / "config.json", tmp / "run"
@@ -107,7 +119,14 @@ def test_simulate_then_check_any_small_config(tmp_path_factory, cfg):
         rho0 = columns["M1"][0] + columns["gel_mass"][0]
         drift = np.abs(columns["M1"] + columns["gel_mass"] - rho0)
         assert np.max(drift) <= 1e-10 * rho0
+    if simulated == 3:  # the run ends on its first record that is not finite
+        columns = read_moments_csv(out / "moments.csv")
+        assert np.all([np.isfinite(values[:-1]) for values in columns.values()])
     target = out if out.is_dir() else path
-    assert main(["--quiet", "check", str(target), "--out", str(out)]) in (0, 1, 2, 3)
+    checked = main(["--quiet", "check", str(target), "--out", str(out)])
+    if simulated == 3:  # the replay fails as the run did
+        assert checked == 3 and strict_json(out / "check_report.json")["replay_failed"]
+    else:
+        assert checked in (0, 1, 2, 3)
     for written in tmp.rglob("*.json"):
         strict_json(written)
