@@ -94,6 +94,16 @@ def row_config(base_config, R, N):
         raise InvalidInputError("sweep row %s: %s" % (row_label(R), exc)) from exc
 
 
+def _row_cells(R, resolution):
+    """A row's cell count N = round(R / resolution), at least 2; a quotient
+    past the float range raises InvalidInputError naming the row."""
+    cells = R / resolution
+    if not np.isfinite(cells):
+        raise InvalidInputError("sweep row %s: R / resolution = %g cells is past the float range"
+                                % (row_label(R), cells))
+    return max(2, round(cells))
+
+
 def _failed_row(cfg, row_dir, exc):
     """A failed row carrying the error text; of its run files the directory
     keeps only a failed manifest, when that can be written."""
@@ -163,7 +173,7 @@ def cutoff_sweep(config, out, workers=None):
     if config.sweep is None:
         raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
     resolution = config.sweep.resolution or config.grid.R / config.grid.N
-    configs = [row_config(config, R, max(2, round(R / resolution))) for R in config.sweep.cutoffs]
+    configs = [row_config(config, R, _row_cells(R, resolution)) for R in config.sweep.cutoffs]
     jobs = [(cfg, runio.make_dir(out / row_label(cfg.grid.R))) for cfg in configs]
     if workers is None:
         workers = os.cpu_count() or 1

@@ -85,7 +85,8 @@ def build(kind, R, N, q=None):
         Width ratio for geometric grids, > 1, and for no other kind.  The
         first width is chosen so the geometric sum of widths equals R.
 
-    A grid whose arrays numpy cannot allocate raises InvalidInputError.
+    A grid whose arrays numpy cannot allocate, or will not size, raises
+    InvalidInputError.
     """
     if q is not None and kind != "geometric":
         raise InvalidInputError("grid ratio q applies only to a geometric grid")
@@ -96,9 +97,9 @@ def build(kind, R, N, q=None):
         raise InvalidInputError("grid needs N >= 2 cells")
     try:
         return _build(kind, R, N, q)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest size
         raise InvalidInputError(
-            "grid of N = %d cells does not fit in memory: %s" % (N, exc)
+            "grid of N = %.17g cells does not fit in memory: %s" % (N, exc)
         ) from exc
 
 

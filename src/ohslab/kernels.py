@@ -7,11 +7,12 @@ of sizes mu and nu merge.  Four families are provided:
     Lambda = value.  The classical case with a known explicit solution
     (Bagland 2005), used as the accuracy oracle.
 ``PowerSumKernel``
-    Lambda = theta1 * (mu**beta + nu**beta).
+    Lambda = theta1 * (mu**beta + nu**beta) with beta > 0: the Psi = 0 member
+    of the family below.
 ``MassConservingKernel``
-    Lambda = theta1 * (mu**beta + nu**beta) + Psi(mu, nu) with a symmetric
-    perturbation 0 <= Psi <= K * (mu + nu).  Psi is restricted to named
-    built-ins so the bound stays checkable.
+    Lambda = theta1 * (mu**beta + nu**beta) + Psi(mu, nu) with beta > 1 and a
+    symmetric perturbation 0 <= Psi <= K * (mu + nu).  Psi is restricted to
+    the named built-ins of ``PSI_BUILTINS`` so the bound stays checkable.
 ``ProductKernel``
     Lambda = (mu * nu)**exponent.  Included for comparison experiments only;
     it lies outside the mass-conserving family above.
@@ -26,7 +27,9 @@ is a for-all statement; sampling on a configurable log-spaced lattice is the
 uniform machinery used here (closed-form verification would be
 kernel-specific).  ``Kernel.growth_bounds()`` returns the constants a kernel
 satisfies, or None outside the class with beta > 1 (constant, product, and
-power_sum with beta <= 1); ``check`` certifies and bounds blow-up with them.
+power_sum with beta <= 1): a power-law kernel's own theta1, gamma = beta and
+theta2 = 2 * (theta1 + K), with K = 0 for power_sum.  ``check`` certifies and
+bounds blow-up with them.
 
 Every kernel is also a short sum of separable terms on ordered pairs:
 ``separable_terms(mid)`` returns factors (a_k, b_k) with
@@ -116,66 +119,65 @@ class ConstantKernel(Kernel):
         return [(self.value, 1.0)]
 
 
+def _power_sum(theta1, beta, mu, nu):
+    """theta1 * (mu**beta + nu**beta): the power-law kernel and the sandwich's
+    lower bound."""
+    return theta1 * (mu**beta + nu**beta)
+
+
+#: Named symmetric perturbations, each satisfying 0 <= Psi <= K*(mu + nu): its
+#: value, and its separable factors on ordered pairs nu <= mu (min(mu, nu) = nu).
+PSI_BUILTINS = {
+    "zero": (lambda mu, nu, K: 0.0, lambda mid, K: []),
+    "half_sum": (lambda mu, nu, K: 0.5 * K * (mu + nu),
+                 lambda mid, K: [(0.5 * K * mid, 1.0), (0.5 * K, mid)]),
+    "min": (lambda mu, nu, K: K * np.minimum(mu, nu), lambda mid, K: [(K, mid)]),
+}
+
+
 @dataclass(frozen=True)
 class PowerSumKernel(Kernel):
+    """theta1 * (mu**beta + nu**beta) + Psi(mu, nu): the formula, factors,
+    rules and growth sandwich of the whole power-law family, here with Psi = 0."""
+
     theta1: float = 1.0
     beta: float = 1.5
     kind = "power_sum"
+    #: beta must exceed this; Psi and its bound K, fields of MassConservingKernel.
+    min_beta = 0
+    psi = "zero"
+    K = 0.0
 
     def __post_init__(self):
+        noun = self.kind.replace("_", "-")
         if not (np.isfinite(self.theta1) and self.theta1 > 0):
-            raise InvalidInputError("power-sum kernel needs theta1 > 0")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise InvalidInputError("power-sum kernel needs beta > 0")
+            raise InvalidInputError("%s kernel needs theta1 > 0" % noun)
+        if not (np.isfinite(self.beta) and self.beta > self.min_beta):
+            raise InvalidInputError("%s kernel needs beta > %d" % (noun, self.min_beta))
 
     def eval(self, mu, nu):
         mu = np.asarray(mu, dtype=float)
         nu = np.asarray(nu, dtype=float)
+        psi, _ = PSI_BUILTINS[self.psi]
         with np.errstate(over="ignore"):
-            raw = self.theta1 * (mu**self.beta + nu**self.beta)
+            raw = _power_sum(self.theta1, self.beta, mu, nu) + psi(mu, nu, self.K)
         return _finalize(mu, nu, raw)
 
     def separable_terms(self, mid):
-        return _power_terms(self.theta1, self.beta, np.asarray(mid, dtype=float))
+        mid = np.asarray(mid, dtype=float)
+        power = mid**self.beta
+        _, psi_terms = PSI_BUILTINS[self.psi]
+        return [(self.theta1 * power, 1.0), (self.theta1, power)] + psi_terms(mid, self.K)
 
     def growth_bounds(self):
         if self.beta <= 1:
             return None
-        return CertificationParams(theta1=self.theta1, theta2=2.0 * self.theta1,
+        return CertificationParams(theta1=self.theta1, theta2=2.0 * (self.theta1 + self.K),
                                    beta=self.beta, gamma=self.beta)
 
 
-def _psi_zero(mu, nu, K):
-    return np.zeros(np.broadcast_shapes(np.shape(mu), np.shape(nu)))
-
-
-def _psi_half_sum(mu, nu, K):
-    return 0.5 * K * (mu + nu)
-
-
-def _psi_min(mu, nu, K):
-    return K * np.minimum(mu, nu)
-
-
-#: Named symmetric perturbations, each satisfying 0 <= Psi <= K*(mu + nu).
-PSI_BUILTINS = {"zero": _psi_zero, "half_sum": _psi_half_sum, "min": _psi_min}
-
-#: Separable factors of each Psi on ordered pairs nu <= mu (min(mu, nu) = nu).
-PSI_TERMS = {
-    "zero": lambda mid, K: [],
-    "half_sum": lambda mid, K: [(0.5 * K * mid, 1.0), (0.5 * K, mid)],
-    "min": lambda mid, K: [(K, mid)],
-}
-
-
-def _power_terms(theta1, beta, mid):
-    """Factors of theta1 * (mu**beta + nu**beta)."""
-    power = mid**beta
-    return [(theta1 * power, 1.0), (theta1, power)]
-
-
 @dataclass(frozen=True)
-class MassConservingKernel(Kernel):
+class MassConservingKernel(PowerSumKernel):
     """Member of the family phi(mu) + phi(nu) + Psi with phi(mu) = theta1*mu**beta.
 
     This is the unbounded-kernel class for which the continuous model formally
@@ -183,39 +185,20 @@ class MassConservingKernel(Kernel):
     bookkeeping identity.
     """
 
-    theta1: float = 1.0
     beta: float = 2.0
     psi: str = "zero"
     K: float = 1.0
     kind = "mass_conserving"
+    min_beta = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta1) and self.theta1 > 0):
-            raise InvalidInputError("mass-conserving kernel needs theta1 > 0")
-        if not (np.isfinite(self.beta) and self.beta > 1):
-            raise InvalidInputError("mass-conserving kernel needs beta > 1")
+        super().__post_init__()
         if self.psi not in PSI_BUILTINS:
             raise InvalidInputError(
                 "unknown psi %r (choose from %s)" % (self.psi, sorted(PSI_BUILTINS))
             )
         if not (np.isfinite(self.K) and self.K > 0):
             raise InvalidInputError("mass-conserving kernel needs K > 0")
-
-    def eval(self, mu, nu):
-        mu = np.asarray(mu, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        with np.errstate(over="ignore"):
-            raw = self.theta1 * (mu**self.beta + nu**self.beta)
-            raw = raw + PSI_BUILTINS[self.psi](mu, nu, self.K)
-        return _finalize(mu, nu, raw)
-
-    def separable_terms(self, mid):
-        mid = np.asarray(mid, dtype=float)
-        return _power_terms(self.theta1, self.beta, mid) + PSI_TERMS[self.psi](mid, self.K)
-
-    def growth_bounds(self):
-        return CertificationParams(theta1=self.theta1, theta2=2.0 * (self.theta1 + self.K),
-                                   beta=self.beta, gamma=self.beta)
 
 
 @dataclass(frozen=True)
@@ -272,6 +255,8 @@ class CertificationParams:
 
 @dataclass(frozen=True)
 class CertViolation:
+    """A sampled pair outside the sandwich; a bound past the float range is None."""
+
     mu: float
     nu: float
     value: float
@@ -338,15 +323,21 @@ def certify_hypothesis_A(kernel, params, samples=None):
         raise InvalidInputError("certification samples must be strictly positive")
     mu, nu = samples[:, 0], samples[:, 1]
     value = np.asarray(kernel.eval(mu, nu), dtype=float)
-    lower = params.theta1 * (mu**params.beta + nu**params.beta)
-    upper = params.theta2 * (1.0 + mu) ** params.gamma * (1.0 + nu) ** params.gamma
-    bad = (lower > value * (1.0 + CERTIFY_RTOL)) | (value > upper * (1.0 + CERTIFY_RTOL))
+    with np.errstate(over="ignore"):  # a bound past the float range is inf
+        lower = _power_sum(params.theta1, params.beta, mu, nu)
+        upper = params.theta2 * (1.0 + mu) ** params.gamma * (1.0 + nu) ** params.gamma
+        bad = (lower > value * (1.0 + CERTIFY_RTOL)) | (value > upper * (1.0 + CERTIFY_RTOL))
     report = CertificationReport(params=params, n_samples=len(samples))
     for k in np.flatnonzero(bad):
         report.violations.append(
             CertViolation(
                 mu=float(mu[k]), nu=float(nu[k]), value=float(value[k]),
-                lower=float(lower[k]), upper=float(upper[k]),
+                lower=_finite_or_none(lower[k]), upper=_finite_or_none(upper[k]),
             )
         )
     return report
+
+
+def _finite_or_none(x):
+    """x as a float, or None where it is not finite: JSON has no Infinity."""
+    return float(x) if np.isfinite(x) else None

@@ -422,12 +422,17 @@ def _whole(grid, t, xi, gel_mass, clamped_mass):
     return State(t=t, xi=padded, gel_mass=gel_mass, grid=grid, clamped_mass=clamped_mass)
 
 
+def _time_tolerance(t_end):
+    """The gap below which a run of horizon t_end treats two times as one."""
+    return 1e-12 * max(1.0, t_end)
+
+
 def _record_times(t_end, cadence):
     if t_end <= 0:
         return []
     count = int(math.floor(t_end / cadence + 1e-9))
     times = [k * cadence for k in range(1, count + 1)]
-    if not times or t_end - times[-1] > 1e-12 * max(1.0, t_end):
+    if not times or t_end - times[-1] > _time_tolerance(t_end):
         times.append(t_end)
     else:
         times[-1] = t_end
@@ -473,7 +478,7 @@ def run(config, capture_densities=False, state=None):
         if not all(map(math.isfinite, series.rows[-1])):
             raise NumericalFailureError("non-finite moment")
 
-    time_eps = 1e-12 * max(1.0, config.t_end)
+    time_eps = _time_tolerance(config.t_end)
     scheme, cfl, dt_max = config.scheme, config.cfl, config.dt_max
     t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
     error, steps = None, 0

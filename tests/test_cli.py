@@ -502,6 +502,40 @@ def test_sweep_row_with_an_invalid_config_is_invalid_input(tmp_path, caplog):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("resolution, reason", [
+    (5e-324, "R / resolution = inf cells is past the float range"),  # round(inf) overflows
+    (1e-300, "does not fit in memory: Maximum allowed size exceeded"),  # np.linspace refuses
+    (1e-14, "does not fit in memory"),  # numpy cannot allocate 2.84 PiB
+], ids=["5e-324", "1e-300", "1e-14"])
+def test_sweep_row_whose_cell_count_overflows_is_invalid_input(tmp_path, caplog,
+                                                               resolution, reason):
+    payload = dict(POWERSUM_SWEEP, sweep={"cutoffs": [4.0, 8.0], "resolution": resolution})
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+    assert "sweep row R4: " in caplog.text and reason in caplog.text
+    assert not out.exists()
+
+
+def test_check_writes_a_certification_bound_past_the_float_range_as_null(tmp_path):
+    # beta = gamma = 150 overflows both bounds near the lattice's 1e3 corner
+    payload = dict(BAGLAND, grid={"kind": "uniform", "R": 4.0, "N": 64}, t_end=0.1,
+                   record_cadence=0.01)
+    payload["check"] = {"certification": {"theta1": 1.0, "beta": 150.0, "gamma": 150.0}}
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "check", str(cfg)]) == 1
+    report = strict_json(tmp_path / "config" / "check_report.json")
+    entry = next(c for c in report["checks"] if c["name"] == "certification")
+    assert entry["status"] == "fail"
+    violations = entry["details"]["violations"]
+    assert sum(v[bound] is None for v in violations for bound in ("lower", "upper")) == 20
+    assert all(v["value"] == 1.0 for v in violations)
+
+
 @pytest.mark.parametrize("initial", [
     {"kind": "uniform_on", "a": 0.0, "b": 9.0, "mass": 1.0},  # b > R = 8
     {"kind": "cell_spike", "index": 512, "mass": 1.0},  # N = 512 cells

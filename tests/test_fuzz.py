@@ -8,17 +8,26 @@ short.  Whatever the config, the commands exit with a documented code,
 raise nothing and leak no warning, a finished run's moments conserve mass,
 a failed run's only non-finite row is its last and its replay fails too,
 and every JSON file written is strict JSON.
+
+The same configs carry the solver's exact scaling symmetries: with every
+time over a power of 2, ``a``, a run on ``a`` times the mass, or under ``a``
+times the kernel's rate, takes the same steps at times ``t / a`` to the bit.
 """
 import json
+from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import strict_json
 
 from ohslab.cli import main
+from ohslab.config import SimConfig
+from ohslab.errors import InvalidInputError
 from ohslab.runio import read_moments_csv
+from ohslab.solver import initial_state, run
 
 positive = st.floats(0.1, 2.0)
 
@@ -130,3 +139,90 @@ def test_simulate_then_check_any_small_config(tmp_path_factory, cfg):
         assert checked in (0, 1, 2, 3)
     for written in tmp.rglob("*.json"):
         strict_json(written)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The configs the symmetries were first seen on: the two shipped ones (the
+#: sweep's without its sweep), Heun on a geometric grid under mass_conserving
+#: ``min``, and power_sum with beta = 1 on table data.
+SYMMETRY_CONFIGS = [
+    json.loads((ROOT / "configs" / "bagland.json").read_text()),
+    {k: v for k, v in json.loads((ROOT / "configs" / "gelation_sweep.json").read_text()).items()
+     if k != "sweep"},
+    {"kernel": {"kind": "mass_conserving", "theta1": 1.0, "beta": 1.5, "psi": "min", "K": 0.5},
+     "grid": {"kind": "geometric", "R": 16.0, "N": 1024, "q": 1.003},
+     "initial": {"kind": "uniform_on", "a": 0.5, "b": 1.0, "mass": 1.0},
+     "t_end": 2.0, "cfl": 1.0, "record_cadence": 0.01, "scheme": "heun"},
+    {"kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.0},
+     "grid": {"kind": "uniform", "R": 8.0, "N": 256},
+     "initial": {"kind": "table", "edges": [0.0, 0.5, 1.0, 2.0], "values": [1.0, 0.0, 0.5]},
+     "t_end": 1.0, "record_cadence": 0.05},
+]
+
+
+def symmetry_examples(test):
+    for cfg in SYMMETRY_CONFIGS:
+        test = example(cfg=cfg)(test)
+    return test
+
+
+#: The kernel keys that scale its rate; a product kernel has none.
+RATE_KEYS = {"constant": ("value",), "power_sum": ("theta1",),
+             "mass_conserving": ("theta1", "K"), "product": ()}
+
+
+def time_scaled(cfg, a):
+    """The resolved config of ``cfg`` with t_end, record_cadence and dt_max over
+    ``a``, or None where ``cfg`` does not build; as a JSON mapping."""
+    try:
+        config = SimConfig.from_dict(cfg)
+        initial_state(config)
+    except InvalidInputError:
+        return None
+    scaled = config.to_dict()
+    for key in ("t_end", "record_cadence", "dt_max"):
+        scaled[key] /= a
+    return scaled
+
+
+def assert_scaled_run(cfg, scaled, a, moment_factor):
+    """The runs of ``cfg`` and ``scaled`` take the same steps, ``scaled`` at the
+    times over ``a`` and with every other column ``moment_factor`` times, bitwise."""
+    base, other = run(SimConfig.from_dict(cfg)), run(SimConfig.from_dict(scaled))
+    assert (other.steps, other.error) == (base.steps, base.error)
+    columns, scaled_columns = base.series.columns(), other.series.columns()
+    assert list(scaled_columns) == list(columns)
+    for label, values in columns.items():
+        expected = values / a if label == "t" else values * moment_factor
+        assert scaled_columns[label].tobytes() == expected.tobytes(), label
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 8.0])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cfg=configs())
+@symmetry_examples
+def test_mass_times_a_and_time_over_a_scale_the_moments_exactly(a, cfg):
+    scaled = time_scaled(cfg, a)
+    if scaled is None:
+        reject()
+    initial = scaled["initial"]
+    if initial["kind"] == "table":
+        initial["values"] = [v * a for v in initial["values"]]
+    else:
+        initial["mass"] *= a
+    assert_scaled_run(cfg, scaled, a, a)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 8.0])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cfg=configs())
+@symmetry_examples
+def test_rate_times_a_and_time_over_a_keep_the_moments_exactly(a, cfg):
+    scaled = time_scaled(cfg, a)
+    keys = RATE_KEYS[cfg["kernel"]["kind"]]
+    if scaled is None or not keys:
+        reject()
+    for key in keys:
+        scaled["kernel"][key] *= a
+    assert_scaled_run(cfg, scaled, a, 1.0)

@@ -93,7 +93,7 @@ def test_psi_builtins_within_bound():
     mu = rng.uniform(1e-3, 1e2, 500)
     nu = rng.uniform(1e-3, 1e2, 500)
     K = 1.7
-    for name, psi in PSI_BUILTINS.items():
+    for name, (psi, _) in PSI_BUILTINS.items():
         vals = np.broadcast_to(psi(mu, nu, K), mu.shape)
         assert np.all(vals >= 0), name
         assert np.all(vals <= K * (mu + nu)), name
