@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gelation, kernels, moments, oracle
 from .config import CheckSpec
-from .errors import InvalidInputError
+from .errors import EvaluationOverflowError, InvalidInputError
 
 BOOKKEEPING_RTOL = 1e-10
 HOLDER_PAIRS = ((2, 1.5), (2, 2.0), (3, 1.5), (3, 2.0), (5, 1.5), (5, 2.0))
@@ -89,7 +89,13 @@ def _check_certification(report, kernel, params):
             "reason": "kernel carries no growth parameters and none were configured",
         }, skip=True)
         return
-    cert = kernels.certify_hypothesis_A(kernel, params)
+    try:
+        cert = kernels.certify_hypothesis_A(kernel, params)
+    except EvaluationOverflowError as exc:
+        # the lattice reaches past the kernel's float range: nothing there was
+        # sampled, which must not read as a pass
+        report.add("certification", False, {"params": asdict(params), "error": str(exc)})
+        return
     report.add("certification", cert.passed, cert.to_dict())
 
 

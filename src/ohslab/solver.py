@@ -42,20 +42,19 @@ are nonnegative the sums carry no cancellation.  The moment and weak-form
 quadratures (``moments.pair_sums``) sum over the same factors, built once
 per run, through ``KernelTables.pair_sum``.
 
-A time step allocates nothing.  ``run`` hands ``step`` the tables of the
-active window (below), which own every buffer a step writes: the density in
-two halves, the current one and the one the update is written into, swapped
-once the step is taken; the two stage derivatives k1 and k2; each
-direction's prefix-sum scratch and result; the edge fluxes with their zero
-inflow set once; the step bound's rate and masks.  One ``step`` call is one
-whole time step: the stage right-hand side(s), the step bound, the update,
-the finiteness and clamp tests and the clamp budget.  Only the step's times
-and the gel and clamped masses are new Python floats.  A record copies the
-window's density into a whole-grid row that ``run`` allocates once, its row
-of the captured densities or one row that every record reuses, and builds
-no ``State``.  The buffers make a ``KernelTables``
-unsafe to share between threads: each run, and so each sweep row in its
-worker, builds its own.
+A time step allocates nothing.  ``run`` hands ``step`` its one
+``KernelTables``, cut to the active window (below), which owns every buffer
+a step writes: the density in two halves, the current one and the one the
+update is written into, swapped once the step is taken; the two stage
+derivatives k1 and k2; each direction's prefix-sum scratch and result; the
+edge fluxes with their zero inflow set once; the step bound's rate and
+masks.  One ``step`` call is one whole time step: the stage right-hand
+side(s), the step bound, the update, the finiteness and clamp tests and the
+clamp budget.  Only the step's times and the gel and clamped masses are new
+Python floats.  A record sums the tables' whole-grid density in place and
+builds no ``State``.  The buffers make a ``KernelTables`` unsafe to share
+between threads: each run, and so each sweep row in its worker, builds its
+own.
 
 The Euler update of cell i is
 
@@ -72,34 +71,34 @@ less spurious mass ahead of it.  On a uniform grid with contiguous support
 and a constant kernel the maximum lies inside the support, so the bound
 equals the global one bit for bit.
 
-``run`` steps only an active window, the grid of the first n cells
-(``KernelTables.prefix``), with n = N once the window reaches the top.  A
-stage moves the upwind front at most one cell, since a cell's update reads
-only itself and the cell below, so the shortest window whose top two cells
-are empty (the last occupied cell + 3 cells at the start) grows by at most
-the stage count each step (1 for Euler, 2 for Heun): a bound on it needs no
-search.  The window ends up to WINDOW_SLACK cells above that bound and is
-extended when the bound reaches its end, so its top two cells, and every
-cell above it, are empty.  The whole grid's step is then exactly the
-window's step padded with empty cells: the window's midpoints, widths and
-factors are the whole grid's, but for the top cell's loss gap, which
-multiplies that empty cell either way; the reversed loss sum over the empty
-cells above adds only +0.0; the flux out of the window's top cell, and with
-it the boundary outflow, is 0.0; and the whole grid's update above the
-window is exactly 0.0.  Every result is therefore the whole grid's bit for
-bit, and a step costs O(n), not O(N).  Only ``run`` knows of the window: it
-copies the density into a grown window's buffer, and a record's moments sum
-its row only as far as the window reaches; ``rhs``, ``stable_dt`` and
-``step`` work on whole arrays of the tables they are given.
+``run`` steps only an active window, the first n cells, with n = N once the
+window reaches the top.  A stage moves the upwind front at most one cell,
+since a cell's update reads only itself and the cell below, so the shortest
+window whose top two cells are empty (the last occupied cell + 3 cells at
+the start) grows by at most the stage count each step (1 for Euler, 2 for
+Heun): a bound on it needs no search.  The window ends up to WINDOW_SLACK
+cells above that bound and is extended when the bound reaches its end, so
+its top two cells, and every cell above it, are empty.  Its buffers are
+views of the first n cells of the tables' whole-grid ones
+(``KernelTables.window``), so growing it calls no kernel and copies nothing.
+The whole grid's step is exactly the window's step padded with empty cells:
+the reversed loss sum over the empty cells above adds only +0.0; the flux
+out of the window's top cell, and with it the boundary outflow, is 0.0; and
+the whole grid's update above the window is exactly 0.0.  Every result is
+therefore the whole grid's bit for bit, and a step costs O(n), not O(N).
+Only ``run`` knows of the window: it grows it, and a record's moments sum
+the density only as far as it reaches; ``rhs``, ``stable_dt`` and ``step``
+work on whole arrays of the tables they are given.
 
 Negative cells from roundoff are clamped to zero with the created mass
 logged; a run fails once the cumulative clamped mass exceeds CLAMP_BUDGET
 times the initial mass, which separates roundoff from genuine instability.
-A step that fails, by that budget or by a non-finite value, is not taken:
-the run ends on the last step that passed, and so does a record that is not
-finite, after its row is appended.  ``run`` turns numpy's overflow and
-invalid-value warnings off once, from its t = 0 record to its last, so a
-value that overflows fails a finiteness test and warns of nothing.
+A step that fails, by that budget, by a non-finite value or by a step size
+too small to move t, is not taken: the run ends on the last step that
+passed, and so does a record that is not finite, after its row is appended.
+``run`` turns numpy's overflow and invalid-value warnings off once, from its
+t = 0 record to its last, so a value that overflows fails a finiteness test
+and warns of nothing.
 """
 from __future__ import annotations
 
@@ -110,7 +109,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .grid import SizeGrid, State, project_initial
+from .grid import State, project_initial
 from .moments import MomentSeries
 
 logger = logging.getLogger(__name__)
@@ -118,8 +117,8 @@ logger = logging.getLogger(__name__)
 #: Relative clamped-mass budget before a run is declared unstable.
 CLAMP_BUDGET = 1e-8
 
-#: Empty cells the active window runs ahead of the front, so its tables are
-#: rebuilt once per this many cells of front motion instead of every step.
+#: Empty cells the active window runs ahead of the front, so it is cut again
+#: once per this many cells of front motion instead of every step.
 WINDOW_SLACK = 32
 
 #: Cells of one ddot of the finiteness test, at most: OpenBLAS runs a ddot of
@@ -150,11 +149,12 @@ class KernelTables:
     The tables also hold what ``step`` writes: ``xi``, the density of a run
     on this grid, and its spare half; the stage derivatives k1 and k2; the
     edge fluxes with the zero inflow at size 0 in front; and the step bound's
-    rate and masks.  The buffers make a table unsafe to share between
-    threads: every run builds its own.  They are also views of one another,
-    which a pickle or a deep copy would copy apart into a table that computes
-    wrong ``velocity`` and ``loss`` sums, so both raise TypeError: a table
-    never crosses a process, and is built where it is used.
+    rate and masks, each laid out once for the whole grid and cut to its
+    first n cells by ``window(n)``.  The buffers make a table unsafe to share
+    between threads: every run builds its own.  They are also views of one
+    another, which a pickle or a deep copy would copy apart into a table that
+    computes wrong ``velocity`` and ``loss`` sums, so both raise TypeError: a
+    table never crosses a process, and is built where it is used.
 
     Setup evaluates the kernel on the diagonal pairs (xbar_i, xbar_i).  Every
     built-in kernel takes its largest midpoint-pair value on the diagonal, so
@@ -163,54 +163,54 @@ class KernelTables:
     """
 
     def __init__(self, grid, kernel):
-        mid = grid.midpoints
+        mid, dx = grid.midpoints, grid.widths
+        N = mid.size
         kernel.eval(mid, mid)
         with np.errstate(over="ignore"):
             terms = kernel.separable_terms(mid)
             a = np.array([np.broadcast_to(f, mid.shape) for f, _ in terms], dtype=float)
             b = np.array([np.broadcast_to(f, mid.shape) for _, f in terms], dtype=float)
-        self._lay_out(grid, a, b)
-
-    def _lay_out(self, grid, a, b):
-        """Set the weights and the buffers for the factor rows a, b on grid."""
-        mid, dx = grid.midpoints, grid.widths
-        n = mid.size
         self.grid = grid
         self._terms = (a, b)
-        self._widths, self._top = dx, float(mid[-1])
+        self._top = float(mid[-1])
         gaps = np.zeros_like(mid)
         gaps[:-1] = mid[1:] - mid[:-1]
-        self._drift = _direction(a, b * mid * dx, reverse=False)
-        self._loss = _direction(b, a * gaps, reverse=True)
+        self._cuts = (_direction(a, b * mid * dx, False), _direction(b, a * gaps, True))
+        # The density's two halves, held as views: ``window`` cuts the current
+        # one, whichever it is after a step's swap, from its base.
+        self.xi, self._spare = np.zeros(N)[:], np.zeros(N)[:]
+        # k1, k2, the absorbed flux, the step bound's rate and front mask, zeros.
+        self._cells = (*(np.empty(N) for _ in range(4)), np.empty(N, dtype=bool), np.zeros(N))
         # Edge fluxes with the zero inflow at size 0 in front: flux[i + 1] = F_{i+1/2}.
-        flux = np.zeros(n + 1)
-        self._inflow, self._outflow = flux[:-1], flux[1:]
-        self._absorbed = np.empty(n)
-        self._zeros = np.zeros(n)
-        self.xi, self._spare = np.zeros(n), np.empty(n)
-        self._k1, self._k2 = np.empty(n), np.empty(n)
-        self._rate = np.empty(n)
+        self._flux = np.zeros(N + 1)
         # occupied[i + 2] = xi_i > 0, behind two cells below the grid that stay empty.
-        occupied = np.zeros(n + 2, dtype=bool)
-        self._mask = (occupied[2:], occupied[1:-1], occupied[:-2], np.empty(n, dtype=bool))
+        self._occupied = np.zeros(N + 2, dtype=bool)
+        self.window(N)
+
+    def window(self, n):
+        """Cut every buffer a step writes to a view of its first n cells (n + 1
+        edge fluxes, n + 2 occupancy flags), in place: no kernel call and no
+        copy, as the density's cells past a window are empty in both halves."""
+        self.xi, self._spare = self.xi.base[:n], self._spare.base[:n]
+        self._k1, self._k2, self._absorbed, self._rate, front, self._zeros = (
+            cells[:n] for cells in self._cells
+        )
+        self._widths = self.grid.widths[:n]
+        self._inflow, self._outflow = self._flux[:n], self._flux[1:n + 1]
+        occupied = self._occupied[:n + 2]
+        self._mask = (occupied[2:], occupied[1:-1], occupied[:-2], front)
+        self._drift, self._loss = (cut(n) for cut in self._cuts)
+
+    @property
+    def density(self):
+        """The whole grid's density, of which ``xi`` is the window."""
+        return self.xi.base
 
     def __reduce_ex__(self, protocol):
         raise TypeError(
             "KernelTables cannot be pickled or copied: its buffers are views of one "
             "another, which a copy would tear apart; build the tables where they are used"
         )
-
-    def prefix(self, n):
-        """The tables of the grid of the first n cells; these tables at n = N.
-
-        The factor rows are reused, with no kernel call; the buffers are new.
-        """
-        if n == self.grid.ncells:
-            return self
-        a, b = self._terms
-        tables = object.__new__(KernelTables)
-        tables._lay_out(SizeGrid(self.grid.edges[:n + 1]), a[:, :n], b[:, :n])
-        return tables
 
     def velocity(self, xi):
         """The drift v_{i+1/2} at density xi, in the drift's result array."""
@@ -246,26 +246,30 @@ class KernelTables:
 
 
 def _direction(outer, inner, reverse):
-    """The buffers of sum_k outer_k * prefix-sum(inner_k * xi), reversed or not.
-
-    (the (inner_k, scratch column k) pairs, outer factors in the scratch's
-    layout, scratch, the paired chains the prefix sum runs over, the
+    """The buffers of sum_k outer_k * prefix-sum(inner_k * xi), reversed or not,
+    laid out for the whole grid, as a function of n that cuts them to their
+    first n cells: (the (inner_k, scratch column k) pairs, outer factors in the
+    scratch's layout, scratch, the paired chains the prefix sum runs over, the
     (left, right) pairs whose sums go into the result, result).
     """
-    K, n = outer.shape
+    K, N = outer.shape
     # A single term stays real: a zero partner costs more than pairing saves.
     width = K + K % 2 if K > 1 else 1
     # A padding column of the outer factors, and so of the scratch, stays zero.
-    laid = np.zeros((n, width))
+    laid = np.zeros((N, width))
     laid[:, :K] = outer.T
-    scratch = np.zeros((n, width))
-    chains = scratch.view(np.complex128) if width > 1 else scratch
-    columns = tuple(scratch[:, k] for k in range(K))
-    # One term is its own column; more are added into a result in order.
-    total = columns[0] if K == 1 else np.empty(n)
-    adds = tuple(zip((columns[0],) + (total,) * (K - 2), columns[1:]))
-    return (tuple(zip(inner, columns)), laid, scratch, chains[::-1] if reverse else chains,
-            adds, total)
+    whole, result = np.zeros((N, width)), np.empty(N) if K > 1 else None
+
+    def cut(n):
+        scratch = whole[:n]
+        chains = scratch.view(np.complex128) if width > 1 else scratch
+        columns = tuple(scratch[:, k] for k in range(K))
+        # One term is its own column; more are added into a result in order.
+        total = columns[0] if K == 1 else result[:n]
+        adds = tuple(zip((columns[0],) + (total,) * (K - 2), columns[1:]))
+        return (tuple(zip(inner[:, :n], columns)), laid[:n], scratch,
+                chains[::-1] if reverse else chains, adds, total)
+    return cut
 
 
 def _sum_terms(direction, xi):
@@ -345,9 +349,10 @@ def _all_finite(x, tables):
 
 
 def _clamp(grid, xi):
-    """Zero the negative cells of xi in place; returns the mass this creates."""
+    """Zero the negative cells of xi (the grid's first) in place; returns the mass this creates."""
     neg = xi < 0
-    created = -float(np.sum(grid.midpoints[neg] * xi[neg] * grid.widths[neg]))
+    mid, dx = grid.midpoints[:xi.size], grid.widths[:xi.size]
+    created = -float(np.sum(mid[neg] * xi[neg] * dx[neg]))
     logger.debug("clamped %d negative cells (mass %.3e)", int(neg.sum()), created)
     xi[neg] = 0.0
     return created
@@ -362,12 +367,15 @@ def step(tables, t, t_next, gel_mass, clamped_mass, scheme, cfl, dt_max, budget=
     the spare half of the density, which becomes ``tables.xi`` once it passes
     the finiteness test and, if it was clamped, the clamped mass stays within
     ``budget``.  Returns the new (t, gel_mass, clamped_mass); the gel mass
-    grows by the stage-combined boundary outflow.  A step that raises leaves
-    ``tables.xi`` as it was; it runs inside the one float-error scope of ``run``.
+    grows by the stage-combined boundary outflow.  A step size too small to
+    move t raises before the update.  A step that raises leaves ``tables.xi``
+    as it was; it runs inside the one float-error scope of ``run``.
     """
     xi, new, k1 = tables.xi, tables._spare, tables._k1
     v, L, rate = rhs(tables, xi, k1)
     dt = min(stable_dt(tables, xi, v, L, cfl, dt_max), t_next - t)
+    if t + dt == t:
+        raise NumericalFailureError("step %.3g cannot advance t = %.17g (stalled run)" % (dt, t))
     np.multiply(k1, dt, out=new)
     np.add(xi, new, out=new)
     gel_inc = dt * rate
@@ -399,7 +407,9 @@ class RunResult:
     ``densities`` holds, when the run was asked to capture them, the
     whole-grid density of each record of ``series``: row k is record k.
     The diagnostics that replay the weak form and moment evolution read it
-    and ``tables``.  ``steps`` counts the time steps taken.
+    and ``tables``, the run's own, left at its final window, of which
+    callers read only ``grid`` and ``pair_sum``.  ``steps`` counts the time
+    steps taken.
     """
 
     config: object
@@ -413,13 +423,6 @@ class RunResult:
     @property
     def failed(self):
         return self.error is not None
-
-
-def _whole(grid, t, xi, gel_mass, clamped_mass):
-    """A new state on grid, whose first cells hold xi and the rest are empty."""
-    padded = np.zeros(grid.ncells)
-    padded[:xi.size] = xi
-    return State(t=t, xi=padded, gel_mass=gel_mass, grid=grid, clamped_mass=clamped_mass)
 
 
 def _time_tolerance(t_end):
@@ -451,8 +454,8 @@ def run(config, capture_densities=False, state=None):
     Records the moment series at the configured cadence (always including
     t = 0 and t_end) and is deterministic given the config.  On numerical
     failure the partial series is returned with the failure marker set, and
-    the final state is the last step that passed, a new state on the whole
-    grid.  With ``capture_densities`` the result's ``densities`` holds the
+    the final state is the last step that passed, a copy of the whole-grid
+    density.  With ``capture_densities`` the result's ``densities`` holds the
     whole-grid density of every record, a row each, in one array allocated
     once for every record the run may make; a failed run returns the rows
     it recorded.  A ``SimConfig`` checked its values when it was built, so
@@ -467,26 +470,23 @@ def run(config, capture_densities=False, state=None):
         orders=config.moments.orders, thresholds=config.moments.truncation_thresholds
     )
     record_times = _record_times(config.t_end, config.record_cadence)
-    # a record's row: its captured one, else one row every record reuses;
-    # its cells past the window stay zero, as the window only grows
-    densities = np.zeros((len(record_times) + 1 if capture_densities else 1, grid.ncells))
+    densities = np.zeros((len(record_times) + 1, grid.ncells)) if capture_densities else None
 
-    def record(t, xi, gel, clamped):
-        row = densities[len(series.rows) if capture_densities else 0]
-        row[:xi.size] = xi
-        series.append_state(grid, t, row, xi.size, gel, clamped)
+    def record(t, gel, clamped):
+        xi = state.xi if tables is None else tables.density
+        if capture_densities:  # past the window the row stays zero, as xi does
+            densities[len(series.rows), :n] = xi[:n]
+        series.append_state(grid, t, xi, n, gel, clamped)
         if not all(map(math.isfinite, series.rows[-1])):
             raise NumericalFailureError("non-finite moment")
 
     time_eps = _time_tolerance(config.t_end)
     scheme, cfl, dt_max = config.scheme, config.cfl, config.dt_max
     t, gel, clamped = state.t, state.gel_mass, state.clamped_mass
-    error, steps = None, 0
-    tables = window = None
+    error, steps, tables = None, 0, None
     # The active window is cells [0, n), n >= front.  Cells [front - 2, N)
     # are empty: a stage moves the upwind front at most one cell, so front
     # grows by the stage count per step.  n runs up to WINDOW_SLACK ahead.
-    # ``window`` is the tables of the window, which hold its density.
     N = grid.ncells
     occupied = np.flatnonzero(state.xi)
     front = (occupied[-1] if occupied.size else -1) + 3
@@ -494,30 +494,29 @@ def run(config, capture_densities=False, state=None):
     stages = 2 if scheme == "heun" else 1
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            record(t, state.xi[:n], gel, clamped)
+            record(t, gel, clamped)
             budget = CLAMP_BUDGET * series.rows[0][series.labels.index("M1")]
             tables = KernelTables(grid, config.kernel)
-            window = tables.prefix(n)
-            window.xi[:] = state.xi[:n]
+            tables.window(n)
+            tables.xi[:] = state.xi[:n]
             for t_next in record_times:
                 while t_next - t > time_eps:
                     t, gel, clamped = step(
-                        window, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
+                        tables, t, t_next, gel, clamped, scheme, cfl, dt_max, budget
                     )
                     steps += 1
                     if n < N:
                         front += stages
                         if front > n:
                             n = min(N, front + WINDOW_SLACK)
-                            grown = tables.prefix(n)
-                            grown.xi[:window.xi.size] = window.xi
-                            window = grown
+                            tables.window(n)
                 t = t_next
-                record(t, window.xi, gel, clamped)
+                record(t, gel, clamped)
         except NumericalFailureError as exc:
             logger.warning("run failed at t=%.6g: %s", t, exc)
             error = str(exc)
-    final = _whole(grid, t, state.xi if window is None else window.xi, gel, clamped)
+    xi = state.xi if tables is None else tables.density
+    final = State(t=t, xi=xi.copy(), gel_mass=gel, grid=grid, clamped_mass=clamped)
     return RunResult(
         config=config, series=series, final_state=final, error=error,
         densities=densities[:len(series.rows)] if capture_densities else None,

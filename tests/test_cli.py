@@ -536,6 +536,52 @@ def test_check_writes_a_certification_bound_past_the_float_range_as_null(tmp_pat
     assert all(v["value"] == 1.0 for v in violations)
 
 
+#: power_sum with beta = 120 on R = 2: 1000**120 overflows on the certification
+#: lattice, and the stable step falls below half an ulp of t near t = 9.1e-8.
+BETA_120 = {
+    "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 120.0},
+    "grid": {"kind": "uniform", "R": 2.0, "N": 32},
+    "initial": {"kind": "uniform_on", "a": 0.0, "b": 0.5, "mass": 1.0},
+    "t_end": 1e-6,
+}
+
+
+def test_simulate_of_a_step_that_cannot_move_t_fails_with_a_partial_series(tmp_path,
+                                                                           monkeypatch):
+    real_step, calls = solver.step, []
+
+    def capped(*args):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise AssertionError("the run does not end")
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", capped)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", str(write_config(tmp_path, BETA_120)),
+                 "--out", str(out)]) == 3
+    assert read_manifest(out / "manifest.json")["error"].endswith("(stalled run)")
+    times = read_moments_csv(out / "moments.csv")["t"]
+    assert 1 < len(times) and times[-1] < 1e-6
+
+
+def test_check_fails_only_the_certification_when_the_kernel_overflows_on_its_lattice(
+        tmp_path):
+    payload = dict(BETA_120, initial={"kind": "uniform_on", "a": 0.0, "b": 0.25, "mass": 1.0},
+                   t_end=1e-3)
+    run_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--quiet", "simulate", str(write_config(tmp_path, payload)),
+                     "--out", str(run_dir)]) == 0
+        assert main(["--quiet", "check", str(run_dir)]) == 1
+    report = strict_json(run_dir / "check_report.json")
+    assert len(report["checks"]) == 8  # every entry ran
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["certification"]
+    assert failed[0]["details"]["error"].startswith("kernel evaluation overflowed")
+
+
 @pytest.mark.parametrize("initial", [
     {"kind": "uniform_on", "a": 0.0, "b": 9.0, "mass": 1.0},  # b > R = 8
     {"kind": "cell_spike", "index": 512, "mass": 1.0},  # N = 512 cells

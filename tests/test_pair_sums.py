@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from ohslab import ConstantKernel, MassConservingKernel, PowerSumKernel, ProductKernel
 from ohslab.errors import NumericalFailureError
-from ohslab.grid import State, build
+from ohslab.grid import SizeGrid, State, build
 from ohslab import moments
 from ohslab.moments import CappedIdentity, Power, pair_sums, stacked_moments, tree_prefix
 from ohslab.solver import KernelTables
@@ -255,16 +255,20 @@ def chain(n):
     return sorted({tree_prefix(n, m) for m in range(n + 1)})
 
 
+#: A kernel of every kind, 1 to 4 terms.
+REPLAY_KERNELS = [
+    ConstantKernel(1.5), PowerSumKernel(1.0, 1.5),
+    MassConservingKernel(1.0, 1.5, "min", 0.5), MassConservingKernel(1.0, 2.0, "half_sum", 0.5),
+    ProductKernel(0.5),
+]
+
+
 @st.composite
 def replays(draw):
     """A kernel of every kind, 1 to 4 terms, its tables, records on one grid
     whose last occupied cell ends a random cut, a tree-prefix cut or one cell
     past it, and a block size that puts 1 to 4 records in a block."""
-    kernel = draw(st.sampled_from([
-        ConstantKernel(1.5), PowerSumKernel(1.0, 1.5),
-        MassConservingKernel(1.0, 1.5, "min", 0.5), MassConservingKernel(1.0, 2.0, "half_sum", 0.5),
-        ProductKernel(0.5),
-    ]))
+    kernel = draw(st.sampled_from(REPLAY_KERNELS))
     R, N = draw(st.floats(0.5, 20.0)), draw(st.integers(2, 600))
     if draw(st.booleans()):
         grid = build("uniform", R, N)
@@ -341,12 +345,15 @@ def test_pair_sums_of_no_records_are_empty():
 @PROPERTY_SETTINGS
 @given(replays(), st.data())
 def test_pair_sum_on_short_rows_equals_the_prefix_tables(replay, data):
+    # the replay's grid and records, on tables of a kernel drawn here
     tables, densities, _ = replay
-    N = tables.grid.ncells
+    grid, kernel = tables.grid, data.draw(st.sampled_from(REPLAY_KERNELS))
+    N = grid.ncells
     n = data.draw(st.integers(2, N)) if N > 2 else N
-    w = densities[:, :n] * tables.grid.widths[:n]
-    u = tables.grid.midpoints[:n] * w
-    assert bits(tables.pair_sum(u, w)) == bits(tables.prefix(n).pair_sum(u, w))
+    w = densities[:, :n] * grid.widths[:n]
+    u = grid.midpoints[:n] * w
+    prefix = KernelTables(SizeGrid(grid.edges[:n + 1]), kernel)
+    assert bits(KernelTables(grid, kernel).pair_sum(u, w)) == bits(prefix.pair_sum(u, w))
 
 
 @PROPERTY_SETTINGS

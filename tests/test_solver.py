@@ -192,12 +192,16 @@ def test_stable_dt_ignores_empty_cells_beyond_the_front():
     assert stable_dt(tables, xi, rate * grid.widths, np.zeros(8), cfl=1.0) == 1.0 / 3.0
 
 
-def test_step_dt_zero_is_identity():
+@pytest.mark.parametrize("t, t_next", [(0.0, 0.0), (1e20, math.inf)],
+                         ids=["cut_to_zero", "below_half_an_ulp"])
+def test_step_that_cannot_move_t_fails_and_keeps_the_density(t, t_next):
     grid = build("uniform", 4.0, 32)
     state = random_state(grid, seed=2)
-    out = fresh_step(state, ConstantKernel(1.0), t_next=state.t)  # the step is cut to 0
-    assert np.array_equal(out.xi, state.xi)
-    assert out.t == state.t and out.gel_mass == state.gel_mass
+    state.t = t
+    tables = KernelTables(grid, ConstantKernel(1.0))
+    with pytest.raises(NumericalFailureError, match="stalled run"):
+        step_state(tables, state, t_next)
+    assert np.array_equal(tables.xi, state.xi)
 
 
 def test_step_empty_state_advances_time_only():

@@ -9,15 +9,17 @@ the properties check that every result is the same bit for bit, except the
 sign of a zero in dxi/dt, which never reaches a state.  ``step`` finds its
 own step size with ``stable_dt``, which the tests scale by patching the
 module global ``step`` calls, so a step can also overstep the bound and
-clamp.  The tests also check that non-finite input still fails with the same
-error and no warning the reference does not give, and that a step that fails
-leaves the density it started from.
+clamp, or take a step too small to move t, which fails.  The tests also
+check that non-finite input still fails with the same error and no warning
+the reference does not give, and that a step that fails leaves the density
+it started from.
 
-``run`` steps only an active window, the grid of a prefix of the cells whose
-top two are empty, with ``KernelTables.prefix``; the window property checks
-that every call on such a window gives the whole grid's result bit for bit,
-and the reference loop that every run, including one that fails, records
-what the reference records.
+``run`` steps only an active window, the first n cells of the grid, whose
+top two are empty, on views of the tables' whole-grid buffers
+(``KernelTables.window``); the window property checks that every call on
+such a window gives the whole grid's result bit for bit, and the reference
+loop that every run, including one that fails, records what the reference
+records.
 """
 import math
 import warnings
@@ -141,6 +143,10 @@ def reference_clamp(state, xi):
 
 
 def reference_step(state, tables, dt, first_stage, scheme="euler", budget=math.inf):
+    if state.t + dt == state.t:
+        raise NumericalFailureError(
+            "step %.3g cannot advance t = %.17g (stalled run)" % (dt, state.t)
+        )
     parts1, k1 = first_stage
     if scheme == "euler":
         xi_new = state.xi + dt * k1
@@ -211,10 +217,17 @@ def test_step_path_is_bitwise_the_reference(case, dt_factor, scheme):
     bound = stable_dt(tables, xi, parts.velocity, parts.loss, 0.9, dt_max=2.0)
     assert same_bits(bound, reference_stable_dt(state, ref_parts, 0.9, dt_max=2.0))
 
-    # a factor above 1 oversteps the bound, so the clamp is exercised too
-    old = reference_step(state, ref, dt_factor * bound, (ref_parts, ref_dxi), scheme=scheme)
+    # a factor above 1 oversteps the bound, so the clamp is exercised too; a
+    # factor of 0 cannot move t, so that step fails
+    try:
+        old = reference_step(state, ref, dt_factor * bound, (ref_parts, ref_dxi), scheme=scheme)
+    except NumericalFailureError as exc:
+        old = str(exc)
     new = stepped(tables, state, dt_factor, scheme)
-    assert_same_state(new, old)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert_same_state(new, old)
 
 
 @st.composite
@@ -239,11 +252,11 @@ def no_kernel_calls(kernel):
 @given(windows(), st.sampled_from([0.0, 0.5, 1.0, 4.0]))
 def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
     kernel, grid, xi, n = case
-    tables = KernelTables(grid, kernel)
+    tables, window = KernelTables(grid, kernel), KernelTables(grid, kernel)
+    window.window(2)
     with no_kernel_calls(kernel):
-        window = tables.prefix(n)
-    assert same_bits(window.grid.edges, grid.edges[:n + 1])
-    assert tables.prefix(grid.ncells) is tables
+        window.window(n)  # grows the window
+    assert window.grid is grid and window.xi.size == n and window.density.size == grid.ncells
     whole, dxi = stage(tables, xi)
     parts, window_dxi = stage(window, xi[:n])
     assert same_bits(parts.velocity, whole.velocity[:n])
@@ -257,17 +270,15 @@ def test_a_window_is_bitwise_the_whole_grid(case, dt_factor):
 
     # a factor above 1 oversteps the bound, so the clamp is exercised too
     state = State(t=0.25, xi=xi, gel_mass=0.125, grid=grid, clamped_mass=1e-30)
-    window_state = replace(state, xi=xi[:n].copy(), grid=window.grid)
+    window_state = replace(state, xi=xi[:n].copy())
     for scheme in ("euler", "heun"):
         old = stepped(tables, state, dt_factor, scheme)
         new = stepped(window, window_state, dt_factor, scheme)
         if isinstance(old, str):
             assert new == old
         else:
-            assert new.grid is window.grid
-            padded = np.zeros(grid.ncells)
-            padded[:n] = new.xi
-            assert_same_state(replace(new, xi=padded), old)
+            # the window's density is the whole grid's, empty past the window
+            assert_same_state(replace(new, xi=window.density), old)
 
 
 def reference_loop(resolved):
@@ -364,6 +375,40 @@ def test_run_is_bitwise_the_reference_loop(kernel, grid, initial, cfl, shows, sc
     assert_same_state(result.final_state, reference[-1])
 
 
+@pytest.mark.parametrize("scheme", ["euler", "heun"])
+def test_a_run_steps_on_its_one_table_while_its_window_grows(scheme, monkeypatch):
+    kernel, grid, initial, cfl, _ = REFERENCE_RUNS["window_grows"]
+    # half the default dt_max: 200 steps, over which an Euler front moves 200 cells
+    cfg = SimConfig(kernel=kernel, grid=grid, initial=initial, t_end=0.5, record_cadence=0.25,
+                    scheme=scheme, cfl=cfl, dt_max=0.0025)
+    real_init, real_terms, real_step = (
+        KernelTables.__init__, ConstantKernel.separable_terms, solver.step
+    )
+    built, terms, stepped_on, sizes = [], [], [], []
+
+    def counted_init(tables, *args):
+        built.append(tables)
+        real_init(tables, *args)
+
+    def counted_terms(kernel_, mid):
+        terms.append(mid.size)
+        return real_terms(kernel_, mid)
+
+    def counted_step(tables, *args):
+        stepped_on.append(tables)
+        sizes.append(tables.xi.size)
+        return real_step(tables, *args)
+
+    monkeypatch.setattr(KernelTables, "__init__", counted_init)
+    monkeypatch.setattr(ConstantKernel, "separable_terms", counted_terms)
+    monkeypatch.setattr(solver, "step", counted_step)
+    result = solver.run(cfg)
+    assert not result.failed and result.steps == len(stepped_on)
+    assert built == [result.tables] and terms == [grid.N]
+    assert all(tables is result.tables for tables in stepped_on)
+    assert len(set(sizes)) >= 5  # the window grew 4 times or more
+
+
 def poisoned_velocity(monkeypatch, at_call):
     """Make the at_call-th ``KernelTables.velocity`` result non-finite; returns
     the density length of every call."""
@@ -434,20 +479,48 @@ def tables_buffers(tables):
             tables._outflow, *tables._mask, *tables._drift[2:6:3], *tables._loss[2:6:3]]
 
 
-def test_each_window_owns_its_buffers():
+def test_two_tables_share_no_buffer():
     grid = build("uniform", 4.0, 64)
     kernel = MassConservingKernel(1.0, 2.0, "half_sum", 1.0)
     tables = KernelTables(grid, kernel)
-    owned = tables_buffers(tables)
-    for other in (KernelTables(grid, kernel), tables.prefix(40)):
-        for mine in owned:
-            assert not any(np.shares_memory(mine, theirs) for theirs in tables_buffers(other))
+    other = tables_buffers(KernelTables(grid, kernel))
+    for mine in tables_buffers(tables):
+        assert not any(np.shares_memory(mine, theirs) for theirs in other)
     # the drift's and the loss's results live in arrays of their own
     xi = np.random.default_rng(4).random(64)
     v, L = tables.velocity(xi), tables.loss(xi)
     assert not np.shares_memory(v, L)
     kept = stage(KernelTables(grid, kernel), xi)
     assert same_bits(v, kept[0].velocity) and same_bits(L, kept[0].loss)
+
+
+def start(x):
+    """The address of an array's first element."""
+    return x.__array_interface__["data"][0]
+
+
+def test_a_windows_buffers_are_its_tables_own():
+    grid = build("uniform", 4.0, 64)
+    tables = KernelTables(grid, MassConservingKernel(1.0, 2.0, "half_sum", 1.0))
+    whole = tables_buffers(tables)
+    tables.window(40)
+    for cut, full in zip(tables_buffers(tables), whole, strict=True):
+        # the first 40 rows of the whole-grid buffer, in place
+        assert start(cut) == start(full) and cut.strides == full.strides
+        assert cut.shape == (40, *full.shape[1:])
+
+
+def test_growing_a_window_keeps_the_density():
+    kernel = PowerSumKernel(1.0, 1.5)
+    tables = KernelTables(build("uniform", 4.0, 64), kernel)
+    tables.window(20)
+    tables.xi[:18] = np.random.default_rng(8).random(18)  # the top two cells empty
+    solver.step(tables, 0.0, math.inf, 0.0, 0.0, "heun", 0.9, math.inf)  # swaps the halves
+    kept = tables.xi.copy()
+    with no_kernel_calls(kernel):
+        tables.window(40)
+    assert same_bits(tables.xi[:20], kept) and not tables.xi[20:].any()
+    assert not tables.density[20:].any() and not tables._spare[20:].any()
 
 
 def test_heun_keeps_the_first_stage_through_the_second(monkeypatch):
