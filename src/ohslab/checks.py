@@ -1,21 +1,24 @@
 """Verification suite run by the ``check`` command against a completed run.
 
-Each check reports pass/fail/skip with details; the command exits nonzero if
-any check fails.  The suite covers the discrete mass bookkeeping, every
-column of a stored moments.csv against the replay (catches tampering), kernel
-certification, the Hoelder inequality on every record, the sign and
-evolution residual of the higher moments, the weak-form residual with its
-independent brute-force cross-check, and the blow-up bound table.
+``run_checks`` returns the payload of check_report.json for every outcome:
+each check's entry, ``{"name", "status", "details"}`` with a status of pass,
+fail or skip, and whether none failed; or, when the replay failed or one of
+its sums failed numerically, the error in place of the entries.  The suite
+covers the discrete mass bookkeeping, every column of a stored moments.csv
+against the replay (catches tampering), kernel certification, the Hoelder
+inequality on every record, the sign and evolution residual of the higher
+moments, the weak-form residual with its independent brute-force
+cross-check, and the blow-up bound table.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from . import gelation, kernels, moments, oracle
 from .config import CheckSpec
-from .errors import EvaluationOverflowError, InvalidInputError
+from .errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
 
 BOOKKEEPING_RTOL = 1e-10
 HOLDER_PAIRS = ((2, 1.5), (2, 2.0), (3, 1.5), (3, 2.0), (5, 1.5), (5, 2.0))
@@ -29,42 +32,30 @@ BLOWUP_CONSISTENCY_RTOL = 1e-12
 WEAK_AGREEMENT_RTOL = 1e-10
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    details: dict = field(default_factory=dict)
+def _entry(name, ok, details, skip=False):
+    """One entry of check_report.json: skip, or pass or fail as ``ok`` says."""
+    return {"name": name, "status": "skip" if skip else ("pass" if ok else "fail"),
+            "details": details}
 
 
-@dataclass
-class CheckReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(c.status != "fail" for c in self.checks)
-
-    def add(self, name, ok, details=None, skip=False):
-        status = "skip" if skip else ("pass" if ok else "fail")
-        self.checks.append(CheckResult(name=name, status=status, details=details or {}))
-
-    def to_dict(self):
-        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
+def _unfinished(error, replay_failed):
+    """The report of a check stopped by a numerical failure: the error, no entries."""
+    return {"passed": False, "replay_failed": replay_failed, "error": error}
 
 
-def _check_bookkeeping(report, series):
+def _check_bookkeeping(series):
     m1, gel, rho0 = series.values(1.0), series.gel(), series.rho0()
     drift = np.abs(m1 + gel - rho0) / rho0
     monotone = bool(np.all(np.diff(gel) >= 0)) if gel.size > 1 else True
     ok = bool(np.max(drift) <= BOOKKEEPING_RTOL) and monotone
-    report.add("bookkeeping", ok, {
+    return _entry("bookkeeping", ok, {
         "max_rel_drift": float(np.max(drift)),
         "gel_nondecreasing": monotone,
         "tolerance": BOOKKEEPING_RTOL,
     })
 
 
-def _check_stored_csv(report, series, stored):
+def _check_stored_csv(series, stored):
     """The stored moments.csv is the replay's: same header, rows and values."""
     header_ok = list(stored) == series.labels
     rows_ok = header_ok and len(stored["t"]) == len(series.rows)
@@ -76,78 +67,74 @@ def _check_stored_csv(report, series, stored):
     ok = rows_ok and mismatch <= BOOKKEEPING_RTOL  # a NaN mismatch fails
     if mismatch is not None and not np.isfinite(mismatch):
         mismatch = None  # JSON has no NaN or Infinity; the entry fails all the same
-    report.add("stored_moments_csv", ok, {
+    return _entry("stored_moments_csv", ok, {
         "header_matches": header_ok, "rows_match": rows_ok,
         "max_rel_mismatch": mismatch, "tolerance": BOOKKEEPING_RTOL,
     })
 
 
-def _check_certification(report, kernel, params):
+def _check_certification(kernel, params):
     params = params or kernel.growth_bounds()
     if params is None:
-        report.add("certification", True, {
+        return _entry("certification", True, {
             "reason": "kernel carries no growth parameters and none were configured",
         }, skip=True)
-        return
     try:
         cert = kernels.certify_hypothesis_A(kernel, params)
     except EvaluationOverflowError as exc:
         # the lattice reaches past the kernel's float range: nothing there was
         # sampled, which must not read as a pass
-        report.add("certification", False, {"params": asdict(params), "error": str(exc)})
-        return
-    report.add("certification", cert.passed, cert.to_dict())
+        return _entry("certification", False, {"params": asdict(params), "error": str(exc)})
+    return _entry("certification", cert.passed, cert.to_dict())
 
 
-def _check_holder(report, times, sums):
-    """Add the Hoelder entry from ``sums``, the stacked HOLDER_ORDERS moments."""
+def _check_holder(times, sums):
+    """The Hoelder entry from ``sums``, the stacked HOLDER_ORDERS moments."""
     ok, worst = moments.holder_check(sums, times, HOLDER_PAIRS)
-    report.add("holder_inequality", ok, {"pairs": list(HOLDER_PAIRS), "worst": worst})
+    return _entry("holder_inequality", ok, {"pairs": list(HOLDER_PAIRS), "worst": worst})
 
 
-def _check_moment_rhs_sign(report, sums):
-    """Add the sign check of the pair sums of each SIGN_ORDERS order."""
+def _check_moment_rhs_sign(sums):
+    """The sign entry of the pair sums of each SIGN_ORDERS order."""
     values = np.array([sums[r][:, 0] for r in SIGN_ORDERS])
     ok = bool(np.all(values >= -SIGN_SLACK * np.maximum(1.0, np.abs(values))))
     least = min(0.0, float(np.min(values)))
-    report.add("moment_rhs_sign", ok, {"orders": list(SIGN_ORDERS), "min_value": least})
+    return _entry("moment_rhs_sign", ok, {"orders": list(SIGN_ORDERS), "min_value": least})
 
 
-def _check_moment_residual(report, result, tol, sums, values):
+def _check_moment_residual(result, tol, sums, values):
     try:
         residual = moments.moment_residual(result, 2, sums, values)
     except InvalidInputError as exc:  # too few records, or uneven before the last
-        report.add("moment_residual", True, {"reason": str(exc)}, skip=True)
-        return
-    report.add("moment_residual", residual <= tol, {
+        return _entry("moment_residual", True, {"reason": str(exc)}, skip=True)
+    return _entry("moment_residual", residual <= tol, {
         "r": 2, "residual": residual, "tolerance": tol,
     })
 
 
-def _check_weak_form(report, result, tol, test, sums):
+def _check_weak_form(result, tol, test, sums):
     residual, internal, gross = moments.weak_form_residual(result, test, sums)
     brute = oracle.brute_force_weak_rhs(result.tables.grid, result.series.times(),
                                         result.densities, result.config.kernel, test)
     agree = moments.relative_gap(internal, brute, gross)
     ok = residual <= tol and agree <= WEAK_AGREEMENT_RTOL
-    report.add("weak_form_residual", ok, {
+    return _entry("weak_form_residual", ok, {
         "cap": test.lam, "t": float(result.series.times()[-1]), "residual": residual,
         "tolerance": tol, "oracle_agreement": agree,
         "agreement_tolerance": WEAK_AGREEMENT_RTOL,
     })
 
 
-def _check_blowup_bounds(report, result, values):
-    """Add the blow-up table from ``values``, the moment pass, at the first record."""
-    bounds = result.config.kernel.growth_bounds()
+def _check_blowup_bounds(series, kernel, values):
+    """The blow-up table from ``values``, the moment pass, at the first record."""
+    bounds = kernel.growth_bounds()
     if bounds is None:
-        report.add("blowup_bounds", True, {
+        return _entry("blowup_bounds", True, {
             "reason": "kernel carries no growth parameters with beta > 1",
         }, skip=True)
-        return
     theta1, beta = bounds.theta1, bounds.beta
-    delta = result.series.rows[0][0]
-    rho0 = result.series.rho0()
+    delta = series.rows[0][0]
+    rho0 = series.rho0()
     table = []
     ok = True
     for r in BLOWUP_ORDERS:
@@ -167,7 +154,7 @@ def _check_blowup_bounds(report, result, values):
         mismatch = abs((bound - delta) - tstar) / tstar
         ok = ok and mismatch <= BLOWUP_CONSISTENCY_RTOL
         table.append({"r": float(r), "delta": delta, "moment_value": value, "bound": bound})
-    report.add("blowup_bounds", ok, {
+    return _entry("blowup_bounds", ok, {
         "table": table,
         "consistency_tolerance": BLOWUP_CONSISTENCY_RTOL,
     })
@@ -179,31 +166,46 @@ def run_checks(result, stored=None):
     Parameters
     ----------
     result : solver.RunResult
-        Replay with captured densities and kernel tables; without either it
-        raises ``InvalidInputError``.  Its config's "check" section gives the
-        certification constants and residual tolerances, defaults without one.
+        Replay with captured densities and kernel tables; a finished replay
+        without either raises ``InvalidInputError``.  Its config's "check"
+        section gives the certification constants and residual tolerances,
+        defaults without one.
     stored : dict, optional
         Columns of a stored moments.csv; when given, they are compared with
         the replay's, column by column (detects edited artifacts).
+
+    Returns
+    -------
+    dict
+        What check_report.json holds: ``{"passed", "checks"}``, one entry per
+        check; or ``{"passed": False, "replay_failed", "error"}`` when the
+        replay failed (``True``) or one of its sums failed numerically.
     """
+    if result.failed:
+        return _unfinished(result.error, replay_failed=True)
     if result.densities is None or result.tables is None:
         raise InvalidInputError("run was recorded without densities or kernel tables")
     settings = result.config.check or CheckSpec()
-    report = CheckReport()
-    series = result.series
-    _check_bookkeeping(report, series)
+    series, kernel = result.series, result.config.kernel
+    entries = [_check_bookkeeping(series)]
     if stored is not None:
-        _check_stored_csv(report, series, stored)
-    _check_certification(report, result.config.kernel, settings.certification)
-    # every replay sum once: the moments, then all four tests' pair sums
-    values = moments.stacked_moments(result.tables.grid, result.densities, HOLDER_ORDERS)
-    _check_holder(report, series.times(), values)
-    weak_test = moments.CappedIdentity(result.config.grid.R / 2.0)
-    tests = [moments.Power(r) for r in SIGN_ORDERS] + [weak_test]
-    *power_sums, weak_sums = moments.pair_sums(result.densities, result.tables, tests)
-    sums = dict(zip(SIGN_ORDERS, power_sums))
-    _check_moment_rhs_sign(report, sums)
-    _check_moment_residual(report, result, settings.moment_residual_tol, sums[2][:, 0], values[2])
-    _check_weak_form(report, result, settings.weak_residual_tol, weak_test, weak_sums)
-    _check_blowup_bounds(report, result, values)
-    return report
+        entries.append(_check_stored_csv(series, stored))
+    entries.append(_check_certification(kernel, settings.certification))
+    try:  # the moment pass, the pair sums and the oracle's kernel calls can each overflow
+        # every replay sum once: the moments, then all four tests' pair sums
+        values = moments.stacked_moments(result.tables.grid, result.densities, HOLDER_ORDERS)
+        entries.append(_check_holder(series.times(), values))
+        weak_test = moments.CappedIdentity(result.config.grid.R / 2.0)
+        tests = [moments.Power(r) for r in SIGN_ORDERS] + [weak_test]
+        *power_sums, weak_sums = moments.pair_sums(result.densities, result.tables, tests)
+        sums = dict(zip(SIGN_ORDERS, power_sums))
+        entries += [
+            _check_moment_rhs_sign(sums),
+            _check_moment_residual(result, settings.moment_residual_tol, sums[2][:, 0],
+                                   values[2]),
+            _check_weak_form(result, settings.weak_residual_tol, weak_test, weak_sums),
+            _check_blowup_bounds(series, kernel, values),
+        ]
+    except NumericalFailureError as exc:
+        return _unfinished(str(exc), replay_failed=False)
+    return {"passed": all(entry["status"] != "fail" for entry in entries), "checks": entries}

@@ -13,8 +13,10 @@ Subcommands
     written.
 ``check <run-dir-or-config.json>``
     Replay a run (from its manifest or a fresh config) and run the
-    verification suite; writes check_report.json.  A moments.csv the run's
-    manifest lists is compared with the replay, and must be there.
+    verification suite; writes check_report.json, the report that
+    ``checks.run_checks`` returns for the replay, failed or not.  A
+    moments.csv the run's manifest lists is compared with the replay, and
+    must be there.
 
 Exit codes: 0 ok, 1 check failure, 2 invalid input, 3 numerical failure.
 Each command checks its config when it loads it, before it makes any output
@@ -75,14 +77,6 @@ def cmd_sweep(args):
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE
 
 
-def _write_unfinished_check(out, error, replay_failed):
-    """Replace any earlier report with that of a check stopped by a numerical failure."""
-    runio.write_json(out / "check_report.json", {
-        "passed": False, "replay_failed": replay_failed, "error": error,
-    })
-    return EXIT_NUMERICAL_FAILURE
-
-
 def cmd_check(args):
     target = Path(args.target)
     stored = None
@@ -102,21 +96,18 @@ def cmd_check(args):
     state = solver.initial_state(cfg)
     out = runio.make_dir(args.out or default_out)
     result = solver.run(cfg, capture_densities=True, state=state)
-    if result.failed:
-        logger.error("replay failed: %s", result.error)
-        return _write_unfinished_check(out, result.error, replay_failed=True)
     from . import checks  # deferred: simulate and sweep need no check suite
 
-    try:
-        report = checks.run_checks(result, stored=stored)
-    except NumericalFailureError as exc:
-        logger.error("checks failed numerically: %s", exc)
-        return _write_unfinished_check(out, str(exc), replay_failed=False)
-    runio.write_json(out / "check_report.json", report.to_dict())
-    for check in report.checks:
-        logger.info("check %-24s %s", check.name, check.status.upper())
-    if not report.passed:
-        failing = [c.name for c in report.checks if c.status == "fail"]
+    report = checks.run_checks(result, stored=stored)
+    runio.write_json(out / "check_report.json", report)  # in place of any earlier one
+    if "error" in report:
+        logger.error("replay failed: %s" if report["replay_failed"]
+                     else "checks failed numerically: %s", report["error"])
+        return EXIT_NUMERICAL_FAILURE
+    for entry in report["checks"]:
+        logger.info("check %-24s %s", entry["name"], entry["status"].upper())
+    if not report["passed"]:
+        failing = [entry["name"] for entry in report["checks"] if entry["status"] == "fail"]
         logger.error("checks failed: %s", ", ".join(failing))
         return EXIT_CHECK_FAILURE
     return EXIT_OK

@@ -9,14 +9,6 @@ class InvalidInputError(CoagulationError):
     """A precondition on user-supplied data was violated."""
 
 
-class SupportOutsideDomainError(InvalidInputError):
-    """An initial condition places mass outside the truncated domain [0, R]."""
-
-
-class InsufficientRecordsError(InvalidInputError):
-    """A time-series diagnostic needs more records than were provided."""
-
-
 class NumericalFailureError(CoagulationError):
     """A computation produced non-finite values or exceeded its error budget."""
 

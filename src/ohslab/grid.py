@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, SupportOutsideDomainError
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +179,7 @@ class UniformOn:
 
     def cell_masses(self, grid):
         if self.b > grid.cutoff:
-            raise SupportOutsideDomainError(
+            raise InvalidInputError(
                 "uniform_on support [%g, %g] exceeds cutoff R=%g" % (self.a, self.b, grid.cutoff)
             )
         return _table_masses(grid, (self.a, self.b), (self.density(),))
@@ -227,8 +227,8 @@ class TableDensity:
 
     def cell_masses(self, grid):
         if self.edges[-1] > grid.cutoff:
-            raise SupportOutsideDomainError("table support [%g, %g] exceeds domain [0, %g]"
-                                            % (self.edges[0], self.edges[-1], grid.cutoff))
+            raise InvalidInputError("table support [%g, %g] exceeds domain [0, %g]"
+                                    % (self.edges[0], self.edges[-1], grid.cutoff))
         masses = _table_masses(grid, self.edges, self.values)
         if masses.sum() <= 0:
             raise InvalidInputError("table initial condition carries no mass")

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientRecordsError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 
 #: Absolute floor in relative residuals (avoids 0/0 on empty states).
 EPS_FLOOR = 1e-30
@@ -436,7 +436,7 @@ def moment_residual(run, r, sums, values):
         steps = steps[:-1]
     n = steps.size + 1
     if n < 3:
-        raise InsufficientRecordsError("moment residual needs at least 3 records")
+        raise InvalidInputError("moment residual needs at least 3 records")
     if np.max(np.abs(steps - steps.mean())) > CADENCE_RTOL * steps.mean():
         raise InvalidInputError("moment residual needs records at uniform cadence")
     times, values, sums = times[:n], values[:n], sums[:n]

@@ -137,6 +137,11 @@ def test_simulate_then_check_any_small_config(tmp_path_factory, cfg):
         assert checked == 3 and strict_json(out / "check_report.json")["replay_failed"]
     else:
         assert checked in (0, 1, 2, 3)
+    if checked in (0, 1):  # a full suite: passed exactly when no entry failed
+        report = strict_json(out / "check_report.json")
+        assert all(set(entry) == {"name", "status", "details"} for entry in report["checks"])
+        assert report["passed"] == all(entry["status"] != "fail" for entry in report["checks"])
+        assert report["passed"] == (checked == 0)
     for written in tmp.rglob("*.json"):
         strict_json(written)
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import moment
 
 from ohslab.config import from_section, to_section
-from ohslab.errors import InvalidInputError, SupportOutsideDomainError
+from ohslab.errors import InvalidInputError
 from ohslab.grid import (
     INITIAL_KINDS,
     CellSpike,
@@ -120,9 +120,9 @@ def test_project_table_masses():
 
 def test_project_rejects_support_outside_domain():
     grid = build("uniform", 4.0, 16)
-    with pytest.raises(SupportOutsideDomainError):
+    with pytest.raises(InvalidInputError, match=r"uniform_on support \[3, 5\] exceeds cutoff R=4"):
         project_initial(grid, UniformOn(3.0, 5.0, 1.0))
-    with pytest.raises(SupportOutsideDomainError):
+    with pytest.raises(InvalidInputError, match=r"table support \[3, 5\] exceeds domain \[0, 4\]"):
         project_initial(grid, TableDensity(edges=(3.0, 5.0), values=(1.0,)))
 
 

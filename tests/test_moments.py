@@ -19,7 +19,7 @@ from ohslab import (
     load_config,
 )
 from ohslab.checks import run_checks
-from ohslab.errors import InsufficientRecordsError, InvalidInputError
+from ohslab.errors import InvalidInputError
 from ohslab.gelation import row_config
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.moments import (
@@ -370,8 +370,8 @@ def test_moment_residual_leaves_out_a_short_last_interval():
     off_cadence = small_run(N=64, t_end=0.105, cadence=0.01)
     residual = replay_moment_residual(off_cadence, 2)
     assert residual == pytest.approx(replay_moment_residual(on_cadence, 2), rel=1e-3)
-    entry = next(c for c in run_checks(off_cadence).checks if c.name == "moment_residual")
-    assert (entry.status, entry.details["residual"]) == ("fail", residual)
+    entry = next(c for c in run_checks(off_cadence)["checks"] if c["name"] == "moment_residual")
+    assert (entry["status"], entry["details"]["residual"]) == ("fail", residual)
 
 
 @pytest.mark.parametrize("times", [
@@ -392,7 +392,7 @@ def test_moment_residual_does_not_grow_under_refinement():
 
 def test_moment_residual_requires_enough_uniform_records():
     result = small_run(N=64, t_end=0.02, cadence=0.02)  # two records only
-    with pytest.raises(InsufficientRecordsError):
+    with pytest.raises(InvalidInputError, match="at least 3 records"):
         replay_moment_residual(result, 2)
 
 
@@ -522,7 +522,7 @@ def test_check_sums_each_moment_order_once(powersum_run, monkeypatch):
 
     monkeypatch.setattr(moments_mod, "pair_sums", counted)
     monkeypatch.setattr(moments_mod, "stacked_moments", counted_moments)
-    names = [check.name for check in run_checks(powersum_run).checks]
+    names = [check["name"] for check in run_checks(powersum_run)["checks"]]
     assert {"holder_inequality", "moment_rhs_sign", "moment_residual",
             "weak_form_residual"} <= set(names)
     # one moment pass, whose M^2 the residual reads too, and one pair-sum
