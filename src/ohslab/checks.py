@@ -80,12 +80,12 @@ def _check_certification(kernel, params):
             "reason": "kernel carries no growth parameters and none were configured",
         }, skip=True)
     try:
-        cert = kernels.certify_hypothesis_A(kernel, params)
+        details = kernels.certify_hypothesis_A(kernel, params)
     except EvaluationOverflowError as exc:
         # the lattice reaches past the kernel's float range: nothing there was
         # sampled, which must not read as a pass
         return _entry("certification", False, {"params": asdict(params), "error": str(exc)})
-    return _entry("certification", cert.passed, cert.to_dict())
+    return _entry("certification", details["passed"], details)
 
 
 def _check_holder(times, sums):

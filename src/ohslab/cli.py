@@ -69,11 +69,13 @@ def cmd_sweep(args):
     from . import gelation  # deferred: simulate and check need no sweep code
 
     out = Path(args.out or Path(args.config).with_suffix(""))
-    report = gelation.cutoff_sweep(load_config(args.config), out, workers=args.workers)
-    runio.write_sweep_csv(out / "sweep.csv", report.rows)
-    runio.write_json(out / "sweep.json", asdict(report))
-    n_ok = sum(not row.failed for row in report.rows)
-    logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(report.rows), out)
+    cfg = load_config(args.config)
+    rows = gelation.cutoff_sweep(cfg, out, workers=args.workers)
+    runio.write_sweep_csv(out / "sweep.csv", rows)
+    runio.write_json(out / "sweep.json",
+                     {"epsilon": cfg.epsilon, "rows": [asdict(row) for row in rows]})
+    n_ok = sum(not row.failed for row in rows)
+    logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(rows), out)
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE
 
 

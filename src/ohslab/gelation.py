@@ -30,7 +30,7 @@ import contextlib
 import logging
 import os
 from concurrent import futures  # loads its process pool on first use, never in a serial sweep
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,14 +74,6 @@ class SweepRow:
     failed: bool = False
     error: str = None
     steps: int = None
-
-
-@dataclass
-class GelationReport:
-    """Result of the cutoff sweep: the threshold and one row per cutoff."""
-
-    epsilon: float
-    rows: list = field(default_factory=list)
 
 
 def row_config(base_config, R, N):
@@ -167,7 +159,7 @@ def cutoff_sweep(config, out, workers=None):
 
     Returns
     -------
-    GelationReport
+    list of SweepRow
         One row per cutoff, sorted by R.
     """
     if config.sweep is None:
@@ -193,7 +185,7 @@ def cutoff_sweep(config, out, workers=None):
     for row in rows:
         if row.failed:
             logger.warning("sweep row R=%g failed: %s", row.R, row.error)
-    return GelationReport(epsilon=config.epsilon, rows=rows)
+    return rows
 
 
 def blowup_bound(r, delta, moment_value, theta1, beta, rho0):

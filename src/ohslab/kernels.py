@@ -22,10 +22,10 @@ of sizes mu and nu merge.  Four families are provided:
     theta1 * (mu**beta + nu**beta) <= Lambda(mu, nu)
                                    <= theta2 * (1 + mu)**gamma * (1 + nu)**gamma
 
-on a lattice of positive size pairs and reports every violation.  The bound
-is a for-all statement; sampling on a configurable log-spaced lattice is the
-uniform machinery used here (closed-form verification would be
-kernel-specific).  ``Kernel.growth_bounds()`` returns the constants a kernel
+on a lattice of positive size pairs, counts every violation and lists the
+first 32.  The bound is a for-all statement; sampling on a configurable
+log-spaced lattice is the uniform machinery used here (closed-form
+verification would be kernel-specific).  ``Kernel.growth_bounds()`` returns the constants a kernel
 satisfies, or None outside the class with beta > 1 (constant, product, and
 power_sum with beta <= 1): a power-law kernel's own theta1, gamma = beta and
 theta2 = 2 * (theta1 + K), with K = 0 for power_sum.  ``check`` certifies and
@@ -42,7 +42,7 @@ its ``pair_sum``).  Every factor is nonnegative.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -253,37 +253,6 @@ class CertificationParams:
             raise InvalidInputError("certification needs gamma >= beta")
 
 
-@dataclass(frozen=True)
-class CertViolation:
-    """A sampled pair outside the sandwich; a bound past the float range is None."""
-
-    mu: float
-    nu: float
-    value: float
-    lower: float
-    upper: float
-
-
-@dataclass
-class CertificationReport:
-    params: CertificationParams
-    n_samples: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.violations
-
-    def to_dict(self):
-        return {
-            "params": asdict(self.params),
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-            "n_violations": len(self.violations),
-            "violations": [asdict(v) for v in self.violations[:32]],
-        }
-
-
 def sample_lattice(lo=DEFAULT_LATTICE_BOUNDS[0], hi=DEFAULT_LATTICE_BOUNDS[1],
                    n=DEFAULT_LATTICE_SIZE):
     """Log-spaced n x n lattice of (mu, nu) pairs over [lo, hi]^2."""
@@ -309,9 +278,13 @@ def certify_hypothesis_A(kernel, params, samples=None):
 
     Returns
     -------
-    CertificationReport
-        ``report.passed`` is True iff no sampled point violates either bound
-        (within ``CERTIFY_RTOL`` relative slack).
+    dict
+        The ``certification`` entry's details: ``params``, ``n_samples``,
+        ``passed`` (True iff no sampled point violates either bound within
+        ``CERTIFY_RTOL`` relative slack), ``n_violations`` (every violating
+        sample) and ``violations`` (the first 32 of them in lattice order,
+        each with ``mu``, ``nu``, ``value``, ``lower`` and ``upper``; a bound
+        past the float range is None).
     """
     if samples is None:
         samples = sample_lattice()
@@ -326,16 +299,19 @@ def certify_hypothesis_A(kernel, params, samples=None):
     with np.errstate(over="ignore"):  # a bound past the float range is inf
         lower = _power_sum(params.theta1, params.beta, mu, nu)
         upper = params.theta2 * (1.0 + mu) ** params.gamma * (1.0 + nu) ** params.gamma
-        bad = (lower > value * (1.0 + CERTIFY_RTOL)) | (value > upper * (1.0 + CERTIFY_RTOL))
-    report = CertificationReport(params=params, n_samples=len(samples))
-    for k in np.flatnonzero(bad):
-        report.violations.append(
-            CertViolation(
-                mu=float(mu[k]), nu=float(nu[k]), value=float(value[k]),
-                lower=_finite_or_none(lower[k]), upper=_finite_or_none(upper[k]),
-            )
-        )
-    return report
+        bad = np.flatnonzero((lower > value * (1.0 + CERTIFY_RTOL))
+                             | (value > upper * (1.0 + CERTIFY_RTOL)))
+    return {
+        "params": asdict(params),
+        "n_samples": len(samples),
+        "passed": bad.size == 0,
+        "n_violations": bad.size,
+        "violations": [
+            {"mu": float(mu[k]), "nu": float(nu[k]), "value": float(value[k]),
+             "lower": _finite_or_none(lower[k]), "upper": _finite_or_none(upper[k])}
+            for k in bad[:32]
+        ],
+    }
 
 
 def _finite_or_none(x):

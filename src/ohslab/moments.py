@@ -156,9 +156,9 @@ class MomentSeries:
     """The moments table of one run: the rows moments.csv holds.
 
     ``labels`` are the columns: the time ``t``, M^r for each recorded order,
-    the first-moment tail M_m^1 for each threshold m (the quantity the tail
-    diagnostics consume), ``gel_mass`` and ``clamped_mass``.  ``rows`` holds
-    one row of Python floats per record, in that order.
+    the first-moment tail M_m^1 for each threshold m (the mass of the cells
+    whose midpoint is at least m), ``gel_mass`` and ``clamped_mass``.
+    ``rows`` holds one row of Python floats per record, in that order.
     """
 
     orders: tuple

@@ -108,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .grid import State, project_initial
 from .moments import MomentSeries
 
@@ -462,9 +462,13 @@ def run(config, capture_densities=False, state=None):
     neither ``run`` nor ``step`` checks them again; the config given is the
     result's ``config``.  ``state`` is the config's ``initial_state``, which
     a caller that has it already passes in; it is made here when not given.
+    A state past t = 0, or with gel or clamped mass, raises InvalidInputError
+    before anything is recorded: the record times count from 0.
     """
     if state is None:
         state = initial_state(config)
+    elif state.t != 0 or state.gel_mass != 0 or state.clamped_mass != 0:
+        raise InvalidInputError("run starts at t = 0 with no gel or clamped mass")
     grid = state.grid
     series = MomentSeries(
         orders=config.moments.orders, thresholds=config.moments.truncation_thresholds

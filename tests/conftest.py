@@ -211,5 +211,5 @@ def gelation_sweep(tmp_path_factory):
     )
     t0 = time.perf_counter()
     sweep = SweepSpec((4.0, 8.0, 16.0, 32.0), resolution=1.0 / 32.0)
-    report = cutoff_sweep(replace(base, sweep=sweep), tmp_path_factory.mktemp("sweep"), workers=4)
-    return report, time.perf_counter() - t0
+    rows = cutoff_sweep(replace(base, sweep=sweep), tmp_path_factory.mktemp("sweep"), workers=4)
+    return rows, time.perf_counter() - t0

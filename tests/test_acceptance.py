@@ -142,8 +142,8 @@ def test_criterion_5_blowup_bound_consistency():
 
 
 def test_criterion_6_cutoff_scaling_experiment(gelation_sweep):
-    report, runtime = gelation_sweep
-    t_losses = [row.t_loss for row in report.rows]
+    rows, runtime = gelation_sweep
+    t_losses = [row.t_loss for row in rows]
     finite = all(t is not None for t in t_losses)
     decreasing = finite and all(b < a for a, b in zip(t_losses, t_losses[1:]))
     ok = decreasing and runtime <= 600.0

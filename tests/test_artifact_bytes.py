@@ -1,8 +1,8 @@
 """Every artifact the commands write keeps its bytes.
 
-The test writes the artifacts of seven small commands, one of them a run
-that fails, and compares the
-sha256 of each file with the digest recorded here.  A change that alters an
+The test writes the artifacts of eight small commands, one of them a run
+that fails, and compares the sha256 of each file with the digest recorded
+here.  A change that alters an
 artifact on purpose updates its digest below and names the file in
 CHANGES.md; any other change must leave every digest as it is.
 """
@@ -40,6 +40,17 @@ OVERFLOW = {
     "t_end": 1.0,
 }
 
+#: A constant kernel checked against a growth sandwich it breaks at 3086 of
+#: the default lattice's 4096 points; the check lists the first 32 (exit 1).
+FAILED_CERTIFICATION = {
+    "kernel": {"kind": "constant", "value": 1.0},
+    "grid": {"kind": "uniform", "R": 4.0, "N": 64},
+    "initial": {"kind": "uniform_on", "a": 0.0, "b": 1.0, "mass": 1.0},
+    "t_end": 0.1,
+    "record_cadence": 0.01,
+    "check": {"certification": {"theta1": 1, "theta2": 2, "beta": 1.5}},
+}
+
 #: {path under the output root: sha256 of its bytes}
 DIGESTS = {
     "bagland/check_report.json":
@@ -50,6 +61,8 @@ DIGESTS = {
         "05b81ffc71204b449ffbd5be9a01d4167f78b8ff9f3d52b5290a69b4f8c4db8e",
     "bagland/moments.csv":
         "22cc26f52d641fcfc77e15a0c149fc6e1f74e169de11ca45ec813ad120179e47",
+    "certification/check_report.json":
+        "366a1a6cd3b4bac0df8103796f502318b2e227619e32b295285ed8f156f30f3d",
     "heun/final_state.json":
         "3cdfa342b86fb777ec094e79c0fcdee4c6d6a6f4003cfb64ad5d7381b538cb0f",
     "heun/manifest.json":
@@ -102,7 +115,7 @@ DIGESTS = {
 
 #: The exit code of each command of ``write_artifacts``, by its name there.
 EXIT_CODES = {"bagland": 0, "bagland_check": 1, "sweep": 0, "heun": 0,
-              "heun_tails": 0, "heun_tails_check": 1, "overflow": 3}
+              "heun_tails": 0, "heun_tails_check": 1, "overflow": 3, "certification": 1}
 
 
 def shipped(name, **changes):
@@ -121,6 +134,7 @@ def write_artifacts(root):
         "heun": HEUN_GEOMETRIC,
         "heun_tails": HEUN_TAILS,
         "overflow": OVERFLOW,
+        "certification": FAILED_CERTIFICATION,
     }
     for name, cfg in configs.items():
         (root / (name + ".json")).write_text(json.dumps(cfg), encoding="utf-8")
@@ -134,6 +148,8 @@ def write_artifacts(root):
                        "--out", str(root / "heun_tails")],
         "heun_tails_check": ["check", str(root / "heun_tails")],
         "overflow": ["simulate", str(root / "overflow.json"), "--out", str(root / "overflow")],
+        "certification": ["check", str(root / "certification.json"),
+                          "--out", str(root / "certification")],
     }
     return {name: main(["--quiet", *argv]) for name, argv in commands.items()}
 

@@ -77,13 +77,13 @@ def constant_base(t_end=1.0):
 
 def test_sweep_constant_kernel_never_reaches_cutoffs(tmp_path):
     # explicit-solution support stays in [0, M*(1+t_end)] = [0, 2]
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(constant_base(), sweep=SweepSpec((4.0, 8.0))), tmp_path, workers=1
     )
-    assert [row.R for row in report.rows] == [4.0, 8.0]
-    assert all(row.t_loss is None for row in report.rows)
+    assert [row.R for row in rows] == [4.0, 8.0]
+    assert all(row.t_loss is None for row in rows)
     # upwind leakage beyond the support is at roundoff scale
-    assert all(row.gel_fraction_final <= 1e-12 for row in report.rows)
+    assert all(row.gel_fraction_final <= 1e-12 for row in rows)
     for name in ("R4", "R8"):
         assert read_manifest(tmp_path / name / "manifest.json")["status"] == "ok"
         assert (tmp_path / name / "moments.csv").exists()
@@ -116,13 +116,13 @@ def powersum_base():
 
 def test_sweep_row_replicates_direct_run(tmp_path):
     base = powersum_base()
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(base, sweep=SweepSpec((2.0, 3.0), resolution=1.0 / 16.0)), tmp_path, workers=1
     )
     direct = run(base)  # R = 2, N = 32 equals the first row's configuration
-    assert report.rows[0].N == 32
-    assert report.rows[0].t_loss == gelation_time(direct.series, 0.01)
-    assert report.rows[0].steps == direct.steps > 0
+    assert rows[0].N == 32
+    assert rows[0].t_loss == gelation_time(direct.series, 0.01)
+    assert rows[0].steps == direct.steps > 0
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -130,7 +130,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     sweep = SweepSpec((2.0, 3.0))
     serial = cutoff_sweep(replace(base, sweep=sweep), tmp_path / "serial", workers=1)
     parallel = cutoff_sweep(replace(base, sweep=sweep), tmp_path / "parallel", workers=2)
-    for a, b in zip(serial.rows, parallel.rows):
+    for a, b in zip(serial, parallel):
         assert (a.R, a.N, a.t_loss, a.gel_fraction_final) == (b.R, b.N, b.t_loss, b.gel_fraction_final)
 
 
@@ -159,14 +159,14 @@ def assert_only_a_failed_manifest(row_dir, error):
 
 def test_sweep_serial_contains_non_coagulation_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(raise_foreign_errors))
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), tmp_path, workers=1
     )
-    assert [row.failed for row in report.rows] == [False, True, True]
-    assert report.rows[0].t_loss is not None and report.rows[0].steps > 0
-    assert report.rows[1].error == "MemoryError: "
-    assert report.rows[2].error == "RuntimeError: boom"
-    assert report.rows[1].steps is None
+    assert [row.failed for row in rows] == [False, True, True]
+    assert rows[0].t_loss is not None and rows[0].steps > 0
+    assert rows[1].error == "MemoryError: "
+    assert rows[2].error == "RuntimeError: boom"
+    assert rows[1].steps is None
     assert_only_a_failed_manifest(tmp_path / "R3", "MemoryError: ")
     assert (tmp_path / "R2" / "moments.csv").exists()
 
@@ -202,14 +202,14 @@ class CrashingPool:
 
 def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation.futures, "ProcessPoolExecutor", CrashingPool)
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(powersum_base(), sweep=SweepSpec((2.0, 3.0, 4.0))), tmp_path, workers=3
     )
-    assert [row.failed for row in report.rows] == [False, True, False]
+    assert [row.failed for row in rows] == [False, True, False]
     error = "BrokenProcessPool: worker terminated abruptly"
-    assert report.rows[1].error == error
+    assert rows[1].error == error
     assert_only_a_failed_manifest(tmp_path / "R3", error)
-    assert all(row.t_loss is not None for row in (report.rows[0], report.rows[2]))
+    assert all(row.t_loss is not None for row in (rows[0], rows[2]))
 
 
 @pytest.mark.skipif(
@@ -218,14 +218,14 @@ def test_sweep_pool_turns_a_lost_worker_into_a_failed_row(tmp_path, monkeypatch)
 )
 def test_sweep_pool_survives_a_worker_that_exits(tmp_path, monkeypatch):
     monkeypatch.setattr(gelation.solver, "run", failing_run(lambda R: os._exit(1)))
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(powersum_base(), sweep=SweepSpec((2.0, 3.0))), tmp_path, workers=2
     )
-    assert [row.R for row in report.rows] == [2.0, 3.0]
-    assert report.rows[1].failed
-    assert report.rows[1].error.startswith("BrokenProcessPool: ")
+    assert [row.R for row in rows] == [2.0, 3.0]
+    assert rows[1].failed
+    assert rows[1].error.startswith("BrokenProcessPool: ")
     # the other row either finished before the pool broke or lost it too
-    assert report.rows[0].t_loss is not None or "BrokenProcessPool" in report.rows[0].error
+    assert rows[0].t_loss is not None or "BrokenProcessPool" in rows[0].error
 
 
 def test_row_config_moves_the_grid_and_drops_the_sweep():
@@ -236,11 +236,11 @@ def test_row_config_moves_the_grid_and_drops_the_sweep():
 
 
 def test_sweep_scales_cell_count_with_cutoff(tmp_path):
-    report = cutoff_sweep(
+    rows = cutoff_sweep(
         replace(powersum_base(), sweep=SweepSpec((2.0, 4.0), resolution=1.0 / 16.0)),
         tmp_path, workers=1,
     )
-    assert [row.N for row in report.rows] == [32, 64]
+    assert [row.N for row in rows] == [32, 64]
 
 
 def test_blowup_bound_spot_values():

@@ -116,9 +116,9 @@ def test_certify_power_sum_passes_with_tight_lower_bound():
     kernel = PowerSumKernel(1.0, 1.5)
     params = CertificationParams(theta1=1.0, theta2=2.0, beta=1.5, gamma=1.5)
     lattice = sample_lattice(0.1, 10.0, 32)
-    report = certify_hypothesis_A(kernel, params, lattice)
-    assert report.passed
-    assert report.n_samples == 32 * 32
+    details = certify_hypothesis_A(kernel, params, lattice)
+    assert details["passed"]
+    assert details["n_samples"] == 32 * 32
     # the lower bound is met with equality at every sampled point
     mu, nu = lattice[:, 0], lattice[:, 1]
     lower = params.theta1 * (mu**params.beta + nu**params.beta)
@@ -128,39 +128,54 @@ def test_certify_power_sum_passes_with_tight_lower_bound():
 def test_certify_constant_violates_lower_bound():
     params = CertificationParams(theta1=1.0, theta2=2.0, beta=1.5, gamma=1.5)
     lattice = np.array([[0.1, 0.1], [2.0, 2.0]])
-    report = certify_hypothesis_A(ConstantKernel(1.0), params, lattice)
-    assert not report.passed
-    hit = [v for v in report.violations if v.mu == 2.0 and v.nu == 2.0]
+    details = certify_hypothesis_A(ConstantKernel(1.0), params, lattice)
+    assert not details["passed"]
+    hit = [v for v in details["violations"] if v["mu"] == 2.0 and v["nu"] == 2.0]
     assert len(hit) == 1
-    assert hit[0].lower == pytest.approx(2.0 * 2.0**1.5, rel=1e-15)  # 5.657 > 1
-    assert hit[0].value == 1.0
+    assert hit[0]["lower"] == pytest.approx(2.0 * 2.0**1.5, rel=1e-15)  # 5.657 > 1
+    assert hit[0]["value"] == 1.0
+
+
+def test_certify_counts_every_violation_and_lists_the_first_32():
+    params = CertificationParams(theta1=1, theta2=2, beta=1.5)
+    details = certify_hypothesis_A(ConstantKernel(1.0), params)
+    assert details["n_violations"] == 3086
+    assert len(details["violations"]) == 32
+    # the first 32 violating points of the default lattice, in lattice order
+    mu, nu = sample_lattice().T
+    lower = mu**1.5 + nu**1.5
+    upper = 2 * (1 + mu) ** 1.5 * (1 + nu) ** 1.5
+    bad = np.flatnonzero((lower > 1.0) | (1.0 > upper))
+    assert bad.size == 3086
+    listed = [(v["mu"], v["nu"]) for v in details["violations"]]
+    assert listed == [(mu[k], nu[k]) for k in bad[:32]]
 
 
 def test_certify_single_point_equality_is_not_a_violation():
-    report = certify_hypothesis_A(
+    details = certify_hypothesis_A(
         PowerSumKernel(1.0, 1.5),
         CertificationParams(theta1=1.0, theta2=2.0, beta=1.5, gamma=1.5),
         np.array([[1.0, 1.0]]),
     )
-    assert report.passed  # lower bound tight: 2 = 2
+    assert details["passed"]  # lower bound tight: 2 = 2
 
 
 def test_certify_monotone_in_constants():
     kernel = PowerSumKernel(1.3, 1.5)
     lattice = sample_lattice(1e-2, 1e2, 16)
     params = CertificationParams(theta1=1.3, theta2=2.6, beta=1.5, gamma=1.5)
-    assert certify_hypothesis_A(kernel, params, lattice).passed
+    assert certify_hypothesis_A(kernel, params, lattice)["passed"]
     relaxed = CertificationParams(theta1=0.65, theta2=5.2, beta=1.5, gamma=1.5)
-    assert certify_hypothesis_A(kernel, relaxed, lattice).passed
+    assert certify_hypothesis_A(kernel, relaxed, lattice)["passed"]
 
 
 def test_certify_default_lattice_covers_configured_box():
-    report = certify_hypothesis_A(
+    details = certify_hypothesis_A(
         PowerSumKernel(1.0, 1.5),
         CertificationParams(theta1=1.0, theta2=2.0, beta=1.5, gamma=2.0),
     )
-    assert report.n_samples == 64 * 64
-    assert report.passed
+    assert details["n_samples"] == 64 * 64
+    assert details["passed"]
 
 
 def test_certify_empty_lattice_raises():
@@ -198,8 +213,8 @@ def test_growth_bounds_are_certified():
     bounded = [k for k in ALL_KERNELS if k.growth_bounds() is not None]
     assert len(bounded) == 3
     for kernel in bounded:
-        report = certify_hypothesis_A(kernel, kernel.growth_bounds())
-        assert report.passed, (kernel, report.violations[:3])
+        details = certify_hypothesis_A(kernel, kernel.growth_bounds())
+        assert details["passed"], (kernel, details["violations"][:3])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)

@@ -4,6 +4,7 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ohslab import (
     UniformOn,
     solver,
 )
-from ohslab.errors import EvaluationOverflowError, NumericalFailureError
+from ohslab.errors import EvaluationOverflowError, InvalidInputError, NumericalFailureError
 from ohslab.grid import CellSpike, State, build, project_initial
 from ohslab.oracle import l1_error
 from ohslab.solver import KernelTables, run, stable_dt
@@ -291,6 +292,16 @@ def test_run_uses_the_config_it_is_given():
     cfg = base_config(record_cadence=None)
     assert cfg.record_cadence == 0.01  # filled in when built
     assert run(cfg).config is cfg
+
+
+@pytest.mark.parametrize("field, value", [("t", 0.5), ("gel_mass", 0.1), ("clamped_mass", 1e-30)])
+def test_run_starts_only_at_t_zero(field, value):
+    # the record times count from 0: a state past it, or one carrying gel or
+    # clamped mass, would be integrated onto the wrong clock
+    cfg = base_config()
+    state = replace(solver.initial_state(cfg), **{field: value})
+    with pytest.raises(InvalidInputError, match="t = 0"):
+        run(cfg, state=state)
 
 
 def test_run_zero_horizon_single_record():
