@@ -3,20 +3,22 @@
 Subcommands
 -----------
 ``simulate <config.json>``
-    Integrate one run; writes moments.csv, final_state.json and manifest.json
-    into the output directory.
+    Integrate one run and write its run directory (``runio.write_run``).
 ``sweep <config.json>``
-    Cutoff-scaling experiment from the config's "sweep" section; writes
-    sweep.csv, sweep.json and one run directory per cutoff, as ``simulate``
-    writes it for the row's config (a row that raised gets only a failed
-    manifest).  A row whose config is invalid is invalid input: nothing is
-    written.
+    Cutoff-scaling experiment from the config's "sweep" section; writes the
+    sweep table (``runio.write_sweep``) and one run directory per cutoff, as
+    ``simulate`` writes it for the row's config (a row that raised gets only
+    a failed manifest).  A row whose config is invalid is invalid input:
+    nothing is written.
 ``check <run-dir-or-config.json>``
-    Replay a run (from its manifest or a fresh config) and run the
-    verification suite; writes check_report.json, the report that
-    ``checks.run_checks`` returns for the replay, failed or not.  A
-    moments.csv the run's manifest lists is compared with the replay, and
-    must be there.
+    Replay a run (from a run directory, ``runio.read_run``, or a fresh
+    config) and run the verification suite; writes the report that
+    ``checks.run_checks`` returns for the replay, failed or not
+    (``runio.write_check_report``).  ``runio.read_run`` also gives the stored
+    moment series the replay is compared with, when the directory has one.
+
+Which files each of these holds, and what a rewritten directory loses
+first, is decided in ``runio`` alone; this module names no file.
 
 Exit codes: 0 ok, 1 check failure, 2 invalid input, 3 numerical failure.
 Each command checks its config when it loads it, before it makes any output
@@ -37,11 +39,10 @@ import argparse
 import functools
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import runio, solver
-from .config import SimConfig, load_config
+from .config import load_config
 from .errors import InvalidInputError, NumericalFailureError
 
 logger = logging.getLogger(__name__)
@@ -71,9 +72,7 @@ def cmd_sweep(args):
     out = Path(args.out or Path(args.config).with_suffix(""))
     cfg = load_config(args.config)
     rows = gelation.cutoff_sweep(cfg, out, workers=args.workers)
-    runio.write_sweep_csv(out / "sweep.csv", rows)
-    runio.write_json(out / "sweep.json",
-                     {"epsilon": cfg.epsilon, "rows": [asdict(row) for row in rows]})
+    runio.write_sweep(out, rows, cfg.epsilon)
     n_ok = sum(not row.failed for row in rows)
     logger.info("sweep complete: %d/%d rows ok -> %s", n_ok, len(rows), out)
     return EXIT_OK if n_ok else EXIT_NUMERICAL_FAILURE
@@ -81,19 +80,11 @@ def cmd_sweep(args):
 
 def cmd_check(args):
     target = Path(args.target)
-    stored = None
     if target.is_dir():
-        manifest = runio.read_manifest(target / "manifest.json")
-        if "config" not in manifest:
-            raise InvalidInputError("manifest in %s has no config" % target)
-        cfg = SimConfig.from_dict(manifest["config"])
-        csv_path = target / "moments.csv"
-        outputs = manifest.get("outputs")
-        if csv_path.exists() or isinstance(outputs, list) and "moments.csv" in outputs:
-            stored = runio.read_moments_csv(csv_path)
+        cfg, stored = runio.read_run(target)
         default_out = target
     else:
-        cfg = load_config(target)
+        cfg, stored = load_config(target), None
         default_out = target.with_suffix("")
     state = solver.initial_state(cfg)
     out = runio.make_dir(args.out or default_out)
@@ -101,7 +92,7 @@ def cmd_check(args):
     from . import checks  # deferred: simulate and sweep need no check suite
 
     report = checks.run_checks(result, stored=stored)
-    runio.write_json(out / "check_report.json", report)  # in place of any earlier one
+    runio.write_check_report(out, report)
     if "error" in report:
         logger.error("replay failed: %s" if report["replay_failed"]
                      else "checks failed numerically: %s", report["error"])

@@ -12,6 +12,10 @@ and resolved: the code that runs it checks nothing again, and run manifests
 store it as it is.  Among its checks, ``SimConfig`` rejects moment orders or
 thresholds whose moments.csv columns, ``moments.moment_labels``, would share
 a label.
+
+``read_json`` reads any JSON file the package reads, a config here and a
+run's manifest in ``runio``, and words its errors the same way for both.
+It lives here, not in ``runio``, because ``runio`` imports this module.
 """
 from __future__ import annotations
 
@@ -293,13 +297,18 @@ def to_section(obj):
     return out
 
 
-def load_config(path):
-    """Read and validate a JSON config file."""
+def read_json(path, what):
+    """The JSON value a file holds; a file that cannot be read or is not JSON
+    raises InvalidInputError naming it as ``what`` and its path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InvalidInputError("cannot read config %s: %s" % (path, exc)) from exc
+        raise InvalidInputError("cannot read %s %s: %s" % (what, path, exc)) from exc
     except json.JSONDecodeError as exc:
-        raise InvalidInputError("config %s is not valid JSON: %s" % (path, exc)) from exc
-    return SimConfig.from_dict(raw)
+        raise InvalidInputError("%s %s is not valid JSON: %s" % (what, path, exc)) from exc
+
+
+def load_config(path):
+    """Read and validate a JSON config file."""
+    return SimConfig.from_dict(read_json(path, "config"))

@@ -9,11 +9,13 @@ boundary mass loss exceeds a threshold epsilon (default 1e-2):
 linearly interpolated between bracketing records.  ``cutoff_sweep`` reruns a
 config over the cutoffs of its "sweep" section at fixed resolution (N scaled
 with R); each row's worker writes the row's run directory and returns only its
-SweepRow.  A serial sweep runs its rows in the calling process and never loads
-the process pool (``multiprocessing`` and the modules behind it); only rows
-run concurrently import it.  The table of t_loss(R) at the config's one
-threshold epsilon is the truncated-domain stand-in for statements about the
-untruncated problem.
+SweepRow.  What that directory holds is ``runio``'s to decide: ``write_run``
+for a row that ran, failed or not, and ``write_failed_run`` for one that
+raised; this module names no file.  A serial sweep runs its rows in the
+calling process and never loads the process pool (``multiprocessing`` and
+the modules behind it); only rows run concurrently import it.  The table
+of t_loss(R) at the config's one threshold epsilon is the truncated-domain
+stand-in for statements about the untruncated problem.
 
 ``blowup_bound`` evaluates the finite-time bound
 
@@ -26,7 +28,6 @@ sigma * (r - 1) = beta - 1.
 """
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
 from concurrent import futures  # loads its process pool on first use, never in a serial sweep
@@ -97,16 +98,13 @@ def _row_cells(R, resolution):
 
 
 def _failed_row(cfg, row_dir, exc):
-    """A failed row carrying the error text; of its run files the directory
-    keeps only a failed manifest, when that can be written."""
+    """A failed row carrying the error text; its directory keeps only a failed
+    manifest (``runio.write_failed_run``), when that can be written."""
     error = str(exc)
     if not isinstance(exc, CoagulationError):
         error = "%s: %s" % (type(exc).__name__, error)
-    for name in ("moments.csv", "final_state.json"):
-        with contextlib.suppress(OSError):  # a directory in the file's place, say
-            (row_dir / name).unlink(missing_ok=True)
     try:
-        runio.write_manifest(row_dir / "manifest.json", cfg, status="failed", error=error)
+        runio.write_failed_run(row_dir, cfg, error)
     except InvalidInputError as write_error:
         logger.error("sweep row R=%s: %s", cfg.grid.R, write_error)
     return SweepRow(R=cfg.grid.R, N=cfg.grid.N, failed=True, error=error)
@@ -130,10 +128,9 @@ def _run_row(job):
         row.t_loss = gelation_time(result.series, cfg.epsilon)
         row.gel_fraction_final = float(result.series.gel()[-1] / result.series.rho0())
         runio.write_run(row_dir, result)
-    except CoagulationError as exc:
-        return _failed_row(cfg, row_dir, exc)
     except Exception as exc:
-        logger.error("sweep row R=%s raised", cfg.grid.R, exc_info=True)
+        if not isinstance(exc, CoagulationError):
+            logger.error("sweep row R=%s raised", cfg.grid.R, exc_info=True)
         return _failed_row(cfg, row_dir, exc)
     return row
 

@@ -1,4 +1,16 @@
-"""Readers and writers for run artifacts (CSV series, state and manifest JSON).
+"""Run and sweep directories: the one module that names, reads, writes and
+clears their files.
+
+A run directory holds ``moments.csv``, ``final_state.json`` and
+``manifest.json``, the manifest written last (``write_run``), and may hold
+the ``check_report.json`` that ``check`` writes beside them
+(``write_check_report``).  Rewriting a run directory first removes its
+manifest and its report, so a write that stops part-way leaves no manifest,
+and no report of an earlier run stays beside the new files.  A sweep row
+that raised keeps only a failed manifest (``write_failed_run``).  A sweep
+directory holds ``sweep.csv`` and ``sweep.json`` (``write_sweep``) beside
+its rows' run directories.  ``read_run`` reads a run directory back for
+``check``.
 
 CSV files use '.' decimals, no thousands separators, and 17 significant
 digits, so identical configs produce bit-identical, diff-able outputs.
@@ -19,12 +31,21 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import SimConfig, read_json
 from .errors import InvalidInputError
+
+MOMENTS = "moments.csv"
+FINAL_STATE = "final_state.json"
+MANIFEST = "manifest.json"
+CHECK_REPORT = "check_report.json"
+SWEEP_CSV = "sweep.csv"
+SWEEP_JSON = "sweep.json"
 
 
 @contextlib.contextmanager
@@ -113,33 +134,60 @@ def write_manifest(path, config, status="ok", error=None, extra=None):
     _dump_json(path, payload)
 
 
+def _remove(out, names):
+    """Remove the files ``names`` from the directory ``out``; one that cannot be
+    removed (a directory in its place, say) is left to the write that follows."""
+    for name in names:
+        with contextlib.suppress(OSError):
+            (out / name).unlink(missing_ok=True)
+
+
 def write_run(out, result):
-    """Write a run's directory: moments.csv, final_state.json and, last, manifest.json."""
-    write_moments_csv(out / "moments.csv", result.series)
-    write_final_state_json(out / "final_state.json", result.final_state)
+    """Write a run's directory: moments.csv, final_state.json and, last,
+    manifest.json, after removing the directory's manifest and check report."""
+    _remove(out, (MANIFEST, CHECK_REPORT))
+    write_moments_csv(out / MOMENTS, result.series)
+    write_final_state_json(out / FINAL_STATE, result.final_state)
     write_manifest(
-        out / "manifest.json",
+        out / MANIFEST,
         result.config,
         status="failed" if result.failed else "ok",
         error=result.error,
         extra={
-            "outputs": ["moments.csv", "final_state.json"],
+            "outputs": [MOMENTS, FINAL_STATE],
             "grid_edges": result.final_state.grid.edges,
         },
     )
 
 
+def write_failed_run(out, config, error):
+    """Write the directory of a run that raised: of its files it keeps only a
+    failed manifest, which lists no outputs."""
+    _remove(out, (MANIFEST, CHECK_REPORT, MOMENTS, FINAL_STATE))
+    write_manifest(out / MANIFEST, config, status="failed", error=error)
+
+
 def read_manifest(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError("cannot read manifest %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError("manifest %s is not valid JSON: %s" % (path, exc)) from exc
+    manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict):
         raise InvalidInputError("manifest %s is not a JSON object" % path)
     return manifest
+
+
+def read_run(run_dir):
+    """The run a directory holds, for ``check``: its manifest's config,
+    validated, and the columns of its moments.csv, or None when the directory
+    has no moments.csv and the manifest lists none in its ``outputs``.  A
+    listed moments.csv that is missing raises InvalidInputError."""
+    manifest = read_manifest(run_dir / MANIFEST)
+    if "config" not in manifest:
+        raise InvalidInputError("manifest in %s has no config" % run_dir)
+    config = SimConfig.from_dict(manifest["config"])
+    csv_path = run_dir / MOMENTS
+    outputs = manifest.get("outputs")
+    if csv_path.exists() or isinstance(outputs, list) and MOMENTS in outputs:
+        return config, read_moments_csv(csv_path)
+    return config, None
 
 
 def make_dir(path):
@@ -157,12 +205,19 @@ def write_json(path, payload):
     _dump_json(path, payload)
 
 
-def write_sweep_csv(path, rows):
-    """Write the sweep table: R, N, t_loss and the final gel fraction of each
-    row, a value the row lacks left empty."""
-    with _writing(path) as fh:
+def write_check_report(out, report):
+    """Write ``check``'s report into ``out``, in place of any earlier one."""
+    write_json(out / CHECK_REPORT, report)
+
+
+def write_sweep(out, rows, epsilon):
+    """Write the sweep table: sweep.csv holds R, N, t_loss and the final gel
+    fraction of each row, a value the row lacks left empty, and sweep.json the
+    threshold epsilon and every field of every row."""
+    with _writing(out / SWEEP_CSV) as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in rows:
             t_loss = "" if row.t_loss is None else "%.17g" % row.t_loss
             gel = "" if row.gel_fraction_final is None else "%.17g" % row.gel_fraction_final
             fh.write("%.17g,%d,%s,%s\n" % (row.R, row.N, t_loss, gel))
+    write_json(out / SWEEP_JSON, {"epsilon": epsilon, "rows": [asdict(row) for row in rows]})

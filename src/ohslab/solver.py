@@ -426,8 +426,10 @@ class RunResult:
 
 
 def _time_tolerance(t_end):
-    """The gap below which a run of horizon t_end treats two times as one."""
-    return 1e-12 * max(1.0, t_end)
+    """The gap below which a run of horizon t_end treats two times as one: a
+    share of t_end alone, so a run with every time over a power of 2 treats
+    the same gaps as one."""
+    return 1e-12 * t_end
 
 
 def _record_times(t_end, cadence):

@@ -412,6 +412,63 @@ def test_check_of_a_failed_row_manifest_has_no_stored_csv_to_compare(checked_run
     assert "stored_moments_csv" not in [c["name"] for c in report["checks"]]
 
 
+#: A short constant-kernel run; ``value`` sets the run apart from a rerun.
+SHORT_RUN = {
+    "kernel": {"kind": "constant", "value": 1.0},
+    "grid": {"kind": "uniform", "R": 4.0, "N": 32},
+    "initial": {"kind": "uniform_on", "a": 0.0, "b": 1.0, "mass": 1.0},
+    "t_end": 0.1,
+}
+
+
+def test_a_rewrite_that_stops_part_way_leaves_no_manifest_of_the_earlier_run(tmp_path, caplog):
+    first = write_config(tmp_path, SHORT_RUN, "first.json")
+    second = write_config(tmp_path, dict(SHORT_RUN, kernel={"kind": "constant", "value": 2.0}),
+                          "second.json")
+    out = tmp_path / "run"
+    assert main(["--quiet", "simulate", str(first), "--out", str(out)]) == 0
+    (out / "final_state.json").unlink()
+    (out / "final_state.json").mkdir()
+    assert main(["--quiet", "simulate", str(second), "--out", str(out)]) == 2
+    # the second run's moments.csv stands, and no manifest claims it for the first
+    assert not (out / "manifest.json").exists()
+    caplog.clear()
+    assert main(["--quiet", "check", str(out)]) == 2
+    assert "cannot read manifest %s" % (out / "manifest.json") in caplog.text
+
+
+def test_a_rewritten_run_directory_keeps_no_report_of_the_earlier_run(tmp_path):
+    first = write_config(tmp_path, SHORT_RUN, "first.json")
+    second = write_config(tmp_path, dict(SHORT_RUN, kernel={"kind": "constant", "value": 2.0}),
+                          "second.json")
+    out, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    assert main(["--quiet", "simulate", str(first), "--out", str(out)]) == 0
+    assert main(["--quiet", "check", str(out)]) == 1  # N = 32 fails the residual gates
+    assert main(["--quiet", "check", str(out), "--out", str(elsewhere)]) == 1
+    assert main(["--quiet", "simulate", str(second), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "final_state.json", "manifest.json", "moments.csv"]
+    assert [p.name for p in elsewhere.iterdir()] == ["check_report.json"]
+
+
+def test_a_sweep_row_that_raises_keeps_no_report_of_the_earlier_run(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    sweep = ["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]
+    assert main(sweep) == 0
+    assert main(["--quiet", "check", str(out / "R2")]) == 1  # N = 32 fails the residual gates
+    assert (out / "R2" / "check_report.json").is_file()
+
+    def raising(*args, **kwargs):
+        raise MemoryError("planted")
+
+    monkeypatch.setattr(solver, "run", raising)
+    assert main(sweep) == 3  # no row ran
+    for row in ("R2", "R3"):
+        assert [p.name for p in (out / row).iterdir()] == ["manifest.json"]
+        assert read_manifest(out / row / "manifest.json")["error"] == "MemoryError: planted"
+
+
 def test_check_passes_on_a_run_whose_domain_empties(tmp_path):
     # the one spike sits in the last cell, so the first step books it all as gel
     payload = {
