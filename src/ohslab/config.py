@@ -103,20 +103,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Section "check": certification constants and residual tolerances.
-
-    Without ``certification``, ``check`` certifies a kernel against its own
-    ``growth_bounds()``.  Both tolerances must be finite and > 0.
-    """
+    """Section "check": the sandwich to certify, by default the kernel's ``growth_bounds()``."""
 
     certification: CertificationParams = None
-    moment_residual_tol: float = 0.05
-    weak_residual_tol: float = 0.05
-
-    def __post_init__(self):
-        for tol in (self.moment_residual_tol, self.weak_residual_tol):
-            if not (np.isfinite(tol) and tol > 0):
-                raise InvalidInputError("check tolerances must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def cutoff_sweep(config, out, workers=None):
         raise InvalidInputError("sweep needs a 'sweep' section with cutoffs")
     resolution = config.sweep.resolution or config.grid.R / config.grid.N
     configs = [row_config(config, R, _row_cells(R, resolution)) for R in config.sweep.cutoffs]
-    jobs = [(cfg, runio.make_dir(out / row_label(cfg.grid.R))) for cfg in configs]
+    jobs = list(zip(configs, runio.make_row_dirs(out, config.sweep.cutoffs)))
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), len(jobs)))

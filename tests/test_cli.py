@@ -531,6 +531,33 @@ def test_an_unwritable_artifact_is_invalid_input(tmp_path, caplog, command, arti
     assert not any(record.exc_info for record in caplog.records)
 
 
+def test_a_sweep_table_that_cannot_be_written_leaves_no_earlier_table(tmp_path):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    sweep = ["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]
+    assert main(sweep) == 0
+    (out / "sweep.csv").unlink()
+    (out / "sweep.csv").mkdir()
+    assert main(sweep) == 2  # the rows are rewritten, the table cannot be
+    assert not (out / "sweep.json").exists()
+
+
+def test_a_sweep_into_a_directory_with_other_rows_is_invalid_input(tmp_path, caplog,
+                                                                   monkeypatch):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    fewer = write_config(tmp_path, dict(POWERSUM_SWEEP, sweep={"cutoffs": [2.0]}), "fewer.json")
+    out = tmp_path / "sweep"
+    assert main(["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda *args, **kwargs: runs.append(args))
+    # the new table would list only R2, beside a complete run directory R3
+    assert main(["--quiet", "sweep", str(fewer), "--out", str(out), "--workers", "1"]) == 2
+    assert "holds run directories R3 that these cutoffs do not list" in caplog.text
+    assert runs == []
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize("artifact", ["moments.csv", "manifest.json"])
 def test_a_sweep_row_that_cannot_be_written_is_a_failed_row(tmp_path, artifact):
     cfg = write_config(tmp_path, POWERSUM_SWEEP)
@@ -722,8 +749,6 @@ def test_check_certification_failure_for_constant_kernel(tmp_path):
     payload = dict(BAGLAND, grid={"kind": "uniform", "R": 4.0, "N": 128})
     payload["check"] = {
         "certification": {"theta1": 1.0, "theta2": 2.0, "beta": 1.5, "gamma": 1.5},
-        "moment_residual_tol": 0.2,
-        "weak_residual_tol": 0.2,
     }
     cfg = write_config(tmp_path, payload)
     assert main(["--quiet", "check", str(cfg)]) == 1
@@ -733,22 +758,44 @@ def test_check_certification_failure_for_constant_kernel(tmp_path):
 
 
 def test_check_power_sum_config_passes_with_auto_certification(tmp_path):
-    # no mass reaches R by t = 0.3, so the boundary terms are 0; the 0.2 gates
-    # cover the first-order error at N = 256 (moment 0.068, weak form 0.061)
+    # no mass reaches R by t = 0.3, so the boundary terms are 0; the first-order
+    # error at N = 256 (moment 0.068, weak form 0.061) exceeds the 0.05 gates
     payload = {
         "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.5},
         "grid": {"kind": "uniform", "R": 4.0, "N": 256},
         "initial": {"kind": "uniform_on", "a": 0.5, "b": 1.0, "mass": 1.0},
         "t_end": 0.3,
         "record_cadence": 0.01,
-        "check": {"moment_residual_tol": 0.2, "weak_residual_tol": 0.2},
     }
     cfg = write_config(tmp_path, payload)
-    assert main(["--quiet", "check", str(cfg)]) == 0
+    assert main(["--quiet", "check", str(cfg)]) == 1
     report = json.loads((tmp_path / "config" / "check_report.json").read_text())
     by_name = {c["name"]: c["status"] for c in report["checks"]}
+    assert [name for name, status in by_name.items() if status == "fail"] == [
+        "moment_residual", "weak_form_residual"]
     assert by_name["certification"] == "pass"
     assert by_name["blowup_bounds"] == "pass"
+
+
+def test_a_manifest_cannot_set_the_check_gates(tmp_path, caplog):
+    # the R = 4 row of the shipped sweep fails moment_residual, 0.139 against 0.05
+    payload = json.loads((ROOT / "configs" / "gelation_sweep.json").read_text())
+    payload["sweep"]["cutoffs"] = [4.0]
+    cfg = write_config(tmp_path, payload)
+    row = tmp_path / "sweep" / "R4"
+    assert main(["--quiet", "sweep", str(cfg), "--out", str(row.parent), "--workers", "1"]) == 0
+    assert main(["--quiet", "check", str(row)]) == 1
+    report = (row / "check_report.json").read_bytes()
+    failing = [entry["name"] for entry in json.loads(report)["checks"]
+               if entry["status"] == "fail"]
+    assert failing == ["moment_residual"]
+    manifest = read_manifest(row / "manifest.json")
+    manifest["config"]["check"] = {"moment_residual_tol": 0.2}
+    (row / "manifest.json").write_text(json.dumps(manifest))
+    caplog.clear()
+    assert main(["--quiet", "check", str(row)]) == 2
+    assert "unknown config key 'moment_residual_tol' in section 'check'" in caplog.text
+    assert (row / "check_report.json").read_bytes() == report
 
 
 @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),

@@ -22,12 +22,7 @@ BASE = {
     "record_cadence": 0.05,
     "moments": {"orders": [0, 1, 2], "truncation_thresholds": [1.0]},
     "sweep": {"cutoffs": [2.0, 3.0], "resolution": 0.0625},
-    # N = 32 is coarse: the residual gates are set for this grid
-    "check": {
-        "certification": {"theta1": 1.0, "beta": 1.5},
-        "moment_residual_tol": 0.5,
-        "weak_residual_tol": 0.5,
-    },
+    "check": {"certification": {"theta1": 1.0, "beta": 1.5}},
 }
 
 
@@ -49,6 +44,8 @@ def with_typo(section, key):
     ("initial", "index", "section 'initial'"),
     ("kernel", "theta", "section 'kernel'"),
     ("check", "moment_residual_tolerance", "section 'check'"),
+    ("check", "moment_residual_tol", "section 'check'"),
+    ("check", "weak_residual_tol", "section 'check'"),
     ("check.certification", "gama", "section 'check.certification'"),
 ])
 def test_unknown_key_is_named_with_its_section(section, key, where):
@@ -148,6 +145,11 @@ def test_bad_sweep_section_exits_with_invalid_input_at_load(tmp_path, sweep):
     ("epsilon", 1.0, "gelation threshold epsilon must lie in (0, 1)"),
     ("dt_max", 0.0, "dt_max must be positive"),
     ("record_cadence", 0.0, "record cadence must be positive"),
+    # check's gates are constants of the checks module, the same for every run
+    ("check", {"moment_residual_tol": 0.05}, "unknown config key 'moment_residual_tol' in "
+                                             "section 'check'"),
+    ("check", {"weak_residual_tol": 0.05}, "unknown config key 'weak_residual_tol' in "
+                                           "section 'check'"),
 ])
 def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, message):
     payload = dict(BASE, **{section: value})
@@ -159,23 +161,6 @@ def test_bad_section_exits_with_invalid_input_at_load(tmp_path, section, value, 
                     ["check", str(path)]):
         assert main(["--quiet", *command, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("check", [
-    {"moment_residual_tol": -1.0},
-    {"moment_residual_tol": 0.0},
-    {"weak_residual_tol": -0.5},
-    {"weak_residual_tol": float("nan")},
-    {"moment_residual_tol": float("inf")},
-])
-def test_bad_check_tolerance_exits_with_invalid_input_before_replay(tmp_path, check):
-    payload = dict(BASE, check=check)
-    with pytest.raises(InvalidInputError, match="check tolerances must be finite and > 0"):
-        SimConfig.from_dict(payload)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    assert main(["--quiet", "check", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
 
 
 def test_sim_config_checks_itself_when_built():
@@ -215,8 +200,7 @@ def test_check_section_defaults():
     assert check.certification == CertificationParams(
         theta1=1.0, theta2=1.0, beta=1.5, gamma=1.5
     )
-    default = SimConfig.from_dict(dict(BASE, check={})).check
-    assert (default.certification, default.moment_residual_tol) == (None, 0.05)
+    assert SimConfig.from_dict(dict(BASE, check={})).check.certification is None
 
 
 def test_record_cadence_typo_exits_with_invalid_input(tmp_path):
@@ -251,4 +235,8 @@ def test_written_manifests_still_load(tmp_path):
     assert main(["--quiet", "sweep", str(path), "--out", str(sweep_dir), "--workers", "1"]) == 0
     for target in (run_dir, sweep_dir / "R2", sweep_dir / "R3"):
         SimConfig.from_dict(read_manifest(target / "manifest.json")["config"])
-        assert main(["--quiet", "check", str(target)]) == 0
+        # at N = 32 and 48 both residuals (0.24, and 0.21 or 0.13) exceed the 0.05 gates
+        assert main(["--quiet", "check", str(target)]) == 1
+        report = json.loads((target / "check_report.json").read_text())
+        assert [entry["name"] for entry in report["checks"] if entry["status"] == "fail"] == [
+            "moment_residual", "weak_form_residual"]
