@@ -8,9 +8,9 @@ the ``check_report.json`` that ``check`` writes beside them
 manifest and its report, so a write that stops part-way leaves no manifest,
 and no report of an earlier run stays beside the new files.  A sweep row
 that raised keeps only a failed manifest (``write_failed_run``).  A sweep
-directory holds ``sweep.csv`` and then ``sweep.json`` (``write_sweep``, which
-removes both first) beside its rows' run directories and no other
-(``make_row_dirs``).  ``read_run`` reads a run directory back for ``check``.
+directory holds ``sweep.csv`` and ``sweep.json`` (``write_sweep``) beside
+its rows' run directories, made by ``make_row_dirs`` once it removes the old
+table.  ``read_run`` reads a run directory back for ``check``.
 
 CSV files use '.' decimals, no thousands separators, and 17 significant
 digits, so identical configs produce bit-identical, diff-able outputs.
@@ -211,21 +211,21 @@ def write_check_report(out, report):
 
 
 def make_row_dirs(out, cutoffs):
-    """Make the run directory of each cutoff in ``out`` and return them; a run
-    directory in ``out`` that is none of them raises InvalidInputError first."""
+    """Remove the sweep table from ``out`` and make and return its rows' run
+    directories; first, a run directory in ``out`` of no cutoff raises InvalidInputError."""
     labels = [row_label(R) for R in cutoffs]
-    stale = sorted({path.parent.name for path in Path(out).glob("*/" + MANIFEST)} - set(labels))
+    stale = sorted({path.parent.name for path in out.glob("*/" + MANIFEST)} - set(labels))
     if stale:
         raise InvalidInputError("%s holds run directories %s that these cutoffs do not list"
                                 % (out, ", ".join(stale)))
-    return [make_dir(Path(out) / label) for label in labels]
+    _remove(out, (SWEEP_CSV, SWEEP_JSON))
+    return [make_dir(out / label) for label in labels]
 
 
 def write_sweep(out, rows, epsilon):
-    """Write the sweep table in place of the old one: sweep.csv holds R, N,
-    t_loss and the final gel fraction of each row, a value the row lacks left
-    empty, and then sweep.json the threshold epsilon and every row's fields."""
-    _remove(out, (SWEEP_CSV, SWEEP_JSON))
+    """Write the sweep table: sweep.csv holds R, N, t_loss and the final gel
+    fraction of each row, a value the row lacks left empty, and sweep.json the
+    threshold epsilon and every field of every row."""
     with _writing(out / SWEEP_CSV) as fh:
         fh.write("R,N,t_loss,gel_fraction_final\n")
         for row in rows:

@@ -87,17 +87,19 @@ def test_every_blas_call_stays_under_its_threading_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "matmul", spy_matmul)
     monkeypatch.setattr(np, "vdot", spy_vdot)
     # the shipped run, one of 1,001 records, and the shipped run at N = 4096,
-    # with the exit codes of the check gates (on the coarse 64-cell grid the
-    # moment residual, 0.456, exceeds its 0.05 gate)
-    runs = {"bagland": (_config(1024), 0), "N4096": (_config(4096), 0),
-            "records": (_config(64, record_cadence=0.001), 1)}
-    for name, (payload, code) in runs.items():
+    # with the exit codes of the check gates and a bound on the moment
+    # residual (on the coarse 64-cell grid it is 0.456, above its 0.05 gate)
+    runs = {"bagland": (_config(1024), 0, 0.05), "N4096": (_config(4096), 0, 0.05),
+            "records": (_config(64, record_cadence=0.001), 1, 1.0)}
+    for name, (payload, code, bound) in runs.items():
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(payload))
         assert main(["--quiet", "check", str(path), "--out", str(tmp_path / name)]) == code
         report = json.loads((tmp_path / name / "check_report.json").read_text())
-        failing = [entry["name"] for entry in report["checks"] if entry["status"] == "fail"]
+        by_name = {entry["name"]: entry for entry in report["checks"]}
+        failing = [key for key, entry in by_name.items() if entry["status"] == "fail"]
         assert failing == ["moment_residual"] * code, name
+        assert by_name["moment_residual"]["details"]["residual"] <= bound, name
         assert madds and cells, name  # the oracle and the steps ran
         assert max(madds) <= oracle._MATMUL_MADDS, name
         assert max(cells) <= solver._DOT_CELLS, name

@@ -542,6 +542,22 @@ def test_a_sweep_table_that_cannot_be_written_leaves_no_earlier_table(tmp_path):
     assert not (out / "sweep.json").exists()
 
 
+def test_a_sweep_that_stops_part_way_leaves_no_earlier_table(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, POWERSUM_SWEEP)
+    out = tmp_path / "sweep"
+    sweep = ["--quiet", "sweep", str(cfg), "--out", str(out), "--workers", "1"]
+    assert main(sweep) == 0
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(sweep)
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "sweep.json").exists()
+
+
 def test_a_sweep_into_a_directory_with_other_rows_is_invalid_input(tmp_path, caplog,
                                                                    monkeypatch):
     cfg = write_config(tmp_path, POWERSUM_SWEEP)
@@ -760,6 +776,7 @@ def test_check_certification_failure_for_constant_kernel(tmp_path):
 def test_check_power_sum_config_passes_with_auto_certification(tmp_path):
     # no mass reaches R by t = 0.3, so the boundary terms are 0; the first-order
     # error at N = 256 (moment 0.068, weak form 0.061) exceeds the 0.05 gates
+    # and stays under 0.2, and the oracle still agrees with the quadrature
     payload = {
         "kernel": {"kind": "power_sum", "theta1": 1.0, "beta": 1.5},
         "grid": {"kind": "uniform", "R": 4.0, "N": 256},
@@ -773,6 +790,11 @@ def test_check_power_sum_config_passes_with_auto_certification(tmp_path):
     by_name = {c["name"]: c["status"] for c in report["checks"]}
     assert [name for name, status in by_name.items() if status == "fail"] == [
         "moment_residual", "weak_form_residual"]
+    details = {c["name"]: c["details"] for c in report["checks"]}
+    weak = details["weak_form_residual"]
+    assert details["moment_residual"]["residual"] <= 0.2
+    assert weak["residual"] <= 0.2
+    assert weak["oracle_agreement"] <= weak["agreement_tolerance"]
     assert by_name["certification"] == "pass"
     assert by_name["blowup_bounds"] == "pass"
 

@@ -235,8 +235,14 @@ def test_written_manifests_still_load(tmp_path):
     assert main(["--quiet", "sweep", str(path), "--out", str(sweep_dir), "--workers", "1"]) == 0
     for target in (run_dir, sweep_dir / "R2", sweep_dir / "R3"):
         SimConfig.from_dict(read_manifest(target / "manifest.json")["config"])
-        # at N = 32 and 48 both residuals (0.24, and 0.21 or 0.13) exceed the 0.05 gates
+        # at N = 32 and 48 both residuals (0.24, and 0.21 or 0.13) exceed the
+        # 0.05 gates; they stay under 0.5, and the oracle still agrees
         assert main(["--quiet", "check", str(target)]) == 1
         report = json.loads((target / "check_report.json").read_text())
-        assert [entry["name"] for entry in report["checks"] if entry["status"] == "fail"] == [
+        by_name = {entry["name"]: entry for entry in report["checks"]}
+        assert [key for key, entry in by_name.items() if entry["status"] == "fail"] == [
             "moment_residual", "weak_form_residual"]
+        weak = by_name["weak_form_residual"]["details"]
+        assert by_name["moment_residual"]["details"]["residual"] <= 0.5
+        assert weak["residual"] <= 0.5
+        assert weak["oracle_agreement"] <= weak["agreement_tolerance"]
