@@ -3,13 +3,15 @@
 Subcommands
 -----------
 ``simulate <config.json>``
-    Integrate one run and write its run directory (``runio.write_run``).
+    Integrate one run and write its run directory (``runio.write_run``); a
+    directory that holds a sweep table is invalid input.
 ``sweep <config.json>``
     Cutoff-scaling experiment from the config's "sweep" section; writes the
     sweep table (``runio.write_sweep``) and one run directory per cutoff, as
     ``simulate`` writes it for the row's config (a row that raised gets only
-    a failed manifest).  A row whose config is invalid is invalid input:
-    nothing is written.
+    a failed manifest).  A row whose config is invalid is invalid input, and
+    so is a directory that holds a run's manifest at its top: nothing is
+    written.
 ``check <run-dir-or-config.json>``
     Replay a run (from a run directory, ``runio.read_run``, or a fresh
     config) and run the verification suite; writes the report that
@@ -56,7 +58,7 @@ EXIT_NUMERICAL_FAILURE = 3
 def cmd_simulate(args):
     cfg = load_config(args.config)
     state = solver.initial_state(cfg)
-    out = runio.make_dir(args.out or Path(args.config).with_suffix(""))
+    out = runio.make_run_dir(args.out or Path(args.config).with_suffix(""))
     result = solver.run(cfg, state=state)
     runio.write_run(out, result)
     if result.failed:

@@ -38,7 +38,12 @@ Every kernel is also a short sum of separable terms on ordered pairs:
 
 on increasing sizes ``mid``, so pair sums over a triangle reduce to prefix
 sums, all of them in ``solver.KernelTables`` (``moments.pair_sums`` calls
-its ``pair_sum``).  Every factor is nonnegative.
+its ``pair_sum``).  Every factor is nonnegative.  A power-law kernel is two
+terms whatever its Psi: each built-in Psi splits on ordered pairs nu <= mu
+as upper(mu) + lower(nu), which fold into the two power terms,
+
+    Lambda(mu, nu) = (theta1 * mu**beta + upper(mu)) * 1
+                   + theta1 * (nu**beta + lower(nu) / theta1).
 """
 from __future__ import annotations
 
@@ -91,7 +96,8 @@ class Kernel:
         """Factors (a_k, b_k), arrays over ``mid`` or scalars, such that
         Lambda(mid_i, mid_j) = sum_k a_k[i] * b_k[j] whenever mid_j <= mid_i.
 
-        ``mid`` must be increasing; no finiteness check is made here.
+        Every built-in kernel gives one or two terms.  ``mid`` must be
+        increasing; no finiteness check is made here.
         """
         raise NotImplementedError
 
@@ -126,12 +132,13 @@ def _power_sum(theta1, beta, mu, nu):
 
 
 #: Named symmetric perturbations, each satisfying 0 <= Psi <= K*(mu + nu): its
-#: value, and its separable factors on ordered pairs nu <= mu (min(mu, nu) = nu).
+#: value, and its split Psi(mu, nu) = upper(mu) + lower(nu) on ordered pairs
+#: nu <= mu (min(mu, nu) = nu) as the pair (upper, lower) over sizes ``mid``.
 PSI_BUILTINS = {
-    "zero": (lambda mu, nu, K: 0.0, lambda mid, K: []),
+    "zero": (lambda mu, nu, K: 0.0, lambda mid, K: (0.0, 0.0)),
     "half_sum": (lambda mu, nu, K: 0.5 * K * (mu + nu),
-                 lambda mid, K: [(0.5 * K * mid, 1.0), (0.5 * K, mid)]),
-    "min": (lambda mu, nu, K: K * np.minimum(mu, nu), lambda mid, K: [(K, mid)]),
+                 lambda mid, K: (0.5 * K * mid, 0.5 * K * mid)),
+    "min": (lambda mu, nu, K: K * np.minimum(mu, nu), lambda mid, K: (0.0, K * mid)),
 }
 
 
@@ -164,10 +171,13 @@ class PowerSumKernel(Kernel):
         return _finalize(mu, nu, raw)
 
     def separable_terms(self, mid):
+        # Psi's split folds into the two power terms; with Psi = 0 both adds
+        # are + 0.0, so the factors keep the bits of theta1 * (mu**beta + nu**beta).
         mid = np.asarray(mid, dtype=float)
         power = mid**self.beta
-        _, psi_terms = PSI_BUILTINS[self.psi]
-        return [(self.theta1 * power, 1.0), (self.theta1, power)] + psi_terms(mid, self.K)
+        _, psi_split = PSI_BUILTINS[self.psi]
+        upper, lower = psi_split(mid, self.K)
+        return [(self.theta1 * power + upper, 1.0), (self.theta1, power + lower / self.theta1)]
 
     def growth_bounds(self):
         if self.beta <= 1:

@@ -10,7 +10,10 @@ and no report of an earlier run stays beside the new files.  A sweep row
 that raised keeps only a failed manifest (``write_failed_run``).  A sweep
 directory holds ``sweep.csv`` and ``sweep.json`` (``write_sweep``) beside
 its rows' run directories, made by ``make_row_dirs`` once it removes the old
-table.  ``read_run`` reads a run directory back for ``check``.
+table.  The two kinds stay apart: ``make_run_dir`` refuses a directory that
+holds a sweep table, and ``make_row_dirs`` one that holds a manifest at its
+top, each before anything is written.  ``read_run`` reads a run directory
+back for ``check``.
 
 CSV files use '.' decimals, no thousands separators, and 17 significant
 digits, so identical configs produce bit-identical, diff-able outputs.
@@ -200,6 +203,17 @@ def make_dir(path):
     return path
 
 
+def make_run_dir(path):
+    """Make the run directory ``path`` as ``make_dir`` does; first, a directory
+    that holds a sweep table raises InvalidInputError."""
+    path = Path(path)
+    table = [name for name in (SWEEP_CSV, SWEEP_JSON) if (path / name).exists()]
+    if table:
+        raise InvalidInputError("%s holds the sweep table %s, not a run"
+                                % (path, " and ".join(table)))
+    return make_dir(path)
+
+
 def write_json(path, payload):
     """Write a report into a directory that exists already."""
     _dump_json(path, payload)
@@ -212,7 +226,10 @@ def write_check_report(out, report):
 
 def make_row_dirs(out, cutoffs):
     """Remove the sweep table from ``out`` and make and return its rows' run
-    directories; first, a run directory in ``out`` of no cutoff raises InvalidInputError."""
+    directories; first, a manifest at the top of ``out`` or a run directory in
+    ``out`` of no cutoff raises InvalidInputError."""
+    if (out / MANIFEST).exists():
+        raise InvalidInputError("%s holds the run of its %s, not a sweep" % (out, MANIFEST))
     labels = [row_label(R) for R in cutoffs]
     stale = sorted({path.parent.name for path in out.glob("*/" + MANIFEST)} - set(labels))
     if stale:

@@ -36,7 +36,7 @@ reversed prefix sum,
     v_{i+1/2} = sum_k a_k[i] * cumsum(b_k * xbar * dx * xi)[i]
     L_j       = sum_k b_k[j] * revcumsum(a_k * gaps * xi)[j],
 
-so a right-hand side costs O(N) time and memory (a handful of terms per
+so a right-hand side costs O(N) time and memory (one or two terms per
 kernel) instead of two dense N x N matrix-vector products.  Since all factors
 are nonnegative the sums carry no cancellation.  The moment and weak-form
 quadratures (``moments.pair_sums``) sum over the same factors, built once
@@ -143,8 +143,7 @@ class KernelTables:
     into.  The next call in the same direction overwrites it.  Adjacent
     columns are paired into one complex column: a complex add is two
     independent float adds, so one ``np.add.accumulate`` advances two prefix
-    sums per element with the same bits as two.  An odd K > 1 gets a zero
-    column as its partner.
+    sums per element with the same bits as two.
 
     The tables also hold what ``step`` writes: ``xi``, the density of a run
     on this grid, and its spare half; the stage derivatives k1 and k2; the
@@ -253,16 +252,13 @@ def _direction(outer, inner, reverse):
     (left, right) pairs whose sums go into the result, result).
     """
     K, N = outer.shape
-    # A single term stays real: a zero partner costs more than pairing saves.
-    width = K + K % 2 if K > 1 else 1
-    # A padding column of the outer factors, and so of the scratch, stays zero.
-    laid = np.zeros((N, width))
-    laid[:, :K] = outer.T
-    whole, result = np.zeros((N, width)), np.empty(N) if K > 1 else None
+    laid = np.ascontiguousarray(outer.T)
+    whole, result = np.zeros((N, K)), np.empty(N) if K > 1 else None
 
     def cut(n):
         scratch = whole[:n]
-        chains = scratch.view(np.complex128) if width > 1 else scratch
+        # A single term stays real; more pair up, which needs an even K.
+        chains = scratch.view(np.complex128) if K > 1 else scratch
         columns = tuple(scratch[:, k] for k in range(K))
         # One term is its own column; more are added into a result in order.
         total = columns[0] if K == 1 else result[:n]

@@ -64,19 +64,19 @@ DIGESTS = {
     "certification/check_report.json":
         "366a1a6cd3b4bac0df8103796f502318b2e227619e32b295285ed8f156f30f3d",
     "heun/final_state.json":
-        "3cdfa342b86fb777ec094e79c0fcdee4c6d6a6f4003cfb64ad5d7381b538cb0f",
+        "474fb2d7b3df521ff2edb9d87e4b887a145172629c52bccc591f6c5cd7056f25",
     "heun/manifest.json":
         "a1ce86513a50ca60dbe0e490ff4c914b50e9e84dea6b98e36ecc1e9f22fefbce",
     "heun/moments.csv":
-        "6e869a5a12277fc6ef9132d61f34fbac76dc447d01baddb9308bda556284c1de",
+        "9c077235568c2e2f501e20baf7ebca51068d95c4d013cd91ba89832c0ad4f335",
     "heun_tails/check_report.json":
-        "55152dfaef3512f9622d3e41c5a87a4bbd38aed0fad8ab102fe009b5c411b93d",
+        "ddf84853b7e17a2d4bf5beb0710a0f5c2832c93812dc0ee1ec20172c5680e3f2",
     "heun_tails/final_state.json":
-        "3cdfa342b86fb777ec094e79c0fcdee4c6d6a6f4003cfb64ad5d7381b538cb0f",
+        "474fb2d7b3df521ff2edb9d87e4b887a145172629c52bccc591f6c5cd7056f25",
     "heun_tails/manifest.json":
         "6e7f190b3543deade50992197c1454469f247ad8dd60ecc72b04cda9fbc0ba90",
     "heun_tails/moments.csv":
-        "df7f520c2d2e8279d126dec8df772ffcb41d6f85a1c3ba91fb64152ffd298bc4",
+        "ca276a991e12fce002d55c71fb4ca83305293528c4402da71b9914bf40c331d2",
     "overflow/final_state.json":
         "e89dc3dd6e7e9ab5d05c1065d3d7567152acd36a955c59c7a93a417d7f797c61",
     "overflow/manifest.json":
@@ -165,4 +165,8 @@ def digests(root):
 def test_every_artifact_keeps_its_bytes(tmp_path):
     codes = write_artifacts(tmp_path)
     assert codes == EXIT_CODES
-    assert digests(tmp_path) == DIGESTS
+    found = digests(tmp_path)
+    # every file whose digest differs, is missing or is extra, by name
+    moved = sorted(path for path in DIGESTS.keys() | found.keys()
+                   if found.get(path) != DIGESTS.get(path))
+    assert moved == [], "artifacts whose bytes moved: " + ", ".join(moved)

@@ -574,6 +574,34 @@ def test_a_sweep_into_a_directory_with_other_rows_is_invalid_input(tmp_path, cap
     assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
+def _refused_without_a_write(first, second, out, caplog, monkeypatch, message):
+    """Write ``out`` by the command ``first``; then ``second`` into it exits 2
+    with ``message``, runs nothing and leaves every file as it was."""
+    assert main(["--quiet", *first, "--out", str(out)]) == 0
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda *args, **kwargs: runs.append(args))
+    assert main(["--quiet", *second, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert runs == []
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+
+def test_a_sweep_into_a_run_directory_is_invalid_input(tmp_path, caplog, monkeypatch):
+    cfg = str(write_config(tmp_path, POWERSUM_SWEEP))
+    out = tmp_path / "out"
+    _refused_without_a_write(["simulate", cfg], ["sweep", cfg, "--workers", "1"], out,
+                             caplog, monkeypatch, "%s holds the run of its manifest.json" % out)
+
+
+def test_a_simulate_into_a_sweep_directory_is_invalid_input(tmp_path, caplog, monkeypatch):
+    cfg = str(write_config(tmp_path, POWERSUM_SWEEP))
+    out = tmp_path / "out"
+    _refused_without_a_write(["sweep", cfg, "--workers", "1"], ["simulate", cfg], out,
+                             caplog, monkeypatch,
+                             "%s holds the sweep table sweep.csv and sweep.json" % out)
+
+
 @pytest.mark.parametrize("artifact", ["moments.csv", "manifest.json"])
 def test_a_sweep_row_that_cannot_be_written_is_a_failed_row(tmp_path, artifact):
     cfg = write_config(tmp_path, POWERSUM_SWEEP)

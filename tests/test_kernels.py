@@ -79,13 +79,25 @@ def test_eval_overflow_raises():
     (ConstantKernel(1.0), 1),
     (PowerSumKernel(1.0, 1.5), 2),
     (MassConservingKernel(1.0, 2.0, "zero", 1.0), 2),
-    (MassConservingKernel(1.0, 2.0, "half_sum", 1.0), 4),
-    (MassConservingKernel(1.0, 2.0, "min", 1.0), 3),
+    (MassConservingKernel(1.0, 2.0, "half_sum", 1.0), 2),
+    (MassConservingKernel(1.0, 2.0, "min", 1.0), 2),
     (ProductKernel(0.75), 1),
 ], ids=lambda v: getattr(v, "psi", getattr(v, "kind", v)))
 def test_separable_term_count(kernel, count):
     # factor values are checked against eval in test_pair_sums
     assert len(kernel.separable_terms(np.array([0.25, 0.75, 1.5]))) == count
+
+
+@pytest.mark.parametrize("kernel", [
+    PowerSumKernel(0.7, 1.5), MassConservingKernel(0.7, 2.5, "zero", 1.3),
+], ids=lambda k: k.kind)
+def test_psi_free_factors_keep_the_bits_of_the_power_sum(kernel):
+    mid = np.geomspace(1e-3, 40.0, 97)
+    power = mid**kernel.beta
+    expected = [(kernel.theta1 * power, 1.0), (kernel.theta1, power)]
+    for (a, b), (a0, b0) in zip(kernel.separable_terms(mid), expected, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(a0).tobytes()
+        assert np.asarray(b).tobytes() == np.asarray(b0).tobytes()
 
 
 def test_psi_builtins_within_bound():

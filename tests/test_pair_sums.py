@@ -203,11 +203,13 @@ def cumsum_pair_sum(tables, u, v):
 @PROPERTY_SETTINGS
 @given(st.sampled_from([
     (1, ConstantKernel(1.5)),
+    (1, ProductKernel(0.5)),
     (2, PowerSumKernel(1.0, 1.5)),
-    (3, MassConservingKernel(1.0, 1.5, "min", 0.5)),
-    (4, MassConservingKernel(1.0, 2.0, "half_sum", 0.5)),
+    (2, MassConservingKernel(1.0, 1.5, "zero", 0.5)),
+    (2, MassConservingKernel(1.0, 1.5, "min", 0.5)),
+    (2, MassConservingKernel(1.0, 2.0, "half_sum", 0.5)),
 ]), st.one_of(cases(), gapped_cases()))
-def test_pair_sum_equals_the_cumsum_form_for_one_to_four_terms(kernel_case, case):
+def test_pair_sum_equals_the_cumsum_form_for_every_term_count(kernel_case, case):
     K, kernel = kernel_case
     _, grid, xi = case
     tables = KernelTables(grid, kernel)
@@ -255,7 +257,7 @@ def chain(n):
     return sorted({tree_prefix(n, m) for m in range(n + 1)})
 
 
-#: A kernel of every kind, 1 to 4 terms.
+#: A kernel of every kind and two Psi, 1 or 2 terms.
 REPLAY_KERNELS = [
     ConstantKernel(1.5), PowerSumKernel(1.0, 1.5),
     MassConservingKernel(1.0, 1.5, "min", 0.5), MassConservingKernel(1.0, 2.0, "half_sum", 0.5),
@@ -265,7 +267,7 @@ REPLAY_KERNELS = [
 
 @st.composite
 def replays(draw):
-    """A kernel of every kind, 1 to 4 terms, its tables, records on one grid
+    """A kernel of every kind, 1 or 2 terms, its tables, records on one grid
     whose last occupied cell ends a random cut, a tree-prefix cut or one cell
     past it, and a block size that puts 1 to 4 records in a block."""
     kernel = draw(st.sampled_from(REPLAY_KERNELS))

@@ -53,8 +53,8 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 positive = st.floats(0.05, 5.0)
 amount = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
 
-#: Every kernel kind and Psi: 1 (constant, product), 2 (power_sum,
-#: zero), 3 (min) and 4 (half_sum) separable terms.
+#: Every kernel kind and Psi: 1 (constant, product) and 2 (power_sum and
+#: mass_conserving with every Psi) separable terms.
 kernels = st.one_of(
     st.builds(ConstantKernel, positive),
     st.builds(PowerSumKernel, positive, st.floats(0.1, 3.0)),
